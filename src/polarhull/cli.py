@@ -82,8 +82,11 @@ def _parse_level(token: str) -> float:
         raise click.UsageError(f"bad level {token!r}; expected a number or e<k>")
 
 
-def _config_overlay(config_path: str | None, section: str, flags: dict,
-                    defaults: dict | None = None) -> dict:
+def _config_overlay(config_path: str | None, section: str, seed, tolerance,
+                    flags: dict, defaults: dict) -> dict:
+    """Config-file sections [run] and [section], then flags, then defaults."""
+    flags = {**flags, "seed": seed, "tolerance": tolerance}
+    defaults = {**defaults, "seed": 0}
     merged: dict = {}
     if config_path:
         parser = configparser.ConfigParser()
@@ -94,7 +97,7 @@ def _config_overlay(config_path: str | None, section: str, flags: dict,
             if parser.has_section(sec):
                 merged.update(dict(parser.items(sec)))
     merged.update({k: v for k, v in flags.items() if v is not None})
-    for key, val in (defaults or {}).items():
+    for key, val in defaults.items():
         merged.setdefault(key, val)
     return merged
 
@@ -141,8 +144,6 @@ def _common(fn):
     fn = click.option("--out", "out_dir", type=str, default="out")(fn)
     fn = click.option("--seed", type=int, default=None,
                       help="default 0; config-file value used unless set")(fn)
-    fn = click.option("--threads", type=int, default=None,
-                      help="advisory; results are independent of thread count")(fn)
     fn = click.option("--tolerance", type=float, default=None)(fn)
     return fn
 
@@ -159,13 +160,12 @@ def cli():
 @click.option("--center", default=None)
 @click.option("--radius", type=float, default=None)
 @click.option("--kmax", type=int, default=None)
-def decompose(config_path, out_dir, seed, threads, tolerance, function_spec,
+def decompose(config_path, out_dir, seed, tolerance, function_spec,
               center, radius, kmax):
     """Laurent split of a function model on one circle."""
-    cfg = _config_overlay(config_path, "decompose", {
-        "function": function_spec, "center": center, "radius": radius,
-        "kmax": kmax, "seed": seed, "tolerance": tolerance, "threads": threads,
-    }, defaults={"center": "0", "radius": 1.0, "kmax": 32, "seed": 0})
+    cfg = _config_overlay(config_path, "decompose", seed, tolerance, {
+        "function": function_spec, "center": center, "radius": radius, "kmax": kmax,
+    }, {"center": "0", "radius": 1.0, "kmax": 32})
     if not cfg.get("function"):
         raise click.UsageError("missing --function")
     f = _parse_function(cfg["function"])
@@ -181,13 +181,12 @@ def decompose(config_path, out_dir, seed, threads, tolerance, function_spec,
               help="use the singular sample of a function family")
 @click.option("--segment", default=None, help="A,B,N sample of a real segment")
 @click.option("--m", "m_points", type=int, default=None)
-def fekete(config_path, out_dir, seed, threads, tolerance, function_spec,
+def fekete(config_path, out_dir, seed, tolerance, function_spec,
            segment, m_points):
     """Leja points and the capacity diagnostic on a sample."""
-    cfg = _config_overlay(config_path, "fekete", {
+    cfg = _config_overlay(config_path, "fekete", seed, tolerance, {
         "function": function_spec, "segment": segment, "m": m_points,
-        "seed": seed, "threads": threads, "tolerance": tolerance,
-    }, defaults={"m": 40, "seed": 0})
+    }, {"m": 40})
     if cfg.get("segment"):
         a, b, n = str(cfg["segment"]).split(",")
         sample = CompactSample(np.linspace(float(a), float(b), int(n)).astype(complex))
@@ -211,13 +210,12 @@ def fekete(config_path, out_dir, seed, threads, tolerance, function_spec,
 @click.option("--m", "m_den", type=int, default=None, help="denominator degree; defaults to sample size")
 @click.option("--n-list", default=None, help="outer orders, comma separated")
 @click.option("--target", default=None, help="target circle CX,CY:R:N")
-def approx(config_path, out_dir, seed, threads, tolerance, function_spec, m_den,
+def approx(config_path, out_dir, seed, tolerance, function_spec, m_den,
            n_list, target):
     """Convergence scan of prescribed-pole approximants; CSV trace of errors."""
-    cfg = _config_overlay(config_path, "approx", {
+    cfg = _config_overlay(config_path, "approx", seed, tolerance, {
         "function": function_spec, "m": m_den, "n_list": n_list, "target": target,
-        "seed": seed, "threads": threads, "tolerance": tolerance,
-    }, defaults={"n_list": "1,2,3,4", "target": "0,0:2.0:128", "seed": 0})
+    }, {"n_list": "1,2,3,4", "target": "0,0:2.0:128"})
     if not cfg.get("function"):
         raise click.UsageError("missing --function")
     f = _parse_function(cfg["function"])
@@ -241,13 +239,12 @@ def approx(config_path, out_dir, seed, threads, tolerance, function_spec, m_den,
 @click.option("--density", type=int, default=None)
 @click.option("--tube", default=None,
               help="graph-tube export A,B:N:T1,T2,... (offsets in w)")
-def psh(config_path, out_dir, seed, threads, tolerance, function_spec, nu_max,
+def psh(config_path, out_dir, seed, tolerance, function_spec, nu_max,
         density, tube):
     """Certify the layered field schedule; optional graph-tube CSV export."""
-    cfg = _config_overlay(config_path, "psh", {
-        "function": function_spec, "nu_max": nu_max, "density": density,
-        "tube": tube, "seed": seed, "threads": threads, "tolerance": tolerance,
-    }, defaults={"nu_max": 4, "density": 10, "seed": 0})
+    cfg = _config_overlay(config_path, "psh", seed, tolerance, {
+        "function": function_spec, "nu_max": nu_max, "density": density, "tube": tube,
+    }, {"nu_max": 4, "density": 10})
     if not cfg.get("function"):
         raise click.UsageError("missing --function")
     f = _parse_function(cfg["function"])
@@ -271,13 +268,12 @@ def psh(config_path, out_dir, seed, threads, tolerance, function_spec, nu_max,
 @click.option("--big-r", default=None, help="level threshold; accepts e<k> shorthand")
 @click.option("--point", default=None)
 @click.option("--depth", type=int, default=None)
-def thin(config_path, out_dir, seed, threads, tolerance, function_spec, big_r,
+def thin(config_path, out_dir, seed, tolerance, function_spec, big_r,
          point, depth):
     """Wiener thinness test of a sublevel cover at a point."""
-    cfg = _config_overlay(config_path, "thin", {
+    cfg = _config_overlay(config_path, "thin", seed, tolerance, {
         "function": function_spec, "big_r": big_r, "point": point, "depth": depth,
-        "seed": seed, "threads": threads, "tolerance": tolerance,
-    }, defaults={"big_r": "e", "point": "0", "depth": 40, "seed": 0})
+    }, {"big_r": "e", "point": "0", "depth": 40})
     if not cfg.get("function"):
         raise click.UsageError("missing --function")
     f = _parse_function(cfg["function"])
@@ -296,14 +292,12 @@ def thin(config_path, out_dir, seed, threads, tolerance, function_spec, big_r,
 @click.option("--at", "at_point", default=None)
 @click.option("--walks", type=int, default=None)
 @click.option("--method", type=click.Choice(["wos", "grid"]), default=None)
-def hmeasure(config_path, out_dir, seed, threads, tolerance, annulus, at_point,
+def hmeasure(config_path, out_dir, seed, tolerance, annulus, at_point,
              walks, method):
     """Harmonic measure of the inner circle in an annulus, WOS or grid."""
-    cfg = _config_overlay(config_path, "hmeasure", {
+    cfg = _config_overlay(config_path, "hmeasure", seed, tolerance, {
         "annulus": annulus, "at": at_point, "walks": walks, "method": method,
-        "seed": seed, "threads": threads, "tolerance": tolerance,
-    }, defaults={"annulus": "0.1,1.0", "at": "0.4", "walks": 100000,
-                 "method": "wos", "seed": 0})
+    }, {"annulus": "0.1,1.0", "at": "0.4", "walks": 100000, "method": "wos"})
     r_in, r_out = (float(t) for t in str(cfg["annulus"]).split(","))
     z = _parse_point(str(cfg["at"]))
     est = harmonic_measure(
@@ -321,14 +315,13 @@ def hmeasure(config_path, out_dir, seed, threads, tolerance, annulus, at_point,
 @click.option("--point", "points", multiple=True)
 @click.option("--r-grid", default=None)
 @click.option("--depth", type=int, default=None)
-def hull(config_path, out_dir, seed, threads, tolerance, function_spec, points,
+def hull(config_path, out_dir, seed, tolerance, function_spec, points,
          r_grid, depth):
     """Classify hull fibers over singular points; prints a table, writes JSON."""
-    cfg = _config_overlay(config_path, "hull", {
-        "function": function_spec, "points": ";".join(points) or None,
-        "r_grid": r_grid, "depth": depth, "seed": seed, "threads": threads,
-        "tolerance": tolerance,
-    }, defaults={"points": "0", "r_grid": "e,e2,e10", "depth": 40, "seed": 0})
+    cfg = _config_overlay(config_path, "hull", seed, tolerance, {
+        "function": function_spec, "points": ";".join(points) or None, "r_grid": r_grid,
+        "depth": depth,
+    }, {"points": "0", "r_grid": "e,e2,e10", "depth": 40})
     if not cfg.get("function"):
         raise click.UsageError("missing --function")
     f = _parse_function(cfg["function"])

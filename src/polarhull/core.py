@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +19,8 @@ __all__ = [
     "CompactSample",
     "PolynomialC",
     "CircleContour",
+    "Quadrature",
+    "circle_trapezoid",
     "poly_eval",
     "poly_from_roots",
     "contour_integral",
@@ -148,17 +151,24 @@ class CompactSample:
 
 
 def _check_no_duplicates(pts: np.ndarray) -> None:
-    n = len(pts)
-    if n <= 2000:
-        d = np.abs(pts[:, None] - pts[None, :])
-        np.fill_diagonal(d, np.inf)
-        if d.min() <= _DUPLICATE_TOL:
-            raise ValueError("sample contains duplicate points (within 1e-14)")
-    else:
-        # hash-grid check, good enough for large structured samples
-        keys = np.round(pts.real / _DUPLICATE_TOL) + 1j * np.round(pts.imag / _DUPLICATE_TOL)
-        if len(np.unique(keys)) != n:
-            raise ValueError("sample contains duplicate points (within 1e-14)")
+    """Reject two points within 1e-14 of each other, in O(n log n).
+
+    A pair that close shares a cell of side 3e-14 in at least one of four
+    grids offset by half a cell along each axis.  A cell holds at most 25
+    points pairwise farther apart, so comparing each point with the next few
+    of its cell suffices.
+    """
+    cell = 3.0 * _DUPLICATE_TOL
+    for sx, sy in ((0, 0), (0, 0.5), (0.5, 0), (0.5, 0.5)):
+        keys = np.floor(pts.real / cell + sx) + 1j * np.floor(pts.imag / cell + sy)
+        order = np.argsort(keys)  # complex keys sort lexicographically: cells become runs
+        keys, near = keys[order], pts[order]
+        for s in range(1, len(pts)):
+            same = keys[s:] == keys[:-s]
+            if not same.any():
+                break
+            if np.any(np.abs(near[s:] - near[:-s])[same] <= _DUPLICATE_TOL):
+                raise ValueError("sample contains duplicate points (within 1e-14)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,34 +291,54 @@ class CircleContour:
 MAX_QUAD_NODES = 2**16
 
 
-def contour_integral(integrand, contour: CircleContour, *, tol: float = 1e-10,
-                     adaptive: bool = True, max_nodes: int = MAX_QUAD_NODES) -> complex:
-    """(1/2pi i) * integral of `integrand` over the circle, periodic trapezoid rule.
+class Quadrature(NamedTuple):
+    value: complex | np.ndarray
+    noise: float | np.ndarray   # |last - previous|, inf if never doubled
+    nodes: int                  # per circle, at the last doubling
+    converged: bool             # False when max_nodes came first
 
-    Spectrally accurate for integrands analytic near the circle.  With
-    `adaptive=True` the node count is doubled until two successive results
-    agree to `tol` (relative to max(1, |value|)), capped at `max_nodes`.
+
+def circle_trapezoid(f, circles, reduce, n0: int, *, tol: float,
+                     max_nodes: int) -> Quadrature:
+    """Periodic trapezoid rule on circles, doubling the nodes until it settles.
+
+    Each circle gets nodes c + r*rot with rot = exp(2 pi i j/n), n = n0 first;
+    `reduce(circle, rot, vals)` turns one circle's values of `f` into the
+    wanted quantity, summed over the circles.  A doubling keeps the old nodes
+    and evaluates `f` only on the new odd ones.  It stops once
+    max|new - old| <= tol * max(1, max|new|), or at `max_nodes`.
     """
-    n = contour.node_count
-    value = _trapezoid_circle(integrand, contour, n)
-    if not adaptive:
-        return value
+    n = n0
+    rot = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+    vals = [_eval_on_nodes(f, c.center + c.radius * rot) for c in circles]
+    value = sum(reduce(c, rot, v) for c, v in zip(circles, vals))
+    noise = np.full_like(np.abs(value), np.inf)
     while n < max_nodes:
         n *= 2
-        new = _trapezoid_circle(integrand, contour, n)
-        if abs(new - value) <= tol * max(1.0, abs(new)):
-            return new
-        value = new
-    return value
+        odd = np.exp(1j * (2.0 * np.pi * np.arange(1, n, 2) / n))
+        # ravel of the stacked (old, odd) pair in Fortran order interleaves them
+        rot = np.ravel([rot, odd], order="F")
+        vals = [np.ravel([v, _eval_on_nodes(f, c.center + c.radius * odd)], order="F")
+                for c, v in zip(circles, vals)]
+        new = sum(reduce(c, rot, v) for c, v in zip(circles, vals))
+        noise, value = np.abs(new - value), new
+        if np.max(noise) <= tol * max(1.0, float(np.max(np.abs(new)))):
+            return Quadrature(value, noise, n, True)
+    return Quadrature(value, noise, n, False)
 
 
-def _trapezoid_circle(integrand, contour: CircleContour, n: int) -> complex:
-    theta = 2.0 * np.pi * np.arange(n) / n
-    rot = np.exp(1j * theta)
-    nodes = contour.center + contour.radius * rot
-    vals = _eval_on_nodes(integrand, nodes)
+def contour_integral(integrand, contour: CircleContour, *, tol: float = 1e-10) -> complex:
+    """(1/2pi i) * integral of `integrand` over the circle, periodic trapezoid rule.
+
+    Spectrally accurate for integrands analytic near the circle; starts at
+    `contour.node_count` nodes and doubles them until two results agree to
+    `tol` (relative to max(1, |value|)) or MAX_QUAD_NODES is reached.
+    """
     # dz = i r e^{i theta} dtheta; the 1/(2 pi i) cancels the i and the 2 pi
-    return complex(contour.radius * np.mean(vals * rot))
+    quad = circle_trapezoid(integrand, (contour,),
+                            lambda c, rot, vals: c.radius * np.mean(vals * rot),
+                            contour.node_count, tol=tol, max_nodes=MAX_QUAD_NODES)
+    return complex(quad.value)
 
 
 def sup_norm(f, sample: CompactSample) -> float:

@@ -14,14 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Disk, PolarhullError, complex_to_pair
-from .models import (
-    ExpReciprocal,
-    FunctionModel,
-    PoleSeries,
-    RationalModel,
-    RecipSinPi,
-    TailUncertifiable,
-)
+from .models import FunctionModel, PoleSeries, TailUncertifiable
 from . import potential as potential_mod
 
 __all__ = [
@@ -33,11 +26,6 @@ __all__ = [
     "f_at_origin",
     "classify_fiber",
     "vn_upper_bound",
-    "FunctionModel",
-    "PoleSeries",
-    "ExpReciprocal",
-    "RecipSinPi",
-    "RationalModel",
 ]
 
 
@@ -251,7 +239,7 @@ def classify_fiber(f: FunctionModel, z0: complex, r_grid, *,
         return entry("FIBER_EMPTY")
 
     bound = min(thin_rs)
-    if isinstance(f, PoleSeries) and abs(z0) < f.singular_sample(include_origin=True).tol:
+    if isinstance(f, PoleSeries) and abs(z0) < singular.tol:
         w0, err = f_at_origin(f)
         if abs(w0) > bound:
             return entry("UNKNOWN", extra="origin value exceeds thin-level radius bound")

@@ -17,10 +17,9 @@ from .core import (
     Disk,
     DiskUnion,
     MAX_QUAD_NODES,
-    NodeEvaluationError,
     PolarhullError,
     PolynomialC,
-    _eval_on_nodes,
+    circle_trapezoid,
     complex_to_pair,
 )
 
@@ -90,6 +89,8 @@ class LaurentSplit:
     annulus_inner: float
     annulus_outer: float
     truncation_residual: float
+    nodes: int
+    converged: bool
 
     def analytic_eval(self, z):
         return self.analytic_part(np.asarray(z, dtype=complex) - self.center)
@@ -112,46 +113,36 @@ class LaurentSplit:
             "annulus_inner": self.annulus_inner,
             "annulus_outer": self.annulus_outer,
             "truncation_residual": self.truncation_residual,
+            "nodes": self.nodes,
+            "converged": self.converged,
         }
 
 
-def _laurent_coeffs(f, center: complex, radius: float, k_max: int, *,
-                    quad_tol: float = 1e-12, max_nodes: int = MAX_QUAD_NODES,
+def _laurent_coeffs(f, circle: CircleContour, k_max: int, *, quad_tol: float = 1e-12,
                     snap_rel: float = 1e-13):
-    """Coefficients a_k, -k_max <= k <= k_max, by the periodic trapezoid rule.
+    """(ks, a_k for -k_max <= k <= k_max, quadrature) by the periodic trapezoid rule.
 
-    All coefficients come from one set of node evaluations.  Convergence of
-    the node-doubling loop is judged on the raw circle moments (which settle
-    at machine precision); a_k = moment_k * r^{-k} afterwards, and any
-    coefficient below the measurement resolution snap_rel * max|f| * r^{-k}
-    is reported as exactly zero, since quadrature on this circle cannot
-    distinguish it from zero.
+    All coefficients come from the FFT of one set of node values.  Node
+    doubling is judged on the raw circle moments (which settle at machine
+    precision); a_k = moment_k * r^{-k} afterwards, and any coefficient below
+    the measurement resolution snap_rel * max|f| * r^{-k} is reported as
+    exactly zero, since quadrature on this circle cannot distinguish it from zero.
     """
     ks = np.arange(-k_max, k_max + 1)
-    n = max(256, 4 * (k_max + 1))
-    n = 1 << (n - 1).bit_length()
+    n0 = 1 << (max(256, 4 * (k_max + 1)) - 1).bit_length()
+    f_scale = 0.0
 
-    def moments(nn):
-        theta = 2.0 * np.pi * np.arange(nn) / nn
-        nodes = center + radius * np.exp(1j * theta)
-        vals = _eval_on_nodes(f, nodes, what="function")
-        phases = np.exp(-1j * np.outer(ks, theta))
-        return (phases @ vals) / nn, float(np.max(np.abs(vals)))
+    def moments(circ, rot, vals):
+        nonlocal f_scale
+        f_scale = float(np.max(np.abs(vals)))
+        return np.fft.fft(vals)[ks] / len(vals)
 
-    mu, f_scale = moments(n)
-    while n < max_nodes:
-        n *= 2
-        new, f_scale = moments(n)
-        if np.max(np.abs(new - mu)) <= quad_tol * max(1.0, f_scale):
-            mu = new
-            break
-        mu = new
-
-    scale = radius ** (-ks.astype(float))
-    coeffs = mu * scale
+    quad = circle_trapezoid(f, (circle,), moments, n0, tol=quad_tol, max_nodes=MAX_QUAD_NODES)
+    scale = circle.radius ** (-ks.astype(float))
+    coeffs = quad.value * scale
     floor = snap_rel * max(f_scale, 1e-300) * scale
     coeffs[np.abs(coeffs) < floor] = 0.0
-    return ks, coeffs
+    return ks, coeffs, quad
 
 
 def laurent_split(f, circle: CircleContour, k_max: int, *, tol: float = 1e-8,
@@ -163,8 +154,7 @@ def laurent_split(f, circle: CircleContour, k_max: int, *, tol: float = 1e-8,
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    ks, coeffs = _laurent_coeffs(f, circle.center, circle.radius, k_max,
-                                 quad_tol=quad_tol)
+    ks, coeffs, quad = _laurent_coeffs(f, circle, k_max, quad_tol=quad_tol)
     analytic = coeffs[ks >= 0]
     principal = coeffs[ks < 0][::-1]  # a_{-1}, a_{-2}, ...
     residual = float(max(abs(analytic[-1]), abs(principal[-1])))
@@ -179,6 +169,8 @@ def laurent_split(f, circle: CircleContour, k_max: int, *, tol: float = 1e-8,
         annulus_inner=0.5 * circle.radius,
         annulus_outer=circle.radius,
         truncation_residual=residual,
+        nodes=quad.nodes,
+        converged=quad.converged,
     )
 
 
@@ -256,8 +248,8 @@ def mittag_leffler(f, cover: DiskUnion, sample_of_k: CompactSample, *,
     if test_radius is None:
         test_radius = 1.5 * max(abs(d.center - center) + d.radius for d in cover) + 0.5
     test_circle = CircleContour(center, test_radius)
-    ks, coeffs = _laurent_coeffs(remainder, center, test_radius, taylor_degree,
-                                 quad_tol=quad_tol)
+    ks, coeffs, _ = _laurent_coeffs(remainder, test_circle, taylor_degree,
+                                    quad_tol=quad_tol)
     analytic = PolynomialC(coeffs[ks >= 0])
 
     nodes = test_circle.nodes(512)

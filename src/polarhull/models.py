@@ -136,14 +136,6 @@ class PoleSeries(FunctionModel):
             acc += math.exp(self.log_gamma_tail(self.n_terms + 1) - mx)
         return mx + math.log(acc)
 
-    def truncate(self, n_terms: int) -> "PoleSeries":
-        n = min(n_terms, self.n_terms)
-        return PoleSeries(
-            self.poles[:n], self.residues[:n], log_abs_c=self.log_abs_c[:n],
-            label=f"{self.label}[:{n}]",
-            log_gamma_tail=None, ca_tail=None,
-        )
-
     # ---------------------------------------------------------------- presets
 
     @classmethod

@@ -179,9 +179,6 @@ class PshField:
     def level_clamp(self, nu: int) -> float:
         return -nu - math.log(nu + 2)
 
-    def u(self, z, w) -> float:
-        return u_eval(self, z, w)
-
     def u_grid(self, z, w) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
@@ -253,7 +250,9 @@ def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, degree_cap: int = 
             ho = float(np.min(h_values(approx, *grid.offgraph_nodes, noise_rel=noise_rel)))
             if hg < best["graph"]:
                 best.update(graph=hg, box=hb, offgraph=ho, big_n=n)
-            ok = hg <= -nu and hb <= math.log(nu + 2) and ho >= -math.log(nu + 1)
+            # an approximant whose quadrature never settled certifies nothing
+            ok = (approx.converged and hg <= -nu and hb <= math.log(nu + 2)
+                  and ho >= -math.log(nu + 1))
             if ok:
                 certified = PshLevel(
                     nu=nu, approximant=approx, h_bound_graph=hg,

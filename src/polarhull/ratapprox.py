@@ -22,7 +22,7 @@ from .core import (
     PolarhullError,
     PolynomialC,
     ZERO_POLY,
-    _eval_on_nodes,
+    circle_trapezoid,
     complex_to_pair,
     poly_from_roots,
 )
@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 RHO_FLOOR = 1e-300
+# each doubling of this cap doubles the work of every build that cannot settle
+MAX_APPROX_NODES = 2**14
 
 
 class ContourTooClose(PolarhullError):
@@ -78,6 +80,8 @@ class RationalApproximant:
     m: int
     big_n: int
     degenerate_polar: bool
+    nodes: int              # trapezoid nodes per contour circle
+    converged: bool         # False when node doubling hit MAX_APPROX_NODES
     coeff_noise: tuple = ()
 
     @property
@@ -150,6 +154,8 @@ class RationalApproximant:
             "coeff_polys": [p.to_dict() for p in self.coeff_polys],
             "analytic_part": self.analytic_part.to_dict(),
             "contour": [c.to_dict() for c in self.contour],
+            "nodes": self.nodes,
+            "converged": self.converged,
         }
 
 
@@ -182,7 +188,7 @@ def _contour_for_group(points: np.ndarray, q: PolynomialC, rho_floor: float,
     base = float(np.max(np.abs(points - center)))
 
     def ok(r):
-        nodes = center + r * np.exp(2j * np.pi * np.arange(256) / 256)
+        nodes = CircleContour(center, r).nodes(256)
         return float(np.min(np.exp(q.log_abs_root_form(nodes)))) >= CONTOUR_MARGIN * rho_floor
 
     # a comfortable standoff keeps |f| tame on the nodes; circles hugging the
@@ -231,8 +237,7 @@ def _build_contours(sample: CompactSample, q: PolynomialC,
 
 
 def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, n_scale: int = 2, *,
-                      quad_tol: float = 1e-10, contour=None,
-                      max_nodes: int = 2**14) -> RationalApproximant:
+                      quad_tol: float = 1e-10, contour=None) -> RationalApproximant:
     """Assemble the order-(m, N) approximant of `f` from its Leja system.
 
     `f` is split into its polynomial part at infinity plus a principal part,
@@ -257,39 +262,31 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, n_scale: int = 2
     )
     circles = tuple(circles)
 
-    def integrals(n_nodes: int) -> np.ndarray:
-        coeff = np.zeros((big_n, m), dtype=complex)
-        for circ in circles:
-            theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-            rot = np.exp(1j * theta)
-            zeta = circ.center + circ.radius * rot
-            qv = q.eval_root_form(zeta)
-            node_gap = np.min(np.abs(zeta[:, None] - q.roots[None, :]))
-            if float(np.min(np.abs(qv))) <= rho or node_gap <= 1e-9 * circ.radius:
-                raise ContourTooClose(
-                    f"|q_m| <= rho_m at a node of the circle about {circ.center!r}"
-                )
-            fv = _eval_on_nodes(principal, zeta, what="principal part")
-            rows = _kernel_rows(q, zeta)
-            weights = circ.radius * rot / n_nodes
-            qpow = np.ones_like(zeta)
-            for k in range(big_n):
-                coeff[k] += rows @ (fv * qpow * weights)
-                qpow = qpow * qv
+    gap_tol = 1e-9 * min(c.radius for c in circles)
+
+    def principal_on_nodes(zeta):  # vets the nodes before evaluating on them
+        qv = np.abs(q.eval_root_form(zeta))
+        if qv.min() <= rho or np.min(np.abs(zeta[:, None] - q.roots[None, :])) <= gap_tol:
+            raise ContourTooClose(f"|q_m| <= rho_m at the contour node {zeta[qv.argmin()]!r}")
+        return principal(zeta)
+
+    def integrals(circ, rot, fv):
+        zeta = circ.center + circ.radius * rot
+        qv = q.eval_root_form(zeta)
+        rows = _kernel_rows(q, zeta)
+        weights = circ.radius * rot / len(rot)
+        coeff = np.empty((big_n, m), dtype=complex)
+        qpow = np.ones_like(zeta)
+        for k in range(big_n):
+            coeff[k] = rows @ (fv * qpow * weights)
+            qpow = qpow * qv
         return coeff
 
-    n_nodes = max(256, 1 << (4 * m - 1).bit_length())
-    coeff = integrals(n_nodes)
-    noise = np.full_like(np.abs(coeff), np.inf)
-    while n_nodes < max_nodes:
-        n_nodes *= 2
-        new = integrals(n_nodes)
-        noise = np.abs(new - coeff)
-        if np.max(noise) <= quad_tol * max(1.0, float(np.max(np.abs(new)))):
-            coeff = new
-            break
-        coeff = new
-    noise = np.maximum(noise, np.finfo(float).eps * np.abs(coeff))
+    quad = circle_trapezoid(principal_on_nodes, circles, integrals,
+                            max(256, 1 << (4 * m - 1).bit_length()),
+                            tol=quad_tol, max_nodes=MAX_APPROX_NODES)
+    coeff = quad.value
+    noise = np.maximum(quad.noise, np.finfo(float).eps * np.abs(coeff))
 
     if not degenerate and big_n >= 4:
         scaled = [
@@ -316,6 +313,8 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, n_scale: int = 2
         big_n=big_n,
         degenerate_polar=degenerate,
         coeff_noise=tuple(noise[k] for k in range(big_n)),
+        nodes=quad.nodes,
+        converged=quad.converged,
     )
 
 
@@ -326,6 +325,7 @@ class ConvergenceReport:
     entries: tuple  # (degree, sup_error, normalized_error, at_noise_floor)
     target_set: CompactSample
     target_distance: float
+    quadrature: tuple  # (nodes, converged) of each entry's approximant
 
     def to_dict(self) -> dict:
         return {
@@ -335,8 +335,10 @@ class ConvergenceReport:
                     "sup_error": e,
                     "normalized_error": ne,
                     "at_noise_floor": bool(fl),
+                    "nodes": nodes,
+                    "converged": conv,
                 }
-                for d, e, ne, fl in self.entries
+                for (d, e, ne, fl), (nodes, conv) in zip(self.entries, self.quadrature)
             ],
             "target_distance": self.target_distance,
         }
@@ -364,7 +366,7 @@ def convergence_scan(f, sys: FeketeSystem, schedule, target: CompactSample, *,
         raise ValueError("target must keep positive distance from the sample")
 
     fv = np.asarray(f(target.points), dtype=complex)
-    entries = []
+    entries, quadrature = [], []
     for m, n in schedule:
         try:
             approx = build_approximant(f, sys, m, n, n_scale, quad_tol=quad_tol,
@@ -378,5 +380,6 @@ def convergence_scan(f, sys: FeketeSystem, schedule, target: CompactSample, *,
         else:
             norm = math.exp(math.log(err) / (m * n))
         entries.append((m * n, err, norm, floored))
+        quadrature.append((approx.nodes, approx.converged))
     return ConvergenceReport(entries=tuple(entries), target_set=target,
-                             target_distance=float(dist))
+                             target_distance=float(dist), quadrature=tuple(quadrature))

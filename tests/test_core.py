@@ -7,11 +7,13 @@ from polarhull.core import (
     Disk,
     NodeEvaluationError,
     PolynomialC,
+    circle_trapezoid,
     contour_integral,
     poly_eval,
     poly_from_roots,
     sup_norm,
 )
+from polarhull.models import PoleSeries
 
 
 def test_poly_eval_constant():
@@ -142,3 +144,111 @@ def test_contour_node_count_validation():
         CircleContour(0j, 1.0, 15)
     with pytest.raises(ValueError):
         CircleContour(0j, 1.0, 18 + 1)
+
+
+def _fresh_node_trapezoid(f, contour, tol=1e-10, max_nodes=2**16):
+    """Oracle: node doubling that evaluates `f` afresh on every node of every level."""
+    def level(n):
+        rot = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+        return complex(contour.radius * np.mean(f(contour.center + contour.radius * rot) * rot))
+
+    n = contour.node_count
+    value = level(n)
+    while n < max_nodes:
+        n *= 2
+        new = level(n)
+        if abs(new - value) <= tol * max(1.0, abs(new)):
+            return new, n
+        value = new
+    return value, n
+
+
+def _mean_times_rot(circle, rot, vals):
+    return circle.radius * np.mean(vals * rot)
+
+
+ORACLE_CASES = [
+    (lambda z: np.exp(1.0 / z), CircleContour(0j, 0.5, 64)),
+    (PoleSeries.gaussian(8), CircleContour(0j, 1.5)),
+    (lambda z: 1.0 / (z - 0.2), CircleContour(0j, 1.0, 16)),
+]
+
+
+@pytest.mark.parametrize("f, contour", ORACLE_CASES)
+def test_engine_matches_fresh_node_oracle(f, contour):
+    want, n_want = _fresh_node_trapezoid(f, contour)
+    quad = circle_trapezoid(f, (contour,), _mean_times_rot, contour.node_count,
+                            tol=1e-10, max_nodes=2**16)
+    assert quad.converged and quad.nodes == n_want
+    assert abs(quad.value - want) <= 1e-13 * max(1.0, abs(want))
+    assert abs(contour_integral(f, contour) - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_doubling_evaluates_each_node_once():
+    calls = []
+
+    def f(z):
+        calls.append(z.copy())
+        return 1.0 / (z - 1.05)  # settles only after several doublings
+
+    contour = CircleContour(0j, 1.0, 16)
+    quad = circle_trapezoid(f, (contour,), _mean_times_rot, 16, tol=1e-12, max_nodes=2**16)
+    assert quad.converged and quad.nodes >= 512
+    # one call per level: the 16 starting nodes, then only the n/2 new odd nodes
+    levels = 2 ** np.arange(5, 17)
+    assert [len(z) for z in calls] == [16] + [n // 2 for n in levels if n <= quad.nodes]
+    seen = np.concatenate(calls)
+    assert len(seen) == quad.nodes
+    np.testing.assert_array_equal(np.sort_complex(seen),
+                                  np.sort_complex(contour.nodes(quad.nodes)))
+
+
+def test_unsettled_integrand_reports_not_converged():
+    # a pole 1e-3 outside the circle needs thousands of nodes; the cap is 256
+    contour = CircleContour(0j, 1.0, 16)
+    quad = circle_trapezoid(lambda z: 1.0 / (z - 1.001), (contour,), _mean_times_rot, 16,
+                            tol=1e-10, max_nodes=256)
+    assert not quad.converged
+    assert quad.nodes == 256
+    assert quad.noise > 1e-10
+
+
+def test_engine_sums_circles_at_one_node_count():
+    f = lambda z: 1.0 / (z - 0.3) + 2.0 / (z + 0.3)
+    circles = (CircleContour(0.3 + 0j, 0.1), CircleContour(-0.3 + 0j, 0.1))
+    quad = circle_trapezoid(f, circles, _mean_times_rot, 16, tol=1e-12, max_nodes=2**16)
+    assert quad.converged
+    assert abs(quad.value - 3.0) < 1e-12
+
+
+def _dense_has_duplicates(pts):
+    d = np.abs(pts[:, None] - pts[None, :])
+    np.fill_diagonal(d, np.inf)
+    return d.min() <= 1e-14
+
+
+def test_sample_rejects_near_pair_across_cell_edge():
+    # 0.9e-14 apart, on either side of a rounding cell edge of a 1e-14 grid
+    pair = [0.5e-14, 1.4e-14]
+    for n in (1500, 2500):
+        with pytest.raises(ValueError):
+            CompactSample(np.concatenate([np.linspace(1.0, 2.0, n - 2), pair]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_duplicate_check_matches_dense_oracle(seed):
+    # one planted pair per sample, 0.5 to 1.5 times the 1e-14 tolerance apart
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400)
+    gaps = rng.uniform(0.5, 1.5, 20) * 1e-14 * np.exp(2j * np.pi * rng.uniform(0, 1, 20))
+    verdicts = set()
+    for a, d in zip(base[:20], gaps):
+        pts = np.append(base, a + d)
+        try:
+            CompactSample(pts)
+            rejected = False
+        except ValueError:
+            rejected = True
+        assert rejected == _dense_has_duplicates(pts)
+        verdicts.add(rejected)
+    assert verdicts == {True, False}

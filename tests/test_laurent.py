@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from polarhull import laurent
 from polarhull.core import CircleContour, CompactSample, Disk, DiskUnion
 from polarhull.laurent import (
     CoverError,
     NoCleanRadius,
     TruncationError,
+    _laurent_coeffs,
     find_clean_radius,
     laurent_split,
     mittag_leffler,
@@ -143,3 +145,36 @@ class TestMittagLeffler:
         np.testing.assert_allclose(split.principal_part[0], 1.0, atol=1e-12)
         np.testing.assert_allclose(split.principal_part[1], 0.5, atol=1e-12)
         np.testing.assert_allclose(ml.analytic_part.coeffs[0], 1.0, atol=1e-10)
+
+
+def _phase_matrix_moments(f, circle, ks, n):
+    """Oracle: circle moments from fresh nodes and the dense exp(-i k theta) matrix."""
+    theta = 2.0 * np.pi * np.arange(n) / n
+    vals = np.asarray(f(circle.center + circle.radius * np.exp(1j * theta)), dtype=complex)
+    return np.exp(-1j * np.outer(ks, theta)) @ vals / n
+
+
+class TestMoments:
+    @pytest.mark.parametrize("f, circle", [
+        (lambda z: np.exp(1.0 / z), CircleContour(0j, 0.5)),
+        (PoleSeries.gaussian(8), CircleContour(0j, 1.5)),
+        (lambda z: 1.0 / (z - 0.2), CircleContour(0j, 0.6)),
+    ])
+    def test_fft_moments_match_phase_matrix(self, f, circle):
+        ks, _, quad = _laurent_coeffs(f, circle, 40)
+        assert quad.converged
+        want = _phase_matrix_moments(f, circle, ks, quad.nodes)
+        assert np.max(np.abs(quad.value - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    def test_split_reports_its_quadrature(self):
+        split = laurent_split(lambda z: np.exp(1.0 / z), CircleContour(0j, 0.5), 40)
+        assert split.converged and split.nodes == 512
+        assert split.to_dict()["nodes"] == 512 and split.to_dict()["converged"] is True
+
+    def test_unsettled_split_is_flagged(self, monkeypatch):
+        # a pole 1e-3 outside the circle cannot settle below the lowered cap
+        monkeypatch.setattr(laurent, "MAX_QUAD_NODES", 512)
+        split = laurent_split(lambda z: 1.0 / (z - 1.001), CircleContour(0j, 1.0), 8,
+                              tol=np.inf)
+        assert not split.converged and split.nodes == 512
+        assert split.to_dict()["converged"] is False

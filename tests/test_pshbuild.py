@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -119,6 +120,29 @@ class TestCertify:
             certify_schedule(f, f.singular_sample(), 4, degree_cap=3)
         assert info.value.nu == 2
         assert math.isfinite(info.value.best["graph"])
+
+
+    def test_unconverged_approximant_never_certifies(self):
+        # the order that certifies level 2 first is reported as unconverged,
+        # so the level must move on to the next order
+        f = RationalModel([A], [1.0])
+
+        def builder(*args, **kwargs):
+            ap = build_approximant(*args, **kwargs)
+            return dataclasses.replace(ap, converged=ap.big_n != 2)
+
+        plain = certify_schedule(f, f.singular_sample(), 2)
+        assert plain.levels[0].approximant.big_n == 2
+        field = certify_schedule(f, f.singular_sample(), 2, builder=builder)
+        assert field.levels[0].approximant.big_n == 3
+        assert field.levels[0].approximant.converged
+
+    def test_all_unconverged_exhausts_schedule(self):
+        f = RationalModel([A], [1.0])
+        builder = lambda *a, **k: dataclasses.replace(build_approximant(*a, **k),
+                                                       converged=False)
+        with pytest.raises(ScheduleExhausted):
+            certify_schedule(f, f.singular_sample(), 2, degree_cap=6, builder=builder)
 
 
 class TestUEval:

@@ -3,7 +3,7 @@ import pytest
 
 from polarhull.core import CircleContour, CompactSample, poly_from_roots
 from polarhull.fekete import leja_points
-from polarhull.models import PoleSeries, RationalModel
+from polarhull.models import PoleSeries, RationalModel, RecipSinPi
 from polarhull.ratapprox import (
     ContourTooClose,
     SeriesDiverging,
@@ -178,3 +178,16 @@ def test_series_growth_guard():
     system = leja_points(CompactSample([0.5, 0.3]), 1)  # rho_1 = 4 * 0.2 = 0.8
     with pytest.raises(SeriesDiverging):
         build_approximant(Stray(), system, 1, 8, n_scale=2)
+
+
+def test_capped_build_is_flagged():
+    # m = 33 on 1/sin(pi/z) needs more than the 2^14 node cap at N = 2
+    f = RecipSinPi(16)
+    system = leja_points(f.singular_sample(), 33)
+    target = CompactSample(2.0 * np.exp(2j * np.pi * np.arange(128) / 128))
+    rep = convergence_scan(f, system, [(33, 1), (33, 2)], target)
+    assert [(e["nodes"], e["converged"]) for e in rep.to_dict()["entries"]] == [
+        (512, True), (2**14, False)]
+    assert len(rep.entries[0]) == 4  # csv rows and callers unpack four fields
+    ap = build_approximant(f, system, 33, 2)
+    assert ap.to_dict()["converged"] is False and ap.to_dict()["nodes"] == 2**14
