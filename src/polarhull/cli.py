@@ -15,7 +15,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -102,24 +101,10 @@ def _config_overlay(config_path: str | None, section: str, seed, tolerance,
     return merged
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved, hashable description of one CLI run."""
-
-    command: str
-    values: dict
-    out_dir: str
-
-    @property
-    def sha256(self) -> str:
-        canon = json.dumps(self.values, sort_keys=True, default=str)
-        return hashlib.sha256(canon.encode()).hexdigest()
-
-
 def _finish(out_dir: str, command: str, config: dict, payload: dict,
             csv_rows=None, csv_name: str | None = None) -> None:
-    run = RunConfig(command=command, values=config, out_dir=str(out_dir))
-    digest = run.sha256
+    canon = json.dumps(config, sort_keys=True, default=str)
+    digest = hashlib.sha256(canon.encode()).hexdigest()
     meta = {"config_sha256": digest, "version": __version__, "command": command}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -144,8 +129,10 @@ def _common(fn):
     fn = click.option("--out", "out_dir", type=str, default="out")(fn)
     fn = click.option("--seed", type=int, default=None,
                       help="default 0; config-file value used unless set")(fn)
-    fn = click.option("--tolerance", type=float, default=None)(fn)
     return fn
+
+
+_tolerance = click.option("--tolerance", type=float, default=None)
 
 
 @click.group()
@@ -156,6 +143,7 @@ def cli():
 
 @cli.command()
 @_common
+@_tolerance
 @click.option("--function", "function_spec", default=None)
 @click.option("--center", default=None)
 @click.option("--radius", type=float, default=None)
@@ -181,10 +169,10 @@ def decompose(config_path, out_dir, seed, tolerance, function_spec,
               help="use the singular sample of a function family")
 @click.option("--segment", default=None, help="A,B,N sample of a real segment")
 @click.option("--m", "m_points", type=int, default=None)
-def fekete(config_path, out_dir, seed, tolerance, function_spec,
+def fekete(config_path, out_dir, seed, function_spec,
            segment, m_points):
     """Leja points and the capacity diagnostic on a sample."""
-    cfg = _config_overlay(config_path, "fekete", seed, tolerance, {
+    cfg = _config_overlay(config_path, "fekete", seed, None, {
         "function": function_spec, "segment": segment, "m": m_points,
     }, {"m": 40})
     if cfg.get("segment"):
@@ -206,6 +194,7 @@ def fekete(config_path, out_dir, seed, tolerance, function_spec,
 
 @cli.command()
 @_common
+@_tolerance
 @click.option("--function", "function_spec", default=None)
 @click.option("--m", "m_den", type=int, default=None, help="denominator degree; defaults to sample size")
 @click.option("--n-list", default=None, help="outer orders, comma separated")
@@ -234,6 +223,7 @@ def approx(config_path, out_dir, seed, tolerance, function_spec, m_den,
 
 @cli.command()
 @_common
+@_tolerance
 @click.option("--function", "function_spec", default=None)
 @click.option("--nu-max", type=int, default=None)
 @click.option("--density", type=int, default=None)
@@ -249,7 +239,8 @@ def psh(config_path, out_dir, seed, tolerance, function_spec, nu_max,
         raise click.UsageError("missing --function")
     f = _parse_function(cfg["function"])
     field = certify_schedule(f, f.singular_sample(), int(cfg["nu_max"]),
-                             density=int(cfg["density"]))
+                             density=int(cfg["density"]),
+                             quad_tol=float(cfg.get("tolerance") or 1e-13))
     csv_rows = None
     if cfg.get("tube"):
         rng, cnt, offs = str(cfg["tube"]).split(":")
@@ -264,6 +255,7 @@ def psh(config_path, out_dir, seed, tolerance, function_spec, nu_max,
 
 @cli.command()
 @_common
+@_tolerance
 @click.option("--function", "function_spec", default=None)
 @click.option("--big-r", default=None, help="level threshold; accepts e<k> shorthand")
 @click.option("--point", default=None)
@@ -279,7 +271,8 @@ def thin(config_path, out_dir, seed, tolerance, function_spec, big_r,
     f = _parse_function(cfg["function"])
     z0 = _parse_point(str(cfg["point"]))
     cover = sublevel_cover(f, _parse_level(str(cfg["big_r"])), z0)
-    report = wiener_test(cover, z0, int(cfg["depth"]))
+    report = wiener_test(cover, z0, int(cfg["depth"]),
+                         tolerance=float(cfg.get("tolerance") or 1e-3))
     rows = [["n", "inner", "outer", "capacity_estimate", "partial_sum"]]
     for (n, inner, outer, cap), s in zip(report.annuli, report.partial_sums):
         rows.append([str(n), repr(inner), repr(outer), repr(cap), repr(float(s))])
@@ -292,10 +285,10 @@ def thin(config_path, out_dir, seed, tolerance, function_spec, big_r,
 @click.option("--at", "at_point", default=None)
 @click.option("--walks", type=int, default=None)
 @click.option("--method", type=click.Choice(["wos", "grid"]), default=None)
-def hmeasure(config_path, out_dir, seed, tolerance, annulus, at_point,
+def hmeasure(config_path, out_dir, seed, annulus, at_point,
              walks, method):
     """Harmonic measure of the inner circle in an annulus, WOS or grid."""
-    cfg = _config_overlay(config_path, "hmeasure", seed, tolerance, {
+    cfg = _config_overlay(config_path, "hmeasure", seed, None, {
         "annulus": annulus, "at": at_point, "walks": walks, "method": method,
     }, {"annulus": "0.1,1.0", "at": "0.4", "walks": 100000, "method": "wos"})
     r_in, r_out = (float(t) for t in str(cfg["annulus"]).split(","))
@@ -315,10 +308,10 @@ def hmeasure(config_path, out_dir, seed, tolerance, annulus, at_point,
 @click.option("--point", "points", multiple=True)
 @click.option("--r-grid", default=None)
 @click.option("--depth", type=int, default=None)
-def hull(config_path, out_dir, seed, tolerance, function_spec, points,
+def hull(config_path, out_dir, seed, function_spec, points,
          r_grid, depth):
     """Classify hull fibers over singular points; prints a table, writes JSON."""
-    cfg = _config_overlay(config_path, "hull", seed, tolerance, {
+    cfg = _config_overlay(config_path, "hull", seed, None, {
         "function": function_spec, "points": ";".join(points) or None, "r_grid": r_grid,
         "depth": depth,
     }, {"points": "0", "r_grid": "e,e2,e10", "depth": 40})

@@ -27,7 +27,6 @@ __all__ = [
     "sup_norm",
     "as_complex_array",
     "complex_to_pair",
-    "pair_to_complex",
 ]
 
 
@@ -46,10 +45,6 @@ def as_complex_array(values) -> np.ndarray:
 
 def complex_to_pair(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
-
-
-def pair_to_complex(pair) -> complex:
-    return complex(pair[0], pair[1])
 
 
 def _eval_on_nodes(f, nodes: np.ndarray, what: str = "integrand") -> np.ndarray:
@@ -86,26 +81,58 @@ class Disk:
         return {"center": complex_to_pair(self.center), "radius": self.radius}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiskUnion:
-    """Ordered finite union of disks."""
+    """Ordered finite union of open disks, held as center and radius arrays.
 
-    disks: tuple
+    `faithful_depth` is how many dyadic annuli about a point the union speaks
+    for: a cover of a truncated family may look empty deeper in only because
+    of the truncation, so thinness tests read no evidence past it.
+    """
 
-    def __init__(self, disks):
-        object.__setattr__(self, "disks", tuple(disks))
+    centers: np.ndarray
+    radii: np.ndarray
+    faithful_depth: int = 60
+
+    def __init__(self, disks=(), faithful_depth: int = 60):
+        disks = tuple(disks)
+        self._set([d.center for d in disks], [d.radius for d in disks], faithful_depth)
+
+    @classmethod
+    def from_arrays(cls, centers, radii, faithful_depth: int = 60) -> "DiskUnion":
+        """Union of the disks D(centers[i], radii[i]), checked as `Disk` checks one."""
+        return cls.__new__(cls)._set(centers, radii, faithful_depth)
+
+    def _set(self, centers, radii, faithful_depth) -> "DiskUnion":
+        centers = np.array(centers, dtype=complex).ravel()
+        radii = np.array(radii, dtype=float).ravel()
+        if centers.shape != radii.shape:
+            raise ValueError("centers and radii must have equal length")
+        if not (np.isfinite(centers).all() and np.isfinite(radii).all()):
+            raise ValueError("disk center/radius must be finite")
+        if np.any(radii <= 0):
+            raise ValueError("disk radius must be positive")
+        for name, value in (("centers", centers), ("radii", radii)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "faithful_depth", int(faithful_depth))
+        return self
+
+    @property
+    def disks(self) -> tuple:
+        return tuple(self)
 
     def __len__(self):
-        return len(self.disks)
+        return len(self.radii)
 
     def __iter__(self):
-        return iter(self.disks)
+        return (Disk(c, r) for c, r in zip(self.centers.tolist(), self.radii.tolist()))
 
     def contains(self, z, strict_margin: float = 0.0) -> bool:
-        return any(d.contains(z, strict_margin) for d in self.disks)
+        return bool(np.any(np.abs(complex(z) - self.centers) < self.radii - strict_margin))
 
     def to_dict(self) -> dict:
-        return {"disks": [d.to_dict() for d in self.disks]}
+        return {"disks": [d.to_dict() for d in self]}
 
 
 _DUPLICATE_TOL = 1e-14

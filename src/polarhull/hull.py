@@ -87,10 +87,7 @@ def series_conditions(f: PoleSeries, *, stabilize_tol: float = 1e-6,
     if f.log_gamma_tail is None:
         raise TailUncertifiable(f.label)
 
-    # suffix log-sum-exp of |c_n| plus the analytic tail, O(n) overall
-    tail_log = float(f.log_gamma_tail(n + 1))
-    suffix = np.logaddexp.accumulate(f.log_abs_c[::-1])[::-1]
-    log_gamma = np.append(np.logaddexp(suffix, tail_log), tail_log)
+    log_gamma = f.log_gamma_suffix()
     log_a = np.log(np.abs(f.poles))
     cum_log_a = np.cumsum(log_a)
 
@@ -206,7 +203,7 @@ def classify_fiber(f: FunctionModel, z0: complex, r_grid, *,
     for big_r in r_grid:
         try:
             cover = potential.sublevel_cover(f, big_r, z0, window)
-            depth_eff = min(depth, getattr(cover, "faithful_depth", depth))
+            depth_eff = min(depth, cover.faithful_depth)
             if depth_eff < depth:
                 notes.append(f"R={big_r}: depth capped at {depth_eff} by cover resolution")
             reports.append(potential.wiener_test(cover, z0, depth_eff))
@@ -275,17 +272,20 @@ def vn_upper_bound(f: PoleSeries, big_r: float, disc: Disk, w_probe: complex,
     abs_a = np.abs(f.poles)
     abs_c = np.abs(f.residues)
     log_a = np.log(abs_a)
+    log_gamma = f.log_gamma_suffix()
     out = []
     for N in sorted(int(n) for n in n_list):
         if N < 1 or N > f.n_terms:
             raise ValueError("each N must lie in [1, n_terms]")
+        if N >= len(log_gamma):  # gamma_{n_terms+1} needs the certified tail
+            raise TailUncertifiable(f.label)
         m_n = (
             math.log(big_r + float(np.sum(abs_c[:N])) / big_r)
             + float(np.sum(np.log(big_r + abs_a[:N])))
         ) / N
         # graph bound over the disc: |z - a_n| <= r0 + |z0 - a_n| for z in the disc
         k_n = (
-            f.log_gamma(N + 1)
+            log_gamma[N]
             - math.log(r0)
             + float(np.sum(np.log(r0 + np.abs(z0 - f.poles[:N]))))
         ) / N

@@ -179,7 +179,8 @@ class MittagLefflerSplit:
     """Per-disk principal parts plus a polynomial stand-in for the entire part.
 
     Evaluation of any principal part is only certified outside its measuring
-    circle; `analytic_domain` records where the Taylor stand-in was fitted.
+    circle; `analytic_domain` records where the Taylor stand-in was fitted,
+    and `nodes`/`converged` how its quadrature ended.
     """
 
     components: tuple
@@ -187,6 +188,8 @@ class MittagLefflerSplit:
     analytic_center: complex
     analytic_domain: Disk
     residual: float
+    nodes: int
+    converged: bool
 
     def principal_sum(self, z):
         z = np.asarray(z, dtype=complex)
@@ -210,6 +213,8 @@ class MittagLefflerSplit:
             "analytic_center": complex_to_pair(self.analytic_center),
             "analytic_domain": self.analytic_domain.to_dict(),
             "residual": self.residual,
+            "nodes": self.nodes,
+            "converged": self.converged,
         }
 
 
@@ -224,9 +229,12 @@ def mittag_leffler(f, cover: DiskUnion, sample_of_k: CompactSample, *,
     circle enclosing everything, and the reconstruction residual on that
     circle is recorded.
     """
-    for d in cover:
-        if np.min(np.abs(np.abs(sample_of_k.points - d.center) - d.radius)) < 1e-10:
-            raise CoverError(f"disk boundary at {d.center!r} r={d.radius} meets sample")
+    gaps = np.abs(np.abs(sample_of_k.points[:, None] - cover.centers) - cover.radii)
+    meets = np.min(gaps, axis=0) < 1e-10
+    if meets.any():
+        i = int(np.argmax(meets))
+        raise CoverError(f"disk boundary at {complex(cover.centers[i])!r} "
+                         f"r={cover.radii[i]} meets sample")
 
     splits = []
 
@@ -244,12 +252,12 @@ def mittag_leffler(f, cover: DiskUnion, sample_of_k: CompactSample, *,
         splits.append(split)
         components.append((d, split))
 
-    center = complex(np.mean([d.center for d in cover]))
+    center = complex(np.mean(cover.centers))
     if test_radius is None:
-        test_radius = 1.5 * max(abs(d.center - center) + d.radius for d in cover) + 0.5
+        test_radius = 1.5 * float(np.max(np.abs(cover.centers - center) + cover.radii)) + 0.5
     test_circle = CircleContour(center, test_radius)
-    ks, coeffs, _ = _laurent_coeffs(remainder, test_circle, taylor_degree,
-                                    quad_tol=quad_tol)
+    ks, coeffs, quad = _laurent_coeffs(remainder, test_circle, taylor_degree,
+                                       quad_tol=quad_tol)
     analytic = PolynomialC(coeffs[ks >= 0])
 
     nodes = test_circle.nodes(512)
@@ -261,4 +269,6 @@ def mittag_leffler(f, cover: DiskUnion, sample_of_k: CompactSample, *,
         analytic_center=center,
         analytic_domain=Disk(center, test_radius),
         residual=residual,
+        nodes=quad.nodes,
+        converged=quad.converged,
     )

@@ -123,18 +123,17 @@ class PoleSeries(FunctionModel):
     def split_at_infinity(self):
         return ZERO_POLY, self
 
-    def log_gamma(self, n_start: int) -> float:
-        """log of sum_{n >= n_start} |c_n| including the certified tail."""
-        if n_start > self.n_terms:
-            if self.log_gamma_tail is None:
-                raise TailUncertifiable(self.label)
-            return float(self.log_gamma_tail(n_start))
-        body = self.log_abs_c[n_start - 1 :]
-        mx = float(body.max())
-        acc = float(np.sum(np.exp(body - mx)))
-        if self.log_gamma_tail is not None:
-            acc += math.exp(self.log_gamma_tail(self.n_terms + 1) - mx)
-        return mx + math.log(acc)
+    def log_gamma_suffix(self) -> np.ndarray:
+        """log gamma_n = log sum_{k >= n} |c_k| at index n - 1, in O(n_terms).
+
+        A certified tail is included in every entry and adds a last entry,
+        gamma_{n_terms+1}; without one the sums stop at the stored terms.
+        """
+        suffix = np.logaddexp.accumulate(self.log_abs_c[::-1])[::-1]
+        if self.log_gamma_tail is None:
+            return suffix
+        tail = float(self.log_gamma_tail(self.n_terms + 1))
+        return np.append(np.logaddexp(suffix, tail), tail)
 
     # ---------------------------------------------------------------- presets
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     CircleContour,
-    CompactSample,
     Disk,
     DiskUnion,
     PolarhullError,
@@ -35,7 +34,6 @@ __all__ = [
     "StartInsideTarget",
     "StartInsideObstacle",
     "InvalidBounds",
-    "CoverUnion",
     "WienerReport",
     "ThinnessWitness",
     "MeasureEstimate",
@@ -81,19 +79,6 @@ class InvalidBounds(PolarhullError):
 
 # --------------------------------------------------------------------- covers
 
-class CoverUnion(DiskUnion):
-    """Disk cover that knows how deep its truncation speaks for the true set.
-
-    Annuli deeper than `faithful_depth` may look empty only because the
-    generating family was truncated; thinness tests should not read evidence
-    past it.
-    """
-
-    def __init__(self, disks, faithful_depth: int = 60):
-        super().__init__(disks)
-        object.__setattr__(self, "faithful_depth", int(faithful_depth))
-
-
 def sublevel_cover(f: FunctionModel, big_r: float, z0: complex = 0j,
                    radius: float = 1.0, *, pole_cap: int = 4096,
                    min_disk_radius: float = 1e-290) -> DiskUnion:
@@ -112,21 +97,20 @@ def sublevel_cover(f: FunctionModel, big_r: float, z0: complex = 0j,
         if big_r <= 1.0:
             raise ThresholdTooSmall("exp(1/z) cover needs big_r > 1")
         h = 0.5 / math.log(big_r)
-        return CoverUnion([Disk(complex(h), h)], faithful_depth=60)
+        return DiskUnion([Disk(complex(h), h)])
     if isinstance(f, RecipSinPi):
         return _recip_sin_cover(f, big_r, z0, radius, pole_cap)
     raise UnsupportedFamily(f.family)
 
 
 def _pole_series_cover(f: PoleSeries, big_r: float, min_disk_radius: float) -> DiskUnion:
-    n = f.n_terms
-    log_gamma = np.array([f.log_gamma(i) for i in range(1, n + 1)])
+    log_gamma = f.log_gamma_suffix()[: f.n_terms]
     # certificate sum |c_n| / (C sqrt(gamma_n)) computed in log space
     terms = np.exp(f.log_abs_c - 0.5 * log_gamma)
     needed = float(np.sum(terms)) / big_r
     if needed <= 0:
         raise ThresholdTooSmall("empty coefficient data")
-    c_factor = 2.0 ** math.ceil(math.log2(needed)) if needed > 0 else 1.0
+    c_factor = 2.0 ** math.ceil(math.log2(needed))
     log_radii = math.log(c_factor) + 0.5 * log_gamma
     if np.any(log_radii >= np.log(np.abs(f.poles))):
         raise ThresholdTooSmall(
@@ -135,10 +119,7 @@ def _pole_series_cover(f: PoleSeries, big_r: float, min_disk_radius: float) -> D
     radii = np.maximum(np.exp(log_radii), min_disk_radius)
     # tail disks beyond the truncation shrink at the sqrt(gamma) rate, so the
     # deep annuli they would occupy contribute below any verdict tolerance
-    return CoverUnion(
-        [Disk(complex(a), float(r)) for a, r in zip(f.poles, radii)],
-        faithful_depth=60,
-    )
+    return DiskUnion.from_arrays(f.poles, radii)
 
 
 def _recip_sin_cover(f: RecipSinPi, big_r: float, z0: complex, radius: float,
@@ -148,23 +129,28 @@ def _recip_sin_cover(f: RecipSinPi, big_r: float, z0: complex, radius: float,
     # |sin(pi eps)| <= sinh(pi |eps|), so |eps| <= asinh(1/R)/pi certifies
     # |f| >= R; halving gives the 2x enclosure margin.
     rho = math.asinh(1.0 / big_r) / math.pi / 2.0
-    disks = []
     z0 = complex(z0)
+    # poles +1/n for ascending n, then -1/n
+    n = np.tile(np.arange(1, pole_cap + 1, dtype=float), 2)
+    sign = np.repeat([1.0, -1.0], pole_cap)
+    gap = np.abs(sign / n - z0)
+    denom = n * n - rho * rho
+    centers, radii = sign * n / denom, rho / denom
+    keep = gap <= radius + 1.0 / (n * n)
+    # each disk spans 1/(n + rho)..1/(n - rho) on the axis, so with rho < 1/2
+    # the disks are disjoint and z0 sits inside at most one pole's own disk
+    own = np.flatnonzero(keep & (gap < radii))
     chain_depth = 0
-    for sign in (1, -1):
-        for n in range(1, pole_cap + 1):
-            pole = sign / n
-            if abs(pole - z0) > radius + 1.0 / n**2:
-                continue
-            denom = n * n - rho * rho
-            center, r = sign * n / denom, rho / denom
-            if abs(pole - z0) < r:  # z0 sits inside this pole's own disk
-                chain, last_k = _dyadic_chain(z0, r, center)
-                disks.extend(chain)
-                chain_depth = max(chain_depth, last_k)
-            else:
-                disks.append(Disk(complex(center), r))
-    if not disks:
+    if own.size:
+        i = own[0]
+        chain_centers, chain_radii, chain_depth = _dyadic_chain(z0, radii[i], centers[i])
+        keep[i] = False
+        at = np.count_nonzero(keep[:i])
+        centers = np.insert(centers[keep].astype(complex), at, chain_centers)
+        radii = np.insert(radii[keep], at, chain_radii)
+    else:
+        centers, radii = centers[keep], radii[keep]
+    if not radii.size:
         raise ThresholdTooSmall("no singular points inside the requested window")
     # poles with index beyond pole_cap are missing near 0; annuli around z0
     # deeper than their scale are truncation artifacts, not evidence
@@ -174,28 +160,23 @@ def _recip_sin_cover(f: RecipSinPi, big_r: float, z0: complex, radius: float,
         faithful = min(60, chain_depth - 2)
     else:
         faithful = 60
-    return CoverUnion(disks, faithful_depth=faithful)
+    return DiskUnion.from_arrays(centers, radii, faithful_depth=faithful)
 
 
 def _dyadic_chain(z0: complex, region_radius: float, region_center: complex,
-                  depth: int = 50) -> tuple[list, int]:
+                  depth: int = 50) -> tuple[np.ndarray, np.ndarray, int]:
     """Inscribed disks D(z0 + 0.75 2^-k, 2^-k/4) inside a punctured disk at z0.
 
     They witness the full annulus occupancy of a set that surrounds z0 without
     ever containing z0, so the Wiener test precondition holds.  Returns the
-    disks and the deepest dyadic scale reached.
+    centers, the radii and the deepest dyadic scale reached.
     """
     slack = region_radius - abs(region_center - z0)
     k0 = max(1, math.ceil(-math.log2(max(slack, 1e-280))))
-    out = []
-    last_k = k0
-    for k in range(k0, k0 + depth):
-        step = 2.0 ** (-k)
-        if step < 1e-280:
-            break
-        out.append(Disk(z0 + 0.75 * step, step / 4.0))
-        last_k = k
-    return out, last_k
+    k = np.arange(k0, k0 + depth)
+    step = np.ldexp(1.0, -k)
+    k, step = k[step >= 1e-280], step[step >= 1e-280]
+    return z0 + 0.75 * step, step / 4.0, int(k[-1]) if k.size else k0
 
 
 # ---------------------------------------------------------------- wiener test
@@ -231,19 +212,6 @@ class WienerReport:
         }
 
 
-def _annulus_lower_cap(d: Disk, z0: complex, inner: float, outer: float) -> float:
-    """Capacity of a piece of the disk contained in the annulus (lower bound)."""
-    dist = abs(d.center - z0)
-    if dist - d.radius >= outer or dist + d.radius <= inner:
-        return 0.0
-    if dist - d.radius >= inner and dist + d.radius <= outer:
-        return d.radius  # whole closed disk inside: cap = radius
-    # radial segment of the disk's diameter clipped to the annulus; cap = len/4
-    lo = max(inner, dist - d.radius)
-    hi = min(outer, dist + d.radius)
-    return max(hi - lo, 0.0) / 4.0
-
-
 def wiener_test(cover: DiskUnion, point: complex, depth: int = 40, *,
                 tolerance: float = 1e-3, slope: float = 0.1) -> WienerReport:
     """Dyadic-annulus Wiener sum around `point` with a two-sided verdict.
@@ -258,23 +226,28 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40, *,
     if depth < 1:
         raise ValueError("depth must be >= 1")
     point = complex(point)
-    for d in cover:
-        if d.contains(point, strict_margin=1e-15):
-            raise PointInsideCover(f"{point!r} interior to disk at {d.center!r}")
+    r = cover.radii
+    dist = np.abs(cover.centers - point)
+    inside = dist < r - 1e-15
+    if inside.any():
+        raise PointInsideCover(
+            f"{point!r} interior to disk at {complex(cover.centers[inside][0])!r}")
 
+    near, far = dist - r, dist + r
     annuli = []
     low_terms = np.zeros(depth)
     up_terms = np.zeros(depth)
+    # one annulus at a time: a (depth x disks) broadcast costs depth times the memory
     for n in range(1, depth + 1):
         inner, outer = 2.0 ** (-n - 1), 2.0 ** (-n)
-        cap_lo = 0.0
-        up = 0.0
-        for d in cover:
-            cap_lo = max(cap_lo, _annulus_lower_cap(d, point, inner, outer))
-            dist = abs(d.center - point)
-            if dist - d.radius < outer and dist + d.radius > inner:
-                cap_hi = min(d.radius, outer, 0.5)
-                up += 1.0 / math.log(1.0 / cap_hi)
+        meets = (near < outer) & (far > inner)
+        # lower bound: a whole closed disk inside the annulus has cap = radius;
+        # otherwise its radial diameter clipped to the annulus has cap = len/4
+        whole = (near >= inner) & (far <= outer)
+        seg = np.maximum(np.minimum(outer, far) - np.maximum(inner, near), 0.0) / 4.0
+        cap_lo = float(np.where(whole, r, seg)[meets].max(initial=0.0))
+        # upper bound: every meeting disk counts with cap <= min(radius, outer)
+        up = float(np.sum(1.0 / np.log(1.0 / np.minimum(r[meets], min(outer, 0.5)))))
         if cap_lo > 0.0:
             low_terms[n - 1] = n / math.log(1.0 / min(cap_lo, 0.5))
         up_terms[n - 1] = n * up
@@ -320,13 +293,9 @@ class ThinnessWitness:
     disk_sup_bounds: np.ndarray
 
     def eval(self, z) -> float:
-        z = complex(z)
-        total = 0.0
-        for a, r, al in zip(self.centers, self.radii, self.alphas):
-            total += al / math.log(1.0 / r) * (
-                math.log(abs(z - a)) - math.log(1.0 + abs(a))
-            )
-        return total
+        a = self.centers
+        return float(np.sum(self.alphas / np.log(1.0 / self.radii)
+                            * (np.log(np.abs(complex(z) - a)) - np.log(1.0 + np.abs(a)))))
 
     def to_dict(self) -> dict:
         return {
@@ -401,14 +370,12 @@ class MeasureEstimate:
         }
 
 
-def _target_circles(target) -> tuple[list, bool]:
-    """Absorbing circles of the target and whether they bound solid disks."""
-    if isinstance(target, CircleContour):
-        return [(complex(target.center), float(target.radius))], False
-    if isinstance(target, Disk):
-        return [(complex(target.center), float(target.radius))], True
+def _target_disks(target) -> tuple[DiskUnion, bool]:
+    """The target's absorbing circles as disks, and whether those disks are solid."""
     if isinstance(target, DiskUnion):
-        return [(complex(d.center), float(d.radius)) for d in target], True
+        return target, True
+    if isinstance(target, (CircleContour, Disk)):
+        return DiskUnion([Disk(target.center, target.radius)]), isinstance(target, Disk)
     raise TypeError("target must be a CircleContour, Disk, or DiskUnion")
 
 
@@ -426,37 +393,39 @@ def harmonic_measure(z, target, domain: Disk, obstacles: DiskUnion | None = None
     """
     z = complex(z)
     obstacles = obstacles or DiskUnion([])
-    tgt, solid = _target_circles(target)
+    targets, solid = _target_disks(target)
     eps = eps_abs if eps_abs is not None else 1e-4 * domain.radius
 
-    if solid:
-        for c, r in tgt:
-            if abs(z - c) < r - eps:
-                raise StartInsideTarget(f"start {z!r} inside target disk at {c!r}")
-    for d in obstacles:
-        if d.contains(z, strict_margin=eps):
-            raise StartInsideObstacle(f"start {z!r} inside obstacle at {d.center!r}")
+    in_target = solid & (np.abs(z - targets.centers) < targets.radii - eps)
+    if in_target.any():
+        raise StartInsideTarget(
+            f"start {z!r} inside target disk at {complex(targets.centers[in_target][0])!r}")
+    in_obstacle = np.abs(z - obstacles.centers) < obstacles.radii - eps
+    if in_obstacle.any():
+        raise StartInsideObstacle(
+            f"start {z!r} inside obstacle at {complex(obstacles.centers[in_obstacle][0])!r}")
     if abs(z - domain.center) >= domain.radius:
         raise ValueError("start point must lie inside the domain")
 
+    # absorbing surfaces: targets, the domain circle unless a target circle
+    # coincides with it, obstacles; every surface but the domain circle is a curve
+    dom_c, dom_r = complex(domain.center), float(domain.radius)
+    on_boundary = ((np.abs(dom_c - targets.centers) < 1e-12)
+                   & (np.abs(dom_r - targets.radii) < 1e-12))
+    n_t, n_dom = len(targets), 0 if on_boundary.any() else 1
+    centers = np.concatenate([targets.centers, np.full(n_dom, dom_c), obstacles.centers])
+    radii = np.concatenate([targets.radii, np.full(n_dom, dom_r), obstacles.radii])
+    scores = np.repeat([1.0, 0.0], [n_t, n_dom + len(obstacles)])
+    curve = np.ones(len(radii), dtype=bool)
+    curve[n_t : n_t + n_dom] = False
     if method == "grid":
-        return _grid_measure(z, tgt, domain, obstacles, grid_n)
+        # fixed disks: targets and obstacles, less a target on the domain circle
+        disks = curve.copy()
+        disks[:n_t] = ~on_boundary
+        return _grid_measure(z, centers[disks], radii[disks], scores[disks], domain,
+                             1.0 - n_dom, grid_n)
     if method != "wos":
         raise ValueError("method must be 'wos' or 'grid'")
-
-    # absorbing surfaces: (center, radius, score, curve_flag); the domain circle
-    # is dropped when it coincides with a target circle
-    surfaces = [(c, r, 1.0, True) for c, r in tgt]
-    dom = (complex(domain.center), float(domain.radius))
-    if not any(abs(dom[0] - c) < 1e-12 and abs(dom[1] - r) < 1e-12 for c, r in tgt):
-        surfaces.append((dom[0], dom[1], 0.0, False))
-    for d in obstacles:
-        surfaces.append((complex(d.center), float(d.radius), 0.0, True))
-
-    centers = np.array([s[0] for s in surfaces])
-    radii = np.array([s[1] for s in surfaces])
-    scores = np.array([s[2] for s in surfaces])
-    curve = np.array([s[3] for s in surfaces])
 
     rng = np.random.default_rng(seed)
     pos = np.full(walks, z, dtype=complex)
@@ -488,9 +457,13 @@ def harmonic_measure(z, target, domain: Disk, obstacles: DiskUnion | None = None
                            walks=walks, seed=seed, method="WOS")
 
 
-def _grid_measure(z, tgt, domain: Disk, obstacles: DiskUnion, grid_n: int,
-                  tol: float = 1e-8) -> MeasureEstimate:
-    """Five-point relaxation cross-check on a Cartesian grid (red-black SOR)."""
+def _grid_measure(z, centers, radii, values, domain: Disk, boundary_value: float,
+                  grid_n: int, tol: float = 1e-8) -> MeasureEstimate:
+    """Five-point relaxation cross-check on a Cartesian grid (red-black SOR).
+
+    The grid holds `boundary_value` outside the domain and values[i] on the
+    closed disk i, later disks overriding earlier ones.
+    """
     R = domain.radius
     ax = np.linspace(domain.center.real - R, domain.center.real + R, grid_n)
     ay = np.linspace(domain.center.imag - R, domain.center.imag + R, grid_n)
@@ -501,21 +474,13 @@ def _grid_measure(z, tgt, domain: Disk, obstacles: DiskUnion, grid_n: int,
     fixed = np.zeros(X.shape, dtype=bool)
 
     outside = np.abs(Z - domain.center) >= R
-    boundary_is_target = any(
-        abs(c - domain.center) < 1e-12 and abs(r - R) < 1e-12 for c, r in tgt
-    )
-    u[outside] = 1.0 if boundary_is_target else 0.0
+    u[outside] = boundary_value
     fixed |= outside
-    for c, r in tgt:
-        if abs(c - domain.center) < 1e-12 and abs(r - R) < 1e-12:
-            continue
-        inside_t = np.abs(Z - c) <= r
-        u[inside_t] = 1.0
-        fixed |= inside_t
-    for d in obstacles:
-        inside_o = np.abs(Z - d.center) <= d.radius
-        u[inside_o] = 0.0
-        fixed |= inside_o
+    # one mask per disk: a (grid x disks) broadcast would hold them all at once
+    for c, r, value in zip(centers, radii, values):
+        inside = np.abs(Z - c) <= r
+        u[inside] = value
+        fixed |= inside
 
     h = ax[1] - ax[0]
     omega = 2.0 / (1.0 + math.sin(math.pi * h / (2 * R)))

@@ -21,7 +21,6 @@ from .core import (
     CompactSample,
     PolarhullError,
     PolynomialC,
-    ZERO_POLY,
     circle_trapezoid,
     complex_to_pair,
     poly_from_roots,

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from polarhull.cli import main
 
 
@@ -90,3 +92,39 @@ def test_fekete_segment_artifact(tmp_path):
     assert code == 0
     doc = json.loads((out / "fekete.json").read_text())
     assert abs(doc["result"]["capacity_estimate"]["value"] - 0.5) < 0.1
+
+
+def test_thin_tolerance_reaches_report(tmp_path):
+    out = tmp_path / "run"
+    code = run(["thin", "--function", "exp-reciprocal", "--depth", 20,
+                "--tolerance", 0.25, "--out", out])
+    assert code == 0
+    doc = json.loads((out / "thin.json").read_text())
+    assert doc["result"]["tolerance"] == 0.25
+    assert doc["config"]["tolerance"] == 0.25
+
+
+def test_psh_tolerance_reaches_quadrature(tmp_path, monkeypatch):
+    from polarhull import cli
+
+    seen = {}
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        raise cli.PolarhullError("stop after the call")
+
+    monkeypatch.setattr(cli, "certify_schedule", spy)
+    run(["psh", "--function", "exp-reciprocal", "--tolerance", 1e-11, "--out", tmp_path / "a"])
+    assert seen["quad_tol"] == 1e-11
+    run(["psh", "--function", "exp-reciprocal", "--out", tmp_path / "b"])
+    assert seen["quad_tol"] == 1e-13
+
+
+@pytest.mark.parametrize("command", [
+    ["hull", "--function", "exp-reciprocal"],
+    ["hmeasure", "--walks", 10],
+    ["fekete", "--segment", "-1,1,11"],
+])
+def test_tolerance_rejected_where_unused(tmp_path, command):
+    assert run(command + ["--tolerance", 1e-3, "--out", tmp_path / "x"]) == 1
+    assert not (tmp_path / "x").exists()

@@ -5,6 +5,7 @@ from polarhull.core import (
     CircleContour,
     CompactSample,
     Disk,
+    DiskUnion,
     NodeEvaluationError,
     PolynomialC,
     circle_trapezoid,
@@ -137,6 +138,46 @@ def test_sample_rejects_empty():
 def test_disk_requires_positive_radius():
     with pytest.raises(ValueError):
         Disk(0j, 0.0)
+
+
+@pytest.mark.parametrize("center,radius", [
+    (complex(np.nan, 0.0), 0.1), (complex(0.0, np.inf), 0.1), (0j, np.inf),
+    (0j, 0.0), (0j, -0.1),
+])
+def test_disk_union_arrays_checked_like_disk(center, radius):
+    with pytest.raises(ValueError):
+        Disk(center, radius)
+    with pytest.raises(ValueError):
+        DiskUnion.from_arrays([0.5 + 0j, center], [0.1, radius])
+
+
+def test_disk_union_array_lengths_must_match():
+    with pytest.raises(ValueError):
+        DiskUnion.from_arrays([0j, 1.0], [0.1])
+
+
+def test_empty_disk_union():
+    empty = DiskUnion([])
+    assert len(empty) == 0 and not empty
+    assert empty.disks == ()
+    assert not empty.contains(0j)
+    assert empty.to_dict() == {"disks": []}
+    assert empty.faithful_depth == 60
+
+
+def test_disk_union_keeps_disk_behaviour():
+    disks = [Disk(0.5 + 0.25j, 0.125), Disk(-0.3 + 0j, 0.05), Disk(2.0 - 1.0j, 1.5)]
+    union = DiskUnion(disks, faithful_depth=7)
+    assert len(union) == 3 and union.faithful_depth == 7
+    assert list(union) == disks and union.disks == tuple(disks)
+    assert union.to_dict() == {"disks": [d.to_dict() for d in disks]}
+    for z in (0.5 + 0.3j, -0.3 + 0.049j, 0.0, 2.0 - 2.4j, 2.0 - 2.6j):
+        for margin in (0.0, 0.01):
+            assert union.contains(z, margin) == any(d.contains(z, margin) for d in disks)
+    same = DiskUnion.from_arrays([d.center for d in disks], [d.radius for d in disks], 7)
+    assert same.to_dict() == union.to_dict()
+    with pytest.raises(ValueError):
+        union.radii[0] = 1.0  # the arrays are read-only
 
 
 def test_contour_node_count_validation():

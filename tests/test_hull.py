@@ -168,3 +168,13 @@ class TestVnBound:
         ]
         assert vs == sorted(vs)
         assert all(0.0 <= v <= 1.0 + 1e-9 for v in vs)
+
+    def test_last_order_needs_certified_tail(self):
+        # the origin value is certified, but gamma_{n_terms+1} is not
+        g = PoleSeries.gaussian(40)
+        f = PoleSeries(g.poles, g.residues, log_abs_c=g.log_abs_c, ca_tail=g.ca_tail)
+        w = f_at_origin(f).value + 1.0
+        assert vn_upper_bound(f, 1.0, self.DISC, w, [39])[0][1] == pytest.approx(
+            vn_upper_bound(g, 1.0, self.DISC, w, [39])[0][1], rel=1e-12)
+        with pytest.raises(TailUncertifiable):
+            vn_upper_bound(f, 1.0, self.DISC, w, [39, 40])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polarhull import laurent
-from polarhull.core import CircleContour, CompactSample, Disk, DiskUnion
+from polarhull.core import MAX_QUAD_NODES, CircleContour, CompactSample, Disk, DiskUnion
 from polarhull.laurent import (
     CoverError,
     NoCleanRadius,
@@ -135,6 +135,18 @@ class TestMittagLeffler:
         cover = DiskUnion([Disk(0.2 + 0j, 0.1)])  # boundary passes through 0.3
         with pytest.raises(CoverError):
             mittag_leffler(f, cover, f.singular_sample())
+
+    def test_taylor_fit_convergence_reported(self):
+        f = RationalModel([0.3, 0.9], [1.0, 1.0])
+        cover = DiskUnion([Disk(0.3 + 0j, 0.1)])
+        ml = mittag_leffler(f, cover, f.singular_sample())
+        assert ml.converged and ml.to_dict()["converged"] is True
+        assert ml.to_dict()["nodes"] == ml.nodes
+        # the test circle passes 1e-6 from the uncovered pole at 0.9
+        near = mittag_leffler(f, cover, f.singular_sample(), test_radius=0.6 + 1e-6)
+        assert not near.converged
+        assert near.nodes == MAX_QUAD_NODES
+        assert near.to_dict()["converged"] is False
 
     def test_exp_reciprocal_principal(self):
         f = ExpReciprocal()

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from polarhull.core import CircleContour, Disk, DiskUnion
-from polarhull.models import ExpReciprocal, RationalModel, RecipSinPi
+from polarhull.models import (
+    ExpReciprocal,
+    PoleSeries,
+    RationalModel,
+    RecipSinPi,
+    TailUncertifiable,
+)
 from polarhull.potential import (
     DepthOverflow,
     DivergentBase,
@@ -163,6 +169,17 @@ class TestWitness:
         rep = wiener_test(cover, 0j, 40)
         assert rep.verdict != "NON_THIN"
 
+    def test_eval_at_origin_matches_value(self, gauss40):
+        radii = sublevel_cover(gauss40, 1.0).radii
+        keep = radii > 1e-289
+        wit = witness_build(gauss40.poles[keep], radii[keep])
+        assert wit.eval(0j) == pytest.approx(wit.value_at_point, rel=1e-12)
+        a, r = wit.centers[3], wit.radii[3]
+        one = witness_build([a], [r])
+        z = 0.3 + 0.1j
+        expect = one.alphas[0] / math.log(1.0 / r) * (math.log(abs(z - a)) - math.log(1.0 + abs(a)))
+        assert one.eval(z) == pytest.approx(expect, rel=1e-12)
+
     def test_divergent_base_rejected(self):
         n = np.arange(1, 200)
         centers = 1.0 / n
@@ -225,6 +242,20 @@ class TestHarmonicMeasure:
         assert grid.method == "GRID"
         assert abs(grid.value - wos.value) < 0.01
 
+    def test_empty_obstacles_match_default(self):
+        kw = dict(walks=2000, seed=4)
+        a = harmonic_measure(0.4 + 0j, CircleContour(0j, 0.1), Disk(0j, 1.0), **kw)
+        b = harmonic_measure(0.4 + 0j, CircleContour(0j, 0.1), Disk(0j, 1.0),
+                             DiskUnion([]), **kw)
+        assert (a.value, a.std_error) == (b.value, b.std_error)
+
+    def test_disk_union_target_grid_agrees_with_wos(self):
+        target = DiskUnion([Disk(0.3 + 0j, 0.1), Disk(-0.3 + 0j, 0.1)])
+        args = (0.6j, target, Disk(0j, 1.0), DiskUnion([Disk(0.3j, 0.1)]))
+        wos = harmonic_measure(*args, walks=40000, seed=2)
+        grid = harmonic_measure(*args, method="grid", grid_n=161)
+        assert abs(grid.value - wos.value) < 0.01
+
     def test_boundary_target_with_thin_obstacles(self, gauss40):
         cover = sublevel_cover(gauss40, 1.0)
         r = 0.05
@@ -252,3 +283,192 @@ class TestTwoConstants:
         omega = MeasureEstimate(0.5, 0.0, 1, 0, "WOS")
         with pytest.raises(InvalidBounds):
             two_constants_check({"H": -5.0, "C_nk": 0.0}, omega)
+
+
+# ------------------------------------------------ scalar oracles of the array paths
+
+def _annulus_lower_cap_oracle(d, z0, inner, outer):
+    """Capacity of a piece of the disk contained in the annulus (lower bound)."""
+    dist = abs(d.center - z0)
+    if dist - d.radius >= outer or dist + d.radius <= inner:
+        return 0.0
+    if dist - d.radius >= inner and dist + d.radius <= outer:
+        return d.radius
+    lo = max(inner, dist - d.radius)
+    hi = min(outer, dist + d.radius)
+    return max(hi - lo, 0.0) / 4.0
+
+
+def _wiener_oracle(cover, point, depth, tolerance=1e-3, slope=0.1):
+    """Disk-by-disk Wiener sums: (annuli, lower sums, upper sums, verdict, bound_used)."""
+    point = complex(point)
+    cover = cover.disks
+    annuli = []
+    low_terms = np.zeros(depth)
+    up_terms = np.zeros(depth)
+    for n in range(1, depth + 1):
+        inner, outer = 2.0 ** (-n - 1), 2.0 ** (-n)
+        cap_lo = 0.0
+        up = 0.0
+        for d in cover:
+            cap_lo = max(cap_lo, _annulus_lower_cap_oracle(d, point, inner, outer))
+            dist = abs(d.center - point)
+            if dist - d.radius < outer and dist + d.radius > inner:
+                up += 1.0 / math.log(1.0 / min(d.radius, outer, 0.5))
+        if cap_lo > 0.0:
+            low_terms[n - 1] = n / math.log(1.0 / min(cap_lo, 0.5))
+        up_terms[n - 1] = n * up
+        annuli.append((n, inner, outer, cap_lo))
+    s_low, s_up = np.cumsum(low_terms), np.cumsum(up_terms)
+    tail = min(10, depth)
+    non_thin = bool(np.all(s_low[-tail:] >= slope * np.arange(depth - tail + 1, depth + 1)))
+    thin = bool(np.sum(up_terms[-min(5, depth):]) < tolerance)
+    if non_thin and not thin:
+        verdict, used = "NON_THIN", "lower"
+    elif thin and not non_thin:
+        verdict, used = "THIN", "upper"
+    else:
+        verdict, used = "INCONCLUSIVE", "none"
+    return tuple(annuli), s_low, s_up, verdict, used
+
+
+def _dyadic_chain_oracle(z0, region_radius, region_center, depth=50):
+    slack = region_radius - abs(region_center - z0)
+    k0 = max(1, math.ceil(-math.log2(max(slack, 1e-280))))
+    out, last_k = [], k0
+    for k in range(k0, k0 + depth):
+        step = 2.0 ** (-k)
+        if step < 1e-280:
+            break
+        out.append(Disk(z0 + 0.75 * step, step / 4.0))
+        last_k = k
+    return out, last_k
+
+
+def _recip_sin_cover_oracle(big_r, z0, radius=1.0, pole_cap=4096):
+    """Pole-by-pole 1/sin(pi/z) cover: (disks, faithful_depth)."""
+    rho = math.asinh(1.0 / big_r) / math.pi / 2.0
+    disks, chain_depth = [], 0
+    z0 = complex(z0)
+    for sign in (1, -1):
+        for n in range(1, pole_cap + 1):
+            pole = sign / n
+            if abs(pole - z0) > radius + 1.0 / n**2:
+                continue
+            denom = n * n - rho * rho
+            center, r = sign * n / denom, rho / denom
+            if abs(pole - z0) < r:
+                chain, last_k = _dyadic_chain_oracle(z0, r, center)
+                disks.extend(chain)
+                chain_depth = max(chain_depth, last_k)
+            else:
+                disks.append(Disk(complex(center), r))
+    if abs(z0) <= 2.0 / pole_cap:
+        faithful = int(math.floor(math.log2(pole_cap))) - 1
+    elif chain_depth:
+        faithful = min(60, chain_depth - 2)
+    else:
+        faithful = 60
+    return disks, faithful
+
+
+def _log_gamma_oracle(f, n_start):
+    """log of sum_{n >= n_start} |c_n| including the certified tail, one sum per call."""
+    if n_start > f.n_terms:
+        if f.log_gamma_tail is None:
+            raise TailUncertifiable(f.label)
+        return float(f.log_gamma_tail(n_start))
+    body = f.log_abs_c[n_start - 1 :]
+    mx = float(body.max())
+    acc = float(np.sum(np.exp(body - mx)))
+    if f.log_gamma_tail is not None:
+        acc += math.exp(f.log_gamma_tail(f.n_terms + 1) - mx)
+    return mx + math.log(acc)
+
+
+def _pole_series_radii_oracle(f, big_r, min_disk_radius=1e-290):
+    log_gamma = np.array([_log_gamma_oracle(f, i) for i in range(1, f.n_terms + 1)])
+    needed = float(np.sum(np.exp(f.log_abs_c - 0.5 * log_gamma))) / big_r
+    log_radii = math.log(2.0 ** math.ceil(math.log2(needed))) + 0.5 * log_gamma
+    return np.maximum(np.exp(log_radii), min_disk_radius)
+
+
+def _chain(ks, grow=1.0):
+    return DiskUnion([Disk(0.75 * 2.0**-k, grow * 2.0**-k / 4.0) for k in ks])
+
+
+def _oracle_cases():
+    e = math.e
+    sin = RecipSinPi()
+    cases = [
+        ("far-disk", DiskUnion([Disk(3.0 + 0j, 0.5)]), 0j, 40),
+        ("exp-reciprocal", sublevel_cover(ExpReciprocal(), e), 0j, 40),
+        ("gaussian-40@0", sublevel_cover(PoleSeries.gaussian(40), 1.0), 0j, 40),
+        ("truncated-chain", _chain(range(1, 16)), 0j, 40),
+        ("enlarged-chain", _chain(range(1, 41), grow=1.4), 0j, 40),
+    ]
+    for z0 in (0j, 0.5 + 0j, -0.5 + 0j):
+        for big_r in (e, e**2, e**4):
+            cover = sublevel_cover(sin, big_r, z0)
+            cases.append((f"recip-sin-pi@{z0.real}/R={big_r:.3g}", cover, z0,
+                          min(30, cover.faithful_depth)))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+class TestArrayPathsAgainstOracles:
+    @pytest.mark.parametrize("name,cover,z0,depth", ORACLE_CASES,
+                             ids=[c[0] for c in ORACLE_CASES])
+    def test_wiener_matches_disk_loop(self, name, cover, z0, depth):
+        rep = wiener_test(cover, z0, depth)
+        annuli, s_low, s_up, verdict, used = _wiener_oracle(cover, z0, depth)
+        assert rep.verdict == verdict
+        assert rep.bound_used == used
+        assert rep.annuli == annuli  # capacities exactly equal
+        np.testing.assert_allclose(rep.partial_sums_lower, s_low, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rep.partial_sums_upper, s_up, rtol=1e-12, atol=0)
+
+    def test_oracle_cases_cover_every_verdict(self):
+        verdicts = {wiener_test(c, z0, d).verdict for _, c, z0, d in ORACLE_CASES}
+        assert verdicts == {"THIN", "NON_THIN", "INCONCLUSIVE"}
+
+    @pytest.mark.parametrize("z0", [0j, 0.5 + 0j, -0.5 + 0j, 0.3 + 0j])
+    @pytest.mark.parametrize("big_r", [math.e, math.e**2, math.e**4])
+    def test_recip_sin_cover_matches_pole_loop(self, z0, big_r):
+        cover = sublevel_cover(RecipSinPi(), big_r, z0)
+        disks, faithful = _recip_sin_cover_oracle(big_r, z0)
+        assert np.array_equal(cover.centers, [d.center for d in disks])
+        assert np.array_equal(cover.radii, [d.radius for d in disks])
+        assert cover.faithful_depth == faithful
+
+    def test_recip_sin_faithful_depths(self):
+        assert sublevel_cover(RecipSinPi(), math.e, 0j).faithful_depth == 11
+        # at +-1/2 the pole's own disk is replaced by a dyadic chain
+        chain = sublevel_cover(RecipSinPi(), math.e, 0.5 + 0j)
+        assert chain.faithful_depth < 60
+        assert np.sum(np.abs(chain.centers - 0.5) < 0.01) >= 40
+
+    @pytest.mark.parametrize("n_terms", [40, 1000])
+    @pytest.mark.parametrize("big_r", [1.0, 2.0])
+    def test_pole_series_cover_matches_scalar_gamma(self, n_terms, big_r):
+        f = PoleSeries.gaussian(n_terms)
+        cover = sublevel_cover(f, big_r)
+        assert np.array_equal(cover.centers, f.poles)
+        np.testing.assert_allclose(cover.radii, _pole_series_radii_oracle(f, big_r),
+                                   rtol=1e-15, atol=0)
+        assert cover.faithful_depth == 60
+
+    @pytest.mark.parametrize("f", [PoleSeries.gaussian(8), PoleSeries.gaussian(4000),
+                                   PoleSeries.geometric(300, 0.7),
+                                   PoleSeries(1.0 / np.arange(1, 41), np.exp(-np.arange(1, 41)))],
+                             ids=["gaussian-8", "gaussian-4000", "geometric-300", "no-tail"])
+    def test_log_gamma_suffix_matches_scalar(self, f):
+        suffix = f.log_gamma_suffix()
+        oracle = [_log_gamma_oracle(f, i) for i in range(1, f.n_terms + 1)]
+        np.testing.assert_allclose(suffix[: f.n_terms], oracle, rtol=1e-15, atol=1e-15)
+        if f.log_gamma_tail is None:
+            assert len(suffix) == f.n_terms
+        else:
+            assert suffix[-1] == _log_gamma_oracle(f, f.n_terms + 1)
