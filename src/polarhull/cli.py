@@ -38,7 +38,9 @@ def _setup_logging():
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
 
-def _parse_function(spec: str):
+def _parse_function(spec: str | None):
+    if not spec:
+        raise click.UsageError("missing --function")
     name, _, arg = spec.partition(":")
     try:
         if name == "exp-reciprocal":
@@ -81,24 +83,40 @@ def _parse_level(token: str) -> float:
         raise click.UsageError(f"bad level {token!r}; expected a number or e<k>")
 
 
-def _config_overlay(config_path: str | None, section: str, seed, tolerance,
+def _config_overlay(config_path: str | None, section: str, seed,
                     flags: dict, defaults: dict) -> dict:
-    """Config-file sections [run] and [section], then flags, then defaults."""
-    flags = {**flags, "seed": seed, "tolerance": tolerance}
+    """Config-file sections [run] and [section], then flags, then defaults.
+
+    A tolerance means something different in each command, so the file may
+    set it only in the section of a command that takes one (has it in flags).
+    """
+    flags = {**flags, "seed": seed}
     defaults = {**defaults, "seed": 0}
     merged: dict = {}
     if config_path:
         parser = configparser.ConfigParser()
-        read = parser.read(config_path)
-        if not read:
+        if not parser.read(config_path):
             raise click.UsageError(f"config file {config_path!r} not readable")
         for sec in ("run", section):
             if parser.has_section(sec):
-                merged.update(dict(parser.items(sec)))
+                items = dict(parser.items(sec))
+                if "tolerance" in items and (sec == "run" or "tolerance" not in flags):
+                    raise click.UsageError(f"config section [{sec}] may not set tolerance")
+                merged.update(items)
     merged.update({k: v for k, v in flags.items() if v is not None})
     for key, val in defaults.items():
         merged.setdefault(key, val)
     return merged
+
+
+def _tolerance_of(cfg: dict, default: float) -> float:
+    text = cfg.get("tolerance", default)
+    try:
+        if 0 < float(text) < math.inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise click.UsageError(f"tolerance must be a positive number, got {text!r}")
 
 
 def _finish(out_dir: str, command: str, config: dict, payload: dict,
@@ -151,15 +169,14 @@ def cli():
 def decompose(config_path, out_dir, seed, tolerance, function_spec,
               center, radius, kmax):
     """Laurent split of a function model on one circle."""
-    cfg = _config_overlay(config_path, "decompose", seed, tolerance, {
+    cfg = _config_overlay(config_path, "decompose", seed, {
         "function": function_spec, "center": center, "radius": radius, "kmax": kmax,
+        "tolerance": tolerance,
     }, {"center": "0", "radius": 1.0, "kmax": 32})
-    if not cfg.get("function"):
-        raise click.UsageError("missing --function")
-    f = _parse_function(cfg["function"])
+    f = _parse_function(cfg.get("function"))
     circle = CircleContour(_parse_point(str(cfg["center"])), float(cfg["radius"]))
     split = laurent_split(f, circle, int(cfg["kmax"]),
-                          tol=float(cfg.get("tolerance") or 1e-8))
+                          tol=_tolerance_of(cfg, 1e-8))
     _finish(out_dir, "decompose", cfg, split.to_dict())
 
 
@@ -172,7 +189,7 @@ def decompose(config_path, out_dir, seed, tolerance, function_spec,
 def fekete(config_path, out_dir, seed, function_spec,
            segment, m_points):
     """Leja points and the capacity diagnostic on a sample."""
-    cfg = _config_overlay(config_path, "fekete", seed, None, {
+    cfg = _config_overlay(config_path, "fekete", seed, {
         "function": function_spec, "segment": segment, "m": m_points,
     }, {"m": 40})
     if cfg.get("segment"):
@@ -202,12 +219,11 @@ def fekete(config_path, out_dir, seed, function_spec,
 def approx(config_path, out_dir, seed, tolerance, function_spec, m_den,
            n_list, target):
     """Convergence scan of prescribed-pole approximants; CSV trace of errors."""
-    cfg = _config_overlay(config_path, "approx", seed, tolerance, {
+    cfg = _config_overlay(config_path, "approx", seed, {
         "function": function_spec, "m": m_den, "n_list": n_list, "target": target,
+        "tolerance": tolerance,
     }, {"n_list": "1,2,3,4", "target": "0,0:2.0:128"})
-    if not cfg.get("function"):
-        raise click.UsageError("missing --function")
-    f = _parse_function(cfg["function"])
+    f = _parse_function(cfg.get("function"))
     sample = f.singular_sample()
     m = int(cfg["m"]) if cfg.get("m") else len(sample)
     system = leja_points(sample, m)
@@ -217,30 +233,26 @@ def approx(config_path, out_dir, seed, tolerance, function_spec, m_den,
     theta = 2 * np.pi * np.arange(int(cnt)) / int(cnt)
     target_sample = CompactSample(center + float(rad) * np.exp(1j * theta))
     report = convergence_scan(f, system, [(m, n) for n in orders], target_sample,
-                              quad_tol=float(cfg.get("tolerance") or 1e-10))
+                              quad_tol=_tolerance_of(cfg, 1e-10))
     _finish(out_dir, "approx", cfg, report.to_dict(), csv_rows=report.to_csv_rows())
 
 
 @cli.command()
 @_common
-@_tolerance
 @click.option("--function", "function_spec", default=None)
 @click.option("--nu-max", type=int, default=None)
 @click.option("--density", type=int, default=None)
 @click.option("--tube", default=None,
               help="graph-tube export A,B:N:T1,T2,... (offsets in w)")
-def psh(config_path, out_dir, seed, tolerance, function_spec, nu_max,
+def psh(config_path, out_dir, seed, function_spec, nu_max,
         density, tube):
     """Certify the layered field schedule; optional graph-tube CSV export."""
-    cfg = _config_overlay(config_path, "psh", seed, tolerance, {
+    cfg = _config_overlay(config_path, "psh", seed, {
         "function": function_spec, "nu_max": nu_max, "density": density, "tube": tube,
     }, {"nu_max": 4, "density": 10})
-    if not cfg.get("function"):
-        raise click.UsageError("missing --function")
-    f = _parse_function(cfg["function"])
+    f = _parse_function(cfg.get("function"))
     field = certify_schedule(f, f.singular_sample(), int(cfg["nu_max"]),
-                             density=int(cfg["density"]),
-                             quad_tol=float(cfg.get("tolerance") or 1e-13))
+                             density=int(cfg["density"]))
     csv_rows = None
     if cfg.get("tube"):
         rng, cnt, offs = str(cfg["tube"]).split(":")
@@ -255,24 +267,20 @@ def psh(config_path, out_dir, seed, tolerance, function_spec, nu_max,
 
 @cli.command()
 @_common
-@_tolerance
 @click.option("--function", "function_spec", default=None)
 @click.option("--big-r", default=None, help="level threshold; accepts e<k> shorthand")
 @click.option("--point", default=None)
 @click.option("--depth", type=int, default=None)
-def thin(config_path, out_dir, seed, tolerance, function_spec, big_r,
+def thin(config_path, out_dir, seed, function_spec, big_r,
          point, depth):
     """Wiener thinness test of a sublevel cover at a point."""
-    cfg = _config_overlay(config_path, "thin", seed, tolerance, {
+    cfg = _config_overlay(config_path, "thin", seed, {
         "function": function_spec, "big_r": big_r, "point": point, "depth": depth,
     }, {"big_r": "e", "point": "0", "depth": 40})
-    if not cfg.get("function"):
-        raise click.UsageError("missing --function")
-    f = _parse_function(cfg["function"])
+    f = _parse_function(cfg.get("function"))
     z0 = _parse_point(str(cfg["point"]))
     cover = sublevel_cover(f, _parse_level(str(cfg["big_r"])), z0)
-    report = wiener_test(cover, z0, int(cfg["depth"]),
-                         tolerance=float(cfg.get("tolerance") or 1e-3))
+    report = wiener_test(cover, z0, int(cfg["depth"]))
     rows = [["n", "inner", "outer", "capacity_estimate", "partial_sum"]]
     for (n, inner, outer, cap), s in zip(report.annuli, report.partial_sums):
         rows.append([str(n), repr(inner), repr(outer), repr(cap), repr(float(s))])
@@ -288,13 +296,12 @@ def thin(config_path, out_dir, seed, tolerance, function_spec, big_r,
 def hmeasure(config_path, out_dir, seed, annulus, at_point,
              walks, method):
     """Harmonic measure of the inner circle in an annulus, WOS or grid."""
-    cfg = _config_overlay(config_path, "hmeasure", seed, None, {
+    cfg = _config_overlay(config_path, "hmeasure", seed, {
         "annulus": annulus, "at": at_point, "walks": walks, "method": method,
     }, {"annulus": "0.1,1.0", "at": "0.4", "walks": 100000, "method": "wos"})
     r_in, r_out = (float(t) for t in str(cfg["annulus"]).split(","))
-    z = _parse_point(str(cfg["at"]))
     est = harmonic_measure(
-        z, CircleContour(0j, r_in), Disk(0j, r_out), DiskUnion([]),
+        _parse_point(str(cfg["at"])), CircleContour(0j, r_in), Disk(0j, r_out), DiskUnion([]),
         walks=int(cfg["walks"]), seed=int(cfg["seed"]), method=str(cfg["method"]),
     )
     rows = [["value", "std_error", "walks", "seed", "method"],
@@ -311,18 +318,14 @@ def hmeasure(config_path, out_dir, seed, annulus, at_point,
 def hull(config_path, out_dir, seed, function_spec, points,
          r_grid, depth):
     """Classify hull fibers over singular points; prints a table, writes JSON."""
-    cfg = _config_overlay(config_path, "hull", seed, None, {
+    cfg = _config_overlay(config_path, "hull", seed, {
         "function": function_spec, "points": ";".join(points) or None, "r_grid": r_grid,
         "depth": depth,
     }, {"points": "0", "r_grid": "e,e2,e10", "depth": 40})
-    if not cfg.get("function"):
-        raise click.UsageError("missing --function")
-    f = _parse_function(cfg["function"])
+    f = _parse_function(cfg.get("function"))
     grid = [_parse_level(t) for t in str(cfg["r_grid"]).split(",")]
-    entries = []
-    for token in str(cfg["points"]).split(";"):
-        z0 = _parse_point(token)
-        entries.append(classify_fiber(f, z0, grid, depth=int(cfg["depth"])))
+    entries = [classify_fiber(f, _parse_point(token), grid, depth=int(cfg["depth"]))
+               for token in str(cfg["points"]).split(";")]
     verdict = HullVerdict(model_label=f.label, entries=tuple(entries))
     click.echo(f"{'point':>16}  {'classification':<14} w0")
     for e in entries:

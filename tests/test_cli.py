@@ -94,37 +94,47 @@ def test_fekete_segment_artifact(tmp_path):
     assert abs(doc["result"]["capacity_estimate"]["value"] - 0.5) < 0.1
 
 
-def test_thin_tolerance_reaches_report(tmp_path):
-    out = tmp_path / "run"
-    code = run(["thin", "--function", "exp-reciprocal", "--depth", 20,
-                "--tolerance", 0.25, "--out", out])
-    assert code == 0
-    doc = json.loads((out / "thin.json").read_text())
-    assert doc["result"]["tolerance"] == 0.25
-    assert doc["config"]["tolerance"] == 0.25
-
-
-def test_psh_tolerance_reaches_quadrature(tmp_path, monkeypatch):
-    from polarhull import cli
-
-    seen = {}
-
-    def spy(*args, **kwargs):
-        seen.update(kwargs)
-        raise cli.PolarhullError("stop after the call")
-
-    monkeypatch.setattr(cli, "certify_schedule", spy)
-    run(["psh", "--function", "exp-reciprocal", "--tolerance", 1e-11, "--out", tmp_path / "a"])
-    assert seen["quad_tol"] == 1e-11
-    run(["psh", "--function", "exp-reciprocal", "--out", tmp_path / "b"])
-    assert seen["quad_tol"] == 1e-13
-
-
 @pytest.mark.parametrize("command", [
     ["hull", "--function", "exp-reciprocal"],
     ["hmeasure", "--walks", 10],
     ["fekete", "--segment", "-1,1,11"],
+    ["thin", "--function", "exp-reciprocal", "--depth", 20],
+    ["psh", "--function", "exp-reciprocal", "--nu-max", 1],
 ])
 def test_tolerance_rejected_where_unused(tmp_path, command):
     assert run(command + ["--tolerance", 1e-3, "--out", tmp_path / "x"]) == 1
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("section", ["run", "hull"])
+def test_config_tolerance_rejected_where_unused(tmp_path, section):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\ntolerance = 1e-3\n")
+    code = run(["hull", "--function", "exp-reciprocal", "--r-grid", "e",
+                "--config", cfg, "--out", tmp_path / "x"])
+    assert code == 1
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_tolerance_only_from_own_section(tmp_path):
+    args = ["decompose", "--function", "exp-reciprocal", "--kmax", 16]
+    shared = tmp_path / "shared.ini"
+    shared.write_text("[run]\ntolerance = 1e-3\n")
+    assert run(args + ["--config", shared, "--out", tmp_path / "x"]) == 1
+    own = tmp_path / "own.ini"
+    own.write_text("[decompose]\ntolerance = 1e-6\n")
+    assert run(args + ["--config", own, "--out", tmp_path / "a"]) == 0
+    assert run(args + ["--tolerance", 1e-6, "--out", tmp_path / "b"]) == 0
+    a = json.loads((tmp_path / "a" / "decompose.json").read_text())
+    b = json.loads((tmp_path / "b" / "decompose.json").read_text())
+    assert a["result"] == b["result"]
+
+
+@pytest.mark.parametrize("command", [
+    ["decompose", "--function", "exp-reciprocal", "--kmax", 8],
+    ["approx", "--function", "exp-reciprocal", "--n-list", 1],
+])
+@pytest.mark.parametrize("tol", [0, -1e-8, "nan", "inf"])
+def test_nonpositive_tolerance_rejected(tmp_path, command, tol):
+    assert run(command + ["--tolerance", tol, "--out", tmp_path / "x"]) == 1
     assert not (tmp_path / "x").exists()
