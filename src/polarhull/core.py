@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "PolarhullError",
     "NodeEvaluationError",
+    "QuadratureNotConverged",
     "Disk",
     "DiskUnion",
     "CompactSample",
@@ -36,6 +37,10 @@ class PolarhullError(Exception):
 
 class NodeEvaluationError(PolarhullError):
     """A function failed to produce a finite value at a required node."""
+
+
+class QuadratureNotConverged(PolarhullError):
+    """A quadrature reached its node cap before two doublings agreed."""
 
 
 def as_complex_array(values) -> np.ndarray:
@@ -359,12 +364,16 @@ def contour_integral(integrand, contour: CircleContour, *, tol: float = 1e-10) -
 
     Spectrally accurate for integrands analytic near the circle; starts at
     `contour.node_count` nodes and doubles them until two results agree to
-    `tol` (relative to max(1, |value|)) or MAX_QUAD_NODES is reached.
+    `tol` (relative to max(1, |value|)); raises QuadratureNotConverged if
+    they still differ at MAX_QUAD_NODES.
     """
     # dz = i r e^{i theta} dtheta; the 1/(2 pi i) cancels the i and the 2 pi
     quad = circle_trapezoid(integrand, (contour,),
                             lambda c, rot, vals: c.radius * np.mean(vals * rot),
                             contour.node_count, tol=tol, max_nodes=MAX_QUAD_NODES)
+    if not quad.converged:
+        raise QuadratureNotConverged(
+            f"contour integral still moved by {float(quad.noise):.3e} at {quad.nodes} nodes")
     return complex(quad.value)
 
 

@@ -355,6 +355,8 @@ class MeasureEstimate:
     walks: int
     seed: int
     method: str  # WOS | GRID
+    iterations: int = 0  # GRID: SOR sweeps; WOS: step rounds until every walk was absorbed
+    residual: float | None = None  # GRID: final max residual over free nodes
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
@@ -367,6 +369,8 @@ class MeasureEstimate:
             "walks": self.walks,
             "seed": self.seed,
             "method": self.method,
+            "iterations": self.iterations,
+            "residual": self.residual,
         }
 
 
@@ -431,7 +435,7 @@ def harmonic_measure(z, target, domain: Disk, obstacles: DiskUnion | None = None
     pos = np.full(walks, z, dtype=complex)
     result = np.zeros(walks)
     active = np.ones(walks, dtype=bool)
-    for _ in range(max_steps):
+    for rounds in range(max_steps):
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
@@ -454,7 +458,7 @@ def harmonic_measure(z, target, domain: Disk, obstacles: DiskUnion | None = None
     value = float(np.mean(result))
     std_error = float(np.std(result, ddof=1) / math.sqrt(walks)) if walks > 1 else 0.0
     return MeasureEstimate(value=min(max(value, 0.0), 1.0), std_error=std_error,
-                           walks=walks, seed=seed, method="WOS")
+                           walks=walks, seed=seed, method="WOS", iterations=rounds)
 
 
 def _grid_measure(z, centers, radii, values, domain: Disk, boundary_value: float,
@@ -462,7 +466,9 @@ def _grid_measure(z, centers, radii, values, domain: Disk, boundary_value: float
     """Five-point relaxation cross-check on a Cartesian grid (red-black SOR).
 
     The grid holds `boundary_value` outside the domain and values[i] on the
-    closed disk i, later disks overriding earlier ones.
+    closed disk i, later disks overriding earlier ones.  `_sor` relaxes the
+    free nodes on the four sub-lattices u[a::2, b::2], each of one colour;
+    the estimate is the bilinear interpolation at z.
     """
     R = domain.radius
     ax = np.linspace(domain.center.real - R, domain.center.real + R, grid_n)
@@ -484,28 +490,9 @@ def _grid_measure(z, centers, radii, values, domain: Disk, boundary_value: float
 
     h = ax[1] - ax[0]
     omega = 2.0 / (1.0 + math.sin(math.pi * h / (2 * R)))
-    ii, jj = np.meshgrid(np.arange(grid_n), np.arange(grid_n), indexing="ij")
-    red = ((ii + jj) % 2 == 0)
-    inner = np.zeros(X.shape, dtype=bool)
-    inner[1:-1, 1:-1] = True
-    free = inner & ~fixed
-
-    for _ in range(200000):
-        for mask in (free & red, free & ~red):
-            nb = np.zeros_like(u)
-            nb[1:-1, 1:-1] = 0.25 * (
-                u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:]
-            )
-            u[mask] += omega * (nb[mask] - u[mask])
-        res = np.zeros_like(u)
-        res[1:-1, 1:-1] = np.abs(
-            0.25 * (u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:])
-            - u[1:-1, 1:-1]
-        )
-        if float(np.max(res[free])) < tol:
-            break
-    else:
-        raise PolarhullError("grid relaxation did not reach the residual target")
+    free = np.zeros(X.shape, dtype=bool)
+    free[1:-1, 1:-1] = ~fixed[1:-1, 1:-1]
+    sweeps, residual = _sor(u, free, omega, tol)
 
     # bilinear interpolation at the query point
     x = (z.real - ax[0]) / h
@@ -519,7 +506,68 @@ def _grid_measure(z, centers, radii, values, domain: Disk, boundary_value: float
         + u[i0 + 1, j0 + 1] * fx * fy
     )
     return MeasureEstimate(value=float(np.clip(val, 0.0, 1.0)), std_error=0.0,
-                           walks=int(np.sum(free)), seed=0, method="GRID")
+                           walks=int(np.sum(free)), seed=0, method="GRID",
+                           iterations=sweeps, residual=residual)
+
+
+def _sor(u: np.ndarray, free: np.ndarray, omega: float, tol: float) -> tuple[int, float]:
+    """Red-black SOR on `u` in place until max |stencil - u| over `free` < tol.
+
+    `free` must be False on the border rows and columns.  The sweeps run on
+    four contiguous sub-lattices u[a::2, b::2]: red is (0, 0) and (1, 1),
+    black (0, 1) and (1, 0).  Every neighbour of a node lies on a lattice of
+    the other colour, so a colour is updated in place from shifted slices of
+    the other colour's lattices, with weight omega on free nodes and 0 on
+    fixed ones.  The neighbours are added up, down, left, right and then
+    scaled by 1/4, the order of the whole-grid stencil, so every iterate is
+    bitwise that of the whole-grid masked update.  The residual is checked
+    after every sweep.  Returns the sweep count and the final residual.
+    """
+    rows, cols = u.shape
+
+    def interior(a, n, shift=0):
+        # lattice indices p of the nodes 2p + a in 1..n-2, shifted by `shift`
+        return slice(1 - a + shift, (n - a) // 2 + shift)
+
+    lat = {(a, b): np.ascontiguousarray(u[a::2, b::2]) for a in (0, 1) for b in (0, 1)}
+    plan = []
+    for a, b in ((0, 0), (1, 1), (0, 1), (1, 0)):  # red, then black
+        r, c = interior(a, rows), interior(b, cols)
+        vert, horiz = lat[1 - a, b], lat[a, 1 - b]
+        neighbours = (vert[interior(a, rows, a - 1), c], vert[interior(a, rows, a), c],
+                      horiz[r, interior(b, cols, b - 1)], horiz[r, interior(b, cols, b)])
+        mask = free[a::2, b::2][r, c]
+        plan.append((lat[a, b][r, c], neighbours, np.where(mask, omega, 0.0),
+                     mask.astype(float), np.empty(mask.shape), np.empty(mask.shape)))
+
+    def stencil(neighbours, out):
+        up, down, left, right = neighbours
+        np.add(up, down, out=out)
+        out += left
+        out += right
+        out *= 0.25
+
+    for sweep in range(1, 200001):
+        for node, neighbours, weight, _, nb, step in plan:
+            stencil(neighbours, nb)
+            np.subtract(nb, node, out=step)
+            step *= weight
+            node += step
+        residual = 0.0
+        for k, (node, neighbours, _, is_free, nb, res) in enumerate(plan):
+            if k < 2:  # the black update moved the red lattices' neighbours
+                stencil(neighbours, nb)
+            np.subtract(nb, node, out=res)
+            np.abs(res, out=res)
+            res *= is_free
+            residual = max(residual, float(res.max(initial=0.0)))
+        if residual < tol:
+            break
+    else:
+        raise PolarhullError("grid relaxation did not reach the residual target")
+    for (a, b), sub in lat.items():
+        u[a::2, b::2] = sub
+    return sweep, residual
 
 
 # ------------------------------------------------------------- two constants

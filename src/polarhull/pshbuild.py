@@ -318,12 +318,14 @@ def export_field(field: PshField, grid: GridSpec):
                              float(w.imag), float(u)))
     elif grid.kind == "graph_tube":
         re = np.linspace(*p["re_range"], p["nx"])
-        fz = np.asarray(field.model(re.astype(complex)), dtype=complex)
-        for t in p["offsets"]:
-            ws = fz + t
-            us = field.u_grid(re.astype(complex), ws)
-            for z, w, u in zip(re, ws, us):
-                rows.append((float(z), 0.0, float(w.real), float(w.imag), float(u)))
+        # at a pole f(z) and the cleared moduli overflow: u is -inf or NaN there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fz = np.asarray(field.model(re.astype(complex)), dtype=complex)
+            for t in p["offsets"]:
+                ws = fz + t
+                us = field.u_grid(re.astype(complex), ws)
+                for z, w, u in zip(re, ws, us):
+                    rows.append((float(z), 0.0, float(w.real), float(w.imag), float(u)))
     else:
         raise ValueError(f"unknown slice kind {grid.kind!r}")
     return rows

@@ -138,3 +138,14 @@ def test_config_tolerance_only_from_own_section(tmp_path):
 def test_nonpositive_tolerance_rejected(tmp_path, command, tol):
     assert run(command + ["--tolerance", tol, "--out", tmp_path / "x"]) == 1
     assert not (tmp_path / "x").exists()
+
+
+def test_hmeasure_grid_reruns_byte_identical(tmp_path):
+    args = ["hmeasure", "--annulus", "0.1,1", "--at", "0.4", "--method", "grid"]
+    assert run(args + ["--out", tmp_path / "a"]) == 0
+    assert run(args + ["--out", tmp_path / "b"]) == 0
+    a = (tmp_path / "a" / "hmeasure.json").read_bytes()
+    assert a == (tmp_path / "b" / "hmeasure.json").read_bytes()
+    result = json.loads(a)["result"]
+    assert result["iterations"] == 844
+    assert result["residual"] < 1e-8

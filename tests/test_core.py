@@ -8,6 +8,7 @@ from polarhull.core import (
     DiskUnion,
     NodeEvaluationError,
     PolynomialC,
+    QuadratureNotConverged,
     circle_trapezoid,
     contour_integral,
     poly_eval,
@@ -98,6 +99,12 @@ def test_contour_rejects_nonfinite():
 
     with pytest.raises(NodeEvaluationError):
         contour_integral(bad, CircleContour(0j, 1.0))
+
+
+def test_contour_raises_at_node_cap():
+    # a pole 1e-9 outside the circle: the trapezoid error decays like (1 + 1e-9)^-n
+    with pytest.raises(QuadratureNotConverged):
+        contour_integral(lambda z: 1.0 / (z - (1.0 + 1e-9)), CircleContour(0j, 1.0))
 
 
 def test_sup_norm_constant():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from polarhull.core import CircleContour, Disk, DiskUnion
+from polarhull import potential
+from polarhull.core import CircleContour, Disk, DiskUnion, PolarhullError
 from polarhull.models import (
     ExpReciprocal,
     PoleSeries,
@@ -256,6 +257,18 @@ class TestHarmonicMeasure:
         grid = harmonic_measure(*args, method="grid", grid_n=161)
         assert abs(grid.value - wos.value) < 0.01
 
+    def test_grid_reports_sweeps_and_residual(self):
+        est = harmonic_measure(0.4 + 0j, CircleContour(0j, 0.1), Disk(0j, 1.0),
+                               method="grid", grid_n=161)
+        assert est.iterations == 423
+        assert est.residual < 1e-8
+
+    def test_wos_reports_step_rounds(self):
+        args = (0.4 + 0j, CircleContour(0j, 0.1), Disk(0j, 1.0))
+        est = harmonic_measure(*args, walks=2000, seed=3)
+        assert est.iterations > 0 and est.residual is None
+        assert harmonic_measure(*args, walks=2000, seed=3, max_steps=est.iterations + 1) == est
+
     def test_boundary_target_with_thin_obstacles(self, gauss40):
         cover = sublevel_cover(gauss40, 1.0)
         r = 0.05
@@ -472,3 +485,52 @@ class TestArrayPathsAgainstOracles:
             assert len(suffix) == f.n_terms
         else:
             assert suffix[-1] == _log_gamma_oracle(f, f.n_terms + 1)
+
+
+def _masked_sor_oracle(u, free, omega, tol):
+    """Red-black SOR on the whole grid: the stencil everywhere, scattered through masks."""
+    ii, jj = np.meshgrid(np.arange(u.shape[0]), np.arange(u.shape[1]), indexing="ij")
+    red = (ii + jj) % 2 == 0
+    for sweep in range(1, 200001):
+        for mask in (free & red, free & ~red):
+            nb = np.zeros_like(u)
+            nb[1:-1, 1:-1] = 0.25 * (
+                u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:]
+            )
+            u[mask] += omega * (nb[mask] - u[mask])
+        res = np.zeros_like(u)
+        res[1:-1, 1:-1] = np.abs(
+            0.25 * (u[:-2, 1:-1] + u[2:, 1:-1] + u[1:-1, :-2] + u[1:-1, 2:])
+            - u[1:-1, 1:-1]
+        )
+        residual = float(np.max(res[free]))
+        if residual < tol:
+            return sweep, residual
+    raise PolarhullError("grid relaxation did not reach the residual target")
+
+
+def _grid_cases():
+    r = 0.05
+    thin = DiskUnion([d for d in sublevel_cover(PoleSeries.gaussian(40), 1.0)
+                      if abs(d.center) + d.radius < r])
+    annulus = (0.4 + 0j, CircleContour(0j, 0.1), Disk(0j, 1.0))
+    two_disks = (0.6j, DiskUnion([Disk(0.3 + 0j, 0.1), Disk(-0.3 + 0j, 0.1)]), Disk(0j, 1.0),
+                 DiskUnion([Disk(0.3j, 0.1)]))
+    return [
+        ("annulus-161", annulus, 161),
+        ("thin-obstacles@r/4", (r / 4 + 0j, CircleContour(0j, r), Disk(0j, r), thin), 161),
+        ("two-disk-target", two_disks, 161),
+        ("annulus-100", annulus, 100),  # even: the four sub-lattices differ in shape
+    ]
+
+
+GRID_CASES = _grid_cases()
+
+
+@pytest.mark.parametrize("name,args,grid_n", GRID_CASES, ids=[c[0] for c in GRID_CASES])
+def test_grid_sweeps_match_masked_oracle(monkeypatch, name, args, grid_n):
+    fast = harmonic_measure(*args, method="grid", grid_n=grid_n)
+    monkeypatch.setattr(potential, "_sor", _masked_sor_oracle)
+    slow = harmonic_measure(*args, method="grid", grid_n=grid_n)
+    # bitwise: value, free-node count, sweep count and final residual
+    assert fast == slow

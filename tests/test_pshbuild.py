@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from polarhull.core import CompactSample
 from polarhull.fekete import leja_points
-from polarhull.models import ExpReciprocal, RationalModel
+from polarhull.models import ExpReciprocal, PoleSeries, RationalModel
 from polarhull.pshbuild import (
     GridSpec,
     PshField,
@@ -242,6 +243,21 @@ class TestExport:
         clamp_sum = sum((-nu - math.log(nu + 2)) / nu**2 for nu in range(2, 5))
         for z_re, _, _, _, u in rows:
             assert u == pytest.approx(clamp_sum + math.log(abs(z_re - A)), abs=1e-9)
+
+    def test_graph_tube_through_a_pole_is_quiet(self):
+        # the tube starts at z = 0.05 = 1/20, a pole of gaussian-20
+        f = PoleSeries.gaussian(20)
+        field = certify_schedule(f, f.singular_sample(), 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = export_field(field, GridSpec.graph_tube((0.05, 0.95), 400, [0.0, 0.5, 1.0]))
+        assert len(rows) == 1200
+        arr = np.array(rows)
+        z = arr[:, 0] + 1j * arr[:, 1]
+        sing = f.singular_sample().points
+        on_pole = np.min(np.abs(z[:, None] - sing[None, :]), axis=1) <= 1e-12
+        assert on_pole.any()
+        assert np.all(np.isfinite(arr[~on_pole, 4]))  # -inf or NaN only on the poles
 
     def test_w_slice_minimum_near_graph(self, gauss10_field, gauss10):
         z = 0.7
