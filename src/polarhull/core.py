@@ -259,11 +259,7 @@ class PolynomialC:
 
     def abs_eval(self, r):
         """Evaluate sum_i |c_i| r^i at a nonnegative radius (error shadow)."""
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for c in np.abs(self.coeffs[::-1]):
-            out = out * r + c
-        return out
+        return _horner(np.abs(self.coeffs[::-1]), np.asarray(r, dtype=float))
 
     def to_dict(self) -> dict:
         d = {"coeffs": [complex_to_pair(c) for c in self.coeffs]}
@@ -275,12 +271,23 @@ class PolynomialC:
 ZERO_POLY = PolynomialC([0.0])
 
 
+def _horner(high_first, x):
+    """Horner's rule for the polynomial in x with coefficients `high_first`.
+
+    The coefficients run from the highest power down to the constant; each
+    may be a scalar or an array that broadcasts against the array x, and
+    `high_first` may be a generator, so array coefficients are made one at a
+    time.  The running sum starts from zeros shaped like x.
+    """
+    out = np.zeros_like(x)
+    for c in high_first:
+        out = out * x + c
+    return out
+
+
 def poly_eval(p: PolynomialC, z):
     """Horner evaluation of p at z (scalar or array)."""
-    z = np.asarray(z, dtype=complex)
-    out = np.zeros_like(z)
-    for c in p.coeffs[::-1]:
-        out = out * z + c
+    out = _horner(p.coeffs[::-1], np.asarray(z, dtype=complex))
     return out if out.ndim else complex(out)
 
 

@@ -19,6 +19,7 @@ from .core import (
     MAX_QUAD_NODES,
     PolarhullError,
     PolynomialC,
+    _horner,
     circle_trapezoid,
     complex_to_pair,
 )
@@ -97,9 +98,7 @@ class LaurentSplit:
 
     def principal_eval(self, z):
         u = 1.0 / (np.asarray(z, dtype=complex) - self.center)
-        out = np.zeros_like(u)
-        for c in self.principal_part[::-1]:
-            out = (out + c) * u
+        out = _horner(self.principal_part[::-1], u) * u
         return out if out.ndim else complex(out)
 
     def reconstruct(self, z):

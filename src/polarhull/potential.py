@@ -435,10 +435,12 @@ def harmonic_measure(z, target, domain: Disk, obstacles: DiskUnion | None = None
     pos = np.full(walks, z, dtype=complex)
     result = np.zeros(walks)
     active = np.ones(walks, dtype=bool)
-    for rounds in range(max_steps):
+    rounds = 0  # only rounds that find an active walk use the budget
+    while active.any():
+        if rounds == max_steps:
+            raise PolarhullError("walk-on-spheres failed to absorb within step budget")
+        rounds += 1
         idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
         p = pos[idx]
         d = np.abs(p[:, None] - centers[None, :])
         dist = np.where(curve[None, :], np.abs(d - radii[None, :]),
@@ -452,8 +454,6 @@ def harmonic_measure(z, target, domain: Disk, obstacles: DiskUnion | None = None
         if np.any(move):
             theta = rng.uniform(0.0, 2.0 * np.pi, size=int(np.sum(move)))
             pos[idx[move]] = p[move] + dmin[move] * np.exp(1j * theta)
-    else:
-        raise PolarhullError("walk-on-spheres failed to absorb within step budget")
 
     value = float(np.mean(result))
     std_error = float(np.std(result, ddof=1) / math.sqrt(walks)) if walks > 1 else 0.0

@@ -211,7 +211,9 @@ def u_eval(field: PshField, z, w) -> float:
 
     Finite everywhere except exactly on the atoms, where -inf is returned.
     """
-    return float(field.u_grid(complex(z), complex(w)))
+    # one-element arrays take numpy's array loops, as u_grid does; complex
+    # scalar arithmetic rounds differently and would break pointwise equality
+    return float(field.u_grid([complex(z)], [complex(w)])[0])
 
 
 def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, degree_cap: int = 200,
@@ -300,32 +302,24 @@ class GridSpec:
 
 
 def export_field(field: PshField, grid: GridSpec):
-    """Tabulate the field on a slice, row-major; rows (z_re, z_im, w_re, w_im, u)."""
+    """Tabulate the field on a slice, row-major; rows [z_re, z_im, w_re, w_im, u]."""
     p = grid.params
-    rows = []
     if grid.kind in ("fixed_w", "fixed_z"):
         re = np.linspace(*p["re_range"], p["nx"])
         im = np.linspace(*p["im_range"], p["ny"])
-        for b in im:
-            line = re + 1j * b
-            if grid.kind == "fixed_w":
-                zs, ws = line, np.full_like(line, p["w"])
-            else:
-                zs, ws = np.full_like(line, p["z"]), line
-            us = field.u_grid(zs, ws)
-            for z, w, u in zip(zs, ws, us):
-                rows.append((float(z.real), float(z.imag), float(w.real),
-                             float(w.imag), float(u)))
+        plane = re[None, :] + 1j * im[:, None]
+        fixed = np.full_like(plane, p["w" if grid.kind == "fixed_w" else "z"])
+        zs, ws = (plane, fixed) if grid.kind == "fixed_w" else (fixed, plane)
+        us = field.u_grid(zs, ws)
     elif grid.kind == "graph_tube":
-        re = np.linspace(*p["re_range"], p["nx"])
+        zs = np.linspace(*p["re_range"], p["nx"]).astype(complex)
         # at a pole f(z) and the cleared moduli overflow: u is -inf or NaN there
         with np.errstate(divide="ignore", invalid="ignore"):
-            fz = np.asarray(field.model(re.astype(complex)), dtype=complex)
-            for t in p["offsets"]:
-                ws = fz + t
-                us = field.u_grid(re.astype(complex), ws)
-                for z, w, u in zip(re, ws, us):
-                    rows.append((float(z), 0.0, float(w.real), float(w.imag), float(u)))
+            fz = np.asarray(field.model(zs), dtype=complex)
+            ws = fz + np.asarray(p["offsets"], dtype=complex).reshape(-1, 1)
+            us = field.u_grid(zs, ws)
     else:
         raise ValueError(f"unknown slice kind {grid.kind!r}")
-    return rows
+    zs, ws = np.broadcast_arrays(zs, ws)
+    return np.column_stack([zs.real.ravel(), zs.imag.ravel(), ws.real.ravel(),
+                            ws.imag.ravel(), us.ravel()]).tolist()

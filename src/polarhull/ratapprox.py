@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .core import (
     CompactSample,
     PolarhullError,
     PolynomialC,
+    _horner,
     circle_trapezoid,
     complex_to_pair,
     poly_from_roots,
@@ -81,7 +83,7 @@ class RationalApproximant:
     degenerate_polar: bool
     nodes: int              # trapezoid nodes per contour circle
     converged: bool         # False when node doubling hit MAX_APPROX_NODES
-    coeff_noise: tuple = ()
+    coeff_noise: tuple
 
     @property
     def poles(self) -> np.ndarray:
@@ -100,10 +102,7 @@ class RationalApproximant:
         """sum_k c_k(z) / q(z)^{k+1}; finite wherever q(z) != 0."""
         z = np.asarray(z, dtype=complex)
         u = 1.0 / self.q_values(z)
-        out = np.zeros_like(u)
-        for ck in self.coeff_polys[::-1]:
-            out = out * u + ck(z)
-        out = out * u
+        out = _horner((ck(z) for ck in reversed(self.coeff_polys)), u) * u
         return out if out.ndim else complex(out)
 
     def eval(self, z):
@@ -120,26 +119,20 @@ class RationalApproximant:
         diff = (w - A(z)) q^N - sum_k c_k(z) q^{N-1-k}; eval_shadow is the same
         expression with every term replaced by its absolute value (the running
         bound for cancellation noise); quad_shadow propagates the recorded
-        coefficient quadrature errors through the same evaluation.
+        coefficient quadrature errors through the same evaluation.  All three
+        are one Horner recurrence in q, from c_0 down to c_{N-1}.
         """
         z = np.asarray(z, dtype=complex)
         w = np.asarray(w, dtype=complex)
         qv = self.q_values(z)
         aq = np.abs(qv)
         az = np.abs(z)
-        diff = (w - self.analytic_part(z)) * qv**self.big_n
-        eval_shadow = (np.abs(w) + self.analytic_part.abs_eval(az)) * aq**self.big_n
-        quad_shadow = np.zeros_like(eval_shadow)
-        for k, ck in enumerate(self.coeff_polys):
-            power = self.big_n - 1 - k
-            diff = diff - ck(z) * qv**power
-            eval_shadow = eval_shadow + ck.abs_eval(az) * aq**power
-            if self.coeff_noise:
-                noise = self.coeff_noise[k]
-                acc = np.zeros_like(az)
-                for nv in noise[::-1]:
-                    acc = acc * az + nv
-                quad_shadow = quad_shadow + acc * aq**power
+        diff = _horner(chain([w - self.analytic_part(z)],
+                             (-ck(z) for ck in self.coeff_polys)), qv)
+        eval_shadow = _horner(chain([np.abs(w) + self.analytic_part.abs_eval(az)],
+                                    (ck.abs_eval(az) for ck in self.coeff_polys)), aq)
+        quad_shadow = _horner(chain([np.zeros(eval_shadow.shape)],
+                                    (_horner(noise[::-1], az) for noise in self.coeff_noise)), aq)
         return diff, eval_shadow, quad_shadow
 
     def to_dict(self) -> dict:

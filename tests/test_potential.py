@@ -268,6 +268,9 @@ class TestHarmonicMeasure:
         est = harmonic_measure(*args, walks=2000, seed=3)
         assert est.iterations > 0 and est.residual is None
         assert harmonic_measure(*args, walks=2000, seed=3, max_steps=est.iterations + 1) == est
+        assert harmonic_measure(*args, walks=2000, seed=3, max_steps=est.iterations) == est
+        with pytest.raises(PolarhullError, match="step budget"):
+            harmonic_measure(*args, walks=2000, seed=3, max_steps=est.iterations - 1)
 
     def test_boundary_target_with_thin_obstacles(self, gauss40):
         cover = sublevel_cover(gauss40, 1.0)

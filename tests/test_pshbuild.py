@@ -270,3 +270,26 @@ class TestExport:
         w_res = np.array([r[2] for r in mid])
         cell = w_res[1] - w_res[0]
         assert abs(w_res[int(np.argmin(us))] - w_graph.real) <= cell
+
+
+@pytest.mark.parametrize("name", ["gauss10_field", "exp_field"])
+def test_u_grid_equals_u_eval_pointwise(name, request, rng):
+    field = request.getfixturevalue(name)
+    z = rng.uniform(-1.5, 1.5, 200) + 1j * rng.uniform(-1.5, 1.5, 200)
+    w = rng.uniform(-3.0, 3.0, 200) + 1j * rng.uniform(-3.0, 3.0, 200)
+    z[:20] = field.sample.points[0]  # atoms: -inf on both paths
+    grid = field.u_grid(z, w)
+    assert np.array_equal(grid, [u_eval(field, a, b) for a, b in zip(z, w)])
+    assert np.isneginf(grid[:20]).all() and np.isfinite(grid[20:]).all()
+
+
+def test_exported_rows_equal_u_eval(gauss10_field, gauss10):
+    w_graph = complex(gauss10(0.7))
+    specs = [GridSpec.fixed_z(0.7, (w_graph.real - 1.0, w_graph.real + 1.0), (-0.05, 0.05), 9, 3),
+             GridSpec.fixed_w(0.5 + 0.2j, (-1.0, 1.0), (-0.5, 0.5), 7, 4),
+             GridSpec.graph_tube((0.12, 0.92), 9, [0.0, 0.5j, 1.0])]
+    for spec in specs:
+        rows = export_field(gauss10_field, spec)
+        assert all(type(v) is float for row in rows for v in row)  # plain floats for field.csv
+        assert [r[4] for r in rows] == [u_eval(gauss10_field, complex(zr, zi), complex(wr, wi))
+                                        for zr, zi, wr, wi, _ in rows]

@@ -1,9 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from polarhull.core import CircleContour, CompactSample, poly_from_roots
 from polarhull.fekete import leja_points
-from polarhull.models import PoleSeries, RationalModel, RecipSinPi
+from polarhull.models import ExpReciprocal, PoleSeries, RationalModel, RecipSinPi
+from polarhull.pshbuild import certify_schedule, h_values
 from polarhull.ratapprox import (
     ContourTooClose,
     SeriesDiverging,
@@ -191,3 +194,55 @@ def test_capped_build_is_flagged():
     assert len(rep.entries[0]) == 4  # csv rows and callers unpack four fields
     ap = build_approximant(f, system, 33, 2)
     assert ap.to_dict()["converged"] is False and ap.to_dict()["nodes"] == 2**14
+
+
+def _power_sum_cleared_eval(ap, z, w):
+    """Oracle: `cleared_eval` as a sum of explicit powers q^(N-1-k), term by term."""
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    qv = ap.q_values(z)
+    aq = np.abs(qv)
+    az = np.abs(z)
+    diff = (w - ap.analytic_part(z)) * qv**ap.big_n
+    eval_shadow = (np.abs(w) + ap.analytic_part.abs_eval(az)) * aq**ap.big_n
+    quad_shadow = np.zeros_like(eval_shadow)
+    for k, ck in enumerate(ap.coeff_polys):
+        power = ap.big_n - 1 - k
+        diff = diff - ck(z) * qv**power
+        eval_shadow = eval_shadow + ck.abs_eval(az) * aq**power
+        acc = np.zeros_like(az)
+        for nv in ap.coeff_noise[k][::-1]:
+            acc = acc * az + nv
+        quad_shadow = quad_shadow + acc * aq**power
+    return diff, eval_shadow, quad_shadow
+
+
+@pytest.fixture(scope="module", params=[
+    (ExpReciprocal(), 8), (RationalModel([0.3, 0.5], [1.0, 2.0]), 8),
+    (RecipSinPi(8), 8), (PoleSeries.gaussian(10), 6)],
+    ids=["exp-reciprocal", "two-pole", "recip-sin-pi-8", "gaussian-10"])
+def certified_field(request):
+    f, nu_max = request.param
+    return f, certify_schedule(f, f.singular_sample(), nu_max)
+
+
+def test_horner_cleared_eval_matches_power_sums(certified_field):
+    eps = np.finfo(float).eps
+    f, field = certified_field
+    for lev in field.levels:
+        ap, grid = lev.approximant, lev.grid
+        graph = (grid.graph_nodes, np.asarray(f(grid.graph_nodes), dtype=complex))
+        oracle_ap = SimpleNamespace(normalization=ap.normalization,
+                                    cleared_eval=lambda z, w: _power_sum_cleared_eval(ap, z, w))
+        for z, w in (graph, grid.box_nodes, grid.offgraph_nodes):
+            diff, eval_shadow, quad_shadow = ap.cleared_eval(z, w)
+            o_diff, o_eval, o_quad = _power_sum_cleared_eval(ap, z, w)
+            if ap.big_n == 1:
+                assert np.array_equal(diff, o_diff)
+                assert np.array_equal(eval_shadow, o_eval)
+                assert np.array_equal(quad_shadow, o_quad)
+            assert np.all(np.abs(diff - o_diff) <= 2 * ap.big_n * eps * o_eval)
+            np.testing.assert_allclose(eval_shadow, o_eval, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(quad_shadow, o_quad, rtol=1e-13, atol=0)
+            assert np.array_equal(np.isneginf(h_values(ap, z, w)),
+                                  np.isneginf(h_values(oracle_ap, z, w)))
