@@ -15,7 +15,6 @@ from .core import (
     DiskUnion,
     PolarhullError,
     PolynomialC,
-    contour_integral,
     poly_eval,
     poly_from_roots,
     sup_norm,
@@ -36,7 +35,6 @@ __all__ = [
     "DiskUnion",
     "PolarhullError",
     "PolynomialC",
-    "contour_integral",
     "poly_eval",
     "poly_from_roots",
     "sup_norm",

@@ -2,7 +2,8 @@
 
 Config comes from an INI file (key = value sections) with flag overrides;
 flags win.  Every artifact embeds the sha256 of the resolved config and the
-library version, so identical config + seed reproduce byte-identical JSON.
+library version, so an identical config (which holds the seed of `hmeasure`)
+reproduces byte-identical JSON.
 Exit codes: 0 success, 1 config/schema error, 2 numeric failure.
 """
 from __future__ import annotations
@@ -83,15 +84,13 @@ def _parse_level(token: str) -> float:
         raise click.UsageError(f"bad level {token!r}; expected a number or e<k>")
 
 
-def _config_overlay(config_path: str | None, section: str, seed,
+def _config_overlay(config_path: str | None, section: str,
                     flags: dict, defaults: dict) -> dict:
     """Config-file sections [run] and [section], then flags, then defaults.
 
     A tolerance means something different in each command, so the file may
     set it only in the section of a command that takes one (has it in flags).
     """
-    flags = {**flags, "seed": seed}
-    defaults = {**defaults, "seed": 0}
     merged: dict = {}
     if config_path:
         parser = configparser.ConfigParser()
@@ -145,8 +144,6 @@ def _common(fn):
     fn = click.option("--config", "config_path", type=str, default=None,
                       help="INI config file; flags override its values")(fn)
     fn = click.option("--out", "out_dir", type=str, default="out")(fn)
-    fn = click.option("--seed", type=int, default=None,
-                      help="default 0; config-file value used unless set")(fn)
     return fn
 
 
@@ -166,10 +163,9 @@ def cli():
 @click.option("--center", default=None)
 @click.option("--radius", type=float, default=None)
 @click.option("--kmax", type=int, default=None)
-def decompose(config_path, out_dir, seed, tolerance, function_spec,
-              center, radius, kmax):
+def decompose(config_path, out_dir, tolerance, function_spec, center, radius, kmax):
     """Laurent split of a function model on one circle."""
-    cfg = _config_overlay(config_path, "decompose", seed, {
+    cfg = _config_overlay(config_path, "decompose", {
         "function": function_spec, "center": center, "radius": radius, "kmax": kmax,
         "tolerance": tolerance,
     }, {"center": "0", "radius": 1.0, "kmax": 32})
@@ -186,10 +182,9 @@ def decompose(config_path, out_dir, seed, tolerance, function_spec,
               help="use the singular sample of a function family")
 @click.option("--segment", default=None, help="A,B,N sample of a real segment")
 @click.option("--m", "m_points", type=int, default=None)
-def fekete(config_path, out_dir, seed, function_spec,
-           segment, m_points):
+def fekete(config_path, out_dir, function_spec, segment, m_points):
     """Leja points and the capacity diagnostic on a sample."""
-    cfg = _config_overlay(config_path, "fekete", seed, {
+    cfg = _config_overlay(config_path, "fekete", {
         "function": function_spec, "segment": segment, "m": m_points,
     }, {"m": 40})
     if cfg.get("segment"):
@@ -216,10 +211,9 @@ def fekete(config_path, out_dir, seed, function_spec,
 @click.option("--m", "m_den", type=int, default=None, help="denominator degree; defaults to sample size")
 @click.option("--n-list", default=None, help="outer orders, comma separated")
 @click.option("--target", default=None, help="target circle CX,CY:R:N")
-def approx(config_path, out_dir, seed, tolerance, function_spec, m_den,
-           n_list, target):
+def approx(config_path, out_dir, tolerance, function_spec, m_den, n_list, target):
     """Convergence scan of prescribed-pole approximants; CSV trace of errors."""
-    cfg = _config_overlay(config_path, "approx", seed, {
+    cfg = _config_overlay(config_path, "approx", {
         "function": function_spec, "m": m_den, "n_list": n_list, "target": target,
         "tolerance": tolerance,
     }, {"n_list": "1,2,3,4", "target": "0,0:2.0:128"})
@@ -244,10 +238,9 @@ def approx(config_path, out_dir, seed, tolerance, function_spec, m_den,
 @click.option("--density", type=int, default=None)
 @click.option("--tube", default=None,
               help="graph-tube export A,B:N:T1,T2,... (offsets in w)")
-def psh(config_path, out_dir, seed, function_spec, nu_max,
-        density, tube):
+def psh(config_path, out_dir, function_spec, nu_max, density, tube):
     """Certify the layered field schedule; optional graph-tube CSV export."""
-    cfg = _config_overlay(config_path, "psh", seed, {
+    cfg = _config_overlay(config_path, "psh", {
         "function": function_spec, "nu_max": nu_max, "density": density, "tube": tube,
     }, {"nu_max": 4, "density": 10})
     f = _parse_function(cfg.get("function"))
@@ -271,10 +264,9 @@ def psh(config_path, out_dir, seed, function_spec, nu_max,
 @click.option("--big-r", default=None, help="level threshold; accepts e<k> shorthand")
 @click.option("--point", default=None)
 @click.option("--depth", type=int, default=None)
-def thin(config_path, out_dir, seed, function_spec, big_r,
-         point, depth):
+def thin(config_path, out_dir, function_spec, big_r, point, depth):
     """Wiener thinness test of a sublevel cover at a point."""
-    cfg = _config_overlay(config_path, "thin", seed, {
+    cfg = _config_overlay(config_path, "thin", {
         "function": function_spec, "big_r": big_r, "point": point, "depth": depth,
     }, {"big_r": "e", "point": "0", "depth": 40})
     f = _parse_function(cfg.get("function"))
@@ -293,12 +285,13 @@ def thin(config_path, out_dir, seed, function_spec, big_r,
 @click.option("--at", "at_point", default=None)
 @click.option("--walks", type=int, default=None)
 @click.option("--method", type=click.Choice(["wos", "grid"]), default=None)
-def hmeasure(config_path, out_dir, seed, annulus, at_point,
-             walks, method):
+@click.option("--seed", type=int, default=None,
+              help="default 0; config-file value used unless set")
+def hmeasure(config_path, out_dir, annulus, at_point, walks, method, seed):
     """Harmonic measure of the inner circle in an annulus, WOS or grid."""
-    cfg = _config_overlay(config_path, "hmeasure", seed, {
-        "annulus": annulus, "at": at_point, "walks": walks, "method": method,
-    }, {"annulus": "0.1,1.0", "at": "0.4", "walks": 100000, "method": "wos"})
+    cfg = _config_overlay(config_path, "hmeasure", {
+        "annulus": annulus, "at": at_point, "walks": walks, "method": method, "seed": seed,
+    }, {"annulus": "0.1,1.0", "at": "0.4", "walks": 100000, "method": "wos", "seed": 0})
     r_in, r_out = (float(t) for t in str(cfg["annulus"]).split(","))
     est = harmonic_measure(
         _parse_point(str(cfg["at"])), CircleContour(0j, r_in), Disk(0j, r_out), DiskUnion([]),
@@ -315,10 +308,9 @@ def hmeasure(config_path, out_dir, seed, annulus, at_point,
 @click.option("--point", "points", multiple=True)
 @click.option("--r-grid", default=None)
 @click.option("--depth", type=int, default=None)
-def hull(config_path, out_dir, seed, function_spec, points,
-         r_grid, depth):
+def hull(config_path, out_dir, function_spec, points, r_grid, depth):
     """Classify hull fibers over singular points; prints a table, writes JSON."""
-    cfg = _config_overlay(config_path, "hull", seed, {
+    cfg = _config_overlay(config_path, "hull", {
         "function": function_spec, "points": ";".join(points) or None, "r_grid": r_grid,
         "depth": depth,
     }, {"points": "0", "r_grid": "e,e2,e10", "depth": 40})

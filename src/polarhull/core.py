@@ -5,7 +5,9 @@ functions, so everything is safe to share between threads.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -14,7 +16,6 @@ import numpy as np
 __all__ = [
     "PolarhullError",
     "NodeEvaluationError",
-    "QuadratureNotConverged",
     "Disk",
     "DiskUnion",
     "CompactSample",
@@ -24,7 +25,7 @@ __all__ = [
     "circle_trapezoid",
     "poly_eval",
     "poly_from_roots",
-    "contour_integral",
+    "pointwise",
     "sup_norm",
     "as_complex_array",
     "complex_to_pair",
@@ -39,10 +40,6 @@ class NodeEvaluationError(PolarhullError):
     """A function failed to produce a finite value at a required node."""
 
 
-class QuadratureNotConverged(PolarhullError):
-    """A quadrature reached its node cap before two doublings agreed."""
-
-
 def as_complex_array(values) -> np.ndarray:
     """Coerce scalars / sequences to a flat complex128 array."""
     return np.atleast_1d(np.asarray(values, dtype=complex)).ravel()
@@ -50,6 +47,25 @@ def as_complex_array(values) -> np.ndarray:
 
 def complex_to_pair(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
+
+
+def pointwise(fn):
+    """Evaluate `fn(obj, *points)` on complex arrays; scalar points run as one-element arrays.
+
+    The positional arguments after the first (the polynomial, model or
+    approximant being evaluated) are points.  Arrays are passed on as complex
+    arrays.  When every point is a scalar, each runs as a shape-(1,) array and
+    the value comes back as a Python complex, or float for a real result:
+    numpy's complex scalar arithmetic rounds differently from its array loops,
+    so this keeps a point value bitwise equal to the same point in a grid.
+    """
+    @functools.wraps(fn)
+    def evaluate(obj, *points, **kwargs):
+        points = [np.asarray(p, dtype=complex) for p in points]
+        if any([p.ndim for p in points]):
+            return fn(obj, *points, **kwargs)
+        return fn(obj, *(p.reshape(1) for p in points), **kwargs).item()
+    return evaluate
 
 
 def _eval_on_nodes(f, nodes: np.ndarray, what: str = "integrand") -> np.ndarray:
@@ -171,8 +187,19 @@ class CompactSample:
     def __len__(self):
         return len(self.points)
 
-    def min_distance_to(self, z) -> float:
-        return float(np.min(np.abs(self.points - complex(z))))
+    @pointwise
+    def min_distance_to(self, z):
+        """min |z - p| over the sample points p, for each entry of z.
+
+        The sample is taken in blocks, so no temporary holds more entries
+        than the larger of z and the sample.
+        """
+        step = max(1, len(self.points) // max(z.size, 1))
+        out = np.full(z.shape, np.inf)
+        for lo in range(0, len(self.points), step):
+            near = np.abs(z[..., None] - self.points[lo : lo + step])
+            np.minimum(out, np.min(near, axis=-1), out=out)
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -190,6 +217,8 @@ def _check_no_duplicates(pts: np.ndarray) -> None:
     points pairwise farther apart, so comparing each point with the next few
     of its cell suffices.
     """
+    if len(pts) < 2:
+        return
     cell = 3.0 * _DUPLICATE_TOL
     for sx, sy in ((0, 0), (0, 0.5), (0.5, 0), (0.5, 0.5)):
         keys = np.floor(pts.real / cell + sx) + 1j * np.floor(pts.imag / cell + sy)
@@ -236,25 +265,26 @@ class PolynomialC:
     def __call__(self, z):
         return poly_eval(self, z)
 
+    def _fold_roots(self, step, start, z):
+        """step(acc, z - root) folded over the retained roots, in their order."""
+        if self.roots is None:
+            raise ValueError("polynomial was not built from roots")
+        out = start
+        for r in self.roots:
+            out = step(out, z - r)
+        return out
+
+    @pointwise
     def eval_root_form(self, z):
         """Evaluate as a monic product of (z - root); requires retained roots."""
-        if self.roots is None:
-            raise ValueError("polynomial was not built from roots")
-        z = np.asarray(z, dtype=complex)
-        out = np.ones_like(z)
-        for r in self.roots:
-            out = out * (z - r)
-        return out * self.coeffs[-1]
+        return self._fold_roots(operator.mul, np.ones_like(z), z) * self.coeffs[-1]
 
+    @pointwise
     def log_abs_root_form(self, z):
         """log|p(z)| as a sum of log-distances (avoids over/underflow)."""
-        if self.roots is None:
-            raise ValueError("polynomial was not built from roots")
-        z = np.asarray(z, dtype=complex)
         with np.errstate(divide="ignore"):
-            out = np.zeros(z.shape, dtype=float)
-            for r in self.roots:
-                out = out + np.log(np.abs(z - r))
+            out = self._fold_roots(lambda acc, d: acc + np.log(np.abs(d)),
+                                   np.zeros(z.shape, dtype=float), z)
         return out + math.log(abs(self.coeffs[-1]))
 
     def abs_eval(self, r):
@@ -285,10 +315,10 @@ def _horner(high_first, x):
     return out
 
 
+@pointwise
 def poly_eval(p: PolynomialC, z):
     """Horner evaluation of p at z (scalar or array)."""
-    out = _horner(p.coeffs[::-1], np.asarray(z, dtype=complex))
-    return out if out.ndim else complex(out)
+    return _horner(p.coeffs[::-1], z)
 
 
 def poly_from_roots(roots) -> PolynomialC:
@@ -364,24 +394,6 @@ def circle_trapezoid(f, circles, reduce, n0: int, *, tol: float,
         if np.max(noise) <= tol * max(1.0, float(np.max(np.abs(new)))):
             return Quadrature(value, noise, n, True)
     return Quadrature(value, noise, n, False)
-
-
-def contour_integral(integrand, contour: CircleContour, *, tol: float = 1e-10) -> complex:
-    """(1/2pi i) * integral of `integrand` over the circle, periodic trapezoid rule.
-
-    Spectrally accurate for integrands analytic near the circle; starts at
-    `contour.node_count` nodes and doubles them until two results agree to
-    `tol` (relative to max(1, |value|)); raises QuadratureNotConverged if
-    they still differ at MAX_QUAD_NODES.
-    """
-    # dz = i r e^{i theta} dtheta; the 1/(2 pi i) cancels the i and the 2 pi
-    quad = circle_trapezoid(integrand, (contour,),
-                            lambda c, rot, vals: c.radius * np.mean(vals * rot),
-                            contour.node_count, tol=tol, max_nodes=MAX_QUAD_NODES)
-    if not quad.converged:
-        raise QuadratureNotConverged(
-            f"contour integral still moved by {float(quad.noise):.3e} at {quad.nodes} nodes")
-    return complex(quad.value)
 
 
 def sup_norm(f, sample: CompactSample) -> float:

@@ -265,8 +265,7 @@ def vn_upper_bound(f: PoleSeries, big_r: float, disc: Disk, w_probe: complex,
     if abs(w_probe) >= big_r:
         raise ValueError("probe must satisfy |w| < big_r")
     z0, r0 = complex(disc.center), float(disc.radius)
-    sep = float(np.min(np.abs(np.concatenate([[0.0 + 0j], f.poles]) - z0)))
-    if sep < 2.0 * r0:
+    if f.singular_sample(include_origin=True).min_distance_to(z0) < 2.0 * r0:
         raise ValueError("need the doubled disc to avoid the closed singular set")
 
     abs_a = np.abs(f.poles)

@@ -22,6 +22,7 @@ from .core import (
     _horner,
     circle_trapezoid,
     complex_to_pair,
+    pointwise,
 )
 
 __all__ = [
@@ -93,13 +94,14 @@ class LaurentSplit:
     nodes: int
     converged: bool
 
+    @pointwise
     def analytic_eval(self, z):
-        return self.analytic_part(np.asarray(z, dtype=complex) - self.center)
+        return self.analytic_part(z - self.center)
 
+    @pointwise
     def principal_eval(self, z):
-        u = 1.0 / (np.asarray(z, dtype=complex) - self.center)
-        out = _horner(self.principal_part[::-1], u) * u
-        return out if out.ndim else complex(out)
+        u = 1.0 / (z - self.center)
+        return _horner(self.principal_part[::-1], u) * u
 
     def reconstruct(self, z):
         return self.analytic_eval(z) + self.principal_eval(z)
@@ -190,15 +192,16 @@ class MittagLefflerSplit:
     nodes: int
     converged: bool
 
+    @pointwise
     def principal_sum(self, z):
-        z = np.asarray(z, dtype=complex)
         out = np.zeros(z.shape, dtype=complex)
         for _, split in self.components:
             out = out + split.principal_eval(z)
-        return out if out.ndim else complex(out)
+        return out
 
+    @pointwise
     def analytic_eval(self, z):
-        return self.analytic_part(np.asarray(z, dtype=complex) - self.analytic_center)
+        return self.analytic_part(z - self.analytic_center)
 
     def reconstruct(self, z):
         return self.analytic_eval(z) + self.principal_sum(z)

@@ -19,6 +19,7 @@ from .core import (
     ZERO_POLY,
     as_complex_array,
     complex_to_pair,
+    pointwise,
 )
 
 __all__ = [
@@ -60,8 +61,7 @@ class FunctionModel:
 
 
 def _chunked_pole_sum(z, poles, weights):
-    """sum_n weights[n] / (z - poles[n]), chunked over poles for large models."""
-    z = np.asarray(z, dtype=complex)
+    """sum_n weights[n] / (z - poles[n]) at the complex array z, chunked over poles."""
     out = np.zeros(z.shape, dtype=complex)
     flat = out.reshape(-1)
     zf = z.reshape(-1)
@@ -70,7 +70,7 @@ def _chunked_pole_sum(z, poles, weights):
         p = poles[lo : lo + step]
         w = weights[lo : lo + step]
         flat += (w[None, :] / (zf[:, None] - p[None, :])).sum(axis=1)
-    return out if out.ndim else complex(out)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +111,7 @@ class PoleSeries(FunctionModel):
     def n_terms(self) -> int:
         return len(self.poles)
 
+    @pointwise
     def __call__(self, z):
         return _chunked_pole_sum(z, self.poles, self.residues)
 
@@ -194,23 +195,19 @@ class ExpReciprocal(FunctionModel):
     family = "exp-reciprocal"
     label = "exp-reciprocal"
 
+    @pointwise
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.exp(1.0 / z)
-        return out if out.ndim else complex(out)
+        return np.exp(1.0 / z)
 
     def singular_sample(self) -> CompactSample:
         return CompactSample([0.0 + 0j])
 
     def split_at_infinity(self):
-        analytic = PolynomialC([1.0])
+        return PolynomialC([1.0]), self._principal
 
-        def principal(z):
-            z = np.asarray(z, dtype=complex)
-            out = np.expm1(1.0 / z)
-            return out if out.ndim else complex(out)
-
-        return analytic, principal
+    @pointwise
+    def _principal(self, z):
+        return np.expm1(1.0 / z)
 
 
 class RecipSinPi(FunctionModel):
@@ -222,10 +219,9 @@ class RecipSinPi(FunctionModel):
     def __init__(self, pole_cutoff: int = 64):
         self.pole_cutoff = int(pole_cutoff)
 
+    @pointwise
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = 1.0 / np.sin(np.pi / z)
-        return out if out.ndim else complex(out)
+        return 1.0 / np.sin(np.pi / z)
 
     def singular_sample(self) -> CompactSample:
         n = np.arange(1, self.pole_cutoff + 1)
@@ -234,14 +230,11 @@ class RecipSinPi(FunctionModel):
 
     def split_at_infinity(self):
         # sin(pi/z) ~ pi/z at infinity, so f(z) - z/pi -> 0
-        analytic = PolynomialC([0.0, 1.0 / math.pi])
+        return PolynomialC([0.0, 1.0 / math.pi]), self._principal
 
-        def principal(z):
-            z = np.asarray(z, dtype=complex)
-            out = 1.0 / np.sin(np.pi / z) - z / math.pi
-            return out if out.ndim else complex(out)
-
-        return analytic, principal
+    @pointwise
+    def _principal(self, z):
+        return 1.0 / np.sin(np.pi / z) - z / math.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,16 +257,16 @@ class RationalModel(FunctionModel):
         if self.poles.shape != self.residues.shape:
             raise ValueError("poles and residues must have equal length")
 
+    @pointwise
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = self.polynomial(z) + _chunked_pole_sum(z, self.poles, self.residues)
-        return out if np.ndim(out) else complex(out)
+        return self.polynomial(z) + self._principal(z)
 
     def singular_sample(self) -> CompactSample:
         return CompactSample(self.poles)
 
     def split_at_infinity(self):
-        def principal(z):
-            return _chunked_pole_sum(z, self.poles, self.residues)
+        return self.polynomial, self._principal
 
-        return self.polynomial, principal
+    @pointwise
+    def _principal(self, z):
+        return _chunked_pole_sum(z, self.poles, self.residues)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompactSample, PolarhullError, complex_to_pair
+from .core import CompactSample, PolarhullError, complex_to_pair, pointwise
 from .fekete import leja_points
 from .ratapprox import RationalApproximant, build_approximant
 
@@ -71,11 +71,11 @@ def h_values(approximant: RationalApproximant, z, w, *, floor: float | None = No
     return out
 
 
+@pointwise
 def h_eval(approximant: RationalApproximant, z, w, *, floor: float | None = None,
            noise_rel: float = 1e-12) -> float:
     """(1/n) log |w q(z) - p(z)| in cleared form, or -inf below the noise shadow."""
-    return float(h_values(approximant, complex(z), complex(w),
-                          floor=floor, noise_rel=noise_rel)[0])
+    return h_values(approximant, z, w, floor=floor, noise_rel=noise_rel)
 
 
 def evans_discrete(k: CompactSample):
@@ -111,8 +111,7 @@ def _certification_grid(f, sample: CompactSample, nu: int, density: int) -> Cert
     zz = (axis[None, :] + 1j * axis[:, None]).ravel()
     keep = np.abs(zz) < nu
     zz = zz[keep]
-    dmin = np.min(np.abs(zz[:, None] - pts[None, :]), axis=1)
-    graph = zz[dmin > cut]
+    graph = zz[sample.min_distance_to(zz) > cut]
 
     # ring nodes hug the excluded neighborhoods where the bounds are tightest
     angles = np.exp(2j * np.pi * np.arange(16) / 16)
@@ -121,8 +120,7 @@ def _certification_grid(f, sample: CompactSample, nu: int, density: int) -> Cert
         ring = (pts[:, None] + s * cut * angles[None, :]).ravel()
         rings.append(ring)
     ring = np.concatenate(rings)
-    rmin = np.min(np.abs(ring[:, None] - pts[None, :]), axis=1)
-    ring = ring[(rmin > cut) & (np.abs(ring) < nu)]
+    ring = ring[(sample.min_distance_to(ring) > cut) & (np.abs(ring) < nu)]
     graph = np.concatenate([graph, ring])
 
     n_box = 48
@@ -206,14 +204,13 @@ class PshField:
         }
 
 
+@pointwise
 def u_eval(field: PshField, z, w) -> float:
     """Weighted sum of clamped levels plus the atomic potential.
 
     Finite everywhere except exactly on the atoms, where -inf is returned.
     """
-    # one-element arrays take numpy's array loops, as u_grid does; complex
-    # scalar arithmetic rounds differently and would break pointwise equality
-    return float(field.u_grid([complex(z)], [complex(w)])[0])
+    return field.u_grid(z, w)
 
 
 def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, degree_cap: int = 200,

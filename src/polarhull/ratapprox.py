@@ -25,6 +25,7 @@ from .core import (
     _horner,
     circle_trapezoid,
     complex_to_pair,
+    pointwise,
     poly_from_roots,
 )
 from .fekete import FeketeSystem
@@ -96,19 +97,17 @@ class RationalApproximant:
         return self.degree + max(extra, 0)
 
     def q_values(self, z):
-        return self.q_m.eval_root_form(np.asarray(z, dtype=complex))
+        return self.q_m.eval_root_form(z)
 
+    @pointwise
     def principal_eval(self, z):
         """sum_k c_k(z) / q(z)^{k+1}; finite wherever q(z) != 0."""
-        z = np.asarray(z, dtype=complex)
         u = 1.0 / self.q_values(z)
-        out = _horner((ck(z) for ck in reversed(self.coeff_polys)), u) * u
-        return out if out.ndim else complex(out)
+        return _horner((ck(z) for ck in reversed(self.coeff_polys)), u) * u
 
+    @pointwise
     def eval(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = self.analytic_part(z) + self.principal_eval(z)
-        return out if np.ndim(out) else complex(out)
+        return self.analytic_part(z) + self.principal_eval(z)
 
     __call__ = eval
 
@@ -255,10 +254,11 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, n_scale: int = 2
     circles = tuple(circles)
 
     gap_tol = 1e-9 * min(c.radius for c in circles)
+    root_sample = CompactSample(roots)
 
     def principal_on_nodes(zeta):  # vets the nodes before evaluating on them
         qv = np.abs(q.eval_root_form(zeta))
-        if qv.min() <= rho or np.min(np.abs(zeta[:, None] - q.roots[None, :])) <= gap_tol:
+        if qv.min() <= rho or np.min(root_sample.min_distance_to(zeta)) <= gap_tol:
             raise ContourTooClose(f"|q_m| <= rho_m at the contour node {zeta[qv.argmin()]!r}")
         return principal(zeta)
 
@@ -353,7 +353,7 @@ def convergence_scan(f, sys: FeketeSystem, schedule, target: CompactSample, *,
     degrees = [m * n for m, n in schedule]
     if any(b <= a for a, b in zip(degrees, degrees[1:])):
         raise ValueError("schedule degrees must be strictly increasing")
-    dist = min(target.min_distance_to(p) for p in sys.base_set.points)
+    dist = float(np.min(sys.base_set.min_distance_to(target.points)))
     if dist <= 0:
         raise ValueError("target must keep positive distance from the sample")
 

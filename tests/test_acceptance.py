@@ -197,7 +197,7 @@ def test_criterion_10_series_conditions():
 
 def test_criterion_11_cli_determinism(tmp_path):
     args = ["hull", "--function", "pole-series-gaussian:40", "--point", "0",
-            "--r-grid", "1,2,4", "--seed", "3"]
+            "--r-grid", "1,2,4"]
     assert cli_main(args + ["--out", str(tmp_path / "a")]) == 0
     assert cli_main(args + ["--out", str(tmp_path / "b")]) == 0
     a = (tmp_path / "a" / "hull.json").read_bytes()

@@ -53,7 +53,7 @@ def test_hmeasure_csv_row(tmp_path):
 
 def test_byte_identical_reruns(tmp_path):
     args = ["hull", "--function", "pole-series-gaussian:40", "--point", "0",
-            "--r-grid", "1,2,4", "--seed", 3]
+            "--r-grid", "1,2,4"]
     assert run(args + ["--out", tmp_path / "a"]) == 0
     assert run(args + ["--out", tmp_path / "b"]) == 0
     a = (tmp_path / "a" / "hull.json").read_bytes()
@@ -95,14 +95,21 @@ def test_fekete_segment_artifact(tmp_path):
 
 
 @pytest.mark.parametrize("command", [
-    ["hull", "--function", "exp-reciprocal"],
-    ["hmeasure", "--walks", 10],
-    ["fekete", "--segment", "-1,1,11"],
-    ["thin", "--function", "exp-reciprocal", "--depth", 20],
-    ["psh", "--function", "exp-reciprocal", "--nu-max", 1],
+    ["hull", "--function", "exp-reciprocal", "--tolerance", 1e-3],
+    ["hmeasure", "--walks", 10, "--tolerance", 1e-3],
+    ["fekete", "--segment", "-1,1,11", "--tolerance", 1e-3],
+    ["thin", "--function", "exp-reciprocal", "--depth", 20, "--tolerance", 1e-3],
+    ["psh", "--function", "exp-reciprocal", "--nu-max", 1, "--tolerance", 1e-3],
+    # only hmeasure draws random numbers, so only hmeasure takes a seed
+    ["decompose", "--function", "exp-reciprocal", "--kmax", 8, "--seed", 3],
+    ["fekete", "--segment", "-1,1,11", "--seed", 3],
+    ["approx", "--function", "exp-reciprocal", "--n-list", 1, "--seed", 3],
+    ["psh", "--function", "exp-reciprocal", "--nu-max", 2, "--seed", 3],
+    ["thin", "--function", "exp-reciprocal", "--depth", 20, "--seed", 3],
+    ["hull", "--function", "exp-reciprocal", "--seed", 3],
 ])
 def test_tolerance_rejected_where_unused(tmp_path, command):
-    assert run(command + ["--tolerance", 1e-3, "--out", tmp_path / "x"]) == 1
+    assert run(command + ["--out", tmp_path / "x"]) == 1
     assert not (tmp_path / "x").exists()
 
 
