@@ -58,13 +58,15 @@ def pointwise(fn):
     the value comes back as a Python complex, or float for a real result:
     numpy's complex scalar arithmetic rounds differently from its array loops,
     so this keeps a point value bitwise equal to the same point in a grid.
+    A function that returns a tuple of arrays returns a tuple of such values.
     """
     @functools.wraps(fn)
     def evaluate(obj, *points, **kwargs):
         points = [np.asarray(p, dtype=complex) for p in points]
         if any([p.ndim for p in points]):
             return fn(obj, *points, **kwargs)
-        return fn(obj, *(p.reshape(1) for p in points), **kwargs).item()
+        out = fn(obj, *(p.reshape(1) for p in points), **kwargs)
+        return tuple(v.item() for v in out) if isinstance(out, tuple) else out.item()
     return evaluate
 
 
@@ -301,15 +303,17 @@ class PolynomialC:
 ZERO_POLY = PolynomialC([0.0])
 
 
-def _horner(high_first, x):
+def _horner(high_first, x, start=None):
     """Horner's rule for the polynomial in x with coefficients `high_first`.
 
     The coefficients run from the highest power down to the constant; each
     may be a scalar or an array that broadcasts against the array x, and
     `high_first` may be a generator, so array coefficients are made one at a
-    time.  The running sum starts from zeros shaped like x.
+    time.  The running sum starts from zeros shaped like x, or from `start`,
+    a sum this function returned for the leading coefficients: folding the
+    rest into it is bitwise the fold of all of them from zeros.
     """
-    out = np.zeros_like(x)
+    out = np.zeros_like(x) if start is None else start
     for c in high_first:
         out = out * x + c
     return out

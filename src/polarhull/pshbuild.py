@@ -40,9 +40,10 @@ __all__ = [
 class ScheduleExhausted(PolarhullError):
     """No degree below the cap certified the requested level."""
 
-    def __init__(self, nu: int, best: dict):
+    def __init__(self, nu: int, best: dict, tried: tuple):
         self.nu = nu
         self.best = best
+        self.tried = tried  # every (N, h_graph, h_box, h_offgraph, converged), in order
         super().__init__(f"level nu={nu} not certified below degree cap; best bounds {best}")
 
 
@@ -57,8 +58,12 @@ def h_values(approximant: RationalApproximant, z, w, *, floor: float | None = No
     evaluation with the propagated quadrature noise of the coefficients; a
     modulus below it cannot be certified as a finite value in this precision.
     """
-    diff, eval_shadow, quad_shadow = approximant.cleared_eval(z, w)
-    n = approximant.normalization
+    return _h_of_cleared(approximant.cleared_eval(z, w), approximant.normalization,
+                         floor, noise_rel)
+
+
+def _h_of_cleared(cleared, n: int, floor: float | None, noise_rel: float) -> np.ndarray:
+    diff, eval_shadow, quad_shadow = cleared
     thr = noise_rel * eval_shadow + QUAD_NOISE_SAFETY * quad_shadow
     if floor is not None:
         thr = np.maximum(thr, math.exp(n * floor))
@@ -142,6 +147,9 @@ def _certification_grid(f, sample: CompactSample, nu: int, density: int) -> Cert
     return CertificationGrid(nu=nu, graph_nodes=graph, box_nodes=box, offgraph_nodes=off)
 
 
+TRIED_KEYS = ("big_n", "h_bound_graph", "h_bound_box", "h_bound_offgraph", "converged")
+
+
 @dataclass(frozen=True, eq=False)
 class PshLevel:
     nu: int
@@ -150,6 +158,7 @@ class PshLevel:
     h_bound_box: float
     h_bound_offgraph: float
     grid: CertificationGrid
+    tried: tuple  # every (N, h_graph, h_box, h_offgraph, converged), in order
 
     def to_dict(self) -> dict:
         return {
@@ -160,6 +169,7 @@ class PshLevel:
             "h_bound_box": self.h_bound_box,
             "h_bound_offgraph": self.h_bound_offgraph,
             "grid": self.grid.to_dict(),
+            "tried": [dict(zip(TRIED_KEYS, entry)) for entry in self.tried],
         }
 
 
@@ -221,7 +231,11 @@ def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, degree_cap: int = 
     The denominator degree m is pinned to the sample size (finite samples are
     consumed exactly); the outer order N increases until the level certifies or
     the degree cap is hit.  Levels reuse the approximant cache, and the search
-    for level nu+1 starts at the order that certified level nu.
+    for level nu+1 starts at the order that certified level nu.  Within a
+    level, each grid's cleared Horner recurrence resumes from the previous
+    order's wherever that approximant is bitwise the leading part of the next
+    (`RationalApproximant.cleared_fold`), so a try usually folds in one more
+    coefficient instead of all N.
     """
     if not 2 <= nu_max <= 12:
         raise ValueError("nu_max must be in [2, 12]")
@@ -238,29 +252,35 @@ def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, degree_cap: int = 
     start_n = 1
     for nu in range(2, nu_max + 1):
         grid = _certification_grid(f, k, nu, density)
-        fz = np.asarray(f(grid.graph_nodes), dtype=complex)
-        best = {"graph": np.inf, "box": np.inf, "offgraph": -np.inf, "big_n": None}
+        nodes = ((grid.graph_nodes, np.asarray(f(grid.graph_nodes), dtype=complex)),
+                 grid.box_nodes, grid.offgraph_nodes)
+        folds = [None] * len(nodes)
+        tried = []
         certified = None
         n = start_n
         while m * n <= max(degree_cap, m):
             approx = approx_for(n)
-            hg = float(np.max(h_values(approx, grid.graph_nodes, fz, noise_rel=noise_rel)))
-            hb = float(np.max(h_values(approx, *grid.box_nodes, noise_rel=noise_rel)))
-            ho = float(np.min(h_values(approx, *grid.offgraph_nodes, noise_rel=noise_rel)))
-            if hg < best["graph"]:
-                best.update(graph=hg, box=hb, offgraph=ho, big_n=n)
+            bounds = []
+            for i, ((z, w), reduce) in enumerate(zip(nodes, (np.max, np.max, np.min))):
+                folds[i] = approx.cleared_fold(z, w, folds[i])
+                h = _h_of_cleared(folds[i].cleared, approx.normalization, None, noise_rel)
+                bounds.append(float(reduce(h)))
+            hg, hb, ho = bounds
+            tried.append((n, hg, hb, ho, approx.converged))
             # an approximant whose quadrature never settled certifies nothing
             ok = (approx.converged and hg <= -nu and hb <= math.log(nu + 2)
                   and ho >= -math.log(nu + 1))
             if ok:
                 certified = PshLevel(
                     nu=nu, approximant=approx, h_bound_graph=hg,
-                    h_bound_box=hb, h_bound_offgraph=ho, grid=grid,
+                    h_bound_box=hb, h_bound_offgraph=ho, grid=grid, tried=tuple(tried),
                 )
                 break
             n += 1
         if certified is None:
-            raise ScheduleExhausted(nu, best)
+            big_n, hg, hb, ho, _ = min(tried, key=lambda t: t[1])  # the first lowest graph bound
+            best = {"graph": hg, "box": hb, "offgraph": ho, "big_n": big_n}
+            raise ScheduleExhausted(nu, best, tuple(tried))
         levels.append(certified)
         start_n = certified.approximant.big_n
 

@@ -34,6 +34,7 @@ __all__ = [
     "ContourTooClose",
     "SeriesDiverging",
     "RationalApproximant",
+    "ClearedFold",
     "ConvergenceReport",
     "rho_of",
     "build_approximant",
@@ -111,6 +112,7 @@ class RationalApproximant:
 
     __call__ = eval
 
+    @pointwise
     def cleared_eval(self, z, w):
         """Denominator-cleared difference  w*q^N - p  with its error shadows.
 
@@ -121,18 +123,39 @@ class RationalApproximant:
         coefficient quadrature errors through the same evaluation.  All three
         are one Horner recurrence in q, from c_0 down to c_{N-1}.
         """
-        z = np.asarray(z, dtype=complex)
-        w = np.asarray(w, dtype=complex)
-        qv = self.q_values(z)
-        aq = np.abs(qv)
-        az = np.abs(z)
-        diff = _horner(chain([w - self.analytic_part(z)],
-                             (-ck(z) for ck in self.coeff_polys)), qv)
-        eval_shadow = _horner(chain([np.abs(w) + self.analytic_part.abs_eval(az)],
-                                    (ck.abs_eval(az) for ck in self.coeff_polys)), aq)
-        quad_shadow = _horner(chain([np.zeros(eval_shadow.shape)],
-                                    (_horner(noise[::-1], az) for noise in self.coeff_noise)), aq)
-        return diff, eval_shadow, quad_shadow
+        return self.cleared_fold(z, w).cleared
+
+    def cleared_fold(self, z, w, prior: "ClearedFold | None" = None) -> "ClearedFold":
+        """The Horner recurrence of `cleared_eval` on (z, w), kept to resume.
+
+        A `prior` fold on the same z and w array objects, of an approximant
+        whose q_m, analytic part, coefficients and noise are bitwise the
+        leading part of this one's, is extended by the remaining coefficients
+        only.  Any other prior is ignored and the fold starts from zeros.
+        Either way the result is bitwise the fold from zeros.
+        """
+        if prior is not None and prior.z is z and prior.w is w and _leads(prior.approximant, self):
+            qv, aq, az = prior.qv, prior.aq, prior.az
+            diff, eval_shadow, quad_shadow = prior.cleared
+            done = len(prior.approximant.coeff_polys)
+        else:
+            z = np.asarray(z, dtype=complex)
+            w = np.asarray(w, dtype=complex)
+            qv = self.q_values(z)
+            aq = np.abs(qv)
+            az = np.abs(z)
+            head = np.abs(w) + self.analytic_part.abs_eval(az)
+            diff = _horner([w - self.analytic_part(z)], qv)
+            eval_shadow = _horner([head], aq)
+            quad_shadow = _horner([np.zeros(head.shape)], aq)
+            done = 0
+        polys, noise = self.coeff_polys[done:], self.coeff_noise[done:]
+        return ClearedFold(
+            self, z, w, qv, aq, az,
+            _horner((-ck(z) for ck in polys), qv, diff),
+            _horner((ck.abs_eval(az) for ck in polys), aq, eval_shadow),
+            _horner((_horner(nv[::-1], az) for nv in noise), aq, quad_shadow),
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -148,6 +171,44 @@ class RationalApproximant:
             "nodes": self.nodes,
             "converged": self.converged,
         }
+
+
+@dataclass(frozen=True, eq=False)
+class ClearedFold:
+    """`RationalApproximant.cleared_fold`'s running state: the cleared triple
+    of `approximant` on (z, w), with q(z), |q(z)| and |z| to extend it."""
+
+    approximant: RationalApproximant
+    z: np.ndarray
+    w: np.ndarray
+    qv: np.ndarray
+    aq: np.ndarray
+    az: np.ndarray
+    diff: np.ndarray
+    eval_shadow: np.ndarray
+    quad_shadow: np.ndarray
+
+    @property
+    def cleared(self) -> tuple:
+        return self.diff, self.eval_shadow, self.quad_shadow
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _leads(old: RationalApproximant, new: RationalApproximant) -> bool:
+    """Whether every input of `old`'s cleared fold is bitwise that of `new`'s."""
+    k = len(old.coeff_polys)
+    if len(old.coeff_noise) != k or len(new.coeff_polys) < k or len(new.coeff_noise) < k:
+        return False
+    pairs = chain(
+        [(old.q_m.roots, new.q_m.roots), (old.q_m.coeffs, new.q_m.coeffs),
+         (old.analytic_part.coeffs, new.analytic_part.coeffs)],
+        ((a.coeffs, b.coeffs) for a, b in zip(old.coeff_polys, new.coeff_polys)),
+        zip(old.coeff_noise, new.coeff_noise),
+    )
+    return all(_same_bits(a, b) for a, b in pairs)
 
 
 def _kernel_rows(q: PolynomialC, zeta: np.ndarray) -> np.ndarray:

@@ -156,3 +156,17 @@ def test_hmeasure_grid_reruns_byte_identical(tmp_path):
     result = json.loads(a)["result"]
     assert result["iterations"] == 844
     assert result["residual"] < 1e-8
+
+
+def test_psh_artifact_lists_every_try(tmp_path):
+    out = tmp_path / "run"
+    assert run(["psh", "--function", "exp-reciprocal", "--nu-max", 3, "--out", out]) == 0
+    levels = json.loads((out / "psh.json").read_text())["result"]["levels"]
+    start = 1
+    for lev in levels:
+        tried = lev["tried"]
+        assert [t["big_n"] for t in tried] == list(range(start, lev["big_n"] + 1))
+        assert {k: tried[-1][k] for k in ("h_bound_graph", "h_bound_box", "h_bound_offgraph")} == {
+            k: lev[k] for k in ("h_bound_graph", "h_bound_box", "h_bound_offgraph")}
+        assert tried[-1]["converged"] is True
+        start = lev["big_n"]

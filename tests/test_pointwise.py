@@ -113,3 +113,13 @@ def test_h_eval_matches_certification_values(gauss10_field, points):
     for lev in gauss10_field.levels:
         grid = h_values(lev.approximant, z, w)
         assert [h_eval(lev.approximant, a, b) for a, b in zip(z, w)] == grid.tolist()
+
+
+def test_cleared_eval_scalar_equals_array_entry(gauss10_field, points):
+    z, w = points
+    for lev in gauss10_field.levels:
+        grid = lev.approximant.cleared_eval(z, w)
+        scalars = [lev.approximant.cleared_eval(a, b) for a, b in zip(z, w)]
+        for part, kind, column in zip(grid, (complex, float, float), zip(*scalars)):
+            assert all(type(s) is kind for s in column)
+            assert list(column) == part.tolist()

@@ -5,17 +5,19 @@ import warnings
 import numpy as np
 import pytest
 
-from polarhull.core import CompactSample
+from polarhull.core import CompactSample, PolynomialC
 from polarhull.fekete import leja_points
-from polarhull.models import ExpReciprocal, PoleSeries, RationalModel
+from polarhull.models import ExpReciprocal, PoleSeries, RationalModel, RecipSinPi
 from polarhull.pshbuild import (
     GridSpec,
     PshField,
     ScheduleExhausted,
+    _certification_grid,
     certify_schedule,
     evans_discrete,
     export_field,
     h_eval,
+    h_values,
     u_eval,
 )
 from polarhull.ratapprox import build_approximant
@@ -121,6 +123,10 @@ class TestCertify:
             certify_schedule(f, f.singular_sample(), 4, degree_cap=3)
         assert info.value.nu == 2
         assert math.isfinite(info.value.best["graph"])
+        tried = info.value.tried
+        assert [t[0] for t in tried] == [1, 2, 3]
+        best = min(tried, key=lambda t: t[1])
+        assert best[:4] == tuple(info.value.best[k] for k in ("big_n", "graph", "box", "offgraph"))
 
 
     def test_unconverged_approximant_never_certifies(self):
@@ -144,6 +150,76 @@ class TestCertify:
                                                        converged=False)
         with pytest.raises(ScheduleExhausted):
             certify_schedule(f, f.singular_sample(), 2, degree_cap=6, builder=builder)
+
+
+FIELD_CERTIFY = {
+    "exp-reciprocal/nu8": (ExpReciprocal(), 8),
+    "two-pole/nu8": (RationalModel([0.3, 0.5], [1.0, 2.0]), 8),
+    "recip-sin-pi-8/nu8": (RecipSinPi(8), 8),
+    "gaussian-10/nu4": (PoleSeries.gaussian(10), 4),
+    "gaussian-10/nu6": (PoleSeries.gaussian(10), 6),
+    "geometric-10/nu6": (PoleSeries.geometric(10), 6),
+    "gaussian-20/nu4": (PoleSeries.gaussian(20), 4),
+}
+
+
+def _bend_odd_orders(*args, **kwargs):
+    """`build_approximant` with c_0 scaled by 1 + 1e-12 at odd N: no order leads the next."""
+    ap = build_approximant(*args, **kwargs)
+    if ap.big_n % 2 == 0:
+        return ap
+    c0 = PolynomialC(ap.coeff_polys[0].coeffs * (1 + 1e-12))
+    return dataclasses.replace(ap, coeff_polys=(c0,) + ap.coeff_polys[1:])
+
+
+def _refold_oracle(f, nu_max, build):
+    """`certify_schedule`'s search with every try evaluated from zeros by `h_values`.
+
+    Returns each level's tries, (N, h_graph, h_box, h_offgraph, converged).
+    """
+    k = f.singular_sample()
+    m = len(k)
+    system = leja_points(k, m)
+    levels, n = [], 1
+    for nu in range(2, nu_max + 1):
+        grid = _certification_grid(f, k, nu, 10)
+        graph = (grid.graph_nodes, np.asarray(f(grid.graph_nodes), dtype=complex))
+        tried = []
+        while True:
+            assert m * n <= max(200, m), "oracle exhausted the degree cap"
+            ap = build(f, system, m, n, 2, quad_tol=1e-13)
+            hg = float(np.max(h_values(ap, *graph)))
+            hb = float(np.max(h_values(ap, *grid.box_nodes)))
+            ho = float(np.min(h_values(ap, *grid.offgraph_nodes)))
+            tried.append((n, hg, hb, ho, ap.converged))
+            if ap.converged and hg <= -nu and hb <= math.log(nu + 2) and ho >= -math.log(nu + 1):
+                break
+            n += 1
+        levels.append(tuple(tried))
+    return levels
+
+
+@pytest.mark.parametrize("builder", [build_approximant, _bend_odd_orders],
+                         ids=["plain", "bent-c0-at-odd-n"])
+@pytest.mark.parametrize("label", list(FIELD_CERTIFY))
+def test_certify_equals_refold_oracle(label, builder):
+    # the oracle reuses certify_schedule's approximants; only evaluation differs
+    f, nu_max = FIELD_CERTIFY[label]
+    built = {}
+
+    def build(f, system, m, n, *args, **kwargs):
+        if n not in built:
+            built[n] = builder(f, system, m, n, *args, **kwargs)
+        return built[n]
+
+    field = certify_schedule(f, f.singular_sample(), nu_max, builder=build)
+    oracle = _refold_oracle(f, nu_max, build)
+    # repr round-trips every float exactly, -0.0 and -inf included
+    assert repr([lev.tried for lev in field.levels]) == repr(oracle)
+    for lev in field.levels:
+        bounds = (lev.approximant.big_n, lev.h_bound_graph, lev.h_bound_box,
+                  lev.h_bound_offgraph, True)
+        assert repr(lev.tried[-1]) == repr(bounds)
 
 
 class TestUEval:

@@ -1,9 +1,10 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from polarhull.core import CircleContour, CompactSample, poly_from_roots
+from polarhull.core import CircleContour, CompactSample, PolynomialC, poly_from_roots
 from polarhull.fekete import leja_points
 from polarhull.models import ExpReciprocal, PoleSeries, RationalModel, RecipSinPi
 from polarhull.pshbuild import certify_schedule, h_values
@@ -246,3 +247,31 @@ def test_horner_cleared_eval_matches_power_sums(certified_field):
             np.testing.assert_allclose(quad_shadow, o_quad, rtol=1e-13, atol=0)
             assert np.array_equal(np.isneginf(h_values(ap, z, w)),
                                   np.isneginf(h_values(oracle_ap, z, w)))
+
+
+def _bits(parts):
+    return [np.asarray(p).tobytes() for p in parts]
+
+
+def test_cleared_fold_resumes_only_on_a_bitwise_prefix(rng):
+    f = ExpReciprocal()
+    system = leja_points(f.singular_sample(), 1)
+    ap3, ap4 = (build_approximant(f, system, 1, n, quad_tol=1e-13) for n in (3, 4))
+    c0 = ap4.coeff_polys[0]
+    bent = dataclasses.replace(ap4, coeff_polys=(PolynomialC(c0.coeffs * (1 + 1e-12)),)
+                               + ap4.coeff_polys[1:])
+    z = rng.uniform(-1.5, 1.5, 300) + 1j * rng.uniform(-1.5, 1.5, 300)
+    w = rng.uniform(-3.0, 3.0, 300) + 1j * rng.uniform(-3.0, 3.0, 300)
+    prior = ap3.cleared_fold(z, w)
+    cases = [
+        (ap4, prior, z, True),           # order 3 leads order 4: one more coefficient
+        (ap4, prior, z.copy(), False),   # other z array: fold from zeros
+        (bent, prior, z, False),         # c_0 differs: fold from zeros
+        (ap3, ap4.cleared_fold(z, w), z, False),  # a longer fold never leads a shorter one
+    ]
+    for ap, earlier, zz, resumed in cases:
+        fold = ap.cleared_fold(zz, w, earlier)
+        assert (fold.qv is earlier.qv) == resumed
+        assert _bits(fold.cleared) == _bits(ap.cleared_eval(zz, w))
+    # the bent approximant's values differ, so resuming across it would show
+    assert _bits(bent.cleared_eval(z, w)) != _bits(ap4.cleared_eval(z, w))
