@@ -268,12 +268,22 @@ class PolynomialC:
         return poly_eval(self, z)
 
     def _fold_roots(self, step, start, z):
-        """step(acc, z - root) folded over the retained roots, in their order."""
+        """step(acc, z - root) folded over the retained roots, in their order.
+
+        The difference is bound to a name so that numpy never treats it as
+        an elidable temporary: past its elision threshold (256 KiB) numpy
+        computes `acc * (z - r)` in place as `(z - r) * acc`, and complex
+        products are not bitwise commutative, so a point's value would depend
+        on the size of its array.  No in-place ufunc call either: with `out`
+        aliasing an operand, numpy rounds a one-element complex product
+        differently.
+        """
         if self.roots is None:
             raise ValueError("polynomial was not built from roots")
         out = start
         for r in self.roots:
-            out = step(out, z - r)
+            d = z - r
+            out = step(out, d)
         return out
 
     @pointwise

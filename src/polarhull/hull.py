@@ -203,10 +203,10 @@ def classify_fiber(f: FunctionModel, z0: complex, r_grid, *,
     for big_r in r_grid:
         try:
             cover = potential.sublevel_cover(f, big_r, z0, window)
-            depth_eff = min(depth, cover.faithful_depth)
-            if depth_eff < depth:
-                notes.append(f"R={big_r}: depth capped at {depth_eff} by cover resolution")
-            reports.append(potential.wiener_test(cover, z0, depth_eff))
+            report = potential.wiener_test(cover, z0, depth)
+            if report.depth < depth:
+                notes.append(f"R={big_r}: depth capped at {report.depth} by cover resolution")
+            reports.append(report)
         except PolarhullError as e:
             notes.append(f"R={big_r}: {type(e).__name__}: {e}")
             reports.append(None)

@@ -193,6 +193,9 @@ class WienerReport:
     bound_used: str        # lower | upper | none
     partial_sums_lower: np.ndarray
     partial_sums_upper: np.ndarray
+    depth_requested: int   # `depth` is this, capped at the cover's faithful depth
+    faithful_depth: int
+    cover_disks: int
 
     def to_dict(self) -> dict:
         return {
@@ -206,6 +209,9 @@ class WienerReport:
             "partial_sums_upper": [float(x) for x in self.partial_sums_upper],
             "verdict": self.verdict,
             "depth": self.depth,
+            "depth_requested": self.depth_requested,
+            "faithful_depth": self.faithful_depth,
+            "cover_disks": self.cover_disks,
             "tolerance": self.tolerance,
             "slope": self.slope,
             "bound_used": self.bound_used,
@@ -220,9 +226,14 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40, *,
     10 depths; THIN requires the upper partial sum increments over the last 5
     depths to total below `tolerance`; anything else, or both at once, is
     INCONCLUSIVE.
+
+    The sum stops at the cover's `faithful_depth` when that comes before
+    `depth`: deeper annuli of a truncated family are not evidence.  The
+    report's `depth` is the depth used, and `depth_requested` the one asked.
     """
     if depth > 60:
         raise DepthOverflow("depth must be <= 60")
+    requested, depth = depth, min(depth, cover.faithful_depth)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     point = complex(point)
@@ -271,7 +282,8 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40, *,
     return WienerReport(
         point=point, annuli=tuple(annuli), partial_sums=sums, verdict=verdict,
         depth=depth, tolerance=tolerance, slope=slope, bound_used=used,
-        partial_sums_lower=s_low, partial_sums_upper=s_up,
+        partial_sums_lower=s_low, partial_sums_upper=s_up, depth_requested=requested,
+        faithful_depth=cover.faithful_depth, cover_disks=len(cover),
     )
 
 

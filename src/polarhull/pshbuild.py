@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .ratapprox import RationalApproximant, build_approximant
 
 __all__ = [
     "ScheduleExhausted",
+    "NodeBlock",
     "CertificationGrid",
     "PshLevel",
     "PshField",
@@ -89,21 +91,59 @@ def evans_discrete(k: CompactSample):
     return [(complex(p), w) for p in k.points]
 
 
+class NodeBlock(NamedTuple):
+    """Certification nodes as (z, w) arrays that broadcast together.
+
+    A value that depends on z alone is computed once per entry of `z` and
+    broadcast over the w's.  `keep` masks the broadcast nodes that count
+    (None: every node); `flat` lists them as two flat arrays in C order.
+    """
+
+    z: np.ndarray
+    w: np.ndarray
+    keep: np.ndarray | None = None
+
+    @property
+    def flat(self) -> tuple:
+        z, w = np.broadcast_arrays(self.z, self.w)
+        if self.keep is None:
+            return z.ravel(), w.ravel()
+        return z[self.keep], w[self.keep]
+
+    @property
+    def count(self) -> int:
+        if self.keep is None:
+            return np.broadcast(self.z, self.w).size
+        return int(np.count_nonzero(self.keep))
+
+    def kept(self, values: np.ndarray) -> np.ndarray:
+        """The entries of a broadcast-shaped array at the nodes that count."""
+        return values if self.keep is None else values[self.keep]
+
+
 @dataclass(frozen=True, eq=False)
 class CertificationGrid:
     """Finite grids on which the three level bounds are verified."""
 
     nu: int
     graph_nodes: np.ndarray           # z in D_nu
-    box_nodes: tuple                  # (z, w) arrays on the |z|=|w|=nu torus
-    offgraph_nodes: tuple             # (z, w) arrays with |w - f(z)| > 1/nu
+    box: NodeBlock                    # a row of z times a column of w, |z|=|w|=nu
+    offgraph: NodeBlock               # |w - f(z)| > 1/nu, kept where |w| < nu
+
+    @property
+    def box_nodes(self) -> tuple:
+        return self.box.flat
+
+    @property
+    def offgraph_nodes(self) -> tuple:
+        return self.offgraph.flat
 
     def to_dict(self) -> dict:
         return {
             "nu": self.nu,
             "graph_count": int(len(self.graph_nodes)),
-            "box_count": int(len(self.box_nodes[0])),
-            "offgraph_count": int(len(self.offgraph_nodes[0])),
+            "box_count": self.box.count,
+            "offgraph_count": self.offgraph.count,
         }
 
 
@@ -129,22 +169,17 @@ def _certification_grid(f, sample: CompactSample, nu: int, density: int) -> Cert
     graph = np.concatenate([graph, ring])
 
     n_box = 48
-    tb = np.exp(2j * np.pi * np.arange(n_box) / n_box)
-    bz, bw = np.meshgrid(nu * tb, nu * tb)
-    box = (bz.ravel(), bw.ravel())
+    tb = nu * np.exp(2j * np.pi * np.arange(n_box) / n_box)
+    box = NodeBlock(tb[None, :], tb[:, None])
 
+    # every base point carries 8 angles at each of 3 distances from its graph point
     base = graph[::3]
     fb = np.asarray(f(base), dtype=complex)
     wa = np.exp(2j * np.pi * np.arange(8) / 8)
-    oz, ow = [], []
-    for s in (1.02, 1.5, 3.0):
-        z_rep = np.repeat(base, len(wa))
-        w_off = (fb[:, None] + s * cut * wa[None, :]).ravel()
-        ok = np.abs(w_off) < nu
-        oz.append(z_rep[ok])
-        ow.append(w_off[ok])
-    off = (np.concatenate(oz), np.concatenate(ow))
-    return CertificationGrid(nu=nu, graph_nodes=graph, box_nodes=box, offgraph_nodes=off)
+    steps = np.stack([s * cut * wa for s in (1.02, 1.5, 3.0)])
+    w_off = fb[None, :, None] + steps[:, None, :]
+    off = NodeBlock(base[None, :, None], w_off, np.abs(w_off) < nu)
+    return CertificationGrid(nu=nu, graph_nodes=graph, box=box, offgraph=off)
 
 
 TRIED_KEYS = ("big_n", "h_bound_graph", "h_bound_box", "h_bound_offgraph", "converged")
@@ -252,19 +287,19 @@ def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, degree_cap: int = 
     start_n = 1
     for nu in range(2, nu_max + 1):
         grid = _certification_grid(f, k, nu, density)
-        nodes = ((grid.graph_nodes, np.asarray(f(grid.graph_nodes), dtype=complex)),
-                 grid.box_nodes, grid.offgraph_nodes)
-        folds = [None] * len(nodes)
+        blocks = (NodeBlock(grid.graph_nodes, np.asarray(f(grid.graph_nodes), dtype=complex)),
+                  grid.box, grid.offgraph)
+        folds = [None] * len(blocks)
         tried = []
         certified = None
         n = start_n
         while m * n <= max(degree_cap, m):
             approx = approx_for(n)
             bounds = []
-            for i, ((z, w), reduce) in enumerate(zip(nodes, (np.max, np.max, np.min))):
-                folds[i] = approx.cleared_fold(z, w, folds[i])
+            for i, (block, reduce) in enumerate(zip(blocks, (np.max, np.max, np.min))):
+                folds[i] = approx.cleared_fold(block.z, block.w, folds[i])
                 h = _h_of_cleared(folds[i].cleared, approx.normalization, None, noise_rel)
-                bounds.append(float(reduce(h)))
+                bounds.append(float(reduce(block.kept(h))))
             hg, hb, ho = bounds
             tried.append((n, hg, hb, ho, approx.converged))
             # an approximant whose quadrature never settled certifies nothing

@@ -122,6 +122,12 @@ class RationalApproximant:
         bound for cancellation noise); quad_shadow propagates the recorded
         coefficient quadrature errors through the same evaluation.  All three
         are one Horner recurrence in q, from c_0 down to c_{N-1}.
+
+        z and w broadcast together.  Only diff and eval_shadow depend on w;
+        quad_shadow, like q(z) and every c_k(z), has z's shape, so on a grid
+        of few distinct z against many w (z of shape (n, 1), w of shape
+        (n, k)) the z-only work runs once per z.  Each entry is bitwise that
+        of the flattened (z, w) pairs.
         """
         return self.cleared_fold(z, w).cleared
 
@@ -147,7 +153,7 @@ class RationalApproximant:
             head = np.abs(w) + self.analytic_part.abs_eval(az)
             diff = _horner([w - self.analytic_part(z)], qv)
             eval_shadow = _horner([head], aq)
-            quad_shadow = _horner([np.zeros(head.shape)], aq)
+            quad_shadow = _horner([0.0], aq)
             done = 0
         polys, noise = self.coeff_polys[done:], self.coeff_noise[done:]
         return ClearedFold(

@@ -64,8 +64,13 @@ def test_traced_certify_op_passes_its_oracle(spans, workloads):
     with spans.patched(patches):
         wl = workloads.build("field-certify", 1, lib, tracer.span)
         op = next(op for op in wl.ops if op.name == "certify:gaussian-10/nu4")
-        problems, _ = op.check(op.call(lib, {}), op.expect)
+        field = op.call(lib, {})
+        problems, _ = op.check(field, op.expect)
     assert problems == []
     assert tracer.counts["levels_certified"] == 3
+    # the per-layer grid_nodes count reads `to_dict()`; it must count the flat nodes
+    flat = sum(len(lev.grid.graph_nodes) + len(lev.grid.box_nodes[0])
+               + len(lev.grid.offgraph_nodes[0]) for lev in field.levels)
+    assert tracer.counts["grid_nodes"] == flat
     assert tracer.count_under("ratapprox.build_approximant", "pshbuild.certify_schedule") > 0
     assert ratapprox.build_approximant is polarhull.build_approximant  # restored

@@ -86,6 +86,24 @@ def test_thin_csv_trace(tmp_path):
     assert doc["result"]["verdict"] == "NON_THIN"
 
 
+def test_thin_stops_at_the_faithful_depth_as_hull_does(tmp_path):
+    # the 1/sin(pi/z) cover at 0 holds poles 1/n for n <= 4096 only, so it
+    # speaks for 11 dyadic annuli; hull and thin both stop there
+    assert run(["thin", "--function", "recip-sin-pi", "--point", "0",
+                "--out", tmp_path / "thin"]) == 0
+    assert run(["hull", "--function", "recip-sin-pi", "--point", "0",
+                "--out", tmp_path / "hull"]) == 0
+    thin = json.loads((tmp_path / "thin" / "thin.json").read_text())["result"]
+    entry = json.loads((tmp_path / "hull" / "hull.json").read_text())["result"]["entries"][0]
+    assert thin["verdict"] == "NON_THIN"
+    assert (thin["depth_requested"], thin["depth"], thin["faithful_depth"],
+            thin["cover_disks"]) == (40, 11, 11, 8192)
+    assert len((tmp_path / "thin" / "thin.csv").read_text().strip().splitlines()) == 12
+    assert entry["evidence"][0] == thin  # hull's R = e is thin's default level
+    assert entry["classification"] == "FIBER_EMPTY"
+    assert "depth capped at 11" in entry["notes"]
+
+
 def test_fekete_segment_artifact(tmp_path):
     out = tmp_path / "run"
     code = run(["fekete", "--segment", "-1,1,501", "--m", 40, "--out", out])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -116,14 +117,7 @@ class TestClassify:
                 rep = wiener_test(cover, point, depth)
                 self.calls += 1
                 verdict = "THIN" if self.calls == 1 else "NON_THIN"
-                return type(rep)(
-                    point=rep.point, annuli=rep.annuli,
-                    partial_sums=rep.partial_sums, verdict=verdict,
-                    depth=rep.depth, tolerance=rep.tolerance, slope=rep.slope,
-                    bound_used=rep.bound_used,
-                    partial_sums_lower=rep.partial_sums_lower,
-                    partial_sums_upper=rep.partial_sums_upper,
-                )
+                return dataclasses.replace(rep, verdict=verdict)
 
         entry = classify_fiber(gauss40, 0j, [1.0, 2.0, 4.0],
                                potential=FlippingStub())

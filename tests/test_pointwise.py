@@ -123,3 +123,32 @@ def test_cleared_eval_scalar_equals_array_entry(gauss10_field, points):
         for part, kind, column in zip(grid, (complex, float, float), zip(*scalars)):
             assert all(type(s) is kind for s in column)
             assert list(column) == part.tolist()
+
+
+N_LARGE = 20_000  # 320 KB of complex128, above numpy's 256 KiB temporary-elision threshold
+
+
+@pytest.mark.parametrize("name", ["eval_root_form", "q_values", "cleared_eval", "h_eval"])
+def test_point_equals_entry_of_a_large_grid(name, gauss10_field):
+    # numpy may compute a product with an elidable temporary right operand in
+    # place, operands swapped, once the arrays pass the elision threshold;
+    # complex products are not bitwise commutative, so without care a point
+    # would differ from the same point in a large grid
+    rng = np.random.default_rng(8)
+    z = rng.uniform(0.2, 1.5, N_LARGE) * np.exp(2j * np.pi * rng.uniform(0, 1, N_LARGE))
+    w = rng.uniform(-3.0, 3.0, N_LARGE) + 1j * rng.uniform(-3.0, 3.0, N_LARGE)
+    level = gauss10_field.levels[-1].approximant
+    fn, args = {
+        "eval_root_form": (level.q_m.eval_root_form, (z,)),
+        "q_values": (level.q_values, (z,)),
+        "cleared_eval": (level.cleared_eval, (z, w)),
+        "h_eval": (lambda a, b: h_eval(level, a, b), (z, w)),
+    }[name]
+    grid = fn(*args)
+    pick = rng.choice(N_LARGE, 300, replace=False)
+    scalars = [fn(*(a[i] for a in args)) for i in pick]
+    if name == "cleared_eval":
+        for part, column in zip(grid, zip(*scalars)):
+            assert list(column) == part[pick].tolist()
+    else:
+        assert scalars == grid[pick].tolist()

@@ -20,7 +20,7 @@ from polarhull.pshbuild import (
     h_values,
     u_eval,
 )
-from polarhull.ratapprox import build_approximant
+from polarhull.ratapprox import _same_bits, build_approximant
 
 A = 0.4
 
@@ -220,6 +220,68 @@ def test_certify_equals_refold_oracle(label, builder):
         bounds = (lev.approximant.big_n, lev.h_bound_graph, lev.h_bound_box,
                   lev.h_bound_offgraph, True)
         assert repr(lev.tried[-1]) == repr(bounds)
+
+
+def _flat_certification_grid(f, sample, nu, density):
+    """The certification nodes as flat (z, w) pairs, each z repeated per w.
+
+    Returns graph nodes, box (z, w) and off-graph (z, w), in the order
+    `CertificationGrid.box_nodes` and `offgraph_nodes` list them.
+    """
+    pts, cut = sample.points, 1.0 / nu
+    axis = np.linspace(-nu, nu, 2 * density * nu + 1)
+    zz = (axis[None, :] + 1j * axis[:, None]).ravel()
+    zz = zz[np.abs(zz) < nu]
+    graph = zz[sample.min_distance_to(zz) > cut]
+    angles = np.exp(2j * np.pi * np.arange(16) / 16)
+    ring = np.concatenate([(pts[:, None] + s * cut * angles[None, :]).ravel()
+                           for s in (1.02, 1.1, 1.3)])
+    ring = ring[(sample.min_distance_to(ring) > cut) & (np.abs(ring) < nu)]
+    graph = np.concatenate([graph, ring])
+
+    tb = np.exp(2j * np.pi * np.arange(48) / 48)
+    bz, bw = np.meshgrid(nu * tb, nu * tb)
+
+    base = graph[::3]
+    fb = np.asarray(f(base), dtype=complex)
+    wa = np.exp(2j * np.pi * np.arange(8) / 8)
+    oz, ow = [], []
+    for s in (1.02, 1.5, 3.0):
+        z_rep = np.repeat(base, len(wa))
+        w_off = (fb[:, None] + s * cut * wa[None, :]).ravel()
+        ok = np.abs(w_off) < nu
+        oz.append(z_rep[ok])
+        ow.append(w_off[ok])
+    return graph, (bz.ravel(), bw.ravel()), (np.concatenate(oz), np.concatenate(ow))
+
+
+@pytest.mark.parametrize("label", list(FIELD_CERTIFY))
+def test_grid_blocks_flatten_to_the_flat_grid(label):
+    f, nu_max = FIELD_CERTIFY[label]
+    k = f.singular_sample()
+    for nu in range(2, nu_max + 1):
+        grid = _certification_grid(f, k, nu, 10)
+        graph, box, off = _flat_certification_grid(f, k, nu, 10)
+        assert _same_bits(grid.graph_nodes, graph)
+        for got, want in zip(grid.box_nodes + grid.offgraph_nodes, box + off):
+            assert _same_bits(got, want)
+        assert grid.to_dict() == {"nu": nu, "graph_count": len(graph),
+                                  "box_count": len(box[0]), "offgraph_count": len(off[0])}
+        # the z-only work runs once per base point, not once per node
+        assert grid.offgraph.z.size == len(graph[::3])
+        assert grid.box.z.size == grid.box.w.size == 48
+
+
+def test_h_values_broadcast_equals_flat_pairs(gauss10_field, rng):
+    z = rng.uniform(-1.5, 1.5, (300, 1)) + 1j * rng.uniform(-1.5, 1.5, (300, 1))
+    w = rng.uniform(-3.0, 3.0, (300, 8)) + 1j * rng.uniform(-3.0, 3.0, (300, 8))
+    zf, wf = np.broadcast_arrays(z, w)
+    for lev in gauss10_field.levels:
+        ap = lev.approximant
+        assert _same_bits(h_values(ap, z, w).ravel(), h_values(ap, zf.ravel(), wf.ravel()))
+        diff, eval_shadow, quad_shadow = ap.cleared_eval(z, w)
+        assert diff.shape == eval_shadow.shape == w.shape
+        assert quad_shadow.shape == z.shape
 
 
 class TestUEval:
