@@ -108,14 +108,15 @@ def _config_overlay(config_path: str | None, section: str,
     return merged
 
 
-def _tolerance_of(cfg: dict, default: float) -> float:
-    text = cfg.get("tolerance", default)
+def _positive(cfg: dict, key: str, kind=float, default=None):
+    """cfg[key] (or `default`) as a finite positive `kind`, else a usage error."""
+    text = cfg.get(key, default)
     try:
-        if 0 < float(text) < math.inf:
-            return float(text)
+        if 0 < kind(text) < math.inf:
+            return kind(text)
     except ValueError:
         pass
-    raise click.UsageError(f"tolerance must be a positive number, got {text!r}")
+    raise click.UsageError(f"{key} must be a positive number, got {text!r}")
 
 
 def _finish(out_dir: str, command: str, config: dict, payload: dict,
@@ -172,7 +173,7 @@ def decompose(config_path, out_dir, tolerance, function_spec, center, radius, km
     f = _parse_function(cfg.get("function"))
     circle = CircleContour(_parse_point(str(cfg["center"])), float(cfg["radius"]))
     split = laurent_split(f, circle, int(cfg["kmax"]),
-                          tol=_tolerance_of(cfg, 1e-8))
+                          tol=_positive(cfg, "tolerance", default=1e-8))
     _finish(out_dir, "decompose", cfg, split.to_dict())
 
 
@@ -227,7 +228,7 @@ def approx(config_path, out_dir, tolerance, function_spec, m_den, n_list, target
     theta = 2 * np.pi * np.arange(int(cnt)) / int(cnt)
     target_sample = CompactSample(center + float(rad) * np.exp(1j * theta))
     report = convergence_scan(f, system, [(m, n) for n in orders], target_sample,
-                              quad_tol=_tolerance_of(cfg, 1e-10))
+                              quad_tol=_positive(cfg, "tolerance", default=1e-10))
     _finish(out_dir, "approx", cfg, report.to_dict(), csv_rows=report.to_csv_rows())
 
 
@@ -243,9 +244,9 @@ def psh(config_path, out_dir, function_spec, nu_max, density, tube):
     cfg = _config_overlay(config_path, "psh", {
         "function": function_spec, "nu_max": nu_max, "density": density, "tube": tube,
     }, {"nu_max": 4, "density": 10})
+    density = _positive(cfg, "density", int)
     f = _parse_function(cfg.get("function"))
-    field = certify_schedule(f, f.singular_sample(), int(cfg["nu_max"]),
-                             density=int(cfg["density"]))
+    field = certify_schedule(f, f.singular_sample(), int(cfg["nu_max"]), density=density)
     csv_rows = None
     if cfg.get("tube"):
         rng, cnt, offs = str(cfg["tube"]).split(":")
@@ -292,10 +293,11 @@ def hmeasure(config_path, out_dir, annulus, at_point, walks, method, seed):
     cfg = _config_overlay(config_path, "hmeasure", {
         "annulus": annulus, "at": at_point, "walks": walks, "method": method, "seed": seed,
     }, {"annulus": "0.1,1.0", "at": "0.4", "walks": 100000, "method": "wos", "seed": 0})
+    walks = _positive(cfg, "walks", int)
     r_in, r_out = (float(t) for t in str(cfg["annulus"]).split(","))
     est = harmonic_measure(
         _parse_point(str(cfg["at"])), CircleContour(0j, r_in), Disk(0j, r_out), DiskUnion([]),
-        walks=int(cfg["walks"]), seed=int(cfg["seed"]), method=str(cfg["method"]),
+        walks=walks, seed=int(cfg["seed"]), method=str(cfg["method"]),
     )
     rows = [["value", "std_error", "walks", "seed", "method"],
             [repr(est.value), repr(est.std_error), str(est.walks), str(est.seed), est.method]]

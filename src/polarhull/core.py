@@ -71,13 +71,11 @@ def pointwise(fn):
 
 
 def _eval_on_nodes(f, nodes: np.ndarray, what: str = "integrand") -> np.ndarray:
-    """Evaluate `f` at all nodes, accepting both vectorized and scalar callables."""
-    try:
-        vals = np.asarray(f(nodes), dtype=complex)
-        if vals.shape != nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([complex(f(z)) for z in nodes])
+    """Evaluate the vectorized callable `f` on the node array in one call."""
+    vals = np.asarray(f(nodes), dtype=complex)
+    if vals.shape != nodes.shape:
+        raise NodeEvaluationError(
+            f"{what} returned shape {vals.shape} on nodes of shape {nodes.shape}")
     if not np.all(np.isfinite(vals)):
         bad = nodes[~np.isfinite(vals)][:1]
         raise NodeEvaluationError(f"{what} is not finite at node {bad[0]!r}")
@@ -97,8 +95,8 @@ class Disk:
         if self.radius <= 0:
             raise ValueError("disk radius must be positive")
 
-    def contains(self, z, strict_margin: float = 0.0) -> bool:
-        return abs(complex(z) - self.center) < self.radius - strict_margin
+    def contains(self, z) -> bool:
+        return abs(complex(z) - self.center) < self.radius
 
     def to_dict(self) -> dict:
         return {"center": complex_to_pair(self.center), "radius": self.radius}
@@ -151,8 +149,8 @@ class DiskUnion:
     def __iter__(self):
         return (Disk(c, r) for c, r in zip(self.centers.tolist(), self.radii.tolist()))
 
-    def contains(self, z, strict_margin: float = 0.0) -> bool:
-        return bool(np.any(np.abs(complex(z) - self.centers) < self.radii - strict_margin))
+    def contains(self, z) -> bool:
+        return bool(np.any(np.abs(complex(z) - self.centers) < self.radii))
 
     def to_dict(self) -> dict:
         return {"disks": [d.to_dict() for d in self]}
@@ -170,20 +168,14 @@ class CompactSample:
     """
 
     points: np.ndarray
-    labels: np.ndarray | None = None
     tol: float = 1e-12
 
-    def __init__(self, points, labels=None, tol: float = 1e-12):
+    def __init__(self, points, tol: float = 1e-12):
         pts = as_complex_array(points)
         if pts.size == 0:
             raise ValueError("sample must be nonempty")
         _check_no_duplicates(pts)
         object.__setattr__(self, "points", pts)
-        if labels is not None:
-            labels = np.asarray(labels, dtype=int).ravel()
-            if labels.shape != pts.shape:
-                raise ValueError("labels must match points")
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "tol", float(tol))
 
     def __len__(self):
@@ -206,7 +198,6 @@ class CompactSample:
     def to_dict(self) -> dict:
         return {
             "points": [complex_to_pair(p) for p in self.points],
-            "labels": None if self.labels is None else self.labels.tolist(),
             "tol": self.tol,
         }
 

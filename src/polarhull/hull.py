@@ -65,15 +65,18 @@ class SeriesConditionReport:
         }
 
 
-def series_conditions(f: PoleSeries, *, stabilize_tol: float = 1e-6,
-                      ratio_tol: float = 1e-3) -> SeriesConditionReport:
+STABILIZE_TOL = 1e-6
+RATIO_TOL = 1e-3
+
+
+def series_conditions(f: PoleSeries) -> SeriesConditionReport:
     """Evaluate both tail conditions for a pole series at its truncation.
 
     The summability condition (verdict_summability) HOLDS when the partial sums have
-    Cauchy-stabilized below `stabilize_tol` with a certified dominated tail;
+    Cauchy-stabilized below STABILIZE_TOL with a certified dominated tail;
     the subsequence-ratio condition (verdict_ratio) HOLDS when the running
     minimum of the ratio over the last half of the range falls below
-    `ratio_tol`.  Truncations below 20 terms return INCONCLUSIVE verdicts.
+    RATIO_TOL.  Truncations below 20 terms return INCONCLUSIVE verdicts.
     """
     if not isinstance(f, PoleSeries):
         raise TypeError("series_conditions expects a PoleSeries model")
@@ -99,17 +102,17 @@ def series_conditions(f: PoleSeries, *, stabilize_tol: float = 1e-6,
     sums = np.cumsum(summands)
 
     window = min(5, n)
-    stabilized = float(np.sum(summands[-window:])) < stabilize_tol
+    stabilized = float(np.sum(summands[-window:])) < STABILIZE_TOL
     # dominated tail: the summand must already be decaying at the truncation
     tail_decaying = summands[-1] <= summands[max(0, n - window)] + 1e-15
     if stabilized and tail_decaying:
         verdict_summability = "HOLDS"
     else:
         half_growth = sums[-1] - sums[n // 2 - 1]
-        verdict_summability = "FAILS" if half_growth > 100 * stabilize_tol else "INCONCLUSIVE"
+        verdict_summability = "FAILS" if half_growth > 100 * STABILIZE_TOL else "INCONCLUSIVE"
 
     tail_min = float(np.min(ratio[n // 2 :]))
-    if tail_min < ratio_tol:
+    if tail_min < RATIO_TOL:
         verdict_ratio = "HOLDS"
     else:
         running_min = np.minimum.accumulate(ratio)
@@ -178,8 +181,7 @@ class HullVerdict:
 
 
 def classify_fiber(f: FunctionModel, z0: complex, r_grid, *,
-                   depth: int = 40, window: float = 1.0,
-                   potential=potential_mod) -> FiberClassification:
+                   depth: int = 40, potential=potential_mod) -> FiberClassification:
     """Classify the fiber over one singular point from Wiener evidence.
 
     Every R in the grid gets a sublevel cover and a thinness test at z0.  All
@@ -202,7 +204,7 @@ def classify_fiber(f: FunctionModel, z0: complex, r_grid, *,
     notes = []
     for big_r in r_grid:
         try:
-            cover = potential.sublevel_cover(f, big_r, z0, window)
+            cover = potential.sublevel_cover(f, big_r, z0)
             report = potential.wiener_test(cover, z0, depth)
             if report.depth < depth:
                 notes.append(f"R={big_r}: depth capped at {report.depth} by cover resolution")

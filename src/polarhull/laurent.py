@@ -55,18 +55,20 @@ class CleanRadius(NamedTuple):
     clearance: float
 
 
-def find_clean_radius(a: CompactSample, center: complex, r_lo: float, r_hi: float,
-                      n_candidates: int = 1024) -> CleanRadius:
+CLEAN_RADIUS_CANDIDATES = 1024
+
+
+def find_clean_radius(a: CompactSample, center: complex, r_lo: float, r_hi: float) -> CleanRadius:
     """Radius r in (r_lo, r_hi) whose circle about `center` stays farthest from `a`.
 
-    Grid search over n_candidates radii; the clearance (min distance from any
-    sample point to the circle) is maximized and returned alongside.
+    Grid search over CLEAN_RADIUS_CANDIDATES radii; the clearance (min distance
+    from any sample point to the circle) is maximized and returned alongside.
     """
     if not r_lo < r_hi:
         raise ValueError("need r_lo < r_hi")
     dists = np.abs(a.points - complex(center))
-    k = np.arange(n_candidates)
-    radii = r_lo + (k + 0.5) * (r_hi - r_lo) / n_candidates
+    k = np.arange(CLEAN_RADIUS_CANDIDATES)
+    radii = r_lo + (k + 0.5) * (r_hi - r_lo) / CLEAN_RADIUS_CANDIDATES
     clearance = np.min(np.abs(dists[None, :] - radii[:, None]), axis=1)
     best = int(np.argmax(clearance))
     if clearance[best] < 1e-12:
@@ -119,14 +121,17 @@ class LaurentSplit:
         }
 
 
-def _laurent_coeffs(f, circle: CircleContour, k_max: int, *, quad_tol: float = 1e-12,
-                    snap_rel: float = 1e-13):
+LAURENT_QUAD_TOL = 1e-12
+SNAP_REL = 1e-13
+
+
+def _laurent_coeffs(f, circle: CircleContour, k_max: int):
     """(ks, a_k for -k_max <= k <= k_max, quadrature) by the periodic trapezoid rule.
 
     All coefficients come from the FFT of one set of node values.  Node
     doubling is judged on the raw circle moments (which settle at machine
     precision); a_k = moment_k * r^{-k} afterwards, and any coefficient below
-    the measurement resolution snap_rel * max|f| * r^{-k} is reported as
+    the measurement resolution SNAP_REL * max|f| * r^{-k} is reported as
     exactly zero, since quadrature on this circle cannot distinguish it from zero.
     """
     ks = np.arange(-k_max, k_max + 1)
@@ -138,16 +143,16 @@ def _laurent_coeffs(f, circle: CircleContour, k_max: int, *, quad_tol: float = 1
         f_scale = float(np.max(np.abs(vals)))
         return np.fft.fft(vals)[ks] / len(vals)
 
-    quad = circle_trapezoid(f, (circle,), moments, n0, tol=quad_tol, max_nodes=MAX_QUAD_NODES)
+    quad = circle_trapezoid(f, (circle,), moments, n0, tol=LAURENT_QUAD_TOL,
+                            max_nodes=MAX_QUAD_NODES)
     scale = circle.radius ** (-ks.astype(float))
     coeffs = quad.value * scale
-    floor = snap_rel * max(f_scale, 1e-300) * scale
+    floor = SNAP_REL * max(f_scale, 1e-300) * scale
     coeffs[np.abs(coeffs) < floor] = 0.0
     return ks, coeffs, quad
 
 
-def laurent_split(f, circle: CircleContour, k_max: int, *, tol: float = 1e-8,
-                  quad_tol: float = 1e-12) -> LaurentSplit:
+def laurent_split(f, circle: CircleContour, k_max: int, *, tol: float = 1e-8) -> LaurentSplit:
     """Two-sided coefficient split of `f` on the given circle.
 
     Raises TruncationError when the outermost retained coefficients indicate
@@ -155,7 +160,7 @@ def laurent_split(f, circle: CircleContour, k_max: int, *, tol: float = 1e-8,
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    ks, coeffs, quad = _laurent_coeffs(f, circle, k_max, quad_tol=quad_tol)
+    ks, coeffs, quad = _laurent_coeffs(f, circle, k_max)
     analytic = coeffs[ks >= 0]
     principal = coeffs[ks < 0][::-1]  # a_{-1}, a_{-2}, ...
     residual = float(max(abs(analytic[-1]), abs(principal[-1])))
@@ -220,16 +225,17 @@ class MittagLefflerSplit:
         }
 
 
+TAYLOR_DEGREE = 24
+
+
 def mittag_leffler(f, cover: DiskUnion, sample_of_k: CompactSample, *,
-                   k_max: int = 40, taylor_degree: int = 24,
-                   test_radius: float | None = None,
-                   quad_tol: float = 1e-12) -> MittagLefflerSplit:
+                   k_max: int = 40, test_radius: float | None = None) -> MittagLefflerSplit:
     """Peel principal parts off `f`, one covering disk at a time.
 
     Each disk boundary must clear `sample_of_k`; the leftover function is
-    fitted by a Taylor polynomial about the centroid of the cover on a test
-    circle enclosing everything, and the reconstruction residual on that
-    circle is recorded.
+    fitted by a Taylor polynomial of degree TAYLOR_DEGREE about the centroid
+    of the cover on a test circle enclosing everything, and the
+    reconstruction residual on that circle is recorded.
     """
     gaps = np.abs(np.abs(sample_of_k.points[:, None] - cover.centers) - cover.radii)
     meets = np.min(gaps, axis=0) < 1e-10
@@ -250,7 +256,7 @@ def mittag_leffler(f, cover: DiskUnion, sample_of_k: CompactSample, *,
     components = []
     for d in cover:
         circle = CircleContour(d.center, d.radius)
-        split = laurent_split(remainder, circle, k_max, tol=np.inf, quad_tol=quad_tol)
+        split = laurent_split(remainder, circle, k_max, tol=np.inf)
         splits.append(split)
         components.append((d, split))
 
@@ -258,8 +264,7 @@ def mittag_leffler(f, cover: DiskUnion, sample_of_k: CompactSample, *,
     if test_radius is None:
         test_radius = 1.5 * float(np.max(np.abs(cover.centers - center) + cover.radii)) + 0.5
     test_circle = CircleContour(center, test_radius)
-    ks, coeffs, quad = _laurent_coeffs(remainder, test_circle, taylor_degree,
-                                       quad_tol=quad_tol)
+    ks, coeffs, quad = _laurent_coeffs(remainder, test_circle, TAYLOR_DEGREE)
     analytic = PolynomialC(coeffs[ks >= 0])
 
     nodes = test_circle.nodes(512)

@@ -79,9 +79,12 @@ class InvalidBounds(PolarhullError):
 
 # --------------------------------------------------------------------- covers
 
+POLE_CAP = 4096  # 1/sin(pi/z) covers take the poles +-1/n for n <= POLE_CAP
+MIN_DISK_RADIUS = 1e-290
+
+
 def sublevel_cover(f: FunctionModel, big_r: float, z0: complex = 0j,
-                   radius: float = 1.0, *, pole_cap: int = 4096,
-                   min_disk_radius: float = 1e-290) -> DiskUnion:
+                   radius: float = 1.0) -> DiskUnion:
     """Family-specific disk cover of {|f| >= big_r} near z0.
 
     Pole series get disks about each pole with radius C sqrt(gamma_n), C the
@@ -92,18 +95,18 @@ def sublevel_cover(f: FunctionModel, big_r: float, z0: complex = 0j,
     by a dyadic chain of inscribed disks so the query point stays exterior.
     """
     if isinstance(f, PoleSeries):
-        return _pole_series_cover(f, big_r, min_disk_radius)
+        return _pole_series_cover(f, big_r)
     if isinstance(f, ExpReciprocal):
         if big_r <= 1.0:
             raise ThresholdTooSmall("exp(1/z) cover needs big_r > 1")
         h = 0.5 / math.log(big_r)
         return DiskUnion([Disk(complex(h), h)])
     if isinstance(f, RecipSinPi):
-        return _recip_sin_cover(f, big_r, z0, radius, pole_cap)
+        return _recip_sin_cover(f, big_r, z0, radius)
     raise UnsupportedFamily(f.family)
 
 
-def _pole_series_cover(f: PoleSeries, big_r: float, min_disk_radius: float) -> DiskUnion:
+def _pole_series_cover(f: PoleSeries, big_r: float) -> DiskUnion:
     log_gamma = f.log_gamma_suffix()[: f.n_terms]
     # certificate sum |c_n| / (C sqrt(gamma_n)) computed in log space
     terms = np.exp(f.log_abs_c - 0.5 * log_gamma)
@@ -116,14 +119,13 @@ def _pole_series_cover(f: PoleSeries, big_r: float, min_disk_radius: float) -> D
         raise ThresholdTooSmall(
             "cover disks would swallow their poles; raise big_r or the truncation"
         )
-    radii = np.maximum(np.exp(log_radii), min_disk_radius)
+    radii = np.maximum(np.exp(log_radii), MIN_DISK_RADIUS)
     # tail disks beyond the truncation shrink at the sqrt(gamma) rate, so the
     # deep annuli they would occupy contribute below any verdict tolerance
     return DiskUnion.from_arrays(f.poles, radii)
 
 
-def _recip_sin_cover(f: RecipSinPi, big_r: float, z0: complex, radius: float,
-                     pole_cap: int) -> DiskUnion:
+def _recip_sin_cover(f: RecipSinPi, big_r: float, z0: complex, radius: float) -> DiskUnion:
     if big_r <= 1.0:
         raise ThresholdTooSmall("1/sin(pi/z) cover needs big_r > 1")
     # |sin(pi eps)| <= sinh(pi |eps|), so |eps| <= asinh(1/R)/pi certifies
@@ -131,8 +133,8 @@ def _recip_sin_cover(f: RecipSinPi, big_r: float, z0: complex, radius: float,
     rho = math.asinh(1.0 / big_r) / math.pi / 2.0
     z0 = complex(z0)
     # poles +1/n for ascending n, then -1/n
-    n = np.tile(np.arange(1, pole_cap + 1, dtype=float), 2)
-    sign = np.repeat([1.0, -1.0], pole_cap)
+    n = np.tile(np.arange(1, POLE_CAP + 1, dtype=float), 2)
+    sign = np.repeat([1.0, -1.0], POLE_CAP)
     gap = np.abs(sign / n - z0)
     denom = n * n - rho * rho
     centers, radii = sign * n / denom, rho / denom
@@ -152,10 +154,10 @@ def _recip_sin_cover(f: RecipSinPi, big_r: float, z0: complex, radius: float,
         centers, radii = centers[keep], radii[keep]
     if not radii.size:
         raise ThresholdTooSmall("no singular points inside the requested window")
-    # poles with index beyond pole_cap are missing near 0; annuli around z0
+    # poles with index beyond POLE_CAP are missing near 0; annuli around z0
     # deeper than their scale are truncation artifacts, not evidence
-    if abs(z0) <= 2.0 / pole_cap:
-        faithful = int(math.floor(math.log2(pole_cap))) - 1
+    if abs(z0) <= 2.0 / POLE_CAP:
+        faithful = int(math.floor(math.log2(POLE_CAP))) - 1
     elif chain_depth:
         faithful = min(60, chain_depth - 2)
     else:
@@ -180,6 +182,10 @@ def _dyadic_chain(z0: complex, region_radius: float, region_center: complex,
 
 
 # ---------------------------------------------------------------- wiener test
+
+WIENER_TOLERANCE = 1e-3
+WIENER_SLOPE = 0.1
+
 
 @dataclass(frozen=True, eq=False)
 class WienerReport:
@@ -218,14 +224,13 @@ class WienerReport:
         }
 
 
-def wiener_test(cover: DiskUnion, point: complex, depth: int = 40, *,
-                tolerance: float = 1e-3, slope: float = 0.1) -> WienerReport:
+def wiener_test(cover: DiskUnion, point: complex, depth: int = 40) -> WienerReport:
     """Dyadic-annulus Wiener sum around `point` with a two-sided verdict.
 
-    NON_THIN requires the lower partial sums to majorize slope*n over the last
-    10 depths; THIN requires the upper partial sum increments over the last 5
-    depths to total below `tolerance`; anything else, or both at once, is
-    INCONCLUSIVE.
+    NON_THIN requires the lower partial sums to majorize WIENER_SLOPE*n over
+    the last 10 depths; THIN requires the upper partial sum increments over
+    the last 5 depths to total below WIENER_TOLERANCE; anything else, or both
+    at once, is INCONCLUSIVE.
 
     The sum stops at the cover's `faithful_depth` when that comes before
     `depth`: deeper annuli of a truncated family are not evidence.  The
@@ -269,9 +274,9 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40, *,
 
     tail = min(10, depth)
     ns = np.arange(depth - tail + 1, depth + 1)
-    non_thin = bool(np.all(s_low[-tail:] >= slope * ns))
+    non_thin = bool(np.all(s_low[-tail:] >= WIENER_SLOPE * ns))
     thin_window = min(5, depth)
-    thin = bool(np.sum(up_terms[-thin_window:]) < tolerance)
+    thin = bool(np.sum(up_terms[-thin_window:]) < WIENER_TOLERANCE)
 
     if non_thin and not thin:
         verdict, used, sums = "NON_THIN", "lower", s_low
@@ -281,7 +286,7 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40, *,
         verdict, used, sums = "INCONCLUSIVE", "none", s_up
     return WienerReport(
         point=point, annuli=tuple(annuli), partial_sums=sums, verdict=verdict,
-        depth=depth, tolerance=tolerance, slope=slope, bound_used=used,
+        depth=depth, tolerance=WIENER_TOLERANCE, slope=WIENER_SLOPE, bound_used=used,
         partial_sums_lower=s_low, partial_sums_upper=s_up, depth_requested=requested,
         faithful_depth=cover.faithful_depth, cover_disks=len(cover),
     )
@@ -442,6 +447,8 @@ def harmonic_measure(z, target, domain: Disk, obstacles: DiskUnion | None = None
                              1.0 - n_dom, grid_n)
     if method != "wos":
         raise ValueError("method must be 'wos' or 'grid'")
+    if walks < 1:
+        raise ValueError("walks must be >= 1")
 
     rng = np.random.default_rng(seed)
     pos = np.full(walks, z, dtype=complex)

@@ -50,25 +50,23 @@ class ScheduleExhausted(PolarhullError):
 
 
 QUAD_NOISE_SAFETY = 8.0
+NOISE_REL = 1e-12
+CERTIFY_QUAD_TOL = 1e-13
 
 
-def h_values(approximant: RationalApproximant, z, w, *, floor: float | None = None,
-             noise_rel: float = 1e-12) -> np.ndarray:
+def h_values(approximant: RationalApproximant, z, w) -> np.ndarray:
     """Vectorized h over broadcast (z, w); -inf marks sub-noise cancellations.
 
     The marker threshold combines the cancellation shadow of the cleared
     evaluation with the propagated quadrature noise of the coefficients; a
     modulus below it cannot be certified as a finite value in this precision.
     """
-    return _h_of_cleared(approximant.cleared_eval(z, w), approximant.normalization,
-                         floor, noise_rel)
+    return _h_of_cleared(approximant.cleared_eval(z, w), approximant.normalization)
 
 
-def _h_of_cleared(cleared, n: int, floor: float | None, noise_rel: float) -> np.ndarray:
+def _h_of_cleared(cleared, n: int) -> np.ndarray:
     diff, eval_shadow, quad_shadow = cleared
-    thr = noise_rel * eval_shadow + QUAD_NOISE_SAFETY * quad_shadow
-    if floor is not None:
-        thr = np.maximum(thr, math.exp(n * floor))
+    thr = NOISE_REL * eval_shadow + QUAD_NOISE_SAFETY * quad_shadow
     mag = np.abs(np.atleast_1d(diff))
     thr = np.broadcast_to(np.atleast_1d(thr), mag.shape)
     out = np.full(mag.shape, -np.inf)
@@ -79,10 +77,9 @@ def _h_of_cleared(cleared, n: int, floor: float | None, noise_rel: float) -> np.
 
 
 @pointwise
-def h_eval(approximant: RationalApproximant, z, w, *, floor: float | None = None,
-           noise_rel: float = 1e-12) -> float:
+def h_eval(approximant: RationalApproximant, z, w) -> float:
     """(1/n) log |w q(z) - p(z)| in cleared form, or -inf below the noise shadow."""
-    return h_values(approximant, z, w, floor=floor, noise_rel=noise_rel)
+    return h_values(approximant, z, w)
 
 
 def evans_discrete(k: CompactSample):
@@ -217,7 +214,6 @@ class PshField:
     evans_weights: tuple
     sample: CompactSample
     model: object
-    noise_rel: float = 1e-12
 
     def level_clamp(self, nu: int) -> float:
         return -nu - math.log(nu + 2)
@@ -228,7 +224,7 @@ class PshField:
         out = np.zeros(np.broadcast(z, w).shape)
         for lev in self.levels:
             nu = lev.nu
-            h = h_values(lev.approximant, z, w, noise_rel=self.noise_rel)
+            h = h_values(lev.approximant, z, w)
             h = h.reshape(out.shape)
             clamp = self.level_clamp(nu)
             out += np.maximum(h - math.log(nu + 2), clamp) / nu**2
@@ -259,8 +255,7 @@ def u_eval(field: PshField, z, w) -> float:
 
 
 def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, degree_cap: int = 200,
-                     density: int = 10, n_scale: int = 2, quad_tol: float = 1e-13,
-                     noise_rel: float = 1e-12, builder=build_approximant) -> PshField:
+                     density: int = 10, builder=build_approximant) -> PshField:
     """Search outer orders per level until the three grid bounds certify.
 
     The denominator degree m is pinned to the sample size (finite samples are
@@ -274,13 +269,15 @@ def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, degree_cap: int = 
     """
     if not 2 <= nu_max <= 12:
         raise ValueError("nu_max must be in [2, 12]")
+    if density < 1:
+        raise ValueError("density must be >= 1")
     m = len(k)
     sys = leja_points(k, m)
     cache: dict[int, RationalApproximant] = {}
 
     def approx_for(n: int) -> RationalApproximant:
         if n not in cache:
-            cache[n] = builder(f, sys, m, n, n_scale, quad_tol=quad_tol)
+            cache[n] = builder(f, sys, m, n, quad_tol=CERTIFY_QUAD_TOL)
         return cache[n]
 
     levels = []
@@ -298,7 +295,7 @@ def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, degree_cap: int = 
             bounds = []
             for i, (block, reduce) in enumerate(zip(blocks, (np.max, np.max, np.min))):
                 folds[i] = approx.cleared_fold(block.z, block.w, folds[i])
-                h = _h_of_cleared(folds[i].cleared, approx.normalization, None, noise_rel)
+                h = _h_of_cleared(folds[i].cleared, approx.normalization)
                 bounds.append(float(reduce(block.kept(h))))
             hg, hb, ho = bounds
             tried.append((n, hg, hb, ho, approx.converged))
@@ -326,7 +323,6 @@ def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, degree_cap: int = 
         evans_weights=tuple(evans_discrete(k)),
         sample=k,
         model=f,
-        noise_rel=noise_rel,
     )
 
 

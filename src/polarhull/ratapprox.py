@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 RHO_FLOOR = 1e-300
+N_SCALE = 2
+NOISE_FLOOR = 1e-12
 # each doubling of this cap doubles the work of every build that cannot settle
 MAX_APPROX_NODES = 2**14
 
@@ -234,9 +236,8 @@ def _kernel_rows(q: PolynomialC, zeta: np.ndarray) -> np.ndarray:
 CONTOUR_MARGIN = 1.25
 
 
-def _contour_for_group(points: np.ndarray, q: PolynomialC, rho_floor: float,
-                       radius_cap: float | None) -> CircleContour:
-    """Circle around one sample group with min |q| >= margin*rho on its nodes.
+def _sample_contour(points: np.ndarray, q: PolynomialC, rho_floor: float) -> CircleContour:
+    """Circle around the sample with min |q| >= margin*rho on its nodes.
 
     The margin keeps the circle inside the region where the integrand series
     converges while staying snug: large circles make |q|^k on the nodes dwarf
@@ -252,14 +253,10 @@ def _contour_for_group(points: np.ndarray, q: PolynomialC, rho_floor: float,
     # a comfortable standoff keeps |f| tame on the nodes; circles hugging the
     # sample make functions with singularities there blow up and cost digits
     r = base + max(0.5 * base, 0.25)
-    if radius_cap is not None:
-        r = min(r, radius_cap)
     if not ok(r):
         lo, hi = r, r
         for _ in range(60):
             hi *= 1.3
-            if radius_cap is not None and hi > radius_cap:
-                raise ContourTooClose("no admissible contour radius below group gap")
             if ok(hi):
                 break
             lo = hi
@@ -275,26 +272,7 @@ def _contour_for_group(points: np.ndarray, q: PolynomialC, rho_floor: float,
     return CircleContour(center, r)
 
 
-def _build_contours(sample: CompactSample, q: PolynomialC,
-                    rho_floor: float) -> tuple:
-    if sample.labels is None:
-        return (_contour_for_group(sample.points, q, rho_floor, None),)
-    groups = [sample.points[sample.labels == lab] for lab in np.unique(sample.labels)]
-    centers = [complex(np.mean(g)) for g in groups]
-    circles = []
-    for g, c in zip(groups, centers):
-        gap = min((abs(c - o) for o in centers if o != c), default=None)
-        cap = None if gap is None else 0.45 * gap
-        circles.append(_contour_for_group(g, q, rho_floor, cap))
-    for i in range(len(circles)):
-        for j in range(i + 1, len(circles)):
-            if abs(circles[i].center - circles[j].center) <= circles[i].radius + circles[j].radius:
-                # overlapping group circles would double-count; fall back to one circle
-                return (_contour_for_group(sample.points, q, rho_floor, None),)
-    return tuple(circles)
-
-
-def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, n_scale: int = 2, *,
+def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
                       quad_tol: float = 1e-10, contour=None) -> RationalApproximant:
     """Assemble the order-(m, N) approximant of `f` from its Leja system.
 
@@ -310,15 +288,13 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, n_scale: int = 2
     if len(roots) < m:
         raise ValueError("Leja system shorter than requested m")
     q = poly_from_roots(roots)
-    rho = rho_of(q, sys.base_set, n_scale)
+    rho = rho_of(q, sys.base_set, N_SCALE)
     degenerate = rho < RHO_FLOOR
     rho_floor = max(rho, RHO_FLOOR)
 
     analytic, principal = f.split_at_infinity()
-    circles = contour if contour is not None else _build_contours(
-        sys.base_set, q, rho_floor
-    )
-    circles = tuple(circles)
+    circles = (tuple(contour) if contour is not None
+               else (_sample_contour(sys.base_set.points, q, rho_floor),))
 
     gap_tol = 1e-9 * min(c.radius for c in circles)
     root_sample = CompactSample(roots)
@@ -382,7 +358,6 @@ class ConvergenceReport:
     """Sup errors and degree-normalized errors over an approximation schedule."""
 
     entries: tuple  # (degree, sup_error, normalized_error, at_noise_floor)
-    target_set: CompactSample
     target_distance: float
     quadrature: tuple  # (nodes, converged) of each entry's approximant
 
@@ -409,11 +384,10 @@ class ConvergenceReport:
 
 
 def convergence_scan(f, sys: FeketeSystem, schedule, target: CompactSample, *,
-                     n_scale: int = 2, quad_tol: float = 1e-10,
-                     noise_floor: float = 1e-12, contour=None) -> ConvergenceReport:
+                     quad_tol: float = 1e-10, contour=None) -> ConvergenceReport:
     """Run `build_approximant` over a schedule and record sup errors on `target`.
 
-    Sup errors at or below `noise_floor` are reported with normalized error 0:
+    Sup errors at or below NOISE_FLOOR are reported with normalized error 0:
     the approximant is exact there up to quadrature noise and the degree-th
     root of that noise would say nothing about convergence.
     """
@@ -428,17 +402,16 @@ def convergence_scan(f, sys: FeketeSystem, schedule, target: CompactSample, *,
     entries, quadrature = [], []
     for m, n in schedule:
         try:
-            approx = build_approximant(f, sys, m, n, n_scale, quad_tol=quad_tol,
-                                       contour=contour)
+            approx = build_approximant(f, sys, m, n, quad_tol=quad_tol, contour=contour)
         except PolarhullError as e:
             raise type(e)(f"schedule entry (m={m}, N={n}): {e}") from e
         err = float(np.max(np.abs(fv - approx.eval(target.points))))
-        floored = err <= noise_floor
+        floored = err <= NOISE_FLOOR
         if floored:
             norm = 0.0
         else:
             norm = math.exp(math.log(err) / (m * n))
         entries.append((m * n, err, norm, floored))
         quadrature.append((approx.nodes, approx.converged))
-    return ConvergenceReport(entries=tuple(entries), target_set=target,
-                             target_distance=float(dist), quadrature=tuple(quadrature))
+    return ConvergenceReport(entries=tuple(entries), target_distance=float(dist),
+                             quadrature=tuple(quadrature))

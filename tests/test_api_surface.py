@@ -1,0 +1,78 @@
+"""Pin the defaulted parameters of the public API.
+
+A defaulted parameter is a setting every caller may change, and each one
+doubles the configurations the tests would have to cover.  A setting with
+one value in use is a named module constant beside the code that reads it;
+a parameter keeps a default only when two callers need different values or
+when tests and the benchmark hook in through it.  So a new option, or a
+retired one, shows up here as an edit to PINNED.
+"""
+import importlib
+import inspect
+import pkgutil
+
+import polarhull
+
+PINNED = {
+    "core.DiskUnion.__init__": ("disks", "faithful_depth"),
+    "core.DiskUnion.from_arrays": ("faithful_depth",),
+    "core.CompactSample.__init__": ("tol",),
+    "core.PolynomialC.__init__": ("roots",),
+    "core.CircleContour.nodes": ("n",),
+    "core.CircleContour.__init__": ("node_count",),
+    "hull.FiberClassification.__init__": ("notes",),
+    "hull.classify_fiber": ("depth", "potential"),
+    "laurent.laurent_split": ("tol",),
+    "laurent.mittag_leffler": ("k_max", "test_radius"),
+    "models.PoleSeries.__init__": ("log_abs_c", "label", "log_gamma_tail", "ca_tail"),
+    "models.PoleSeries.singular_sample": ("include_origin",),
+    "models.PoleSeries.gaussian": ("n_terms",),
+    "models.PoleSeries.geometric": ("n_terms", "ratio"),
+    "models.RecipSinPi.__init__": ("pole_cutoff",),
+    "models.RationalModel.__init__": ("polynomial", "label"),
+    "potential.MeasureEstimate.__init__": ("iterations", "residual"),
+    "potential.sublevel_cover": ("z0", "radius"),
+    "potential.wiener_test": ("depth",),
+    "potential.harmonic_measure": ("obstacles", "walks", "seed", "method", "eps_abs",
+                                   "grid_n", "max_steps"),
+    "pshbuild.certify_schedule": ("nu_max", "degree_cap", "density", "builder"),
+    "ratapprox.RationalApproximant.cleared_fold": ("prior",),
+    "ratapprox.build_approximant": ("quad_tol", "contour"),
+    "ratapprox.convergence_scan": ("quad_tol", "contour"),
+}
+
+
+def _public_functions():
+    """(module.name[.method], function) for each module's `__all__` defined there.
+
+    Classes contribute `__init__` and every method whose name has no leading
+    underscore.
+    """
+    for info in pkgutil.iter_modules(polarhull.__path__):
+        mod = importlib.import_module(f"polarhull.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            obj = getattr(mod, name)
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue  # a re-export, pinned where it is defined
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members = [(f"{name}.{attr}", value) for attr, value in vars(obj).items()
+                           if attr == "__init__" or not attr.startswith("_")]
+            for qualname, value in members:
+                if isinstance(value, (staticmethod, classmethod)):
+                    value = value.__func__
+                if inspect.isfunction(value):
+                    yield f"{info.name}.{qualname}", value
+
+
+def _defaulted(fn) -> tuple:
+    params = inspect.signature(fn).parameters.values()
+    return tuple(p.name for p in params if p.default is not inspect.Parameter.empty)
+
+
+def test_defaulted_parameters_are_pinned():
+    found = {name: d for name, fn in _public_functions() if (d := _defaulted(fn))}
+    assert found == PINNED, (
+        "the public defaulted parameters changed.  A setting that only one value in "
+        "use needs belongs in a module constant; add a parameter only when two "
+        "existing callers need different values, then pin it here.")

@@ -165,6 +165,16 @@ def test_nonpositive_tolerance_rejected(tmp_path, command, tol):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["psh", "--function", "exp-reciprocal", "--nu-max", 2, "--density"],
+    ["hmeasure", "--walks"],
+])
+@pytest.mark.parametrize("value", [0, -1])
+def test_nonpositive_count_rejected(tmp_path, command, value):
+    assert run(command + [value, "--out", tmp_path / "x"]) == 1
+    assert not (tmp_path / "x").exists()
+
+
 def test_hmeasure_grid_reruns_byte_identical(tmp_path):
     args = ["hmeasure", "--annulus", "0.1,1", "--at", "0.4", "--method", "grid"]
     assert run(args + ["--out", tmp_path / "a"]) == 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,17 @@ def test_contour_rejects_nonfinite():
         _contour(bad, CircleContour(0j, 1.0))
 
 
+def test_scalar_only_integrand_raises_its_own_error():
+    # integrands are called once on the node array, never retried node by node
+    with pytest.raises(TypeError):
+        _contour(lambda z: math.exp(z.real), CircleContour(0j, 1.0))
+
+
+def test_wrong_shape_integrand_names_both_shapes():
+    with pytest.raises(NodeEvaluationError, match=r"shape \(\) on nodes of shape \(256,\)"):
+        _contour(lambda z: 1.0, CircleContour(0j, 1.0))
+
+
 def test_contour_reports_node_cap():
     # a pole 1e-9 outside the circle: the trapezoid error decays like (1 + 1e-9)^-n
     quad = _contour(lambda z: 1.0 / (z - (1.0 + 1e-9)), CircleContour(0j, 1.0))
@@ -185,8 +198,7 @@ def test_disk_union_keeps_disk_behaviour():
     assert list(union) == disks and union.disks == tuple(disks)
     assert union.to_dict() == {"disks": [d.to_dict() for d in disks]}
     for z in (0.5 + 0.3j, -0.3 + 0.049j, 0.0, 2.0 - 2.4j, 2.0 - 2.6j):
-        for margin in (0.0, 0.01):
-            assert union.contains(z, margin) == any(d.contains(z, margin) for d in disks)
+        assert union.contains(z) == any(d.contains(z) for d in disks)
     same = DiskUnion.from_arrays([d.center for d in disks], [d.radius for d in disks], 7)
     assert same.to_dict() == union.to_dict()
     with pytest.raises(ValueError):

@@ -110,8 +110,8 @@ class TestClassify:
             def __init__(self):
                 self.calls = 0
 
-            def sublevel_cover(self, f, big_r, z0, window):
-                return sublevel_cover(f, big_r, z0, window)
+            def sublevel_cover(self, f, big_r, z0):
+                return sublevel_cover(f, big_r, z0)
 
             def wiener_test(self, cover, point, depth):
                 rep = wiener_test(cover, point, depth)

@@ -4,6 +4,7 @@ import pytest
 from polarhull import laurent
 from polarhull.core import MAX_QUAD_NODES, CircleContour, CompactSample, Disk, DiskUnion
 from polarhull.laurent import (
+    CLEAN_RADIUS_CANDIDATES,
     CoverError,
     NoCleanRadius,
     TruncationError,
@@ -40,11 +41,11 @@ class TestFindCleanRadius:
 
     def test_no_clean_radius(self):
         # sample radii sit exactly on every candidate radius of the search grid
-        k = np.arange(64)
-        radii = 0.5 + (k + 0.5) * 0.1 / 64
+        k = np.arange(CLEAN_RADIUS_CANDIDATES)
+        radii = 0.5 + (k + 0.5) * 0.1 / CLEAN_RADIUS_CANDIDATES
         s = CompactSample(radii.astype(complex))
         with pytest.raises(NoCleanRadius):
-            find_clean_radius(s, 0j, 0.5, 0.6, n_candidates=64)
+            find_clean_radius(s, 0j, 0.5, 0.6)
 
 
 class TestLaurentSplit:

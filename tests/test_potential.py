@@ -202,6 +202,11 @@ class TestHarmonicMeasure:
                                walks=2000, seed=1, eps_abs=1e-3)
         assert est.value > 0.99
 
+    @pytest.mark.parametrize("walks", [0, -5])
+    def test_walks_must_be_positive(self, walks):
+        with pytest.raises(ValueError, match="walks must be >= 1"):
+            harmonic_measure(0.4 + 0j, CircleContour(0j, 0.1), Disk(0j, 1.0), walks=walks)
+
     def test_start_inside_solid_target(self):
         with pytest.raises(StartInsideTarget):
             harmonic_measure(0j, Disk(0j, 0.1), Disk(0j, 1.0), walks=10, seed=0)

@@ -68,8 +68,6 @@ class TestHEval:
         z = A + 1.0
         w = 1.0 / (z - A) + 1e-3  # h = log(1e-3) = -6.9, a genuine value
         assert h_eval(single_pole_approx, z, w) == pytest.approx(math.log(1e-3))
-        # an absolute floor above that value turns it into the marker
-        assert h_eval(single_pole_approx, z, w, floor=-5.0) == -math.inf
 
 
 class TestEvans:
@@ -129,6 +127,13 @@ class TestCertify:
         assert best[:4] == tuple(info.value.best[k] for k in ("big_n", "graph", "box", "offgraph"))
 
 
+    @pytest.mark.parametrize("density", [0, -1])
+    def test_density_must_be_positive(self, density):
+        # density 0 leaves only the ring nodes in the graph grid
+        f = ExpReciprocal()
+        with pytest.raises(ValueError, match="density must be >= 1"):
+            certify_schedule(f, f.singular_sample(), 2, density=density)
+
     def test_unconverged_approximant_never_certifies(self):
         # the order that certifies level 2 first is reported as unconverged,
         # so the level must move on to the next order
@@ -187,7 +192,7 @@ def _refold_oracle(f, nu_max, build):
         tried = []
         while True:
             assert m * n <= max(200, m), "oracle exhausted the degree cap"
-            ap = build(f, system, m, n, 2, quad_tol=1e-13)
+            ap = build(f, system, m, n, quad_tol=1e-13)
             hg = float(np.max(h_values(ap, *graph)))
             hb = float(np.max(h_values(ap, *grid.box_nodes)))
             ho = float(np.min(h_values(ap, *grid.offgraph_nodes)))

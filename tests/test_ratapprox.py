@@ -94,17 +94,6 @@ class TestBuild:
         with pytest.raises(ContourTooClose):
             build_approximant(two_pole, system, 2, 2, contour=bad)
 
-    def test_labeled_groups_get_separate_circles(self):
-        f = RationalModel([2.0, 1.9, -2.0, -1.9], [1.0, 0.5, -1.0, 2.0])
-        sample = CompactSample(f.poles, labels=[0, 0, 1, 1])
-        system = leja_points(sample, 4)
-        ap = build_approximant(f, system, 4, 1)
-        assert len(ap.contour) == 2
-        centers = sorted(c.center.real for c in ap.contour)
-        assert centers[0] < 0 < centers[1]
-        z = 5.0 * np.exp(1j * np.linspace(0.1, 6.2, 60))
-        assert np.max(np.abs(f(z) - ap.eval(z))) < 1e-9
-
 
 class TestConvergence:
     def test_single_pole_floors_immediately(self):
@@ -181,7 +170,7 @@ def test_series_growth_guard():
 
     system = leja_points(CompactSample([0.5, 0.3]), 1)  # rho_1 = 4 * 0.2 = 0.8
     with pytest.raises(SeriesDiverging):
-        build_approximant(Stray(), system, 1, 8, n_scale=2)
+        build_approximant(Stray(), system, 1, 8)
 
 
 def test_capped_build_is_flagged():
