@@ -108,9 +108,8 @@ def _config_overlay(config_path: str | None, section: str,
     return merged
 
 
-def _positive(cfg: dict, key: str, kind=float, default=None):
-    """cfg[key] (or `default`) as a finite positive `kind`, else a usage error."""
-    text = cfg.get(key, default)
+def _positive(key: str, text, kind=float):
+    """`text`, the setting `key`, as a finite positive `kind`, else a usage error."""
     try:
         if 0 < kind(text) < math.inf:
             return kind(text)
@@ -170,10 +169,11 @@ def decompose(config_path, out_dir, tolerance, function_spec, center, radius, km
         "function": function_spec, "center": center, "radius": radius, "kmax": kmax,
         "tolerance": tolerance,
     }, {"center": "0", "radius": 1.0, "kmax": 32})
+    kmax = _positive("kmax", cfg["kmax"], int)
+    tol = _positive("tolerance", cfg.get("tolerance", 1e-8))
     f = _parse_function(cfg.get("function"))
     circle = CircleContour(_parse_point(str(cfg["center"])), float(cfg["radius"]))
-    split = laurent_split(f, circle, int(cfg["kmax"]),
-                          tol=_positive(cfg, "tolerance", default=1e-8))
+    split = laurent_split(f, circle, kmax, tol=tol)
     _finish(out_dir, "decompose", cfg, split.to_dict())
 
 
@@ -188,6 +188,7 @@ def fekete(config_path, out_dir, function_spec, segment, m_points):
     cfg = _config_overlay(config_path, "fekete", {
         "function": function_spec, "segment": segment, "m": m_points,
     }, {"m": 40})
+    m = _positive("m", cfg["m"], int)
     if cfg.get("segment"):
         a, b, n = str(cfg["segment"]).split(",")
         sample = CompactSample(np.linspace(float(a), float(b), int(n)).astype(complex))
@@ -195,7 +196,7 @@ def fekete(config_path, out_dir, function_spec, segment, m_points):
         sample = _parse_function(cfg["function"]).singular_sample()
     else:
         raise click.UsageError("need --segment or --function")
-    m = min(int(cfg["m"]), len(sample))
+    m = min(m, len(sample))
     system = leja_points(sample, m)
     payload = system.to_dict()
     if m >= 8:
@@ -218,17 +219,18 @@ def approx(config_path, out_dir, tolerance, function_spec, m_den, n_list, target
         "function": function_spec, "m": m_den, "n_list": n_list, "target": target,
         "tolerance": tolerance,
     }, {"n_list": "1,2,3,4", "target": "0,0:2.0:128"})
+    orders = [_positive("n_list", t, int) for t in str(cfg["n_list"]).split(",")]
+    tol = _positive("tolerance", cfg.get("tolerance", 1e-10))
     f = _parse_function(cfg.get("function"))
     sample = f.singular_sample()
-    m = int(cfg["m"]) if cfg.get("m") else len(sample)
+    m = len(sample) if cfg.get("m") is None else _positive("m", cfg["m"], int)
     system = leja_points(sample, m)
-    orders = [int(t) for t in str(cfg["n_list"]).split(",")]
     ctr, rad, cnt = str(cfg["target"]).split(":")
     center = _parse_point(ctr)
     theta = 2 * np.pi * np.arange(int(cnt)) / int(cnt)
     target_sample = CompactSample(center + float(rad) * np.exp(1j * theta))
     report = convergence_scan(f, system, [(m, n) for n in orders], target_sample,
-                              quad_tol=_positive(cfg, "tolerance", default=1e-10))
+                              quad_tol=tol)
     _finish(out_dir, "approx", cfg, report.to_dict(), csv_rows=report.to_csv_rows())
 
 
@@ -244,9 +246,12 @@ def psh(config_path, out_dir, function_spec, nu_max, density, tube):
     cfg = _config_overlay(config_path, "psh", {
         "function": function_spec, "nu_max": nu_max, "density": density, "tube": tube,
     }, {"nu_max": 4, "density": 10})
-    density = _positive(cfg, "density", int)
+    nu_max = _positive("nu_max", cfg["nu_max"], int)
+    if not 2 <= nu_max <= 12:
+        raise click.UsageError(f"nu_max must be in [2, 12], got {nu_max}")
+    density = _positive("density", cfg["density"], int)
     f = _parse_function(cfg.get("function"))
-    field = certify_schedule(f, f.singular_sample(), int(cfg["nu_max"]), density=density)
+    field = certify_schedule(f, f.singular_sample(), nu_max, density=density)
     csv_rows = None
     if cfg.get("tube"):
         rng, cnt, offs = str(cfg["tube"]).split(":")
@@ -270,10 +275,11 @@ def thin(config_path, out_dir, function_spec, big_r, point, depth):
     cfg = _config_overlay(config_path, "thin", {
         "function": function_spec, "big_r": big_r, "point": point, "depth": depth,
     }, {"big_r": "e", "point": "0", "depth": 40})
+    depth = _positive("depth", cfg["depth"], int)
     f = _parse_function(cfg.get("function"))
     z0 = _parse_point(str(cfg["point"]))
     cover = sublevel_cover(f, _parse_level(str(cfg["big_r"])), z0)
-    report = wiener_test(cover, z0, int(cfg["depth"]))
+    report = wiener_test(cover, z0, depth)
     rows = [["n", "inner", "outer", "capacity_estimate", "partial_sum"]]
     for (n, inner, outer, cap), s in zip(report.annuli, report.partial_sums):
         rows.append([str(n), repr(inner), repr(outer), repr(cap), repr(float(s))])
@@ -293,7 +299,7 @@ def hmeasure(config_path, out_dir, annulus, at_point, walks, method, seed):
     cfg = _config_overlay(config_path, "hmeasure", {
         "annulus": annulus, "at": at_point, "walks": walks, "method": method, "seed": seed,
     }, {"annulus": "0.1,1.0", "at": "0.4", "walks": 100000, "method": "wos", "seed": 0})
-    walks = _positive(cfg, "walks", int)
+    walks = _positive("walks", cfg["walks"], int)
     r_in, r_out = (float(t) for t in str(cfg["annulus"]).split(","))
     est = harmonic_measure(
         _parse_point(str(cfg["at"])), CircleContour(0j, r_in), Disk(0j, r_out), DiskUnion([]),
@@ -316,9 +322,10 @@ def hull(config_path, out_dir, function_spec, points, r_grid, depth):
         "function": function_spec, "points": ";".join(points) or None, "r_grid": r_grid,
         "depth": depth,
     }, {"points": "0", "r_grid": "e,e2,e10", "depth": 40})
+    depth = _positive("depth", cfg["depth"], int)
     f = _parse_function(cfg.get("function"))
     grid = [_parse_level(t) for t in str(cfg["r_grid"]).split(",")]
-    entries = [classify_fiber(f, _parse_point(token), grid, depth=int(cfg["depth"]))
+    entries = [classify_fiber(f, _parse_point(token), grid, depth=depth)
                for token in str(cfg["points"]).split(";")]
     verdict = HullVerdict(model_label=f.label, entries=tuple(entries))
     click.echo(f"{'point':>16}  {'classification':<14} w0")

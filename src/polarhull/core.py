@@ -157,26 +157,26 @@ class DiskUnion:
 
 
 _DUPLICATE_TOL = 1e-14
+# how near a sample point counts as on it; written into every sample's record
+SAMPLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class CompactSample:
     """Finite point sample standing in for a compact set.
 
-    Tolerance metadata travels with the sample; the library never represents
-    uncountable sets exactly.
+    The library never represents uncountable sets exactly; a point within
+    SAMPLE_TOL of a sample point counts as that point.
     """
 
     points: np.ndarray
-    tol: float = 1e-12
 
-    def __init__(self, points, tol: float = 1e-12):
+    def __init__(self, points):
         pts = as_complex_array(points)
         if pts.size == 0:
             raise ValueError("sample must be nonempty")
         _check_no_duplicates(pts)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "tol", float(tol))
 
     def __len__(self):
         return len(self.points)
@@ -198,7 +198,7 @@ class CompactSample:
     def to_dict(self) -> dict:
         return {
             "points": [complex_to_pair(p) for p in self.points],
-            "tol": self.tol,
+            "tol": SAMPLE_TOL,
         }
 
 

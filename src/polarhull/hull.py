@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Disk, PolarhullError, complex_to_pair
+from .core import SAMPLE_TOL, Disk, PolarhullError, complex_to_pair
 from .models import FunctionModel, PoleSeries, TailUncertifiable
 from . import potential as potential_mod
 
@@ -238,7 +238,7 @@ def classify_fiber(f: FunctionModel, z0: complex, r_grid, *,
         return entry("FIBER_EMPTY")
 
     bound = min(thin_rs)
-    if isinstance(f, PoleSeries) and abs(z0) < singular.tol:
+    if isinstance(f, PoleSeries) and abs(z0) < SAMPLE_TOL:
         w0, err = f_at_origin(f)
         if abs(w0) > bound:
             return entry("UNKNOWN", extra="origin value exceeds thin-level radius bound")

@@ -262,10 +262,11 @@ def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, degree_cap: int = 
     consumed exactly); the outer order N increases until the level certifies or
     the degree cap is hit.  Levels reuse the approximant cache, and the search
     for level nu+1 starts at the order that certified level nu.  Within a
-    level, each grid's cleared Horner recurrence resumes from the previous
-    order's wherever that approximant is bitwise the leading part of the next
-    (`RationalApproximant.cleared_fold`), so a try usually folds in one more
-    coefficient instead of all N.
+    level, each grid's cleared fold (`RationalApproximant.cleared_fold`)
+    resumes from the previous order's wherever that approximant is bitwise
+    the leading part of the next, so a try usually folds one more
+    coefficient into sums over the grid's distinct z, and then costs two
+    multiply-adds per node.
     """
     if not 2 <= nu_max <= 12:
         raise ValueError("nu_max must be in [2, 12]")
@@ -356,7 +357,8 @@ def export_field(field: PshField, grid: GridSpec):
         re = np.linspace(*p["re_range"], p["nx"])
         im = np.linspace(*p["im_range"], p["ny"])
         plane = re[None, :] + 1j * im[:, None]
-        fixed = np.full_like(plane, p["w" if grid.kind == "fixed_w" else "z"])
+        # one fixed value broadcasts: with z fixed, the z-only work runs once
+        fixed = np.full((1, 1), p["w" if grid.kind == "fixed_w" else "z"], dtype=complex)
         zs, ws = (plane, fixed) if grid.kind == "fixed_w" else (fixed, plane)
         us = field.u_grid(zs, ws)
     elif grid.kind == "graph_tube":

@@ -12,7 +12,7 @@ removable singularity is gone analytically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -122,47 +122,52 @@ class RationalApproximant:
         diff = (w - A(z)) q^N - sum_k c_k(z) q^{N-1-k}; eval_shadow is the same
         expression with every term replaced by its absolute value (the running
         bound for cancellation noise); quad_shadow propagates the recorded
-        coefficient quadrature errors through the same evaluation.  All three
-        are one Horner recurrence in q, from c_0 down to c_{N-1}.
+        coefficient quadrature errors through the same evaluation.
 
-        z and w broadcast together.  Only diff and eval_shadow depend on w;
-        quad_shadow, like q(z) and every c_k(z), has z's shape, so on a grid
-        of few distinct z against many w (z of shape (n, 1), w of shape
-        (n, k)) the z-only work runs once per z.  Each entry is bitwise that
-        of the flattened (z, w) pairs.
+        Both diff and eval_shadow are linear in w, so every Horner recurrence
+        in q (q^N, the c_k sum, their absolute-value twins and quad_shadow)
+        runs on z alone; per (z, w) node there is one multiply-add for each
+        of diff and eval_shadow.  z and w broadcast together, so on a grid of
+        few distinct z against many w (z of shape (n, 1), w of shape (n, k))
+        all of the recurrences run once per z.  Each entry is bitwise that of
+        the flattened (z, w) pairs.
         """
         return self.cleared_fold(z, w).cleared
 
     def cleared_fold(self, z, w, prior: "ClearedFold | None" = None) -> "ClearedFold":
-        """The Horner recurrence of `cleared_eval` on (z, w), kept to resume.
+        """The z-only Horner sums of `cleared_eval` on (z, w), kept to resume.
 
         A `prior` fold on the same z and w array objects, of an approximant
         whose q_m, analytic part, coefficients and noise are bitwise the
         leading part of this one's, is extended by the remaining coefficients
-        only.  Any other prior is ignored and the fold starts from zeros.
-        Either way the result is bitwise the fold from zeros.
+        only.  Any other prior is ignored and the sums start from q^0 = 1 and
+        zeros.  Either way the result is bitwise the fold from the start.
         """
         if prior is not None and prior.z is z and prior.w is w and _leads(prior.approximant, self):
-            qv, aq, az = prior.qv, prior.aq, prior.az
-            diff, eval_shadow, quad_shadow = prior.cleared
-            done = len(prior.approximant.coeff_polys)
+            start, done = prior, len(prior.approximant.coeff_polys)
         else:
             z = np.asarray(z, dtype=complex)
             w = np.asarray(w, dtype=complex)
             qv = self.q_values(z)
             aq = np.abs(qv)
             az = np.abs(z)
-            head = np.abs(w) + self.analytic_part.abs_eval(az)
-            diff = _horner([w - self.analytic_part(z)], qv)
-            eval_shadow = _horner([head], aq)
-            quad_shadow = _horner([0.0], aq)
+            start = ClearedFold(
+                self, z, w, qv, aq, az,
+                w - self.analytic_part(z), np.abs(w) + self.analytic_part.abs_eval(az),
+                np.ones_like(qv), np.zeros_like(qv), np.ones_like(aq), np.zeros_like(aq),
+                np.zeros_like(aq),
+            )
             done = 0
+        qv, aq, az = start.qv, start.aq, start.az
         polys, noise = self.coeff_polys[done:], self.coeff_noise[done:]
-        return ClearedFold(
-            self, z, w, qv, aq, az,
-            _horner((-ck(z) for ck in polys), qv, diff),
-            _horner((ck.abs_eval(az) for ck in polys), aq, eval_shadow),
-            _horner((_horner(nv[::-1], az) for nv in noise), aq, quad_shadow),
+        qn, aqn = start.qn, start.aqn
+        for _ in polys:
+            qn, aqn = qn * qv, aqn * aq
+        return replace(
+            start, approximant=self, qn=qn, aqn=aqn,
+            pn=_horner((-ck(z) for ck in polys), qv, start.pn),
+            sn=_horner((ck.abs_eval(az) for ck in polys), aq, start.sn),
+            quad_shadow=_horner((_horner(nv[::-1], az) for nv in noise), aq, start.quad_shadow),
         )
 
     def to_dict(self) -> dict:
@@ -183,8 +188,16 @@ class RationalApproximant:
 
 @dataclass(frozen=True, eq=False)
 class ClearedFold:
-    """`RationalApproximant.cleared_fold`'s running state: the cleared triple
-    of `approximant` on (z, w), with q(z), |q(z)| and |z| to extend it."""
+    """`RationalApproximant.cleared_fold`'s running state on (z, w).
+
+    Besides the caller's z and w it holds two arrays of the broadcast node
+    shape, w - A(z) and |w| + |A|(|z|); every other array has z's shape:
+    q(z), |q(z)| and |z| to extend the sums, and the sums themselves,
+    qn = q^N, pn = -sum_k c_k(z) q^{N-1-k}, their absolute-value twins aqn
+    and sn, and quad_shadow.  `cleared` turns them into the triple of
+    `cleared_eval` with one multiply-add per node for each of diff and
+    eval_shadow.
+    """
 
     approximant: RationalApproximant
     z: np.ndarray
@@ -192,13 +205,17 @@ class ClearedFold:
     qv: np.ndarray
     aq: np.ndarray
     az: np.ndarray
-    diff: np.ndarray
-    eval_shadow: np.ndarray
+    wa: np.ndarray
+    head: np.ndarray
+    qn: np.ndarray
+    pn: np.ndarray
+    aqn: np.ndarray
+    sn: np.ndarray
     quad_shadow: np.ndarray
 
     @property
     def cleared(self) -> tuple:
-        return self.diff, self.eval_shadow, self.quad_shadow
+        return self.wa * self.qn + self.pn, self.head * self.aqn + self.sn, self.quad_shadow
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:

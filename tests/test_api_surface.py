@@ -16,7 +16,6 @@ import polarhull
 PINNED = {
     "core.DiskUnion.__init__": ("disks", "faithful_depth"),
     "core.DiskUnion.from_arrays": ("faithful_depth",),
-    "core.CompactSample.__init__": ("tol",),
     "core.PolynomialC.__init__": ("roots",),
     "core.CircleContour.nodes": ("n",),
     "core.CircleContour.__init__": ("node_count",),

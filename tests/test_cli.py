@@ -168,10 +168,27 @@ def test_nonpositive_tolerance_rejected(tmp_path, command, tol):
 @pytest.mark.parametrize("command", [
     ["psh", "--function", "exp-reciprocal", "--nu-max", 2, "--density"],
     ["hmeasure", "--walks"],
+    ["psh", "--function", "exp-reciprocal", "--nu-max"],
+    ["thin", "--function", "exp-reciprocal", "--depth"],
+    ["hull", "--function", "exp-reciprocal", "--depth"],
+    ["fekete", "--segment", "-1,1,11", "--m"],
+    ["approx", "--function", "exp-reciprocal", "--n-list"],
+    ["approx", "--function", "exp-reciprocal", "--m"],
+    ["decompose", "--function", "exp-reciprocal", "--kmax"],
 ])
 @pytest.mark.parametrize("value", [0, -1])
 def test_nonpositive_count_rejected(tmp_path, command, value):
     assert run(command + [value, "--out", tmp_path / "x"]) == 1
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["psh", "--function", "exp-reciprocal", "--nu-max", 1],
+    ["psh", "--function", "exp-reciprocal", "--nu-max", 13],
+    ["approx", "--function", "exp-reciprocal", "--n-list", "1,-2"],
+])
+def test_out_of_range_setting_rejected(tmp_path, command):
+    assert run(command + ["--out", tmp_path / "x"]) == 1
     assert not (tmp_path / "x").exists()
 
 

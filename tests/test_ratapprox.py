@@ -7,8 +7,9 @@ import pytest
 from polarhull.core import CircleContour, CompactSample, PolynomialC, poly_from_roots
 from polarhull.fekete import leja_points
 from polarhull.models import ExpReciprocal, PoleSeries, RationalModel, RecipSinPi
-from polarhull.pshbuild import certify_schedule, h_values
+from polarhull.pshbuild import _certification_grid, certify_schedule, h_values
 from polarhull.ratapprox import (
+    ClearedFold,
     ContourTooClose,
     SeriesDiverging,
     build_approximant,
@@ -207,26 +208,49 @@ def _power_sum_cleared_eval(ap, z, w):
     return diff, eval_shadow, quad_shadow
 
 
+def _per_node_fold(ap, z, w):
+    """Oracle: `cleared_eval` with w - A(z) folded into the Horner recurrence at every node."""
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    qv = ap.q_values(z)
+    aq = np.abs(qv)
+    az = np.abs(z)
+    diff = w - ap.analytic_part(z)
+    eval_shadow = np.abs(w) + ap.analytic_part.abs_eval(az)
+    quad_shadow = np.zeros_like(aq)
+    for ck, nv in zip(ap.coeff_polys, ap.coeff_noise):
+        diff = diff * qv - ck(z)
+        eval_shadow = eval_shadow * aq + ck.abs_eval(az)
+        quad_shadow = quad_shadow * aq + np.polyval(nv[::-1], az)
+    return diff, eval_shadow, quad_shadow
+
+
+# with gaussian-10 to nu=6, whose levels include those to nu=4, these cover
+# every level of the seven fields of the field-certify benchmark
 @pytest.fixture(scope="module", params=[
     (ExpReciprocal(), 8), (RationalModel([0.3, 0.5], [1.0, 2.0]), 8),
-    (RecipSinPi(8), 8), (PoleSeries.gaussian(10), 6)],
-    ids=["exp-reciprocal", "two-pole", "recip-sin-pi-8", "gaussian-10"])
+    (RecipSinPi(8), 8), (PoleSeries.gaussian(10), 6),
+    (PoleSeries.geometric(10), 6), (PoleSeries.gaussian(20), 4)],
+    ids=["exp-reciprocal", "two-pole", "recip-sin-pi-8", "gaussian-10",
+         "geometric-10", "gaussian-20"])
 def certified_field(request):
     f, nu_max = request.param
     return f, certify_schedule(f, f.singular_sample(), nu_max)
 
 
-def test_horner_cleared_eval_matches_power_sums(certified_field):
+def _assert_cleared_eval_matches(certified_field, oracle):
+    """On every level's graph, box and off-graph nodes: bitwise at N = 1, else
+    |diff error| <= 2 N eps eval_shadow, shadows to 1e-13, the same -inf nodes."""
     eps = np.finfo(float).eps
     f, field = certified_field
     for lev in field.levels:
         ap, grid = lev.approximant, lev.grid
         graph = (grid.graph_nodes, np.asarray(f(grid.graph_nodes), dtype=complex))
         oracle_ap = SimpleNamespace(normalization=ap.normalization,
-                                    cleared_eval=lambda z, w: _power_sum_cleared_eval(ap, z, w))
+                                    cleared_eval=lambda z, w: oracle(ap, z, w))
         for z, w in (graph, grid.box_nodes, grid.offgraph_nodes):
             diff, eval_shadow, quad_shadow = ap.cleared_eval(z, w)
-            o_diff, o_eval, o_quad = _power_sum_cleared_eval(ap, z, w)
+            o_diff, o_eval, o_quad = oracle(ap, z, w)
             if ap.big_n == 1:
                 assert np.array_equal(diff, o_diff)
                 assert np.array_equal(eval_shadow, o_eval)
@@ -236,6 +260,38 @@ def test_horner_cleared_eval_matches_power_sums(certified_field):
             np.testing.assert_allclose(quad_shadow, o_quad, rtol=1e-13, atol=0)
             assert np.array_equal(np.isneginf(h_values(ap, z, w)),
                                   np.isneginf(h_values(oracle_ap, z, w)))
+
+
+def test_horner_cleared_eval_matches_power_sums(certified_field):
+    _assert_cleared_eval_matches(certified_field, _power_sum_cleared_eval)
+
+
+def test_z_only_fold_matches_per_node_fold(certified_field):
+    _assert_cleared_eval_matches(certified_field, _per_node_fold)
+
+
+def test_cleared_fold_keeps_two_node_shaped_arrays():
+    # where the speed comes from: the Horner sums run on the 6,704 distinct z
+    # of the off-graph block, and only w - A(z) and |w| + |A|(|z|) span its
+    # 160,896 broadcast nodes; resuming reuses both
+    f = ExpReciprocal()
+    k = f.singular_sample()
+    block = _certification_grid(f, k, 8, 10).offgraph
+    system = leja_points(k, 1)
+    ap2, ap3 = (build_approximant(f, system, 1, n, quad_tol=1e-13) for n in (2, 3))
+    node_shape = np.broadcast(block.z, block.w).shape
+    assert node_shape != block.z.shape
+    fold = ap2.cleared_fold(block.z, block.w)
+    resumed = ap3.cleared_fold(block.z, block.w, fold)
+    for fl in (fold, resumed):
+        assert fl.z is block.z and fl.w is block.w  # the caller's arrays, kept to key resumption
+        held = {field.name: getattr(fl, field.name) for field in dataclasses.fields(ClearedFold)
+                if field.name not in ("z", "w")}
+        held = {name: v for name, v in held.items() if isinstance(v, np.ndarray)}
+        assert sorted(name for name, v in held.items() if v.shape == node_shape) == ["head", "wa"]
+        assert all(v.shape == block.z.shape for name, v in held.items()
+                   if name not in ("head", "wa"))
+    assert resumed.wa is fold.wa and resumed.head is fold.head
 
 
 def _bits(parts):
