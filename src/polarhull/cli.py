@@ -118,6 +118,24 @@ def _positive(key: str, text, kind=float):
     raise click.UsageError(f"{key} must be a positive number, got {text!r}")
 
 
+def _fields(key: str, text, sep: str = ",", count: int | None = None) -> list:
+    """`text`, the setting `key`, split at `sep`: into `count` fields, or any number."""
+    parts = str(text).split(sep)
+    if count is not None and len(parts) != count:
+        raise click.UsageError(f"{key} needs {count} fields separated by {sep!r}, got {text!r}")
+    return parts
+
+
+def _number(key: str, text) -> float:
+    """`text`, a field of the setting `key`, as a finite float, else a usage error."""
+    try:
+        if math.isfinite(float(text)):
+            return float(text)
+    except ValueError:
+        pass
+    raise click.UsageError(f"{key} holds {text!r}, not a finite number")
+
+
 def _finish(out_dir: str, command: str, config: dict, payload: dict,
             csv_rows=None, csv_name: str | None = None) -> None:
     canon = json.dumps(config, sort_keys=True, default=str)
@@ -190,8 +208,9 @@ def fekete(config_path, out_dir, function_spec, segment, m_points):
     }, {"m": 40})
     m = _positive("m", cfg["m"], int)
     if cfg.get("segment"):
-        a, b, n = str(cfg["segment"]).split(",")
-        sample = CompactSample(np.linspace(float(a), float(b), int(n)).astype(complex))
+        a, b, n = _fields("segment", cfg["segment"], ",", 3)
+        sample = CompactSample(np.linspace(_number("segment", a), _number("segment", b),
+                                           _positive("segment", n, int)).astype(complex))
     elif cfg.get("function"):
         sample = _parse_function(cfg["function"]).singular_sample()
     else:
@@ -224,11 +243,11 @@ def approx(config_path, out_dir, tolerance, function_spec, m_den, n_list, target
     f = _parse_function(cfg.get("function"))
     sample = f.singular_sample()
     m = len(sample) if cfg.get("m") is None else _positive("m", cfg["m"], int)
+    ctr, rad, cnt = _fields("target", cfg["target"], ":", 3)
+    center, rad, cnt = _parse_point(ctr), _positive("target", rad), _positive("target", cnt, int)
+    theta = 2 * np.pi * np.arange(cnt) / cnt
+    target_sample = CompactSample(center + rad * np.exp(1j * theta))
     system = leja_points(sample, m)
-    ctr, rad, cnt = str(cfg["target"]).split(":")
-    center = _parse_point(ctr)
-    theta = 2 * np.pi * np.arange(int(cnt)) / int(cnt)
-    target_sample = CompactSample(center + float(rad) * np.exp(1j * theta))
     report = convergence_scan(f, system, [(m, n) for n in orders], target_sample,
                               quad_tol=tol)
     _finish(out_dir, "approx", cfg, report.to_dict(), csv_rows=report.to_csv_rows())
@@ -250,14 +269,17 @@ def psh(config_path, out_dir, function_spec, nu_max, density, tube):
     if not 2 <= nu_max <= 12:
         raise click.UsageError(f"nu_max must be in [2, 12], got {nu_max}")
     density = _positive("density", cfg["density"], int)
+    tube = None
+    if cfg.get("tube"):
+        span, cnt, offs = _fields("tube", cfg["tube"], ":", 3)
+        tube = GridSpec.graph_tube([_number("tube", t) for t in _fields("tube", span, ",", 2)],
+                                   _positive("tube", cnt, int),
+                                   [_number("tube", t) for t in _fields("tube", offs)])
     f = _parse_function(cfg.get("function"))
     field = certify_schedule(f, f.singular_sample(), nu_max, density=density)
     csv_rows = None
-    if cfg.get("tube"):
-        rng, cnt, offs = str(cfg["tube"]).split(":")
-        a, b = (float(t) for t in rng.split(","))
-        offsets = [float(t) for t in offs.split(",")]
-        rows = export_field(field, GridSpec.graph_tube((a, b), int(cnt), offsets))
+    if tube is not None:
+        rows = export_field(field, tube)
         csv_rows = [["z_re", "z_im", "w_re", "w_im", "u"]] + [
             [repr(v) for v in row] for row in rows
         ]
@@ -300,7 +322,7 @@ def hmeasure(config_path, out_dir, annulus, at_point, walks, method, seed):
         "annulus": annulus, "at": at_point, "walks": walks, "method": method, "seed": seed,
     }, {"annulus": "0.1,1.0", "at": "0.4", "walks": 100000, "method": "wos", "seed": 0})
     walks = _positive("walks", cfg["walks"], int)
-    r_in, r_out = (float(t) for t in str(cfg["annulus"]).split(","))
+    r_in, r_out = (_positive("annulus", t) for t in _fields("annulus", cfg["annulus"], ",", 2))
     est = harmonic_measure(
         _parse_point(str(cfg["at"])), CircleContour(0j, r_in), Disk(0j, r_out), DiskUnion([]),
         walks=walks, seed=int(cfg["seed"]), method=str(cfg["method"]),

@@ -1,11 +1,15 @@
 """Construct and evaluate the layered log-potential field u(z, w).
 
 Each level nu pins an approximant whose normalized log-potential
-h(z, w) = (1/n) log |w q(z) - p(z)| satisfies three grid-verified bounds:
-on-graph depth (h <= -nu), a box ceiling (h <= log(nu+2)), and an off-graph
-floor (h >= -log(nu+1)) away from the graph.  The weighted series of clamped
-levels plus a discrete Evans-style atomic potential gives a field that is
-finite off the graph and plunges on it.
+h(z, w) = (1/n) log |w q(z) - p(z)| satisfies three bounds: on-graph depth
+(h <= -nu), a box ceiling (h <= log(nu+2)) on the torus |z| = |w| = nu, and
+an off-graph floor (h >= -log(nu+1)) where |w - f(z)| > 1/nu.  Only the
+depth is evaluated on (z, w) nodes, the graph nodes (z, f(z)).  Off the
+graph |w q^N - p| = |q(z)|^N |w - f_N(z)|, so the floor follows from the
+same nodes' |f - f_N| and |q|, and the ceiling is one scalar Horner pass on
+|z| = |w| = nu.  The weighted series of clamped levels plus a discrete
+Evans-style atomic potential gives a field that is finite off the graph and
+plunges on it.
 
 Minus infinity is represented by clamping.  h reports a NEG_INFINITY marker
 (-inf) whenever the cleared modulus falls below its floating-point
@@ -16,17 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import CompactSample, PolarhullError, complex_to_pair, pointwise
+from .core import CompactSample, PolarhullError, _horner, complex_to_pair, pointwise
 from .fekete import leja_points
 from .ratapprox import RationalApproximant, build_approximant
 
 __all__ = [
     "ScheduleExhausted",
-    "NodeBlock",
     "CertificationGrid",
     "PshLevel",
     "PshField",
@@ -64,9 +66,14 @@ def h_values(approximant: RationalApproximant, z, w) -> np.ndarray:
     return _h_of_cleared(approximant.cleared_eval(z, w), approximant.normalization)
 
 
+def _noise_threshold(eval_shadow, quad_shadow):
+    """The cleared modulus below which a value is cancellation or quadrature noise."""
+    return NOISE_REL * eval_shadow + QUAD_NOISE_SAFETY * quad_shadow
+
+
 def _h_of_cleared(cleared, n: int) -> np.ndarray:
     diff, eval_shadow, quad_shadow = cleared
-    thr = NOISE_REL * eval_shadow + QUAD_NOISE_SAFETY * quad_shadow
+    thr = _noise_threshold(eval_shadow, quad_shadow)
     mag = np.abs(np.atleast_1d(diff))
     thr = np.broadcast_to(np.atleast_1d(thr), mag.shape)
     out = np.full(mag.shape, -np.inf)
@@ -88,63 +95,24 @@ def evans_discrete(k: CompactSample):
     return [(complex(p), w) for p in k.points]
 
 
-class NodeBlock(NamedTuple):
-    """Certification nodes as (z, w) arrays that broadcast together.
-
-    A value that depends on z alone is computed once per entry of `z` and
-    broadcast over the w's.  `keep` masks the broadcast nodes that count
-    (None: every node); `flat` lists them as two flat arrays in C order.
-    """
-
-    z: np.ndarray
-    w: np.ndarray
-    keep: np.ndarray | None = None
-
-    @property
-    def flat(self) -> tuple:
-        z, w = np.broadcast_arrays(self.z, self.w)
-        if self.keep is None:
-            return z.ravel(), w.ravel()
-        return z[self.keep], w[self.keep]
-
-    @property
-    def count(self) -> int:
-        if self.keep is None:
-            return np.broadcast(self.z, self.w).size
-        return int(np.count_nonzero(self.keep))
-
-    def kept(self, values: np.ndarray) -> np.ndarray:
-        """The entries of a broadcast-shaped array at the nodes that count."""
-        return values if self.keep is None else values[self.keep]
-
-
 @dataclass(frozen=True, eq=False)
 class CertificationGrid:
-    """Finite grids on which the three level bounds are verified."""
+    """The graph nodes z in D_nu, away from the sample, on which a level is certified.
+
+    The graph bound and the off-graph floor both read these nodes; the box
+    ceiling reads none, so `to_dict()` counts them as graph and off-graph
+    nodes and the box as 0.
+    """
 
     nu: int
-    graph_nodes: np.ndarray           # z in D_nu
-    box: NodeBlock                    # a row of z times a column of w, |z|=|w|=nu
-    offgraph: NodeBlock               # |w - f(z)| > 1/nu, kept where |w| < nu
-
-    @property
-    def box_nodes(self) -> tuple:
-        return self.box.flat
-
-    @property
-    def offgraph_nodes(self) -> tuple:
-        return self.offgraph.flat
+    graph_nodes: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "nu": self.nu,
-            "graph_count": int(len(self.graph_nodes)),
-            "box_count": self.box.count,
-            "offgraph_count": self.offgraph.count,
-        }
+        count = int(len(self.graph_nodes))
+        return {"nu": self.nu, "graph_count": count, "box_count": 0, "offgraph_count": count}
 
 
-def _certification_grid(f, sample: CompactSample, nu: int, density: int) -> CertificationGrid:
+def _certification_grid(sample: CompactSample, nu: int, density: int) -> CertificationGrid:
     pts = sample.points
     cut = 1.0 / nu
 
@@ -163,20 +131,43 @@ def _certification_grid(f, sample: CompactSample, nu: int, density: int) -> Cert
         rings.append(ring)
     ring = np.concatenate(rings)
     ring = ring[(sample.min_distance_to(ring) > cut) & (np.abs(ring) < nu)]
-    graph = np.concatenate([graph, ring])
+    return CertificationGrid(nu=nu, graph_nodes=np.concatenate([graph, ring]))
 
-    n_box = 48
-    tb = nu * np.exp(2j * np.pi * np.arange(n_box) / n_box)
-    box = NodeBlock(tb[None, :], tb[:, None])
 
-    # every base point carries 8 angles at each of 3 distances from its graph point
-    base = graph[::3]
-    fb = np.asarray(f(base), dtype=complex)
-    wa = np.exp(2j * np.pi * np.arange(8) / 8)
-    steps = np.stack([s * cut * wa for s in (1.02, 1.5, 3.0)])
-    w_off = fb[None, :, None] + steps[:, None, :]
-    off = NodeBlock(base[None, :, None], w_off, np.abs(w_off) < nu)
-    return CertificationGrid(nu=nu, graph_nodes=graph, box=box, offgraph=off)
+def _offgraph_floor(approx: RationalApproximant, z, cleared, nu: int) -> float:
+    """Lower bound of h where |w - f(z)| > 1/nu, from the graph nodes' cleared values.
+
+    On the graph the cleared difference is q^N (f - f_N), so with the noise
+    threshold R_N = (|diff| + thr) / |q|^N bounds |f - f_N| at each node, and
+    off the graph |w q^N - p| >= |q|^N (1/nu - R_N).  R_N is formed in logs,
+    where |q|^N cannot underflow.  -inf (never certifies) unless max R_N is
+    finite and below 1/nu.
+    """
+    diff, eval_shadow, quad_shadow = cleared
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_q = np.log(np.abs(approx.q_values(z)))
+        log_r = np.log(np.abs(diff) + _noise_threshold(eval_shadow, quad_shadow))
+        margin = 1.0 / nu - np.exp(np.max(log_r - approx.big_n * log_q))
+        if not (np.isfinite(margin) and margin > 0):
+            return -math.inf
+        return float(approx.big_n * np.min(log_q) + np.log(margin)) / approx.normalization
+
+
+def _box_ceiling(approx: RationalApproximant, nu: int) -> float:
+    """Upper bound of h on the torus |z| = |w| = nu, with no nodes.
+
+    There |q| <= P = prod(nu + |r_i|) over the roots of q_m, so |diff| is at
+    most its cancellation shadow with |q| replaced by P, plus the quadrature
+    noise at the safety factor: one Horner pass in P from nu + |A|(nu) over
+    |c_k|(nu) + QUAD_NOISE_SAFETY noise_k(nu).
+    """
+    r = float(nu)
+    p = math.prod(r + abs(root) for root in approx.poles)
+    terms = (ck.abs_eval(r) + QUAD_NOISE_SAFETY * _horner(nv[::-1], r)
+             for ck, nv in zip(approx.coeff_polys, approx.coeff_noise))
+    with np.errstate(over="ignore"):
+        s = _horner(terms, p, r + approx.analytic_part.abs_eval(r))
+        return float(np.log(s)) / approx.normalization
 
 
 TRIED_KEYS = ("big_n", "h_bound_graph", "h_bound_box", "h_bound_offgraph", "converged")
@@ -256,17 +247,16 @@ def u_eval(field: PshField, z, w) -> float:
 
 def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, degree_cap: int = 200,
                      density: int = 10, builder=build_approximant) -> PshField:
-    """Search outer orders per level until the three grid bounds certify.
+    """Search outer orders per level until the three bounds certify.
 
     The denominator degree m is pinned to the sample size (finite samples are
     consumed exactly); the outer order N increases until the level certifies or
     the degree cap is hit.  Levels reuse the approximant cache, and the search
-    for level nu+1 starts at the order that certified level nu.  Within a
-    level, each grid's cleared fold (`RationalApproximant.cleared_fold`)
-    resumes from the previous order's wherever that approximant is bitwise
-    the leading part of the next, so a try usually folds one more
-    coefficient into sums over the grid's distinct z, and then costs two
-    multiply-adds per node.
+    for level nu+1 starts at the order that certified level nu.  Each try
+    evaluates the cleared difference once, on the graph nodes (z, f(z)): the
+    graph bound is its largest h, and the off-graph floor
+    (`_offgraph_floor`) reads the same values.  The box ceiling
+    (`_box_ceiling`) needs no nodes.
     """
     if not 2 <= nu_max <= 12:
         raise ValueError("nu_max must be in [2, 12]")
@@ -284,21 +274,18 @@ def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, degree_cap: int = 
     levels = []
     start_n = 1
     for nu in range(2, nu_max + 1):
-        grid = _certification_grid(f, k, nu, density)
-        blocks = (NodeBlock(grid.graph_nodes, np.asarray(f(grid.graph_nodes), dtype=complex)),
-                  grid.box, grid.offgraph)
-        folds = [None] * len(blocks)
+        grid = _certification_grid(k, nu, density)
+        z = grid.graph_nodes
+        fz = np.asarray(f(z), dtype=complex)
         tried = []
         certified = None
         n = start_n
         while m * n <= max(degree_cap, m):
             approx = approx_for(n)
-            bounds = []
-            for i, (block, reduce) in enumerate(zip(blocks, (np.max, np.max, np.min))):
-                folds[i] = approx.cleared_fold(block.z, block.w, folds[i])
-                h = _h_of_cleared(folds[i].cleared, approx.normalization)
-                bounds.append(float(reduce(block.kept(h))))
-            hg, hb, ho = bounds
+            cleared = approx.cleared_eval(z, fz)
+            hg = float(np.max(_h_of_cleared(cleared, approx.normalization)))
+            hb = _box_ceiling(approx, nu)
+            ho = _offgraph_floor(approx, z, cleared, nu)
             tried.append((n, hg, hb, ho, approx.converged))
             # an approximant whose quadrature never settled certifies nothing
             ok = (approx.converged and hg <= -nu and hb <= math.log(nu + 2)

@@ -12,8 +12,7 @@ removable singularity is gone analytically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "ContourTooClose",
     "SeriesDiverging",
     "RationalApproximant",
-    "ClearedFold",
     "ConvergenceReport",
     "rho_of",
     "build_approximant",
@@ -126,49 +124,23 @@ class RationalApproximant:
 
         Both diff and eval_shadow are linear in w, so every Horner recurrence
         in q (q^N, the c_k sum, their absolute-value twins and quad_shadow)
-        runs on z alone; per (z, w) node there is one multiply-add for each
-        of diff and eval_shadow.  z and w broadcast together, so on a grid of
-        few distinct z against many w (z of shape (n, 1), w of shape (n, k))
-        all of the recurrences run once per z.  Each entry is bitwise that of
-        the flattened (z, w) pairs.
+        runs on z alone, and quad_shadow keeps z's shape; per (z, w) node
+        there is one multiply-add for each of diff and eval_shadow.  z and w
+        broadcast together, so on a grid of few distinct z against many w
+        (z of shape (n, 1), w of shape (n, k)) all of the recurrences run
+        once per z.  Each entry is bitwise that of the flattened (z, w) pairs.
         """
-        return self.cleared_fold(z, w).cleared
-
-    def cleared_fold(self, z, w, prior: "ClearedFold | None" = None) -> "ClearedFold":
-        """The z-only Horner sums of `cleared_eval` on (z, w), kept to resume.
-
-        A `prior` fold on the same z and w array objects, of an approximant
-        whose q_m, analytic part, coefficients and noise are bitwise the
-        leading part of this one's, is extended by the remaining coefficients
-        only.  Any other prior is ignored and the sums start from q^0 = 1 and
-        zeros.  Either way the result is bitwise the fold from the start.
-        """
-        if prior is not None and prior.z is z and prior.w is w and _leads(prior.approximant, self):
-            start, done = prior, len(prior.approximant.coeff_polys)
-        else:
-            z = np.asarray(z, dtype=complex)
-            w = np.asarray(w, dtype=complex)
-            qv = self.q_values(z)
-            aq = np.abs(qv)
-            az = np.abs(z)
-            start = ClearedFold(
-                self, z, w, qv, aq, az,
-                w - self.analytic_part(z), np.abs(w) + self.analytic_part.abs_eval(az),
-                np.ones_like(qv), np.zeros_like(qv), np.ones_like(aq), np.zeros_like(aq),
-                np.zeros_like(aq),
-            )
-            done = 0
-        qv, aq, az = start.qv, start.aq, start.az
-        polys, noise = self.coeff_polys[done:], self.coeff_noise[done:]
-        qn, aqn = start.qn, start.aqn
-        for _ in polys:
+        qv = self.q_values(z)
+        aq = np.abs(qv)
+        az = np.abs(z)
+        qn, aqn = np.ones_like(qv), np.ones_like(aq)
+        for _ in self.coeff_polys:
             qn, aqn = qn * qv, aqn * aq
-        return replace(
-            start, approximant=self, qn=qn, aqn=aqn,
-            pn=_horner((-ck(z) for ck in polys), qv, start.pn),
-            sn=_horner((ck.abs_eval(az) for ck in polys), aq, start.sn),
-            quad_shadow=_horner((_horner(nv[::-1], az) for nv in noise), aq, start.quad_shadow),
-        )
+        pn = _horner((-ck(z) for ck in self.coeff_polys), qv)
+        sn = _horner((ck.abs_eval(az) for ck in self.coeff_polys), aq)
+        quad_shadow = _horner((_horner(nv[::-1], az) for nv in self.coeff_noise), aq)
+        head = np.abs(w) + self.analytic_part.abs_eval(az)
+        return (w - self.analytic_part(z)) * qn + pn, head * aqn + sn, quad_shadow
 
     def to_dict(self) -> dict:
         return {
@@ -184,56 +156,6 @@ class RationalApproximant:
             "nodes": self.nodes,
             "converged": self.converged,
         }
-
-
-@dataclass(frozen=True, eq=False)
-class ClearedFold:
-    """`RationalApproximant.cleared_fold`'s running state on (z, w).
-
-    Besides the caller's z and w it holds two arrays of the broadcast node
-    shape, w - A(z) and |w| + |A|(|z|); every other array has z's shape:
-    q(z), |q(z)| and |z| to extend the sums, and the sums themselves,
-    qn = q^N, pn = -sum_k c_k(z) q^{N-1-k}, their absolute-value twins aqn
-    and sn, and quad_shadow.  `cleared` turns them into the triple of
-    `cleared_eval` with one multiply-add per node for each of diff and
-    eval_shadow.
-    """
-
-    approximant: RationalApproximant
-    z: np.ndarray
-    w: np.ndarray
-    qv: np.ndarray
-    aq: np.ndarray
-    az: np.ndarray
-    wa: np.ndarray
-    head: np.ndarray
-    qn: np.ndarray
-    pn: np.ndarray
-    aqn: np.ndarray
-    sn: np.ndarray
-    quad_shadow: np.ndarray
-
-    @property
-    def cleared(self) -> tuple:
-        return self.wa * self.qn + self.pn, self.head * self.aqn + self.sn, self.quad_shadow
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _leads(old: RationalApproximant, new: RationalApproximant) -> bool:
-    """Whether every input of `old`'s cleared fold is bitwise that of `new`'s."""
-    k = len(old.coeff_polys)
-    if len(old.coeff_noise) != k or len(new.coeff_polys) < k or len(new.coeff_noise) < k:
-        return False
-    pairs = chain(
-        [(old.q_m.roots, new.q_m.roots), (old.q_m.coeffs, new.q_m.coeffs),
-         (old.analytic_part.coeffs, new.analytic_part.coeffs)],
-        ((a.coeffs, b.coeffs) for a, b in zip(old.coeff_polys, new.coeff_polys)),
-        zip(old.coeff_noise, new.coeff_noise),
-    )
-    return all(_same_bits(a, b) for a, b in pairs)
 
 
 def _kernel_rows(q: PolynomialC, zeta: np.ndarray) -> np.ndarray:

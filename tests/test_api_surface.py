@@ -35,7 +35,6 @@ PINNED = {
     "potential.harmonic_measure": ("obstacles", "walks", "seed", "method", "eps_abs",
                                    "grid_n", "max_steps"),
     "pshbuild.certify_schedule": ("nu_max", "degree_cap", "density", "builder"),
-    "ratapprox.RationalApproximant.cleared_fold": ("prior",),
     "ratapprox.build_approximant": ("quad_tol", "contour"),
     "ratapprox.convergence_scan": ("quad_tol", "contour"),
 }

@@ -68,9 +68,9 @@ def test_traced_certify_op_passes_its_oracle(spans, workloads):
         problems, _ = op.check(field, op.expect)
     assert problems == []
     assert tracer.counts["levels_certified"] == 3
-    # the per-layer grid_nodes count reads `to_dict()`; it must count the flat nodes
-    flat = sum(len(lev.grid.graph_nodes) + len(lev.grid.box_nodes[0])
-               + len(lev.grid.offgraph_nodes[0]) for lev in field.levels)
-    assert tracer.counts["grid_nodes"] == flat
+    # the per-layer grid_nodes count reads `to_dict()`: the graph bound and
+    # the off-graph floor each count the graph nodes, the box ceiling none
+    nodes = sum(2 * len(lev.grid.graph_nodes) for lev in field.levels)
+    assert tracer.counts["grid_nodes"] == nodes
     assert tracer.count_under("ratapprox.build_approximant", "pshbuild.certify_schedule") > 0
     assert ratapprox.build_approximant is polarhull.build_approximant  # restored

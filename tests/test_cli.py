@@ -186,8 +186,26 @@ def test_nonpositive_count_rejected(tmp_path, command, value):
     ["psh", "--function", "exp-reciprocal", "--nu-max", 1],
     ["psh", "--function", "exp-reciprocal", "--nu-max", 13],
     ["approx", "--function", "exp-reciprocal", "--n-list", "1,-2"],
+    ["psh", "--function", "exp-reciprocal", "--nu-max", 2, "--tube", "0.1,1:0:0.5"],
+    ["psh", "--function", "exp-reciprocal", "--nu-max", 2, "--tube", "0.1,1:-3:0.5"],
+    ["psh", "--function", "exp-reciprocal", "--nu-max", 2, "--tube", "0.1,1"],
+    ["psh", "--function", "exp-reciprocal", "--nu-max", 2, "--tube", "0.1,1:5:"],
+    ["psh", "--function", "exp-reciprocal", "--nu-max", 2, "--tube", "0.1:5:0.5"],
+    ["approx", "--function", "exp-reciprocal", "--n-list", 1, "--target", "0,0:2:0"],
+    ["approx", "--function", "exp-reciprocal", "--n-list", 1, "--target", "0,0:2"],
+    ["approx", "--function", "exp-reciprocal", "--n-list", 1, "--target", "0,0:-2:8"],
+    ["fekete", "--segment", "0,1,0"],
+    ["fekete", "--segment", "0,1"],
+    ["fekete", "--segment", "0,x,5"],
+    ["fekete", "--segment", "0,inf,5"],
+    ["psh", "--function", "exp-reciprocal", "--nu-max", 2, "--tube", "nan,1:5:0.5"],
+    ["hmeasure", "--annulus", "1"],
+    ["hmeasure", "--annulus", "0,1"],
 ])
-def test_out_of_range_setting_rejected(tmp_path, command):
+def test_out_of_range_setting_rejected(tmp_path, monkeypatch, command):
+    # settings are checked before any computation: none of these may run
+    for name in ("certify_schedule", "convergence_scan", "leja_points", "harmonic_measure"):
+        monkeypatch.setattr(f"polarhull.cli.{name}", lambda *a, _n=name, **k: pytest.fail(_n))
     assert run(command + ["--out", tmp_path / "x"]) == 1
     assert not (tmp_path / "x").exists()
 

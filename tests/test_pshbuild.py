@@ -20,7 +20,7 @@ from polarhull.pshbuild import (
     h_values,
     u_eval,
 )
-from polarhull.ratapprox import _same_bits, build_approximant
+from polarhull.ratapprox import build_approximant
 
 A = 0.4
 
@@ -168,34 +168,32 @@ FIELD_CERTIFY = {
 }
 
 
-def _bend_odd_orders(*args, **kwargs):
-    """`build_approximant` with c_0 scaled by 1 + 1e-12 at odd N: no order leads the next."""
-    ap = build_approximant(*args, **kwargs)
-    if ap.big_n % 2 == 0:
-        return ap
-    c0 = PolynomialC(ap.coeff_polys[0].coeffs * (1 + 1e-12))
-    return dataclasses.replace(ap, coeff_polys=(c0,) + ap.coeff_polys[1:])
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _refold_oracle(f, nu_max, build):
-    """`certify_schedule`'s search with every try evaluated from zeros by `h_values`.
+def _grid_search(f, nu_max, build, zw_grid):
+    """`certify_schedule`'s search with all three bounds taken on (z, w) grids.
 
-    Returns each level's tries, (N, h_graph, h_box, h_offgraph, converged).
+    The graph bound is the largest `h_values` on the graph nodes, the box
+    ceiling the largest on the 48 x 48 torus and the floor the smallest on
+    the off-graph nodes.  Returns each level's tries, (N, h_graph, h_box,
+    h_offgraph, converged).
     """
     k = f.singular_sample()
     m = len(k)
     system = leja_points(k, m)
     levels, n = [], 1
     for nu in range(2, nu_max + 1):
-        grid = _certification_grid(f, k, nu, 10)
-        graph = (grid.graph_nodes, np.asarray(f(grid.graph_nodes), dtype=complex))
+        graph, box, off = zw_grid(f, k, nu, 10)
+        graph = (graph, np.asarray(f(graph), dtype=complex))
         tried = []
         while True:
             assert m * n <= max(200, m), "oracle exhausted the degree cap"
             ap = build(f, system, m, n, quad_tol=1e-13)
             hg = float(np.max(h_values(ap, *graph)))
-            hb = float(np.max(h_values(ap, *grid.box_nodes)))
-            ho = float(np.min(h_values(ap, *grid.offgraph_nodes)))
+            hb = float(np.max(h_values(ap, *box)))
+            ho = float(np.min(h_values(ap, *off)))
             tried.append((n, hg, hb, ho, ap.converged))
             if ap.converged and hg <= -nu and hb <= math.log(nu + 2) and ho >= -math.log(nu + 1):
                 break
@@ -204,77 +202,94 @@ def _refold_oracle(f, nu_max, build):
     return levels
 
 
-@pytest.mark.parametrize("builder", [build_approximant, _bend_odd_orders],
-                         ids=["plain", "bent-c0-at-odd-n"])
 @pytest.mark.parametrize("label", list(FIELD_CERTIFY))
-def test_certify_equals_refold_oracle(label, builder):
-    # the oracle reuses certify_schedule's approximants; only evaluation differs
+def test_certify_bounds_the_grid_search(label, zw_grid):
+    # the oracle reuses certify_schedule's approximants; only the bounds differ
     f, nu_max = FIELD_CERTIFY[label]
     built = {}
 
     def build(f, system, m, n, *args, **kwargs):
         if n not in built:
-            built[n] = builder(f, system, m, n, *args, **kwargs)
+            built[n] = build_approximant(f, system, m, n, *args, **kwargs)
         return built[n]
 
     field = certify_schedule(f, f.singular_sample(), nu_max, builder=build)
-    oracle = _refold_oracle(f, nu_max, build)
-    # repr round-trips every float exactly, -0.0 and -inf included
-    assert repr([lev.tried for lev in field.levels]) == repr(oracle)
-    for lev in field.levels:
+    oracle = _grid_search(f, nu_max, build, zw_grid)
+    assert [[t[0] for t in lev.tried] for lev in field.levels] == [
+        [t[0] for t in tries] for tries in oracle]
+    for lev, tries in zip(field.levels, oracle):
+        for (_, hg, hb, ho, conv), (_, og, ob, oo, oconv) in zip(lev.tried, tries):
+            assert repr(hg) == repr(og)  # repr round-trips every float, -0.0 and -inf included
+            assert hb >= ob and ho <= oo and conv == oconv
         bounds = (lev.approximant.big_n, lev.h_bound_graph, lev.h_bound_box,
                   lev.h_bound_offgraph, True)
         assert repr(lev.tried[-1]) == repr(bounds)
 
 
-def _flat_certification_grid(f, sample, nu, density):
-    """The certification nodes as flat (z, w) pairs, each z repeated per w.
-
-    Returns graph nodes, box (z, w) and off-graph (z, w), in the order
-    `CertificationGrid.box_nodes` and `offgraph_nodes` list them.
-    """
-    pts, cut = sample.points, 1.0 / nu
-    axis = np.linspace(-nu, nu, 2 * density * nu + 1)
-    zz = (axis[None, :] + 1j * axis[:, None]).ravel()
-    zz = zz[np.abs(zz) < nu]
-    graph = zz[sample.min_distance_to(zz) > cut]
-    angles = np.exp(2j * np.pi * np.arange(16) / 16)
-    ring = np.concatenate([(pts[:, None] + s * cut * angles[None, :]).ravel()
-                           for s in (1.02, 1.1, 1.3)])
-    ring = ring[(sample.min_distance_to(ring) > cut) & (np.abs(ring) < nu)]
-    graph = np.concatenate([graph, ring])
-
-    tb = np.exp(2j * np.pi * np.arange(48) / 48)
-    bz, bw = np.meshgrid(nu * tb, nu * tb)
-
-    base = graph[::3]
-    fb = np.asarray(f(base), dtype=complex)
-    wa = np.exp(2j * np.pi * np.arange(8) / 8)
-    oz, ow = [], []
-    for s in (1.02, 1.5, 3.0):
-        z_rep = np.repeat(base, len(wa))
-        w_off = (fb[:, None] + s * cut * wa[None, :]).ravel()
-        ok = np.abs(w_off) < nu
-        oz.append(z_rep[ok])
-        ow.append(w_off[ok])
-    return graph, (bz.ravel(), bw.ravel()), (np.concatenate(oz), np.concatenate(ow))
-
-
 @pytest.mark.parametrize("label", list(FIELD_CERTIFY))
-def test_grid_blocks_flatten_to_the_flat_grid(label):
+def test_graph_nodes_equal_the_flat_grid(label, zw_grid):
     f, nu_max = FIELD_CERTIFY[label]
     k = f.singular_sample()
     for nu in range(2, nu_max + 1):
-        grid = _certification_grid(f, k, nu, 10)
-        graph, box, off = _flat_certification_grid(f, k, nu, 10)
+        grid = _certification_grid(k, nu, 10)
+        graph, _, _ = zw_grid(f, k, nu, 10)
         assert _same_bits(grid.graph_nodes, graph)
-        for got, want in zip(grid.box_nodes + grid.offgraph_nodes, box + off):
-            assert _same_bits(got, want)
+        # the floor reads the graph nodes; the box ceiling reads none
         assert grid.to_dict() == {"nu": nu, "graph_count": len(graph),
-                                  "box_count": len(box[0]), "offgraph_count": len(off[0])}
-        # the z-only work runs once per base point, not once per node
-        assert grid.offgraph.z.size == len(graph[::3])
-        assert grid.box.z.size == grid.box.w.size == 48
+                                  "box_count": 0, "offgraph_count": len(graph)}
+
+
+def test_floor_is_minus_inf_when_f_n_strays_from_f():
+    # c_0 doubled: f_N = 2/(z - A), so |f - f_N| = 1/|z - A| reaches nu/1.02 on
+    # the innermost ring, above 1/nu; no try may certify
+    f = RationalModel([A], [1.0])
+
+    def builder(*args, **kwargs):
+        ap = build_approximant(*args, **kwargs)
+        c0 = PolynomialC(ap.coeff_polys[0].coeffs * 2.0)
+        return dataclasses.replace(ap, coeff_polys=(c0,) + ap.coeff_polys[1:])
+
+    with pytest.raises(ScheduleExhausted) as info:
+        certify_schedule(f, f.singular_sample(), 2, degree_cap=6, builder=builder)
+    assert [t[0] for t in info.value.tried] == [1, 2, 3, 4, 5, 6]
+    assert all(t[3] == -math.inf for t in info.value.tried)
+    plain = certify_schedule(f, f.singular_sample(), 2)
+    assert math.isfinite(plain.levels[0].h_bound_offgraph)
+
+
+def test_quadrature_noise_counts_against_both_closed_form_bounds():
+    # coefficient noise 1 puts every graph node below the noise marker, so the
+    # graph bound is -inf; the floor must still fail and the ceiling must rise
+    f = RationalModel([A], [1.0])
+
+    def noisy(*args, **kwargs):
+        ap = build_approximant(*args, **kwargs)
+        return dataclasses.replace(ap, coeff_noise=tuple(np.ones_like(nv) for nv in ap.coeff_noise))
+
+    with pytest.raises(ScheduleExhausted) as info:
+        certify_schedule(f, f.singular_sample(), 2, degree_cap=8, builder=noisy)
+    tried = info.value.tried
+    assert [t[0] for t in tried] == list(range(1, 9))
+    assert all(t[1] == t[3] == -math.inf for t in tried)
+    assert any(t[2] <= math.log(4) for t in tried)  # only the floor keeps the level out
+    plain = certify_schedule(f, f.singular_sample(), 2).levels[0].tried
+    assert all(a[2] > b[2] for a, b in zip(tried, plain))
+
+
+@pytest.mark.parametrize("f", [PoleSeries.gaussian(10), RationalModel([0.3, 0.5], [1.0, 2.0])],
+                         ids=["gaussian-10", "two-pole"])
+def test_box_ceiling_bounds_the_torus(f):
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(build_approximant(*args, **kwargs))
+        return built[-1]
+
+    field = certify_schedule(f, f.singular_sample(), 2, builder=build)
+    t = 2.0 * np.exp(2j * np.pi * np.arange(256) / 256)
+    assert len(built) == len(field.levels[0].tried)
+    for ap, tried in zip(built, field.levels[0].tried):
+        assert tried[2] >= np.max(h_values(ap, t[None, :], t[:, None]))
 
 
 def test_h_values_broadcast_equals_flat_pairs(gauss10_field, rng):

@@ -1,15 +1,13 @@
-import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from polarhull.core import CircleContour, CompactSample, PolynomialC, poly_from_roots
+from polarhull.core import CircleContour, CompactSample, poly_from_roots
 from polarhull.fekete import leja_points
 from polarhull.models import ExpReciprocal, PoleSeries, RationalModel, RecipSinPi
-from polarhull.pshbuild import _certification_grid, certify_schedule, h_values
+from polarhull.pshbuild import certify_schedule, h_values
 from polarhull.ratapprox import (
-    ClearedFold,
     ContourTooClose,
     SeriesDiverging,
     build_approximant,
@@ -238,17 +236,18 @@ def certified_field(request):
     return f, certify_schedule(f, f.singular_sample(), nu_max)
 
 
-def _assert_cleared_eval_matches(certified_field, oracle):
-    """On every level's graph, box and off-graph nodes: bitwise at N = 1, else
-    |diff error| <= 2 N eps eval_shadow, shadows to 1e-13, the same -inf nodes."""
+def _assert_cleared_eval_matches(certified_field, oracle, zw_grid):
+    """On every level's graph, box and off-graph (z, w) nodes: bitwise at N = 1,
+    else |diff error| <= 2 N eps eval_shadow, shadows to 1e-13, the same -inf nodes."""
     eps = np.finfo(float).eps
     f, field = certified_field
     for lev in field.levels:
-        ap, grid = lev.approximant, lev.grid
-        graph = (grid.graph_nodes, np.asarray(f(grid.graph_nodes), dtype=complex))
+        ap = lev.approximant
+        graph, box, off = zw_grid(f, field.sample, lev.nu, 10)
+        graph = (graph, np.asarray(f(graph), dtype=complex))
         oracle_ap = SimpleNamespace(normalization=ap.normalization,
                                     cleared_eval=lambda z, w: oracle(ap, z, w))
-        for z, w in (graph, grid.box_nodes, grid.offgraph_nodes):
+        for z, w in (graph, box, off):
             diff, eval_shadow, quad_shadow = ap.cleared_eval(z, w)
             o_diff, o_eval, o_quad = oracle(ap, z, w)
             if ap.big_n == 1:
@@ -262,61 +261,9 @@ def _assert_cleared_eval_matches(certified_field, oracle):
                                   np.isneginf(h_values(oracle_ap, z, w)))
 
 
-def test_horner_cleared_eval_matches_power_sums(certified_field):
-    _assert_cleared_eval_matches(certified_field, _power_sum_cleared_eval)
+def test_horner_cleared_eval_matches_power_sums(certified_field, zw_grid):
+    _assert_cleared_eval_matches(certified_field, _power_sum_cleared_eval, zw_grid)
 
 
-def test_z_only_fold_matches_per_node_fold(certified_field):
-    _assert_cleared_eval_matches(certified_field, _per_node_fold)
-
-
-def test_cleared_fold_keeps_two_node_shaped_arrays():
-    # where the speed comes from: the Horner sums run on the 6,704 distinct z
-    # of the off-graph block, and only w - A(z) and |w| + |A|(|z|) span its
-    # 160,896 broadcast nodes; resuming reuses both
-    f = ExpReciprocal()
-    k = f.singular_sample()
-    block = _certification_grid(f, k, 8, 10).offgraph
-    system = leja_points(k, 1)
-    ap2, ap3 = (build_approximant(f, system, 1, n, quad_tol=1e-13) for n in (2, 3))
-    node_shape = np.broadcast(block.z, block.w).shape
-    assert node_shape != block.z.shape
-    fold = ap2.cleared_fold(block.z, block.w)
-    resumed = ap3.cleared_fold(block.z, block.w, fold)
-    for fl in (fold, resumed):
-        assert fl.z is block.z and fl.w is block.w  # the caller's arrays, kept to key resumption
-        held = {field.name: getattr(fl, field.name) for field in dataclasses.fields(ClearedFold)
-                if field.name not in ("z", "w")}
-        held = {name: v for name, v in held.items() if isinstance(v, np.ndarray)}
-        assert sorted(name for name, v in held.items() if v.shape == node_shape) == ["head", "wa"]
-        assert all(v.shape == block.z.shape for name, v in held.items()
-                   if name not in ("head", "wa"))
-    assert resumed.wa is fold.wa and resumed.head is fold.head
-
-
-def _bits(parts):
-    return [np.asarray(p).tobytes() for p in parts]
-
-
-def test_cleared_fold_resumes_only_on_a_bitwise_prefix(rng):
-    f = ExpReciprocal()
-    system = leja_points(f.singular_sample(), 1)
-    ap3, ap4 = (build_approximant(f, system, 1, n, quad_tol=1e-13) for n in (3, 4))
-    c0 = ap4.coeff_polys[0]
-    bent = dataclasses.replace(ap4, coeff_polys=(PolynomialC(c0.coeffs * (1 + 1e-12)),)
-                               + ap4.coeff_polys[1:])
-    z = rng.uniform(-1.5, 1.5, 300) + 1j * rng.uniform(-1.5, 1.5, 300)
-    w = rng.uniform(-3.0, 3.0, 300) + 1j * rng.uniform(-3.0, 3.0, 300)
-    prior = ap3.cleared_fold(z, w)
-    cases = [
-        (ap4, prior, z, True),           # order 3 leads order 4: one more coefficient
-        (ap4, prior, z.copy(), False),   # other z array: fold from zeros
-        (bent, prior, z, False),         # c_0 differs: fold from zeros
-        (ap3, ap4.cleared_fold(z, w), z, False),  # a longer fold never leads a shorter one
-    ]
-    for ap, earlier, zz, resumed in cases:
-        fold = ap.cleared_fold(zz, w, earlier)
-        assert (fold.qv is earlier.qv) == resumed
-        assert _bits(fold.cleared) == _bits(ap.cleared_eval(zz, w))
-    # the bent approximant's values differ, so resuming across it would show
-    assert _bits(bent.cleared_eval(z, w)) != _bits(ap4.cleared_eval(z, w))
+def test_z_only_fold_matches_per_node_fold(certified_field, zw_grid):
+    _assert_cleared_eval_matches(certified_field, _per_node_fold, zw_grid)
