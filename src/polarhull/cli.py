@@ -47,12 +47,12 @@ def _parse_function(spec: str | None):
         if name == "exp-reciprocal":
             return ExpReciprocal()
         if name == "recip-sin-pi":
-            return RecipSinPi(int(arg) if arg else 64)
+            return RecipSinPi(_positive("cutoff", arg, int) if arg else 64)
         if name == "pole-series-gaussian":
-            return PoleSeries.gaussian(int(arg) if arg else 40)
+            return PoleSeries.gaussian(_positive("terms", arg, int) if arg else 40)
         if name == "pole-series-geometric":
             parts = arg.split(",") if arg else []
-            n = int(parts[0]) if parts else 40
+            n = _positive("terms", parts[0], int) if parts else 40
             ratio = float(parts[1]) if len(parts) > 1 else 0.5
             return PoleSeries.geometric(n, ratio)
     except ValueError as e:
@@ -62,26 +62,26 @@ def _parse_function(spec: str | None):
 
 def _parse_point(text: str) -> complex:
     parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
+    if len(parts) == 1:
+        return complex(_number("point", parts[0]), 0.0)
+    if len(parts) == 2:
+        return complex(_number("point", parts[0]), _number("point", parts[1]))
     raise click.UsageError(f"bad point {text!r}; expected RE or RE,IM")
 
 
 def _parse_level(token: str) -> float:
+    """A level threshold, `e`, `e<k>` for exp(k) or a number; finite and positive."""
     token = token.strip()
-    if token == "e":
-        return math.e
-    if token.startswith("e") and token[1:].isdigit():
-        return math.exp(int(token[1:]))
     try:
-        return float(token)
-    except ValueError:
-        raise click.UsageError(f"bad level {token!r}; expected a number or e<k>")
+        if token == "e":
+            return math.e
+        if token.startswith("e") and token[1:].isdigit():
+            return math.exp(int(token[1:]))
+        if 0 < float(token) < math.inf:
+            return float(token)
+    except (ValueError, OverflowError):
+        pass
+    raise click.UsageError(f"bad level {token!r}; expected a finite positive number or e<k>")
 
 
 def _config_overlay(config_path: str | None, section: str,
@@ -190,7 +190,7 @@ def decompose(config_path, out_dir, tolerance, function_spec, center, radius, km
     kmax = _positive("kmax", cfg["kmax"], int)
     tol = _positive("tolerance", cfg.get("tolerance", 1e-8))
     f = _parse_function(cfg.get("function"))
-    circle = CircleContour(_parse_point(str(cfg["center"])), float(cfg["radius"]))
+    circle = CircleContour(_parse_point(str(cfg["center"])), _positive("radius", cfg["radius"]))
     split = laurent_split(f, circle, kmax, tol=tol)
     _finish(out_dir, "decompose", cfg, split.to_dict())
 

@@ -197,7 +197,7 @@ def classify_fiber(f: FunctionModel, z0: complex, r_grid, *,
         singular = f.singular_sample(include_origin=True)
     else:
         singular = f.singular_sample()
-    if singular.min_distance_to(z0) > 1e-9:
+    if not singular.min_distance_to(z0) <= 1e-9:  # NaN fails too
         raise ValueError(f"{z0!r} is not a sampled singular point of {f.label}")
 
     reports = []

@@ -11,6 +11,7 @@ by a five-point relaxation sweep on a Cartesian grid for cross-checking.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -107,6 +108,8 @@ def sublevel_cover(f: FunctionModel, big_r: float, z0: complex = 0j,
 
 
 def _pole_series_cover(f: PoleSeries, big_r: float) -> DiskUnion:
+    if not 0 < big_r < math.inf:
+        raise ThresholdTooSmall(f"pole-series cover needs 0 < big_r < inf, got {big_r!r}")
     log_gamma = f.log_gamma_suffix()[: f.n_terms]
     # certificate sum |c_n| / (C sqrt(gamma_n)) computed in log space
     terms = np.exp(f.log_abs_c - 0.5 * log_gamma)
@@ -242,6 +245,8 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40) -> WienerRepo
     if depth < 1:
         raise ValueError("depth must be >= 1")
     point = complex(point)
+    if not cmath.isfinite(point):
+        raise ValueError(f"point {point!r} is not finite")
     r = cover.radii
     dist = np.abs(cover.centers - point)
     inside = dist < r - 1e-15
@@ -425,54 +430,50 @@ def harmonic_measure(z, target, domain: Disk, obstacles: DiskUnion | None = None
     if in_obstacle.any():
         raise StartInsideObstacle(
             f"start {z!r} inside obstacle at {complex(obstacles.centers[in_obstacle][0])!r}")
-    if abs(z - domain.center) >= domain.radius:
+    if not abs(z - domain.center) < domain.radius:  # NaN fails too
         raise ValueError("start point must lie inside the domain")
 
     # absorbing surfaces: targets, the domain circle unless a target circle
-    # coincides with it, obstacles; every surface but the domain circle is a curve
+    # coincides with it, obstacles
     dom_c, dom_r = complex(domain.center), float(domain.radius)
     on_boundary = ((np.abs(dom_c - targets.centers) < 1e-12)
                    & (np.abs(dom_r - targets.radii) < 1e-12))
     n_t, n_dom = len(targets), 0 if on_boundary.any() else 1
-    centers = np.concatenate([targets.centers, np.full(n_dom, dom_c), obstacles.centers])
-    radii = np.concatenate([targets.radii, np.full(n_dom, dom_r), obstacles.radii])
-    scores = np.repeat([1.0, 0.0], [n_t, n_dom + len(obstacles)])
-    curve = np.ones(len(radii), dtype=bool)
-    curve[n_t : n_t + n_dom] = False
     if method == "grid":
-        # fixed disks: targets and obstacles, less a target on the domain circle
-        disks = curve.copy()
-        disks[:n_t] = ~on_boundary
-        return _grid_measure(z, centers[disks], radii[disks], scores[disks], domain,
-                             1.0 - n_dom, grid_n)
+        # fixed disks: targets less any on the domain circle, then obstacles
+        inner = ~on_boundary
+        return _grid_measure(z, np.concatenate([targets.centers[inner], obstacles.centers]),
+                             np.concatenate([targets.radii[inner], obstacles.radii]),
+                             np.repeat([1.0, 0.0], [np.count_nonzero(inner), len(obstacles)]),
+                             domain, 1.0 - n_dom, grid_n)
     if method != "wos":
         raise ValueError("method must be 'wos' or 'grid'")
     if walks < 1:
         raise ValueError("walks must be >= 1")
 
+    centers = np.concatenate([targets.centers, np.full(n_dom, dom_c), obstacles.centers])
+    radii = np.concatenate([targets.radii, np.full(n_dom, dom_r), obstacles.radii])
+    scores = np.repeat([1.0, 0.0], [n_t, n_dom + len(obstacles)])
     rng = np.random.default_rng(seed)
-    pos = np.full(walks, z, dtype=complex)
     result = np.zeros(walks)
-    active = np.ones(walks, dtype=bool)
-    rounds = 0  # only rounds that find an active walk use the budget
-    while active.any():
+    idx = np.arange(walks)  # the live walks and their positions
+    pos = np.full(walks, z, dtype=complex)
+    rounds = 0  # only rounds that find a live walk use the budget
+    while idx.size:
         if rounds == max_steps:
             raise PolarhullError("walk-on-spheres failed to absorb within step budget")
         rounds += 1
-        idx = np.nonzero(active)[0]
-        p = pos[idx]
-        d = np.abs(p[:, None] - centers[None, :])
-        dist = np.where(curve[None, :], np.abs(d - radii[None, :]),
-                        radii[None, :] - d)
+        # a walk never leaves the domain, where r - |p - c| is bitwise
+        # |(|p - c|) - r|: one formula serves the domain circle and the curves
+        dist = np.abs(np.abs(pos[:, None] - centers) - radii)
         nearest = np.argmin(dist, axis=1)
         dmin = dist[np.arange(len(idx)), nearest]
         hit = dmin < eps
         result[idx[hit]] = scores[nearest[hit]]
-        active[idx[hit]] = False
         move = ~hit
-        if np.any(move):
-            theta = rng.uniform(0.0, 2.0 * np.pi, size=int(np.sum(move)))
-            pos[idx[move]] = p[move] + dmin[move] * np.exp(1j * theta)
+        idx, pos, dmin = idx[move], pos[move], dmin[move]
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=len(idx))
+        pos = pos + dmin * np.exp(1j * theta)
 
     value = float(np.mean(result))
     std_error = float(np.std(result, ddof=1) / math.sqrt(walks)) if walks > 1 else 0.0

@@ -56,16 +56,6 @@ NOISE_REL = 1e-12
 CERTIFY_QUAD_TOL = 1e-13
 
 
-def h_values(approximant: RationalApproximant, z, w) -> np.ndarray:
-    """Vectorized h over broadcast (z, w); -inf marks sub-noise cancellations.
-
-    The marker threshold combines the cancellation shadow of the cleared
-    evaluation with the propagated quadrature noise of the coefficients; a
-    modulus below it cannot be certified as a finite value in this precision.
-    """
-    return _h_of_cleared(approximant.cleared_eval(z, w), approximant.normalization)
-
-
 def _noise_threshold(eval_shadow, quad_shadow):
     """The cleared modulus below which a value is cancellation or quadrature noise."""
     return NOISE_REL * eval_shadow + QUAD_NOISE_SAFETY * quad_shadow
@@ -84,9 +74,15 @@ def _h_of_cleared(cleared, n: int) -> np.ndarray:
 
 
 @pointwise
-def h_eval(approximant: RationalApproximant, z, w) -> float:
-    """(1/n) log |w q(z) - p(z)| in cleared form, or -inf below the noise shadow."""
-    return h_values(approximant, z, w)
+def h_eval(approximant: RationalApproximant, z, w):
+    """(1/n) log |w q(z) - p(z)| in cleared form over broadcast (z, w).
+
+    -inf marks sub-noise cancellations: the marker threshold combines the
+    cancellation shadow of the cleared evaluation with the propagated
+    quadrature noise of the coefficients, and a modulus below it cannot be
+    certified as a finite value in this precision.
+    """
+    return _h_of_cleared(approximant.cleared_eval(z, w), approximant.normalization)
 
 
 def evans_discrete(k: CompactSample):
@@ -163,8 +159,8 @@ def _box_ceiling(approx: RationalApproximant, nu: int) -> float:
     """
     r = float(nu)
     p = math.prod(r + abs(root) for root in approx.poles)
-    terms = (ck.abs_eval(r) + QUAD_NOISE_SAFETY * _horner(nv[::-1], r)
-             for ck, nv in zip(approx.coeff_polys, approx.coeff_noise))
+    terms = (_horner(np.abs(c[::-1]), r) + QUAD_NOISE_SAFETY * _horner(nv[::-1], r)
+             for c, nv in zip(approx.coeffs, approx.noise))
     with np.errstate(over="ignore"):
         s = _horner(terms, p, r + approx.analytic_part.abs_eval(r))
         return float(np.log(s)) / approx.normalization
@@ -209,22 +205,6 @@ class PshField:
     def level_clamp(self, nu: int) -> float:
         return -nu - math.log(nu + 2)
 
-    def u_grid(self, z, w) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        w = np.asarray(w, dtype=complex)
-        out = np.zeros(np.broadcast(z, w).shape)
-        for lev in self.levels:
-            nu = lev.nu
-            h = h_values(lev.approximant, z, w)
-            h = h.reshape(out.shape)
-            clamp = self.level_clamp(nu)
-            out += np.maximum(h - math.log(nu + 2), clamp) / nu**2
-        zb = np.broadcast_to(z, out.shape)
-        with np.errstate(divide="ignore"):
-            for atom, wt in self.evans_weights:
-                out = out + wt * np.log(np.abs(zb - atom))
-        return out
-
     def to_dict(self) -> dict:
         return {
             "levels": [lev.to_dict() for lev in self.levels],
@@ -237,12 +217,21 @@ class PshField:
 
 
 @pointwise
-def u_eval(field: PshField, z, w) -> float:
-    """Weighted sum of clamped levels plus the atomic potential.
+def u_eval(field: PshField, z, w):
+    """Weighted sum of clamped levels plus the atomic potential, over broadcast (z, w).
 
     Finite everywhere except exactly on the atoms, where -inf is returned.
     """
-    return field.u_grid(z, w)
+    out = np.zeros(np.broadcast(z, w).shape)
+    for lev in field.levels:
+        nu = lev.nu
+        h = h_eval(lev.approximant, z, w).reshape(out.shape)
+        out += np.maximum(h - math.log(nu + 2), field.level_clamp(nu)) / nu**2
+    zb = np.broadcast_to(z, out.shape)
+    with np.errstate(divide="ignore"):
+        for atom, wt in field.evans_weights:
+            out = out + wt * np.log(np.abs(zb - atom))
+    return out
 
 
 def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, degree_cap: int = 200,
@@ -347,14 +336,14 @@ def export_field(field: PshField, grid: GridSpec):
         # one fixed value broadcasts: with z fixed, the z-only work runs once
         fixed = np.full((1, 1), p["w" if grid.kind == "fixed_w" else "z"], dtype=complex)
         zs, ws = (plane, fixed) if grid.kind == "fixed_w" else (fixed, plane)
-        us = field.u_grid(zs, ws)
+        us = u_eval(field, zs, ws)
     elif grid.kind == "graph_tube":
         zs = np.linspace(*p["re_range"], p["nx"]).astype(complex)
         # at a pole f(z) and the cleared moduli overflow: u is -inf or NaN there
         with np.errstate(divide="ignore", invalid="ignore"):
             fz = np.asarray(field.model(zs), dtype=complex)
             ws = fz + np.asarray(p["offsets"], dtype=complex).reshape(-1, 1)
-            us = field.u_grid(zs, ws)
+            us = u_eval(field, zs, ws)
     else:
         raise ValueError(f"unknown slice kind {grid.kind!r}")
     zs, ws = np.broadcast_arrays(zs, ws)

@@ -23,7 +23,6 @@ from .core import (
     PolynomialC,
     _horner,
     circle_trapezoid,
-    complex_to_pair,
     pointwise,
     poly_from_roots,
 )
@@ -69,23 +68,36 @@ def rho_of(q_m: PolynomialC, k: CompactSample, n: int) -> float:
 class RationalApproximant:
     """Evaluable rational approximant with poles among the sample points.
 
-    coeff_noise holds per-coefficient quadrature error estimates (the last
-    node-doubling differences); evaluation shadows fold them in so callers
-    can tell a genuinely small residual from one that is below the noise.
+    `coeffs` is the (N, m) matrix that the contour quadrature returns: row k
+    holds c_k in ascending powers of z.  `noise` is the (N, m) matrix of
+    their quadrature error estimates (the last node-doubling differences);
+    evaluation shadows fold them in so callers can tell a genuinely small
+    residual from one that is below the noise.  Both are read-only, so
+    approximants can be shared between levels.
     """
 
     q_m: PolynomialC
-    rho_m: float
-    coeff_polys: tuple
+    coeffs: np.ndarray
+    noise: np.ndarray
     contour: tuple
-    degree: int
     analytic_part: PolynomialC
-    m: int
-    big_n: int
-    degenerate_polar: bool
     nodes: int              # trapezoid nodes per contour circle
     converged: bool         # False when node doubling hit MAX_APPROX_NODES
-    coeff_noise: tuple
+
+    def __post_init__(self):
+        for name, dtype in (("coeffs", complex), ("noise", float)):
+            value = np.array(getattr(self, name), dtype=dtype)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @property
+    def big_n(self) -> int:
+        return len(self.coeffs)
+
+    @property
+    def degree(self) -> int:
+        """m * N, the degree of the denominator q_m^N."""
+        return self.coeffs.size
 
     @property
     def poles(self) -> np.ndarray:
@@ -104,7 +116,7 @@ class RationalApproximant:
     def principal_eval(self, z):
         """sum_k c_k(z) / q(z)^{k+1}; finite wherever q(z) != 0."""
         u = 1.0 / self.q_values(z)
-        return _horner((ck(z) for ck in reversed(self.coeff_polys)), u) * u
+        return _horner((_horner(c[::-1], z) for c in self.coeffs[::-1]), u) * u
 
     @pointwise
     def eval(self, z):
@@ -120,7 +132,9 @@ class RationalApproximant:
         diff = (w - A(z)) q^N - sum_k c_k(z) q^{N-1-k}; eval_shadow is the same
         expression with every term replaced by its absolute value (the running
         bound for cancellation noise); quad_shadow propagates the recorded
-        coefficient quadrature errors through the same evaluation.
+        coefficient quadrature errors through the same evaluation.  Each c_k,
+        |c_k| and noise polynomial is a Horner pass over one row of `coeffs`
+        or `noise`.
 
         Both diff and eval_shadow are linear in w, so every Horner recurrence
         in q (q^N, the c_k sum, their absolute-value twins and quad_shadow)
@@ -134,28 +148,13 @@ class RationalApproximant:
         aq = np.abs(qv)
         az = np.abs(z)
         qn, aqn = np.ones_like(qv), np.ones_like(aq)
-        for _ in self.coeff_polys:
+        for _ in range(self.big_n):
             qn, aqn = qn * qv, aqn * aq
-        pn = _horner((-ck(z) for ck in self.coeff_polys), qv)
-        sn = _horner((ck.abs_eval(az) for ck in self.coeff_polys), aq)
-        quad_shadow = _horner((_horner(nv[::-1], az) for nv in self.coeff_noise), aq)
+        pn = _horner((-_horner(c[::-1], z) for c in self.coeffs), qv)
+        sn = _horner((_horner(np.abs(c[::-1]), az) for c in self.coeffs), aq)
+        quad_shadow = _horner((_horner(nv[::-1], az) for nv in self.noise), aq)
         head = np.abs(w) + self.analytic_part.abs_eval(az)
         return (w - self.analytic_part(z)) * qn + pn, head * aqn + sn, quad_shadow
-
-    def to_dict(self) -> dict:
-        return {
-            "poles": [complex_to_pair(p) for p in self.poles],
-            "rho_m": self.rho_m,
-            "degree": self.degree,
-            "m": self.m,
-            "big_n": self.big_n,
-            "degenerate_polar": self.degenerate_polar,
-            "coeff_polys": [p.to_dict() for p in self.coeff_polys],
-            "analytic_part": self.analytic_part.to_dict(),
-            "contour": [c.to_dict() for c in self.contour],
-            "nodes": self.nodes,
-            "converged": self.converged,
-        }
 
 
 def _kernel_rows(q: PolynomialC, zeta: np.ndarray) -> np.ndarray:
@@ -275,18 +274,12 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
         if all(b > a for a, b in zip(tail, tail[1:])):
             raise SeriesDiverging("scaled coefficient terms grew over the last 3 orders")
 
-    coeff_polys = tuple(PolynomialC(coeff[k]) for k in range(big_n))
     return RationalApproximant(
         q_m=q,
-        rho_m=rho,
-        coeff_polys=coeff_polys,
+        coeffs=coeff,
+        noise=noise,
         contour=circles,
-        degree=m * big_n,
         analytic_part=analytic,
-        m=m,
-        big_n=big_n,
-        degenerate_polar=degenerate,
-        coeff_noise=tuple(noise[k] for k in range(big_n)),
         nodes=quad.nodes,
         converged=quad.converged,
     )

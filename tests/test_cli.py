@@ -201,10 +201,26 @@ def test_nonpositive_count_rejected(tmp_path, command, value):
     ["psh", "--function", "exp-reciprocal", "--nu-max", 2, "--tube", "nan,1:5:0.5"],
     ["hmeasure", "--annulus", "1"],
     ["hmeasure", "--annulus", "0,1"],
+    ["hull", "--function", "exp-reciprocal", "--point", "nan"],
+    ["thin", "--function", "exp-reciprocal", "--point", "inf"],
+    ["hmeasure", "--at", "nan"],
+    ["thin", "--function", "pole-series-gaussian:10", "--big-r", "0"],
+    ["thin", "--function", "pole-series-gaussian:10", "--big-r", "nan"],
+    ["thin", "--function", "pole-series-gaussian:10", "--big-r", "-1"],
+    ["thin", "--function", "pole-series-gaussian:10", "--big-r", "inf"],
+    ["thin", "--function", "exp-reciprocal", "--big-r", "e1000"],
+    ["hull", "--function", "pole-series-gaussian:10", "--r-grid", "0,1,2"],
+    ["decompose", "--function", "exp-reciprocal", "--radius", "0"],
+    ["decompose", "--function", "exp-reciprocal", "--radius", "-1"],
+    ["decompose", "--function", "exp-reciprocal", "--radius", "nan"],
+    ["decompose", "--function", "pole-series-gaussian:0"],
+    ["thin", "--function", "pole-series-geometric:0"],
+    ["thin", "--function", "recip-sin-pi:0"],
 ])
 def test_out_of_range_setting_rejected(tmp_path, monkeypatch, command):
     # settings are checked before any computation: none of these may run
-    for name in ("certify_schedule", "convergence_scan", "leja_points", "harmonic_measure"):
+    for name in ("certify_schedule", "convergence_scan", "leja_points", "harmonic_measure",
+                 "laurent_split", "sublevel_cover", "wiener_test", "classify_fiber"):
         monkeypatch.setattr(f"polarhull.cli.{name}", lambda *a, _n=name, **k: pytest.fail(_n))
     assert run(command + ["--out", tmp_path / "x"]) == 1
     assert not (tmp_path / "x").exists()

@@ -94,6 +94,10 @@ class TestClassify:
         with pytest.raises(ValueError, match="singular"):
             classify_fiber(gauss40, 0.123 + 0.4j, [1.0, 2.0, 4.0])
 
+    def test_non_finite_point_rejected(self):
+        with pytest.raises(ValueError, match="singular"):
+            classify_fiber(ExpReciprocal(), complex(math.nan, 0), [math.e, math.e**2, math.e**10])
+
     def test_unknown_on_unsupported(self):
         from polarhull.models import RationalModel
 

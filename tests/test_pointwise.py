@@ -26,8 +26,6 @@ from polarhull import (
     poly_from_roots,
     u_eval,
 )
-from polarhull.pshbuild import h_values
-
 N_POINTS = 200
 
 
@@ -111,7 +109,7 @@ def test_scalar_equals_array_entry(name, evaluators, points):
 def test_h_eval_matches_certification_values(gauss10_field, points):
     z, w = points
     for lev in gauss10_field.levels:
-        grid = h_values(lev.approximant, z, w)
+        grid = h_eval(lev.approximant, z, w)
         assert [h_eval(lev.approximant, a, b) for a, b in zip(z, w)] == grid.tolist()
 
 

@@ -49,6 +49,11 @@ class TestSublevelCover:
         with pytest.raises(ThresholdTooSmall):
             sublevel_cover(ExpReciprocal(), 0.9)
 
+    @pytest.mark.parametrize("big_r", [0.0, -1.0, math.nan, math.inf])
+    def test_pole_series_threshold_out_of_range(self, gauss40, big_r):
+        with pytest.raises(ThresholdTooSmall):
+            sublevel_cover(gauss40, big_r)
+
     def test_pole_series_radii_follow_tail(self, gauss40):
         cover = sublevel_cover(gauss40, 1.0)
         # r_n = C sqrt(gamma_n) with gamma_n the coefficient tail sum
@@ -115,6 +120,12 @@ class TestWiener:
     def test_point_inside_cover_rejected(self):
         with pytest.raises(PointInsideCover):
             wiener_test(DiskUnion([Disk(0j, 0.5)]), 0j, 10)
+
+    @pytest.mark.parametrize("point", [complex(math.nan, 0), complex(0, math.inf)])
+    def test_non_finite_point_rejected(self, point):
+        for cover in (DiskUnion([Disk(0.5 + 0j, 0.25)]), DiskUnion([])):
+            with pytest.raises(ValueError, match="not finite"):
+                wiener_test(cover, point, 10)
 
     def test_conflicting_signals_inconclusive(self):
         # a chain truncated well above the test depth grows linearly early on
@@ -206,6 +217,12 @@ class TestHarmonicMeasure:
     def test_walks_must_be_positive(self, walks):
         with pytest.raises(ValueError, match="walks must be >= 1"):
             harmonic_measure(0.4 + 0j, CircleContour(0j, 0.1), Disk(0j, 1.0), walks=walks)
+
+    def test_non_finite_start_rejected(self):
+        # walks=10 and max_steps=1000: a NaN walk that is never absorbed fails fast
+        with pytest.raises(ValueError, match="inside the domain"):
+            harmonic_measure(complex(math.nan, 0), CircleContour(0j, 0.1), Disk(0j, 1.0),
+                             walks=10, max_steps=1000)
 
     def test_start_inside_solid_target(self):
         with pytest.raises(StartInsideTarget):

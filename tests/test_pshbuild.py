@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from polarhull.core import CompactSample, PolynomialC
+from polarhull.core import CompactSample
 from polarhull.fekete import leja_points
 from polarhull.models import ExpReciprocal, PoleSeries, RationalModel, RecipSinPi
 from polarhull.pshbuild import (
@@ -17,7 +17,6 @@ from polarhull.pshbuild import (
     evans_discrete,
     export_field,
     h_eval,
-    h_values,
     u_eval,
 )
 from polarhull.ratapprox import build_approximant
@@ -175,7 +174,7 @@ def _same_bits(a, b):
 def _grid_search(f, nu_max, build, zw_grid):
     """`certify_schedule`'s search with all three bounds taken on (z, w) grids.
 
-    The graph bound is the largest `h_values` on the graph nodes, the box
+    The graph bound is the largest `h_eval` on the graph nodes, the box
     ceiling the largest on the 48 x 48 torus and the floor the smallest on
     the off-graph nodes.  Returns each level's tries, (N, h_graph, h_box,
     h_offgraph, converged).
@@ -191,9 +190,9 @@ def _grid_search(f, nu_max, build, zw_grid):
         while True:
             assert m * n <= max(200, m), "oracle exhausted the degree cap"
             ap = build(f, system, m, n, quad_tol=1e-13)
-            hg = float(np.max(h_values(ap, *graph)))
-            hb = float(np.max(h_values(ap, *box)))
-            ho = float(np.min(h_values(ap, *off)))
+            hg = float(np.max(h_eval(ap, *graph)))
+            hb = float(np.max(h_eval(ap, *box)))
+            ho = float(np.min(h_eval(ap, *off)))
             tried.append((n, hg, hb, ho, ap.converged))
             if ap.converged and hg <= -nu and hb <= math.log(nu + 2) and ho >= -math.log(nu + 1):
                 break
@@ -246,8 +245,9 @@ def test_floor_is_minus_inf_when_f_n_strays_from_f():
 
     def builder(*args, **kwargs):
         ap = build_approximant(*args, **kwargs)
-        c0 = PolynomialC(ap.coeff_polys[0].coeffs * 2.0)
-        return dataclasses.replace(ap, coeff_polys=(c0,) + ap.coeff_polys[1:])
+        coeffs = ap.coeffs.copy()
+        coeffs[0] *= 2.0
+        return dataclasses.replace(ap, coeffs=coeffs)
 
     with pytest.raises(ScheduleExhausted) as info:
         certify_schedule(f, f.singular_sample(), 2, degree_cap=6, builder=builder)
@@ -264,7 +264,7 @@ def test_quadrature_noise_counts_against_both_closed_form_bounds():
 
     def noisy(*args, **kwargs):
         ap = build_approximant(*args, **kwargs)
-        return dataclasses.replace(ap, coeff_noise=tuple(np.ones_like(nv) for nv in ap.coeff_noise))
+        return dataclasses.replace(ap, noise=np.ones_like(ap.noise))
 
     with pytest.raises(ScheduleExhausted) as info:
         certify_schedule(f, f.singular_sample(), 2, degree_cap=8, builder=noisy)
@@ -289,16 +289,16 @@ def test_box_ceiling_bounds_the_torus(f):
     t = 2.0 * np.exp(2j * np.pi * np.arange(256) / 256)
     assert len(built) == len(field.levels[0].tried)
     for ap, tried in zip(built, field.levels[0].tried):
-        assert tried[2] >= np.max(h_values(ap, t[None, :], t[:, None]))
+        assert tried[2] >= np.max(h_eval(ap, t[None, :], t[:, None]))
 
 
-def test_h_values_broadcast_equals_flat_pairs(gauss10_field, rng):
+def test_h_eval_broadcast_equals_flat_pairs(gauss10_field, rng):
     z = rng.uniform(-1.5, 1.5, (300, 1)) + 1j * rng.uniform(-1.5, 1.5, (300, 1))
     w = rng.uniform(-3.0, 3.0, (300, 8)) + 1j * rng.uniform(-3.0, 3.0, (300, 8))
     zf, wf = np.broadcast_arrays(z, w)
     for lev in gauss10_field.levels:
         ap = lev.approximant
-        assert _same_bits(h_values(ap, z, w).ravel(), h_values(ap, zf.ravel(), wf.ravel()))
+        assert _same_bits(h_eval(ap, z, w).ravel(), h_eval(ap, zf.ravel(), wf.ravel()))
         diff, eval_shadow, quad_shadow = ap.cleared_eval(z, w)
         assert diff.shape == eval_shadow.shape == w.shape
         assert quad_shadow.shape == z.shape
@@ -376,8 +376,8 @@ class TestSubMeanValue:
             if np.min(np.abs(base_z - atoms)) < 0.2:
                 continue
             center = u_eval(gauss10_field, base_z, base_w)
-            ring = gauss10_field.u_grid(base_z + 0.05 * vz * theta,
-                                        base_w + 0.05 * vw * theta)
+            ring = u_eval(gauss10_field, base_z + 0.05 * vz * theta,
+                          base_w + 0.05 * vw * theta)
             if not np.all(np.isfinite(ring)):
                 continue
             checked += 1
@@ -431,12 +431,12 @@ class TestExport:
 
 
 @pytest.mark.parametrize("name", ["gauss10_field", "exp_field"])
-def test_u_grid_equals_u_eval_pointwise(name, request, rng):
+def test_u_eval_array_equals_scalar_calls(name, request, rng):
     field = request.getfixturevalue(name)
     z = rng.uniform(-1.5, 1.5, 200) + 1j * rng.uniform(-1.5, 1.5, 200)
     w = rng.uniform(-3.0, 3.0, 200) + 1j * rng.uniform(-3.0, 3.0, 200)
     z[:20] = field.sample.points[0]  # atoms: -inf on both paths
-    grid = field.u_grid(z, w)
+    grid = u_eval(field, z, w)
     assert np.array_equal(grid, [u_eval(field, a, b) for a, b in zip(z, w)])
     assert np.isneginf(grid[:20]).all() and np.isfinite(grid[20:]).all()
 

@@ -1,12 +1,14 @@
+import dataclasses
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from polarhull.core import CircleContour, CompactSample, poly_from_roots
+from polarhull.core import CircleContour, CompactSample, PolynomialC, _horner, poly_from_roots
 from polarhull.fekete import leja_points
 from polarhull.models import ExpReciprocal, PoleSeries, RationalModel, RecipSinPi
-from polarhull.pshbuild import certify_schedule, h_values
+from polarhull.pshbuild import QUAD_NOISE_SAFETY, _box_ceiling, certify_schedule, h_eval
 from polarhull.ratapprox import (
     ContourTooClose,
     SeriesDiverging,
@@ -37,7 +39,7 @@ class TestBuild:
         system = leja_points(f.singular_sample(), 1)
         ap = build_approximant(f, system, 1, 1)
         # residue oracle: c_10 is the constant 1
-        np.testing.assert_allclose(ap.coeff_polys[0].coeffs, [1.0], atol=1e-12)
+        np.testing.assert_allclose(ap.coeffs[0], [1.0], atol=1e-12)
         z = 2.0 * np.exp(1j * np.linspace(0.1, 6.0, 40))
         assert np.max(np.abs(f(z) - ap.eval(z))) < 1e-12
 
@@ -45,8 +47,8 @@ class TestBuild:
         f = RationalModel([0.4, -0.2], [0.0, 0.0])
         system = leja_points(f.singular_sample(), 2)
         ap = build_approximant(f, system, 2, 3)
-        for ck in ap.coeff_polys:
-            assert np.max(np.abs(ck.coeffs)) < 1e-12
+        for ck in ap.coeffs:
+            assert np.max(np.abs(ck)) < 1e-12
 
     def test_truncated_series_small_error(self):
         f = PoleSeries.gaussian(5)
@@ -80,11 +82,7 @@ class TestBuild:
         ap = build_approximant(two_pole, system, 2, 3)
         doubled = [CircleContour(c.center, 2 * c.radius) for c in ap.contour]
         ap2 = build_approximant(two_pole, system, 2, 3, contour=doubled)
-        for a, b in zip(ap.coeff_polys, ap2.coeff_polys):
-            ca, cb = a.coeffs, b.coeffs
-            n = max(len(ca), len(cb))
-            ca = np.pad(ca, (0, n - len(ca)))
-            cb = np.pad(cb, (0, n - len(cb)))
+        for ca, cb in zip(ap.coeffs, ap2.coeffs):
             assert np.max(np.abs(ca - cb)) < 1e-9
 
     def test_contour_too_close(self, two_pole):
@@ -154,8 +152,6 @@ class TestConvergence:
 def test_series_growth_guard():
     # a singularity missing from the q roots but faster than rho makes the
     # scaled coefficient magnitudes grow, which the guard must catch
-    from polarhull.core import PolynomialC
-
     class Stray:
         family = "synthetic"
         label = "synthetic"
@@ -182,7 +178,56 @@ def test_capped_build_is_flagged():
         (512, True), (2**14, False)]
     assert len(rep.entries[0]) == 4  # csv rows and callers unpack four fields
     ap = build_approximant(f, system, 33, 2)
-    assert ap.to_dict()["converged"] is False and ap.to_dict()["nodes"] == 2**14
+    assert ap.converged is False and ap.nodes == 2**14
+
+
+def _per_order(ap):
+    """The per-order path: each row of `coeffs` as its own `PolynomialC`, trimmed."""
+    return tuple(PolynomialC(c) for c in ap.coeffs)
+
+
+def _per_order_principal_eval(ap, z):
+    """Oracle: `principal_eval` with every c_k(z) through `PolynomialC`."""
+    u = 1.0 / ap.q_values(z)
+    return _horner((ck(z) for ck in reversed(_per_order(ap))), u) * u
+
+
+def _per_order_cleared_eval(ap, z, w):
+    """Oracle: `cleared_eval` with every c_k(z) and |c_k|(|z|) through `PolynomialC`."""
+    qv = ap.q_values(z)
+    aq = np.abs(qv)
+    az = np.abs(z)
+    qn, aqn = np.ones_like(qv), np.ones_like(aq)
+    for _ in range(ap.big_n):
+        qn, aqn = qn * qv, aqn * aq
+    polys = _per_order(ap)
+    pn = _horner((-ck(z) for ck in polys), qv)
+    sn = _horner((ck.abs_eval(az) for ck in polys), aq)
+    quad_shadow = _horner((_horner(nv[::-1], az) for nv in ap.noise), aq)
+    head = np.abs(w) + ap.analytic_part.abs_eval(az)
+    return (w - ap.analytic_part(z)) * qn + pn, head * aqn + sn, quad_shadow
+
+
+def _per_order_box_ceiling(ap, nu):
+    """Oracle: `pshbuild._box_ceiling` with every |c_k|(nu) through `PolynomialC`."""
+    r = float(nu)
+    p = math.prod(r + abs(root) for root in ap.poles)
+    terms = (ck.abs_eval(r) + QUAD_NOISE_SAFETY * _horner(nv[::-1], r)
+             for ck, nv in zip(_per_order(ap), ap.noise))
+    with np.errstate(over="ignore"):
+        s = _horner(terms, p, r + ap.analytic_part.abs_eval(r))
+        return float(np.log(s)) / ap.normalization
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_as_per_order(ap, z, w, nu):
+    assert _same_bits(ap.principal_eval(z), _per_order_principal_eval(ap, z))
+    for part, oracle in zip(ap.cleared_eval(z, w), _per_order_cleared_eval(ap, z, w)):
+        assert _same_bits(part, oracle)
+    assert repr(_box_ceiling(ap, nu)) == repr(_per_order_box_ceiling(ap, nu))
 
 
 def _power_sum_cleared_eval(ap, z, w):
@@ -195,12 +240,12 @@ def _power_sum_cleared_eval(ap, z, w):
     diff = (w - ap.analytic_part(z)) * qv**ap.big_n
     eval_shadow = (np.abs(w) + ap.analytic_part.abs_eval(az)) * aq**ap.big_n
     quad_shadow = np.zeros_like(eval_shadow)
-    for k, ck in enumerate(ap.coeff_polys):
+    for k, ck in enumerate(_per_order(ap)):
         power = ap.big_n - 1 - k
         diff = diff - ck(z) * qv**power
         eval_shadow = eval_shadow + ck.abs_eval(az) * aq**power
         acc = np.zeros_like(az)
-        for nv in ap.coeff_noise[k][::-1]:
+        for nv in ap.noise[k][::-1]:
             acc = acc * az + nv
         quad_shadow = quad_shadow + acc * aq**power
     return diff, eval_shadow, quad_shadow
@@ -216,7 +261,7 @@ def _per_node_fold(ap, z, w):
     diff = w - ap.analytic_part(z)
     eval_shadow = np.abs(w) + ap.analytic_part.abs_eval(az)
     quad_shadow = np.zeros_like(aq)
-    for ck, nv in zip(ap.coeff_polys, ap.coeff_noise):
+    for ck, nv in zip(_per_order(ap), ap.noise):
         diff = diff * qv - ck(z)
         eval_shadow = eval_shadow * aq + ck.abs_eval(az)
         quad_shadow = quad_shadow * aq + np.polyval(nv[::-1], az)
@@ -257,8 +302,8 @@ def _assert_cleared_eval_matches(certified_field, oracle, zw_grid):
             assert np.all(np.abs(diff - o_diff) <= 2 * ap.big_n * eps * o_eval)
             np.testing.assert_allclose(eval_shadow, o_eval, rtol=1e-13, atol=0)
             np.testing.assert_allclose(quad_shadow, o_quad, rtol=1e-13, atol=0)
-            assert np.array_equal(np.isneginf(h_values(ap, z, w)),
-                                  np.isneginf(h_values(oracle_ap, z, w)))
+            assert np.array_equal(np.isneginf(h_eval(ap, z, w)),
+                                  np.isneginf(h_eval(oracle_ap, z, w)))
 
 
 def test_horner_cleared_eval_matches_power_sums(certified_field, zw_grid):
@@ -267,3 +312,35 @@ def test_horner_cleared_eval_matches_power_sums(certified_field, zw_grid):
 
 def test_z_only_fold_matches_per_node_fold(certified_field, zw_grid):
     _assert_cleared_eval_matches(certified_field, _per_node_fold, zw_grid)
+
+
+def test_matrix_evaluators_equal_the_per_order_path(certified_field):
+    f, field = certified_field
+    for lev in field.levels:
+        z = lev.grid.graph_nodes
+        _assert_same_as_per_order(lev.approximant, z, np.asarray(f(z), dtype=complex), lev.nu)
+
+
+def test_zero_coefficients_keep_the_bits(two_pole):
+    # `PolynomialC` trims a zero top coefficient and a Horner pass over the
+    # row does not; for finite z the pass starts 0*z + 0 = +0 either way
+    system = leja_points(two_pole.singular_sample(), 2)
+    ap = build_approximant(two_pole, system, 2, 3)
+    coeffs = ap.coeffs.copy()
+    coeffs[1, -1] = 0.0
+    coeffs[2] = 0.0
+    ap = dataclasses.replace(ap, coeffs=coeffs)
+    assert [len(ck.coeffs) for ck in _per_order(ap)] == [2, 1, 1]
+    z = 0.4 + 1.5 * np.exp(2j * np.pi * np.arange(64) / 64)
+    _assert_same_as_per_order(ap, z, two_pole(z) + 0.1, 2)
+
+
+def test_coefficient_matrices_are_read_only(two_pole):
+    system = leja_points(two_pole.singular_sample(), 2)
+    ap = build_approximant(two_pole, system, 2, 3)
+    assert ap.coeffs.shape == ap.noise.shape == (3, 2)
+    assert (ap.big_n, ap.degree) == (3, 6)
+    with pytest.raises(ValueError):
+        ap.coeffs[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        ap.noise[0, 0] = 1.0
