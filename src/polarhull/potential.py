@@ -11,7 +11,6 @@ by a five-point relaxation sweep on a Cartesian grid for cross-checking.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -95,6 +94,8 @@ def sublevel_cover(f: FunctionModel, big_r: float, z0: complex = 0j,
     the linearized radius); when z0 is itself a pole, its own disk is replaced
     by a dyadic chain of inscribed disks so the query point stays exterior.
     """
+    if not 0 < big_r < math.inf:
+        raise ThresholdTooSmall(f"a cover needs 0 < big_r < inf, got {big_r!r}")
     if isinstance(f, PoleSeries):
         return _pole_series_cover(f, big_r)
     if isinstance(f, ExpReciprocal):
@@ -108,8 +109,6 @@ def sublevel_cover(f: FunctionModel, big_r: float, z0: complex = 0j,
 
 
 def _pole_series_cover(f: PoleSeries, big_r: float) -> DiskUnion:
-    if not 0 < big_r < math.inf:
-        raise ThresholdTooSmall(f"pole-series cover needs 0 < big_r < inf, got {big_r!r}")
     log_gamma = f.log_gamma_suffix()[: f.n_terms]
     # certificate sum |c_n| / (C sqrt(gamma_n)) computed in log space
     terms = np.exp(f.log_abs_c - 0.5 * log_gamma)
@@ -245,7 +244,7 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40) -> WienerRepo
     if depth < 1:
         raise ValueError("depth must be >= 1")
     point = complex(point)
-    if not cmath.isfinite(point):
+    if not np.isfinite(point):
         raise ValueError(f"point {point!r} is not finite")
     r = cover.radii
     dist = np.abs(cover.centers - point)

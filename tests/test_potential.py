@@ -50,9 +50,11 @@ class TestSublevelCover:
             sublevel_cover(ExpReciprocal(), 0.9)
 
     @pytest.mark.parametrize("big_r", [0.0, -1.0, math.nan, math.inf])
-    def test_pole_series_threshold_out_of_range(self, gauss40, big_r):
+    @pytest.mark.parametrize("f", [PoleSeries.gaussian(40), ExpReciprocal(), RecipSinPi(16)],
+                             ids=["gaussian-40", "exp-reciprocal", "recip-sin-pi-16"])
+    def test_threshold_out_of_range(self, f, big_r):
         with pytest.raises(ThresholdTooSmall):
-            sublevel_cover(gauss40, big_r)
+            sublevel_cover(f, big_r)
 
     def test_pole_series_radii_follow_tail(self, gauss40):
         cover = sublevel_cover(gauss40, 1.0)
