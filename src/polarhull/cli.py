@@ -136,6 +136,14 @@ def _number(key: str, text) -> float:
     raise click.UsageError(f"{key} holds {text!r}, not a finite number")
 
 
+def _sample(key: str, text, points) -> CompactSample:
+    """`points`, spanned by the setting `key`, as a sample; near duplicates are a usage error."""
+    try:
+        return CompactSample(points)
+    except ValueError as e:
+        raise click.UsageError(f"{key} {text!r}: {e}")
+
+
 def _finish(out_dir: str, command: str, config: dict, payload: dict,
             csv_rows=None, csv_name: str | None = None) -> None:
     canon = json.dumps(config, sort_keys=True, default=str)
@@ -209,8 +217,8 @@ def fekete(config_path, out_dir, function_spec, segment, m_points):
     m = _positive("m", cfg["m"], int)
     if cfg.get("segment"):
         a, b, n = _fields("segment", cfg["segment"], ",", 3)
-        sample = CompactSample(np.linspace(_number("segment", a), _number("segment", b),
-                                           _positive("segment", n, int)).astype(complex))
+        sample = _sample("segment", cfg["segment"], np.linspace(
+            _number("segment", a), _number("segment", b), _positive("segment", n, int)))
     elif cfg.get("function"):
         sample = _parse_function(cfg["function"]).singular_sample()
     else:
@@ -246,7 +254,7 @@ def approx(config_path, out_dir, tolerance, function_spec, m_den, n_list, target
     ctr, rad, cnt = _fields("target", cfg["target"], ":", 3)
     center, rad, cnt = _parse_point(ctr), _positive("target", rad), _positive("target", cnt, int)
     theta = 2 * np.pi * np.arange(cnt) / cnt
-    target_sample = CompactSample(center + rad * np.exp(1j * theta))
+    target_sample = _sample("target", cfg["target"], center + rad * np.exp(1j * theta))
     system = leja_points(sample, m)
     report = convergence_scan(f, system, [(m, n) for n in orders], target_sample,
                               quad_tol=tol)
@@ -323,8 +331,14 @@ def hmeasure(config_path, out_dir, annulus, at_point, walks, method, seed):
     }, {"annulus": "0.1,1.0", "at": "0.4", "walks": 100000, "method": "wos", "seed": 0})
     walks = _positive("walks", cfg["walks"], int)
     r_in, r_out = (_positive("annulus", t) for t in _fields("annulus", cfg["annulus"], ",", 2))
+    if not r_in < r_out:
+        raise click.UsageError(f"annulus needs inner < outer, got {cfg['annulus']!r}")
+    at = _parse_point(str(cfg["at"]))
+    if not r_in < abs(at) < r_out:
+        raise click.UsageError(
+            f"at must lie in the annulus {r_in} < |z| < {r_out}, got {cfg['at']!r}")
     est = harmonic_measure(
-        _parse_point(str(cfg["at"])), CircleContour(0j, r_in), Disk(0j, r_out), DiskUnion([]),
+        at, CircleContour(0j, r_in), Disk(0j, r_out), DiskUnion([]),
         walks=walks, seed=int(cfg["seed"]), method=str(cfg["method"]),
     )
     rows = [["value", "std_error", "walks", "seed", "method"],

@@ -98,9 +98,6 @@ class Disk:
     def contains(self, z) -> bool:
         return abs(complex(z) - self.center) < self.radius
 
-    def to_dict(self) -> dict:
-        return {"center": complex_to_pair(self.center), "radius": self.radius}
-
 
 @dataclass(frozen=True, eq=False)
 class DiskUnion:
@@ -151,9 +148,6 @@ class DiskUnion:
 
     def contains(self, z) -> bool:
         return bool(np.any(np.abs(complex(z) - self.centers) < self.radii))
-
-    def to_dict(self) -> dict:
-        return {"disks": [d.to_dict() for d in self]}
 
 
 _DUPLICATE_TOL = 1e-14
@@ -294,12 +288,6 @@ class PolynomialC:
         """Evaluate sum_i |c_i| r^i at a nonnegative radius (error shadow)."""
         return _horner(np.abs(self.coeffs[::-1]), np.asarray(r, dtype=float))
 
-    def to_dict(self) -> dict:
-        d = {"coeffs": [complex_to_pair(c) for c in self.coeffs]}
-        if self.roots is not None:
-            d["roots"] = [complex_to_pair(r) for r in self.roots]
-        return d
-
 
 ZERO_POLY = PolynomialC([0.0])
 
@@ -341,25 +329,16 @@ class CircleContour:
 
     center: complex
     radius: float
-    node_count: int = 256
 
     def __post_init__(self):
+        if not (np.isfinite(self.center) and math.isfinite(self.radius)):
+            raise ValueError("contour center/radius must be finite")
         if self.radius <= 0:
             raise ValueError("contour radius must be positive")
-        if self.node_count < 16 or self.node_count % 2:
-            raise ValueError("node_count must be even and >= 16")
 
-    def nodes(self, n: int | None = None) -> np.ndarray:
-        n = self.node_count if n is None else n
+    def nodes(self, n: int) -> np.ndarray:
         theta = 2.0 * np.pi * np.arange(n) / n
         return self.center + self.radius * np.exp(1j * theta)
-
-    def to_dict(self) -> dict:
-        return {
-            "center": complex_to_pair(self.center),
-            "radius": self.radius,
-            "node_count": self.node_count,
-        }
 
 
 MAX_QUAD_NODES = 2**16

@@ -39,30 +39,17 @@ class ProbeEqualsValue(PolarhullError):
 class SeriesConditionReport:
     """Evidence for the two tail conditions of a pole series.
 
-    gamma values decay so fast for the interesting examples that they are
-    carried as logs; `gamma` holds exp of those logs and may underflow to 0
-    while `log_gamma` stays finite.
+    gamma_n, the coefficient tail sums, decay so fast for the interesting
+    examples that they are carried only as logs: `log_gamma` stays finite
+    where gamma_n itself would underflow to 0.
     """
 
     log_gamma: np.ndarray
-    gamma: np.ndarray
     ratio_sequence: np.ndarray    # sum_{n<=N} log|a_n| / log gamma_{N+1}
     summability_sums: np.ndarray            # partial sums of log|a_n| / log gamma_n
     verdict_ratio: str
     verdict_summability: str
     truncation: int
-
-    def to_dict(self) -> dict:
-        take = min(len(self.summability_sums), 200)
-        return {
-            "log_gamma_head": [float(x) for x in self.log_gamma[:take]],
-            "ratio_sequence_head": [float(x) for x in self.ratio_sequence[:take]],
-            "summability_sums_head": [float(x) for x in self.summability_sums[:take]],
-            "summability_sums_final": float(self.summability_sums[-1]),
-            "verdict_ratio": self.verdict_ratio,
-            "verdict_summability": self.verdict_summability,
-            "truncation": self.truncation,
-        }
 
 
 STABILIZE_TOL = 1e-6
@@ -84,7 +71,7 @@ def series_conditions(f: PoleSeries) -> SeriesConditionReport:
     if n < 20:
         empty = np.array([])
         return SeriesConditionReport(
-            log_gamma=empty, gamma=empty, ratio_sequence=empty, summability_sums=empty,
+            log_gamma=empty, ratio_sequence=empty, summability_sums=empty,
             verdict_ratio="INCONCLUSIVE", verdict_summability="INCONCLUSIVE", truncation=n,
         )
     if f.log_gamma_tail is None:
@@ -119,10 +106,8 @@ def series_conditions(f: PoleSeries) -> SeriesConditionReport:
         improving = running_min[-1] < 0.5 * running_min[n // 2]
         verdict_ratio = "INCONCLUSIVE" if improving else "FAILS"
 
-    with np.errstate(under="ignore"):
-        gamma = np.exp(log_gamma[:n])
     return SeriesConditionReport(
-        log_gamma=log_gamma[:n], gamma=gamma, ratio_sequence=ratio, summability_sums=sums,
+        log_gamma=log_gamma[:n], ratio_sequence=ratio, summability_sums=sums,
         verdict_ratio=verdict_ratio, verdict_summability=verdict_summability, truncation=n,
     )
 

@@ -211,19 +211,6 @@ class MittagLefflerSplit:
     def reconstruct(self, z):
         return self.analytic_eval(z) + self.principal_sum(z)
 
-    def to_dict(self) -> dict:
-        return {
-            "components": [
-                {"disk": d.to_dict(), "split": s.to_dict()} for d, s in self.components
-            ],
-            "analytic_coeffs": [complex_to_pair(c) for c in self.analytic_part.coeffs],
-            "analytic_center": complex_to_pair(self.analytic_center),
-            "analytic_domain": self.analytic_domain.to_dict(),
-            "residual": self.residual,
-            "nodes": self.nodes,
-            "converged": self.converged,
-        }
-
 
 TAYLOR_DEGREE = 24
 

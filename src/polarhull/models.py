@@ -18,7 +18,6 @@ from .core import (
     PolynomialC,
     ZERO_POLY,
     as_complex_array,
-    complex_to_pair,
     pointwise,
 )
 
@@ -55,9 +54,6 @@ class FunctionModel:
         model off its singular set.
         """
         raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, "label": self.label}
 
 
 def _chunked_pole_sum(z, poles, weights):
@@ -179,14 +175,6 @@ class PoleSeries(FunctionModel):
             1.0 / n, residues, log_abs_c=log_c, label=f"geometric-poles-{n_terms}",
             log_gamma_tail=log_gamma_tail, ca_tail=ca_tail,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "label": self.label,
-            "n_terms": self.n_terms,
-            "poles": [complex_to_pair(p) for p in self.poles[:64]],
-        }
 
 
 class ExpReciprocal(FunctionModel):

@@ -318,16 +318,6 @@ class ThinnessWitness:
         return float(np.sum(self.alphas / np.log(1.0 / self.radii)
                             * (np.log(np.abs(complex(z) - a)) - np.log(1.0 + np.abs(a)))))
 
-    def to_dict(self) -> dict:
-        return {
-            "centers": [complex_to_pair(c) for c in self.centers],
-            "radii": [float(r) for r in self.radii],
-            "alphas": [float(a) for a in self.alphas],
-            "summands": [float(s) for s in self.summands],
-            "value_at_point": self.value_at_point,
-            "disk_sup_bounds": [float(b) for b in self.disk_sup_bounds],
-        }
-
 
 def witness_build(a, r) -> ThinnessWitness:
     """Build the weighted log-distance witness for disks D(a_n, r_n).

@@ -202,9 +202,6 @@ class PshField:
     sample: CompactSample
     model: object
 
-    def level_clamp(self, nu: int) -> float:
-        return -nu - math.log(nu + 2)
-
     def to_dict(self) -> dict:
         return {
             "levels": [lev.to_dict() for lev in self.levels],
@@ -214,6 +211,11 @@ class PshField:
             ],
             "sample": self.sample.to_dict(),
         }
+
+
+def _level_clamp(nu: int) -> float:
+    """The value below which level nu's term h - log(nu + 2) is clamped."""
+    return -nu - math.log(nu + 2)
 
 
 @pointwise
@@ -226,7 +228,7 @@ def u_eval(field: PshField, z, w):
     for lev in field.levels:
         nu = lev.nu
         h = h_eval(lev.approximant, z, w).reshape(out.shape)
-        out += np.maximum(h - math.log(nu + 2), field.level_clamp(nu)) / nu**2
+        out += np.maximum(h - math.log(nu + 2), _level_clamp(nu)) / nu**2
     zb = np.broadcast_to(z, out.shape)
     with np.errstate(divide="ignore"):
         for atom, wt in field.evans_weights:
@@ -293,7 +295,7 @@ def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, degree_cap: int = 
         levels.append(certified)
         start_n = certified.approximant.big_n
 
-    floor = sum((-nu - math.log(nu + 2)) / nu**2 for nu in range(2, nu_max + 1))
+    floor = sum(_level_clamp(nu) / nu**2 for nu in range(2, nu_max + 1))
     return PshField(
         levels=tuple(levels),
         floor_value=floor,
@@ -305,47 +307,25 @@ def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, degree_cap: int = 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular slice of (z, w) space for field export."""
+    """The graph tube for field export: nx real z across re_range, w = f(z) + each offset."""
 
-    kind: str  # fixed_w | fixed_z | graph_tube
-    params: dict
-
-    @classmethod
-    def fixed_w(cls, w, re_range, im_range, nx: int, ny: int) -> "GridSpec":
-        return cls("fixed_w", {"w": complex(w), "re_range": tuple(re_range),
-                               "im_range": tuple(im_range), "nx": int(nx), "ny": int(ny)})
-
-    @classmethod
-    def fixed_z(cls, z, re_range, im_range, nx: int, ny: int) -> "GridSpec":
-        return cls("fixed_z", {"z": complex(z), "re_range": tuple(re_range),
-                               "im_range": tuple(im_range), "nx": int(nx), "ny": int(ny)})
+    re_range: tuple
+    nx: int
+    offsets: tuple
 
     @classmethod
     def graph_tube(cls, re_range, nx: int, offsets) -> "GridSpec":
-        return cls("graph_tube", {"re_range": tuple(re_range), "nx": int(nx),
-                                  "offsets": [complex(t) for t in offsets]})
+        return cls(tuple(re_range), int(nx), tuple(complex(t) for t in offsets))
 
 
 def export_field(field: PshField, grid: GridSpec):
-    """Tabulate the field on a slice, row-major; rows [z_re, z_im, w_re, w_im, u]."""
-    p = grid.params
-    if grid.kind in ("fixed_w", "fixed_z"):
-        re = np.linspace(*p["re_range"], p["nx"])
-        im = np.linspace(*p["im_range"], p["ny"])
-        plane = re[None, :] + 1j * im[:, None]
-        # one fixed value broadcasts: with z fixed, the z-only work runs once
-        fixed = np.full((1, 1), p["w" if grid.kind == "fixed_w" else "z"], dtype=complex)
-        zs, ws = (plane, fixed) if grid.kind == "fixed_w" else (fixed, plane)
+    """Tabulate the field on the graph tube, row-major; rows [z_re, z_im, w_re, w_im, u]."""
+    zs = np.linspace(*grid.re_range, grid.nx).astype(complex)
+    # at a pole f(z) and the cleared moduli overflow: u is -inf or NaN there
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fz = np.asarray(field.model(zs), dtype=complex)
+        ws = fz + np.asarray(grid.offsets, dtype=complex).reshape(-1, 1)
         us = u_eval(field, zs, ws)
-    elif grid.kind == "graph_tube":
-        zs = np.linspace(*p["re_range"], p["nx"]).astype(complex)
-        # at a pole f(z) and the cleared moduli overflow: u is -inf or NaN there
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fz = np.asarray(field.model(zs), dtype=complex)
-            ws = fz + np.asarray(p["offsets"], dtype=complex).reshape(-1, 1)
-            us = u_eval(field, zs, ws)
-    else:
-        raise ValueError(f"unknown slice kind {grid.kind!r}")
     zs, ws = np.broadcast_arrays(zs, ws)
     return np.column_stack([zs.real.ravel(), zs.imag.ravel(), ws.real.ravel(),
                             ws.imag.ravel(), us.ravel()]).tolist()

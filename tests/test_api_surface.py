@@ -17,8 +17,6 @@ PINNED = {
     "core.DiskUnion.__init__": ("disks", "faithful_depth"),
     "core.DiskUnion.from_arrays": ("faithful_depth",),
     "core.PolynomialC.__init__": ("roots",),
-    "core.CircleContour.nodes": ("n",),
-    "core.CircleContour.__init__": ("node_count",),
     "hull.FiberClassification.__init__": ("notes",),
     "hull.classify_fiber": ("depth", "potential"),
     "laurent.laurent_split": ("tol",),

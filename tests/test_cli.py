@@ -204,6 +204,11 @@ def test_nonpositive_count_rejected(tmp_path, command, value):
     ["hull", "--function", "exp-reciprocal", "--point", "nan"],
     ["thin", "--function", "exp-reciprocal", "--point", "inf"],
     ["hmeasure", "--at", "nan"],
+    ["hmeasure", "--at", "0.05", "--walks", "1000"],
+    ["hmeasure", "--at", "2"],
+    ["hmeasure", "--annulus", "1,0.1"],
+    ["fekete", "--segment", "0,0,5"],
+    ["approx", "--function", "exp-reciprocal", "--n-list", 1, "--target", "0,0:1e-300:8"],
     ["thin", "--function", "pole-series-gaussian:10", "--big-r", "0"],
     ["thin", "--function", "pole-series-gaussian:10", "--big-r", "nan"],
     ["thin", "--function", "pole-series-gaussian:10", "--big-r", "-1"],

@@ -13,6 +13,7 @@ from polarhull.pshbuild import (
     PshField,
     ScheduleExhausted,
     _certification_grid,
+    _level_clamp,
     certify_schedule,
     evans_discrete,
     export_field,
@@ -389,16 +390,17 @@ class TestExport:
     def test_constant_zero_field(self):
         field = PshField(levels=(), floor_value=0.0, evans_weights=(),
                          sample=CompactSample([0.0]), model=None)
-        rows = export_field(field, GridSpec.fixed_w(0j, (0, 1), (0, 1), 2, 2))
-        assert len(rows) == 4
-        assert all(r[4] == 0.0 for r in rows)
+        axis = np.linspace(0, 1, 2)
+        plane = axis[None, :] + 1j * axis[:, None]
+        us = u_eval(field, plane, 0j)
+        assert us.shape == (2, 2)
+        assert np.all(us == 0.0)
 
     def test_single_pole_graph_tube(self, single_pole_field):
-        f = RationalModel([A], [1.0])
         rows = export_field(
             single_pole_field, GridSpec.graph_tube((A + 0.5, A + 0.9), 5, [0.0])
         )
-        clamp_sum = sum((-nu - math.log(nu + 2)) / nu**2 for nu in range(2, 5))
+        clamp_sum = sum(_level_clamp(nu) / nu**2 for nu in range(2, 5))
         for z_re, _, _, _, u in rows:
             assert u == pytest.approx(clamp_sum + math.log(abs(z_re - A)), abs=1e-9)
 
@@ -420,12 +422,8 @@ class TestExport:
     def test_w_slice_minimum_near_graph(self, gauss10_field, gauss10):
         z = 0.7
         w_graph = complex(gauss10(z))
-        spec = GridSpec.fixed_z(z, (w_graph.real - 1.0, w_graph.real + 1.0),
-                                (-0.05, 0.05), 81, 3)
-        rows = export_field(gauss10_field, spec)
-        mid = [r for r in rows if r[3] == 0.0]
-        us = np.array([r[4] for r in mid])
-        w_res = np.array([r[2] for r in mid])
+        w_res = np.linspace(w_graph.real - 1.0, w_graph.real + 1.0, 81)
+        us = u_eval(gauss10_field, z, w_res)
         cell = w_res[1] - w_res[0]
         assert abs(w_res[int(np.argmin(us))] - w_graph.real) <= cell
 
@@ -441,13 +439,8 @@ def test_u_eval_array_equals_scalar_calls(name, request, rng):
     assert np.isneginf(grid[:20]).all() and np.isfinite(grid[20:]).all()
 
 
-def test_exported_rows_equal_u_eval(gauss10_field, gauss10):
-    w_graph = complex(gauss10(0.7))
-    specs = [GridSpec.fixed_z(0.7, (w_graph.real - 1.0, w_graph.real + 1.0), (-0.05, 0.05), 9, 3),
-             GridSpec.fixed_w(0.5 + 0.2j, (-1.0, 1.0), (-0.5, 0.5), 7, 4),
-             GridSpec.graph_tube((0.12, 0.92), 9, [0.0, 0.5j, 1.0])]
-    for spec in specs:
-        rows = export_field(gauss10_field, spec)
-        assert all(type(v) is float for row in rows for v in row)  # plain floats for field.csv
-        assert [r[4] for r in rows] == [u_eval(gauss10_field, complex(zr, zi), complex(wr, wi))
-                                        for zr, zi, wr, wi, _ in rows]
+def test_exported_rows_equal_u_eval(gauss10_field):
+    rows = export_field(gauss10_field, GridSpec.graph_tube((0.12, 0.92), 9, [0.0, 0.5j, 1.0]))
+    assert all(type(v) is float for row in rows for v in row)  # plain floats for field.csv
+    assert [r[4] for r in rows] == [u_eval(gauss10_field, complex(zr, zi), complex(wr, wi))
+                                    for zr, zi, wr, wi, _ in rows]
