@@ -17,14 +17,13 @@ from .core import (
     PolynomialC,
     poly_eval,
     poly_from_roots,
-    sup_norm,
 )
 from .models import ExpReciprocal, FunctionModel, PoleSeries, RationalModel, RecipSinPi
-from .laurent import find_clean_radius, laurent_split, mittag_leffler
+from .laurent import laurent_split, mittag_leffler
 from .fekete import capacity_estimate, leja_points
 from .ratapprox import build_approximant, convergence_scan, rho_of
 from .pshbuild import certify_schedule, evans_discrete, export_field, h_eval, u_eval
-from .potential import harmonic_measure, sublevel_cover, two_constants_check, wiener_test, witness_build
+from .potential import harmonic_measure, sublevel_cover, wiener_test
 from .hull import classify_fiber, f_at_origin, series_conditions, vn_upper_bound
 
 __all__ = [
@@ -37,13 +36,11 @@ __all__ = [
     "PolynomialC",
     "poly_eval",
     "poly_from_roots",
-    "sup_norm",
     "ExpReciprocal",
     "FunctionModel",
     "PoleSeries",
     "RationalModel",
     "RecipSinPi",
-    "find_clean_radius",
     "laurent_split",
     "mittag_leffler",
     "capacity_estimate",
@@ -58,9 +55,7 @@ __all__ = [
     "u_eval",
     "harmonic_measure",
     "sublevel_cover",
-    "two_constants_check",
     "wiener_test",
-    "witness_build",
     "classify_fiber",
     "f_at_origin",
     "series_conditions",

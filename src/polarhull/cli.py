@@ -29,7 +29,7 @@ from .fekete import leja_points, capacity_estimate
 from .ratapprox import convergence_scan
 from .pshbuild import GridSpec, certify_schedule, export_field
 from .potential import harmonic_measure, sublevel_cover, wiener_test
-from .hull import HullVerdict, classify_fiber
+from .hull import classify_fiber
 
 log = logging.getLogger("polarhull")
 
@@ -363,12 +363,11 @@ def hull(config_path, out_dir, function_spec, points, r_grid, depth):
     grid = [_parse_level(t) for t in str(cfg["r_grid"]).split(",")]
     entries = [classify_fiber(f, _parse_point(token), grid, depth=depth)
                for token in str(cfg["points"]).split(";")]
-    verdict = HullVerdict(model_label=f.label, entries=tuple(entries))
     click.echo(f"{'point':>16}  {'classification':<14} w0")
     for e in entries:
         w0 = "-" if e.w0 is None else f"{e.w0.real:+.12f}{e.w0.imag:+.12f}j"
         click.echo(f"{e.point!s:>16}  {e.classification:<14} {w0}")
-    _finish(out_dir, "hull", cfg, verdict.to_dict())
+    _finish(out_dir, "hull", cfg, {"model": f.label, "entries": [e.to_dict() for e in entries]})
 
 
 def main(argv=None) -> int:

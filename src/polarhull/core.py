@@ -26,7 +26,6 @@ __all__ = [
     "poly_eval",
     "poly_from_roots",
     "pointwise",
-    "sup_norm",
     "as_complex_array",
     "complex_to_pair",
 ]
@@ -70,15 +69,15 @@ def pointwise(fn):
     return evaluate
 
 
-def _eval_on_nodes(f, nodes: np.ndarray, what: str = "integrand") -> np.ndarray:
+def _eval_on_nodes(f, nodes: np.ndarray) -> np.ndarray:
     """Evaluate the vectorized callable `f` on the node array in one call."""
     vals = np.asarray(f(nodes), dtype=complex)
     if vals.shape != nodes.shape:
         raise NodeEvaluationError(
-            f"{what} returned shape {vals.shape} on nodes of shape {nodes.shape}")
+            f"integrand returned shape {vals.shape} on nodes of shape {nodes.shape}")
     if not np.all(np.isfinite(vals)):
         bad = nodes[~np.isfinite(vals)][:1]
-        raise NodeEvaluationError(f"{what} is not finite at node {bad[0]!r}")
+        raise NodeEvaluationError(f"integrand is not finite at node {bad[0]!r}")
     return vals
 
 
@@ -94,9 +93,6 @@ class Disk:
             raise ValueError("disk center/radius must be finite")
         if self.radius <= 0:
             raise ValueError("disk radius must be positive")
-
-    def contains(self, z) -> bool:
-        return abs(complex(z) - self.center) < self.radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,9 +141,6 @@ class DiskUnion:
 
     def __iter__(self):
         return (Disk(c, r) for c, r in zip(self.centers.tolist(), self.radii.tolist()))
-
-    def contains(self, z) -> bool:
-        return bool(np.any(np.abs(complex(z) - self.centers) < self.radii))
 
 
 _DUPLICATE_TOL = 1e-14
@@ -378,9 +371,3 @@ def circle_trapezoid(f, circles, reduce, n0: int, *, tol: float,
         if np.max(noise) <= tol * max(1.0, float(np.max(np.abs(new)))):
             return Quadrature(value, noise, n, True)
     return Quadrature(value, noise, n, False)
-
-
-def sup_norm(f, sample: CompactSample) -> float:
-    """max |f| over the sample points."""
-    vals = _eval_on_nodes(f, sample.points, what="function")
-    return float(np.max(np.abs(vals)))

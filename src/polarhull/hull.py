@@ -21,7 +21,6 @@ __all__ = [
     "ProbeEqualsValue",
     "SeriesConditionReport",
     "FiberClassification",
-    "HullVerdict",
     "series_conditions",
     "f_at_origin",
     "classify_fiber",
@@ -153,18 +152,6 @@ class FiberClassification:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class HullVerdict:
-    model_label: str
-    entries: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model_label,
-            "entries": [e.to_dict() for e in self.entries],
-        }
-
-
 def classify_fiber(f: FunctionModel, z0: complex, r_grid, *,
                    depth: int = 40, potential=potential_mod) -> FiberClassification:
     """Classify the fiber over one singular point from Wiener evidence.
@@ -182,7 +169,7 @@ def classify_fiber(f: FunctionModel, z0: complex, r_grid, *,
         singular = f.singular_sample(include_origin=True)
     else:
         singular = f.singular_sample()
-    if not singular.min_distance_to(z0) <= 1e-9:  # NaN fails too
+    if not singular.min_distance_to(z0) <= SAMPLE_TOL:  # NaN fails too
         raise ValueError(f"{z0!r} is not a sampled singular point of {f.label}")
 
     reports = []
@@ -223,7 +210,7 @@ def classify_fiber(f: FunctionModel, z0: complex, r_grid, *,
         return entry("FIBER_EMPTY")
 
     bound = min(thin_rs)
-    if isinstance(f, PoleSeries) and abs(z0) < SAMPLE_TOL:
+    if isinstance(f, PoleSeries) and abs(z0) <= SAMPLE_TOL:
         w0, err = f_at_origin(f)
         if abs(w0) > bound:
             return entry("UNKNOWN", extra="origin value exceeds thin-level radius bound")

@@ -1,20 +1,17 @@
 """Split functions holomorphic off a compact set into analytic + principal parts.
 
 The principal parts vanish at infinity and are produced one covering disk at a
-time; circles that stay clear of a given point sample are found by a grid
-search over candidate radii.
+time; every disk boundary must stay clear of the given point sample.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
     CircleContour,
     CompactSample,
-    Disk,
     DiskUnion,
     MAX_QUAD_NODES,
     PolarhullError,
@@ -26,20 +23,13 @@ from .core import (
 )
 
 __all__ = [
-    "NoCleanRadius",
     "TruncationError",
     "CoverError",
-    "CleanRadius",
     "LaurentSplit",
     "MittagLefflerSplit",
-    "find_clean_radius",
     "laurent_split",
     "mittag_leffler",
 ]
-
-
-class NoCleanRadius(PolarhullError):
-    """No circle in the requested radius bracket clears the sample."""
 
 
 class TruncationError(PolarhullError):
@@ -48,34 +38,6 @@ class TruncationError(PolarhullError):
 
 class CoverError(PolarhullError):
     """A covering disk boundary passes through the singular sample."""
-
-
-class CleanRadius(NamedTuple):
-    radius: float
-    clearance: float
-
-
-CLEAN_RADIUS_CANDIDATES = 1024
-
-
-def find_clean_radius(a: CompactSample, center: complex, r_lo: float, r_hi: float) -> CleanRadius:
-    """Radius r in (r_lo, r_hi) whose circle about `center` stays farthest from `a`.
-
-    Grid search over CLEAN_RADIUS_CANDIDATES radii; the clearance (min distance
-    from any sample point to the circle) is maximized and returned alongside.
-    """
-    if not r_lo < r_hi:
-        raise ValueError("need r_lo < r_hi")
-    dists = np.abs(a.points - complex(center))
-    k = np.arange(CLEAN_RADIUS_CANDIDATES)
-    radii = r_lo + (k + 0.5) * (r_hi - r_lo) / CLEAN_RADIUS_CANDIDATES
-    clearance = np.min(np.abs(dists[None, :] - radii[:, None]), axis=1)
-    best = int(np.argmax(clearance))
-    if clearance[best] < 1e-12:
-        raise NoCleanRadius(
-            f"best clearance {clearance[best]:.3e} in ({r_lo}, {r_hi})"
-        )
-    return CleanRadius(float(radii[best]), float(clearance[best]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +95,7 @@ def _laurent_coeffs(f, circle: CircleContour, k_max: int):
     precision); a_k = moment_k * r^{-k} afterwards, and any coefficient below
     the measurement resolution SNAP_REL * max|f| * r^{-k} is reported as
     exactly zero, since quadrature on this circle cannot distinguish it from zero.
+    A coefficient that overflows (a radius far from 1) raises TruncationError.
     """
     ks = np.arange(-k_max, k_max + 1)
     n0 = 1 << (max(256, 4 * (k_max + 1)) - 1).bit_length()
@@ -145,9 +108,13 @@ def _laurent_coeffs(f, circle: CircleContour, k_max: int):
 
     quad = circle_trapezoid(f, (circle,), moments, n0, tol=LAURENT_QUAD_TOL,
                             max_nodes=MAX_QUAD_NODES)
-    scale = circle.radius ** (-ks.astype(float))
-    coeffs = quad.value * scale
-    floor = SNAP_REL * max(f_scale, 1e-300) * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = circle.radius ** (-ks.astype(float))
+        coeffs = quad.value * scale
+        floor = SNAP_REL * max(f_scale, 1e-300) * scale
+    if not np.all(np.isfinite(coeffs)):
+        raise TruncationError(f"Laurent coefficients overflow on the circle of radius "
+                              f"{circle.radius!r} at k_max={k_max}")
     coeffs[np.abs(coeffs) < floor] = 0.0
     return ks, coeffs, quad
 
@@ -185,14 +152,13 @@ class MittagLefflerSplit:
     """Per-disk principal parts plus a polynomial stand-in for the entire part.
 
     Evaluation of any principal part is only certified outside its measuring
-    circle; `analytic_domain` records where the Taylor stand-in was fitted,
-    and `nodes`/`converged` how its quadrature ended.
+    circle; `nodes`/`converged` record how the quadrature of the Taylor
+    stand-in ended.
     """
 
     components: tuple
     analytic_part: PolynomialC
     analytic_center: complex
-    analytic_domain: Disk
     residual: float
     nodes: int
     converged: bool
@@ -261,7 +227,6 @@ def mittag_leffler(f, cover: DiskUnion, sample_of_k: CompactSample, *,
         components=tuple(components),
         analytic_part=analytic,
         analytic_center=center,
-        analytic_domain=Disk(center, test_radius),
         residual=residual,
         nodes=quad.nodes,
         converged=quad.converged,

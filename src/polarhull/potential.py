@@ -7,7 +7,8 @@ bound that can only over-estimate (sound for a convergence verdict).  The
 report records which side drove the verdict.
 
 Harmonic measure is estimated by walk-on-spheres with absorbing circles, or
-by a five-point relaxation sweep on a Cartesian grid for cross-checking.
+by a five-point relaxation sweep on a Cartesian grid for cross-checking; the
+grid refuses a target circle narrower than its step.
 """
 from __future__ import annotations
 
@@ -30,18 +31,13 @@ __all__ = [
     "ThresholdTooSmall",
     "DepthOverflow",
     "PointInsideCover",
-    "DivergentBase",
     "StartInsideTarget",
     "StartInsideObstacle",
-    "InvalidBounds",
     "WienerReport",
-    "ThinnessWitness",
     "MeasureEstimate",
     "sublevel_cover",
     "wiener_test",
-    "witness_build",
     "harmonic_measure",
-    "two_constants_check",
 ]
 
 
@@ -61,20 +57,12 @@ class PointInsideCover(PolarhullError):
     """The thinness query point lies interior to a cover disk."""
 
 
-class DivergentBase(PolarhullError):
-    """The unweighted witness sum already diverges at this truncation."""
-
-
 class StartInsideTarget(PolarhullError):
     pass
 
 
 class StartInsideObstacle(PolarhullError):
     pass
-
-
-class InvalidBounds(PolarhullError):
-    """Two-constants bound called with H < C."""
 
 
 # --------------------------------------------------------------------- covers
@@ -296,67 +284,6 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40) -> WienerRepo
     )
 
 
-# ------------------------------------------------------------------ witnesses
-
-@dataclass(frozen=True, eq=False)
-class ThinnessWitness:
-    """Explicit negative subharmonic witness for thinness at the origin.
-
-    u(z) = sum alpha_n / log(1/r_n) * [log|z - a_n| - log(1 + |a_n|)], with
-    disk-sup bounds sup_n = alpha_n [log r_n - log(1+|a_n|)] / log(1/r_n).
-    """
-
-    centers: np.ndarray
-    radii: np.ndarray
-    alphas: np.ndarray
-    summands: np.ndarray
-    value_at_point: float
-    disk_sup_bounds: np.ndarray
-
-    def eval(self, z) -> float:
-        a = self.centers
-        return float(np.sum(self.alphas / np.log(1.0 / self.radii)
-                            * (np.log(np.abs(complex(z) - a)) - np.log(1.0 + np.abs(a)))))
-
-
-def witness_build(a, r) -> ThinnessWitness:
-    """Build the weighted log-distance witness for disks D(a_n, r_n).
-
-    The weights alpha_n = min(n, s_n^{-1/2}) grow without bound while keeping
-    the weighted sum finite at the truncation (s_n is the n-th unweighted
-    convergence-check summand); a running max keeps them nondecreasing.
-    """
-    a = np.asarray(a, dtype=complex).ravel()
-    r = np.asarray(r, dtype=float).ravel()
-    if a.shape != r.shape:
-        raise ValueError("centers and radii must have equal length")
-    if len(a) == 0:
-        return ThinnessWitness(a, r, np.array([]), np.array([]), 0.0, np.array([]))
-    if np.any(r >= 1.0) or np.any(r <= 0.0):
-        raise ValueError("radii must lie in (0, 1)")
-    if np.any(np.abs(a) > 1.0):
-        raise ValueError("centers must lie in the closed unit disk")
-
-    s = np.log(np.abs(a) / (1.0 + np.abs(a))) / np.log(r)
-    partial = np.cumsum(s)
-    if len(s) >= 8:
-        tail = partial[-1] - partial[3 * len(s) // 4 - 1]
-        if tail > 0.25 * max(partial[-1], 1e-12) and tail > 0.5:
-            raise DivergentBase("unweighted summand partial sums still growing")
-
-    n_idx = np.arange(1, len(a) + 1, dtype=float)
-    alphas = np.minimum(n_idx, 1.0 / np.sqrt(np.maximum(s, 1e-300)))
-    alphas = np.maximum.accumulate(alphas)
-
-    log_inv_r = np.log(1.0 / r)
-    value = float(np.sum(alphas / log_inv_r * (np.log(np.abs(0.0 - a)) - np.log(1.0 + np.abs(a)))))
-    sups = alphas / log_inv_r * (np.log(r) - np.log(1.0 + np.abs(a)))
-    return ThinnessWitness(
-        centers=a, radii=r, alphas=alphas, summands=alphas * s,
-        value_at_point=value, disk_sup_bounds=sups,
-    )
-
-
 # ------------------------------------------------------------ harmonic measure
 
 @dataclass(frozen=True)
@@ -477,11 +404,18 @@ def _grid_measure(z, centers, radii, values, domain: Disk, boundary_value: float
     The grid holds `boundary_value` outside the domain and values[i] on the
     closed disk i, later disks overriding earlier ones.  `_sor` relaxes the
     free nodes on the four sub-lattices u[a::2, b::2], each of one colour;
-    the estimate is the bilinear interpolation at z.
+    the estimate is the bilinear interpolation at z.  A target disk (value 1)
+    narrower than the grid step fixes at most its center node, so the
+    estimate would not depend on its radius: it raises PolarhullError.
     """
     R = domain.radius
     ax = np.linspace(domain.center.real - R, domain.center.real + R, grid_n)
     ay = np.linspace(domain.center.imag - R, domain.center.imag + R, grid_n)
+    h = ax[1] - ax[0]
+    narrow = (values == 1.0) & (radii < h)
+    if narrow.any():
+        raise PolarhullError(f"target radius {radii[narrow][0]:.3e} is below the grid step "
+                             f"{h:.3e}; use walk-on-spheres or a larger grid_n")
     X, Y = np.meshgrid(ax, ay)
     Z = X + 1j * Y
 
@@ -497,7 +431,6 @@ def _grid_measure(z, centers, radii, values, domain: Disk, boundary_value: float
         u[inside] = value
         fixed |= inside
 
-    h = ax[1] - ax[0]
     omega = 2.0 / (1.0 + math.sin(math.pi * h / (2 * R)))
     free = np.zeros(X.shape, dtype=bool)
     free[1:-1, 1:-1] = ~fixed[1:-1, 1:-1]
@@ -578,15 +511,3 @@ def _sor(u: np.ndarray, free: np.ndarray, omega: float, tol: float) -> tuple[int
         u[a::2, b::2] = sub
     return sweep, residual
 
-
-# ------------------------------------------------------------- two constants
-
-def two_constants_check(h_values: dict, omega: MeasureEstimate) -> float:
-    """Interpolated bound H - (H - C)*omega from the two-constants theorem."""
-    H, C = float(h_values["H"]), float(h_values["C_nk"])
-    if H < C:
-        raise InvalidBounds(f"H={H} < C_nk={C}")
-    bound = H - (H - C) * omega.value
-    if omega.value >= 0.5:
-        assert bound <= 0.5 * (H + C) + 1e-12
-    return bound

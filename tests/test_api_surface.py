@@ -1,17 +1,31 @@
-"""Pin the defaulted parameters of the public API.
+"""Pin the top-level exports and the defaulted parameters of the public API.
 
 A defaulted parameter is a setting every caller may change, and each one
 doubles the configurations the tests would have to cover.  A setting with
 one value in use is a named module constant beside the code that reads it;
 a parameter keeps a default only when two callers need different values or
 when tests and the benchmark hook in through it.  So a new option, or a
-retired one, shows up here as an edit to PINNED.
+retired one, shows up here as an edit to PINNED.  Likewise a name added
+to or removed from `polarhull.__all__` shows up as an edit to EXPORTS.
 """
 import importlib
 import inspect
 import pkgutil
 
 import polarhull
+
+EXPORTS = (
+    "__version__",
+    "CircleContour", "CompactSample", "Disk", "DiskUnion", "PolarhullError", "PolynomialC",
+    "poly_eval", "poly_from_roots",
+    "ExpReciprocal", "FunctionModel", "PoleSeries", "RationalModel", "RecipSinPi",
+    "laurent_split", "mittag_leffler",
+    "capacity_estimate", "leja_points",
+    "build_approximant", "convergence_scan", "rho_of",
+    "certify_schedule", "evans_discrete", "export_field", "h_eval", "u_eval",
+    "harmonic_measure", "sublevel_cover", "wiener_test",
+    "classify_fiber", "f_at_origin", "series_conditions", "vn_upper_bound",
+)
 
 PINNED = {
     "core.DiskUnion.__init__": ("disks", "faithful_depth"),
@@ -72,3 +86,17 @@ def test_defaulted_parameters_are_pinned():
         "the public defaulted parameters changed.  A setting that only one value in "
         "use needs belongs in a module constant; add a parameter only when two "
         "existing callers need different values, then pin it here.")
+
+
+def test_top_level_exports_are_pinned():
+    assert tuple(polarhull.__all__) == EXPORTS
+
+
+def test_every_export_resolves():
+    # a name left in some __all__ after its definition is gone breaks star imports
+    for info in pkgutil.iter_modules(polarhull.__path__):
+        mod = importlib.import_module(f"polarhull.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"polarhull.{info.name}.{name}"
+    for name in polarhull.__all__:
+        assert hasattr(polarhull, name), name

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import pytest
 
@@ -21,11 +23,39 @@ def test_malformed_config_file_exits_one(tmp_path):
     assert code == 1
 
 
-def test_numeric_failure_exits_two(tmp_path):
+@pytest.mark.parametrize("command", [
     # gaussian poles reach |z|=1, so the Laurent tail on that circle stalls
-    code = run(["decompose", "--function", "pole-series-gaussian:5",
-                "--radius", 1.5, "--kmax", 12, "--out", tmp_path / "x"])
+    ["decompose", "--function", "pole-series-gaussian:5", "--radius", 1.5, "--kmax", 12],
+    # the coefficients a_k = moment_k r^-k overflow
+    ["decompose", "--function", "exp-reciprocal", "--radius", "1e300"],
+    ["decompose", "--function", "recip-sin-pi:8", "--radius", "1e300"],
+    # an inner circle narrower than the grid step would fix only its center node
+    ["hmeasure", "--annulus", "1e-5,1", "--at", 0.5, "--method", "grid"],
+    ["hmeasure", "--annulus", "1e-300,1", "--at", 0.5, "--method", "grid"],
+    # within 1e-9 of the origin, but not within SAMPLE_TOL of any sample point
+    ["hull", "--function", "pole-series-gaussian:40", "--point", "1e-10", "--r-grid", "1,2,4"],
+])
+def test_numeric_failure_exits_two(tmp_path, capsys, command):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(command + ["--out", tmp_path / "x"])
     assert code == 2
+    assert not (tmp_path / "x").exists()
+    # a warning would print to stderr ahead of the failure line
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+
+def test_hmeasure_grid_takes_target_above_step(tmp_path):
+    # r = 1e-2 clears the step 2/320 of the default grid
+    code = run(["hmeasure", "--annulus", "1e-2,1", "--at", 0.5, "--method", "grid",
+                "--out", tmp_path])
+    assert code == 0
+    result = json.loads((tmp_path / "hmeasure.json").read_text())["result"]
+    assert result["method"] == "GRID"
+    # harmonic measure of |z| = r in the annulus r < |z| < 1: log|z| / log r
+    assert abs(result["value"] - math.log(0.5) / math.log(1e-2)) < 0.01
 
 
 def test_hull_verdict_artifact(tmp_path):

@@ -90,9 +90,17 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_fiber(gauss40, 0j, [1.0, 2.0])
 
-    def test_point_must_be_singular(self, gauss40):
+    # 1e-10 is near the origin, but farther than SAMPLE_TOL from it
+    @pytest.mark.parametrize("z0", [0.123 + 0.4j, 1e-10])
+    def test_point_must_be_singular(self, gauss40, z0):
         with pytest.raises(ValueError, match="singular"):
-            classify_fiber(gauss40, 0.123 + 0.4j, [1.0, 2.0, 4.0])
+            classify_fiber(gauss40, z0, [1.0, 2.0, 4.0])
+
+    def test_point_within_sample_tol_counts_as_origin(self, gauss40):
+        # 1e-13 lies within SAMPLE_TOL of the origin, so it is the origin
+        entry = classify_fiber(gauss40, 1e-13, [1.0, 2.0, 4.0])
+        assert entry.classification == "HULL_POINT"
+        assert abs(entry.w0 - ORIGIN_ORACLE) < 1e-12
 
     def test_non_finite_point_rejected(self):
         with pytest.raises(ValueError, match="singular"):
@@ -154,6 +162,16 @@ class TestVnBound:
         w = f_at_origin(gauss40).value + 1.0
         with pytest.raises(ValueError):
             vn_upper_bound(gauss40, 1.0, Disk(0.3 + 0j, 0.2), w, [5])
+
+    @pytest.mark.parametrize("n", [0, 41])
+    def test_order_outside_terms_rejected(self, gauss40, n):
+        w = f_at_origin(gauss40).value + 1.0
+        with pytest.raises(ValueError, match="n_terms"):
+            vn_upper_bound(gauss40, 1.0, self.DISC, w, [n])
+
+    def test_needs_pole_series(self):
+        with pytest.raises(TypeError):
+            vn_upper_bound(ExpReciprocal(), 1.0, self.DISC, 1.0 + 0j, [5])
 
     def test_v_grows_toward_one_near_limit_value(self, gauss40):
         # h falls toward the graph bound K as the probe approaches the limit

@@ -1,51 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from polarhull import laurent
 from polarhull.core import MAX_QUAD_NODES, CircleContour, CompactSample, Disk, DiskUnion
 from polarhull.laurent import (
-    CLEAN_RADIUS_CANDIDATES,
     CoverError,
-    NoCleanRadius,
     TruncationError,
     _laurent_coeffs,
-    find_clean_radius,
     laurent_split,
     mittag_leffler,
 )
-from polarhull.models import ExpReciprocal, PoleSeries, RationalModel
-
-
-class TestFindCleanRadius:
-    def test_two_point_sample(self):
-        s = CompactSample([0.0, 0.5])
-        r, clearance = find_clean_radius(s, 0j, 0.1, 0.45)
-        assert 0.1 < r < 0.45
-        assert clearance >= 0.05
-
-    def test_single_point_at_center(self):
-        # only the center point constrains, so the best circle is the largest
-        s = CompactSample([0.0])
-        r, clearance = find_clean_radius(s, 0j, 0.5, 1.0)
-        assert 0.5 < r < 1.0
-        assert clearance == pytest.approx(r)
-
-    def test_reciprocal_cluster(self):
-        s = CompactSample([1.0 / n for n in range(1, 101)])
-        r, clearance = find_clean_radius(s, 0j, 0.015, 0.95)
-        radii = np.array([1.0 / n for n in range(1, 101)])
-        below = radii[radii < r]
-        above = radii[radii > r]
-        assert below.size and above.size  # strictly between consecutive 1/n
-        assert clearance > 0.01
-
-    def test_no_clean_radius(self):
-        # sample radii sit exactly on every candidate radius of the search grid
-        k = np.arange(CLEAN_RADIUS_CANDIDATES)
-        radii = 0.5 + (k + 0.5) * 0.1 / CLEAN_RADIUS_CANDIDATES
-        s = CompactSample(radii.astype(complex))
-        with pytest.raises(NoCleanRadius):
-            find_clean_radius(s, 0j, 0.5, 0.6)
+from polarhull.models import ExpReciprocal, PoleSeries, RationalModel, RecipSinPi
 
 
 class TestLaurentSplit:
@@ -71,6 +38,14 @@ class TestLaurentSplit:
         f = lambda z: 1.0 / (z - 0.95)  # slowly decaying tail on |z|=1
         with pytest.raises(TruncationError):
             laurent_split(f, CircleContour(0j, 1.0), 8, tol=1e-8)
+
+    @pytest.mark.parametrize("f", [ExpReciprocal(), RecipSinPi(8)], ids=["exp", "sin"])
+    def test_overflowing_coefficients_raise(self, f):
+        # a_k = moment_k r^-k overflows for r = 1e300 and k <= -2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TruncationError, match="overflow"):
+                laurent_split(f, CircleContour(0j, 1e300), 32)
 
     @pytest.mark.parametrize("trial", range(4))
     def test_reconstruction_random_rational(self, rng, trial):
@@ -135,6 +110,13 @@ class TestMittagLeffler:
         f = RationalModel([0.3], [1.0])
         cover = DiskUnion([Disk(0.2 + 0j, 0.1)])  # boundary passes through 0.3
         with pytest.raises(CoverError):
+            mittag_leffler(f, cover, f.singular_sample())
+
+    def test_cover_error_names_the_meeting_disk(self):
+        f = RationalModel([0.3, -0.3], [1.0, 1.0])
+        # the first boundary clears both poles; the second passes through -0.3
+        cover = DiskUnion([Disk(0.3 + 0j, 0.15), Disk(-0.5 + 0j, 0.2)])
+        with pytest.raises(CoverError, match=r"\(-0\.5\+0j\) r=0\.2 meets"):
             mittag_leffler(f, cover, f.singular_sample())
 
     def test_taylor_fit_convergence_reported(self):

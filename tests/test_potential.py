@@ -14,9 +14,6 @@ from polarhull.models import (
 )
 from polarhull.potential import (
     DepthOverflow,
-    DivergentBase,
-    InvalidBounds,
-    MeasureEstimate,
     PointInsideCover,
     StartInsideObstacle,
     StartInsideTarget,
@@ -24,9 +21,7 @@ from polarhull.potential import (
     UnsupportedFamily,
     harmonic_measure,
     sublevel_cover,
-    two_constants_check,
     wiener_test,
-    witness_build,
 )
 
 
@@ -153,55 +148,6 @@ class TestWiener:
         assert rep2.verdict == "NON_THIN"
 
 
-class TestWitness:
-    def test_single_disk_value(self):
-        wit = witness_build([0.5], [1e-6])
-        expect = (math.log(0.5) - math.log(1.5)) / math.log(1e6)
-        assert wit.value_at_point == pytest.approx(expect)
-        assert wit.alphas[0] == 1.0
-
-    def test_empty_witness(self):
-        wit = witness_build([], [])
-        assert wit.value_at_point == 0.0
-
-    def test_gaussian_cover_witness(self, gauss40):
-        cover = sublevel_cover(gauss40, 1.0)
-        radii = np.array([d.radius for d in cover.disks])
-        # stick to the representable radii; the generator clamps the rest
-        keep = radii > 1e-289
-        wit = witness_build(gauss40.poles[keep], radii[keep])
-        assert math.isfinite(wit.value_at_point)
-        sups = wit.disk_sup_bounds
-        assert np.all(np.diff(sups[2:]) < 0)  # disk sup bounds fall to -inf
-        assert sups[-1] < -10
-        assert np.all(np.diff(wit.alphas) >= 0)
-
-    def test_witness_consistent_with_wiener(self, gauss40):
-        cover = sublevel_cover(gauss40, 1.0)
-        radii = np.array([d.radius for d in cover.disks])
-        witness_build(gauss40.poles, radii)  # succeeds
-        rep = wiener_test(cover, 0j, 40)
-        assert rep.verdict != "NON_THIN"
-
-    def test_eval_at_origin_matches_value(self, gauss40):
-        radii = sublevel_cover(gauss40, 1.0).radii
-        keep = radii > 1e-289
-        wit = witness_build(gauss40.poles[keep], radii[keep])
-        assert wit.eval(0j) == pytest.approx(wit.value_at_point, rel=1e-12)
-        a, r = wit.centers[3], wit.radii[3]
-        one = witness_build([a], [r])
-        z = 0.3 + 0.1j
-        expect = one.alphas[0] / math.log(1.0 / r) * (math.log(abs(z - a)) - math.log(1.0 + abs(a)))
-        assert one.eval(z) == pytest.approx(expect, rel=1e-12)
-
-    def test_divergent_base_rejected(self):
-        n = np.arange(1, 200)
-        centers = 1.0 / n
-        radii = np.full_like(centers, 0.5)  # log r_n does not grow: summands ~ log n
-        with pytest.raises(DivergentBase):
-            witness_build(centers, radii)
-
-
 class TestHarmonicMeasure:
     def test_annulus_oracle(self):
         est = harmonic_measure(0.4 + 0j, CircleContour(0j, 0.1), Disk(0j, 1.0),
@@ -267,6 +213,28 @@ class TestHarmonicMeasure:
         assert grid.method == "GRID"
         assert abs(grid.value - wos.value) < 0.01
 
+    @pytest.mark.parametrize("r_in", [1e-5, 1e-300])
+    def test_grid_refuses_target_below_step(self, r_in):
+        with pytest.raises(PolarhullError, match="grid step"):
+            harmonic_measure(0.5 + 0j, CircleContour(0j, r_in), Disk(0j, 1.0), method="grid")
+
+    def test_grid_takes_target_above_step(self):
+        est = harmonic_measure(0.5 + 0j, CircleContour(0j, 1e-2), Disk(0j, 1.0), method="grid")
+        assert abs(est.value - math.log(2.0) / math.log(100.0)) < 0.01
+
+    def test_grid_step_follows_grid_n(self):
+        # r = 1e-2 clears the step 2/320 of the default grid, not the step 2/100
+        with pytest.raises(PolarhullError, match="grid step"):
+            harmonic_measure(0.5 + 0j, CircleContour(0j, 1e-2), Disk(0j, 1.0),
+                             method="grid", grid_n=101)
+
+    def test_grid_takes_obstacle_below_step(self):
+        kw = dict(method="grid")
+        free = harmonic_measure(0.5 + 0j, CircleContour(0j, 0.1), Disk(0j, 1.0), **kw)
+        dot = harmonic_measure(0.5 + 0j, CircleContour(0j, 0.1), Disk(0j, 1.0),
+                               DiskUnion([Disk(-0.5 + 0j, 1e-5)]), **kw)
+        assert dot.value <= free.value
+
     def test_empty_obstacles_match_default(self):
         kw = dict(walks=2000, seed=4)
         a = harmonic_measure(0.4 + 0j, CircleContour(0j, 0.1), Disk(0j, 1.0), **kw)
@@ -304,25 +272,6 @@ class TestHarmonicMeasure:
             est = harmonic_measure(zk + 0j, CircleContour(0j, r), Disk(0j, r),
                                    DiskUnion(inner), walks=20000, seed=11)
             assert est.value >= 0.5 - 3.0 * est.std_error
-
-
-class TestTwoConstants:
-    def test_midpoint(self):
-        omega = MeasureEstimate(0.5, 0.0, 1, 0, "WOS")
-        assert two_constants_check({"H": 0.0, "C_nk": -10.0}, omega) == -5.0
-
-    def test_full_absorption(self):
-        omega = MeasureEstimate(1.0, 0.0, 1, 0, "WOS")
-        assert two_constants_check({"H": 3.0, "C_nk": -2.0}, omega) == -2.0
-
-    def test_no_absorption(self):
-        omega = MeasureEstimate(0.0, 0.0, 1, 0, "WOS")
-        assert two_constants_check({"H": 3.0, "C_nk": -2.0}, omega) == 3.0
-
-    def test_invalid_bounds(self):
-        omega = MeasureEstimate(0.5, 0.0, 1, 0, "WOS")
-        with pytest.raises(InvalidBounds):
-            two_constants_check({"H": -5.0, "C_nk": 0.0}, omega)
 
 
 # ------------------------------------------------ scalar oracles of the array paths
