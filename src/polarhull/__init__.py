@@ -22,7 +22,7 @@ from .models import ExpReciprocal, FunctionModel, PoleSeries, RationalModel, Rec
 from .laurent import laurent_split, mittag_leffler
 from .fekete import capacity_estimate, leja_points
 from .ratapprox import build_approximant, convergence_scan, rho_of
-from .pshbuild import certify_schedule, evans_discrete, export_field, h_eval, u_eval
+from .pshbuild import certify_schedule, export_field, h_eval, u_eval
 from .potential import harmonic_measure, sublevel_cover, wiener_test
 from .hull import classify_fiber, f_at_origin, series_conditions, vn_upper_bound
 
@@ -49,7 +49,6 @@ __all__ = [
     "convergence_scan",
     "rho_of",
     "certify_schedule",
-    "evans_discrete",
     "export_field",
     "h_eval",
     "u_eval",

@@ -28,7 +28,7 @@ from .laurent import laurent_split
 from .fekete import leja_points, capacity_estimate
 from .ratapprox import convergence_scan
 from .pshbuild import GridSpec, certify_schedule, export_field
-from .potential import harmonic_measure, sublevel_cover, wiener_test
+from .potential import MAX_DEPTH, harmonic_measure, sublevel_cover, wiener_test
 from .hull import classify_fiber
 
 log = logging.getLogger("polarhull")
@@ -45,6 +45,8 @@ def _parse_function(spec: str | None):
     name, _, arg = spec.partition(":")
     try:
         if name == "exp-reciprocal":
+            if arg:
+                raise ValueError("exp-reciprocal takes no argument")
             return ExpReciprocal()
         if name == "recip-sin-pi":
             return RecipSinPi(_positive("cutoff", arg, int) if arg else 64)
@@ -52,6 +54,8 @@ def _parse_function(spec: str | None):
             return PoleSeries.gaussian(_positive("terms", arg, int) if arg else 40)
         if name == "pole-series-geometric":
             parts = arg.split(",") if arg else []
+            if len(parts) > 2:
+                raise ValueError("expected TERMS,RATIO")
             n = _positive("terms", parts[0], int) if parts else 40
             ratio = float(parts[1]) if len(parts) > 1 else 0.5
             return PoleSeries.geometric(n, ratio)
@@ -124,6 +128,13 @@ def _fields(key: str, text, sep: str = ",", count: int | None = None) -> list:
     if count is not None and len(parts) != count:
         raise click.UsageError(f"{key} needs {count} fields separated by {sep!r}, got {text!r}")
     return parts
+
+
+def _depth(text) -> int:
+    """The setting `depth`, an annulus count in [1, MAX_DEPTH], else a usage error."""
+    if _positive("depth", text, int) > MAX_DEPTH:
+        raise click.UsageError(f"depth must be at most {MAX_DEPTH}, got {text!r}")
+    return int(text)
 
 
 def _number(key: str, text) -> float:
@@ -305,7 +316,7 @@ def thin(config_path, out_dir, function_spec, big_r, point, depth):
     cfg = _config_overlay(config_path, "thin", {
         "function": function_spec, "big_r": big_r, "point": point, "depth": depth,
     }, {"big_r": "e", "point": "0", "depth": 40})
-    depth = _positive("depth", cfg["depth"], int)
+    depth = _depth(cfg["depth"])
     f = _parse_function(cfg.get("function"))
     z0 = _parse_point(str(cfg["point"]))
     cover = sublevel_cover(f, _parse_level(str(cfg["big_r"])), z0)
@@ -358,7 +369,7 @@ def hull(config_path, out_dir, function_spec, points, r_grid, depth):
         "function": function_spec, "points": ";".join(points) or None, "r_grid": r_grid,
         "depth": depth,
     }, {"points": "0", "r_grid": "e,e2,e10", "depth": 40})
-    depth = _positive("depth", cfg["depth"], int)
+    depth = _depth(cfg["depth"])
     f = _parse_function(cfg.get("function"))
     grid = [_parse_level(t) for t in str(cfg["r_grid"]).split(",")]
     entries = [classify_fiber(f, _parse_point(token), grid, depth=depth)

@@ -71,7 +71,8 @@ def pointwise(fn):
 
 def _eval_on_nodes(f, nodes: np.ndarray) -> np.ndarray:
     """Evaluate the vectorized callable `f` on the node array in one call."""
-    vals = np.asarray(f(nodes), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        vals = np.asarray(f(nodes), dtype=complex)
     if vals.shape != nodes.shape:
         raise NodeEvaluationError(
             f"integrand returned shape {vals.shape} on nodes of shape {nodes.shape}")
@@ -108,9 +109,9 @@ class DiskUnion:
     radii: np.ndarray
     faithful_depth: int = 60
 
-    def __init__(self, disks=(), faithful_depth: int = 60):
+    def __init__(self, disks=()):
         disks = tuple(disks)
-        self._set([d.center for d in disks], [d.radius for d in disks], faithful_depth)
+        self._set([d.center for d in disks], [d.radius for d in disks], 60)
 
     @classmethod
     def from_arrays(cls, centers, radii, faithful_depth: int = 60) -> "DiskUnion":
@@ -131,10 +132,6 @@ class DiskUnion:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "faithful_depth", int(faithful_depth))
         return self
-
-    @property
-    def disks(self) -> tuple:
-        return tuple(self)
 
     def __len__(self):
         return len(self.radii)
@@ -340,33 +337,33 @@ MAX_QUAD_NODES = 2**16
 class Quadrature(NamedTuple):
     value: complex | np.ndarray
     noise: float | np.ndarray   # |last - previous|, inf if never doubled
-    nodes: int                  # per circle, at the last doubling
+    nodes: int                  # at the last doubling
     converged: bool             # False when max_nodes came first
 
 
-def circle_trapezoid(f, circles, reduce, n0: int, *, tol: float,
+def circle_trapezoid(f, circle: CircleContour, reduce, n0: int, *, tol: float,
                      max_nodes: int) -> Quadrature:
-    """Periodic trapezoid rule on circles, doubling the nodes until it settles.
+    """Periodic trapezoid rule on a circle, doubling the nodes until it settles.
 
-    Each circle gets nodes c + r*rot with rot = exp(2 pi i j/n), n = n0 first;
-    `reduce(circle, rot, vals)` turns one circle's values of `f` into the
-    wanted quantity, summed over the circles.  A doubling keeps the old nodes
-    and evaluates `f` only on the new odd ones.  It stops once
-    max|new - old| <= tol * max(1, max|new|), or at `max_nodes`.
+    The nodes are c + r*rot with rot = exp(2 pi i j/n), n = n0 first;
+    `reduce(rot, vals)` turns the values of `f` there into the wanted
+    quantity.  A doubling keeps the old nodes and evaluates `f` only on the
+    new odd ones.  It stops once max|new - old| <= tol * max(1, max|new|), or
+    at `max_nodes`.
     """
     n = n0
     rot = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
-    vals = [_eval_on_nodes(f, c.center + c.radius * rot) for c in circles]
-    value = sum(reduce(c, rot, v) for c, v in zip(circles, vals))
+    vals = _eval_on_nodes(f, circle.center + circle.radius * rot)
+    value = reduce(rot, vals)
     noise = np.full_like(np.abs(value), np.inf)
     while n < max_nodes:
         n *= 2
         odd = np.exp(1j * (2.0 * np.pi * np.arange(1, n, 2) / n))
         # ravel of the stacked (old, odd) pair in Fortran order interleaves them
         rot = np.ravel([rot, odd], order="F")
-        vals = [np.ravel([v, _eval_on_nodes(f, c.center + c.radius * odd)], order="F")
-                for c, v in zip(circles, vals)]
-        new = sum(reduce(c, rot, v) for c, v in zip(circles, vals))
+        vals = np.ravel([vals, _eval_on_nodes(f, circle.center + circle.radius * odd)],
+                        order="F")
+        new = reduce(rot, vals)
         noise, value = np.abs(new - value), new
         if np.max(noise) <= tol * max(1.0, float(np.max(np.abs(new)))):
             return Quadrature(value, noise, n, True)

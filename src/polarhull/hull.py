@@ -137,7 +137,7 @@ class FiberClassification:
     radius_bound: float | None
     wiener_reports: tuple
     r_grid: tuple
-    notes: str = ""
+    notes: str
 
     def to_dict(self) -> dict:
         return {
@@ -164,6 +164,8 @@ def classify_fiber(f: FunctionModel, z0: complex, r_grid, *,
     r_grid = sorted(float(r) for r in r_grid)
     if len(r_grid) < 3:
         raise ValueError("r_grid needs at least 3 increasing values")
+    if not 1 <= depth <= potential_mod.MAX_DEPTH:
+        raise ValueError(f"depth must be in [1, {potential_mod.MAX_DEPTH}], got {depth!r}")
     z0 = complex(z0)
     if isinstance(f, PoleSeries):
         singular = f.singular_sample(include_origin=True)

@@ -101,12 +101,12 @@ def _laurent_coeffs(f, circle: CircleContour, k_max: int):
     n0 = 1 << (max(256, 4 * (k_max + 1)) - 1).bit_length()
     f_scale = 0.0
 
-    def moments(circ, rot, vals):
+    def moments(rot, vals):
         nonlocal f_scale
         f_scale = float(np.max(np.abs(vals)))
         return np.fft.fft(vals)[ks] / len(vals)
 
-    quad = circle_trapezoid(f, (circle,), moments, n0, tol=LAURENT_QUAD_TOL,
+    quad = circle_trapezoid(f, circle, moments, n0, tol=LAURENT_QUAD_TOL,
                             max_nodes=MAX_QUAD_NODES)
     with np.errstate(over="ignore", invalid="ignore"):
         scale = circle.radius ** (-ks.astype(float))
@@ -179,16 +179,17 @@ class MittagLefflerSplit:
 
 
 TAYLOR_DEGREE = 24
+ML_KMAX = 40  # Laurent order of each covering disk's principal part
 
 
-def mittag_leffler(f, cover: DiskUnion, sample_of_k: CompactSample, *,
-                   k_max: int = 40, test_radius: float | None = None) -> MittagLefflerSplit:
+def mittag_leffler(f, cover: DiskUnion, sample_of_k: CompactSample) -> MittagLefflerSplit:
     """Peel principal parts off `f`, one covering disk at a time.
 
     Each disk boundary must clear `sample_of_k`; the leftover function is
     fitted by a Taylor polynomial of degree TAYLOR_DEGREE about the centroid
-    of the cover on a test circle enclosing everything, and the
-    reconstruction residual on that circle is recorded.
+    of the cover on a test circle enclosing everything (radius 1.5 times the
+    cover's reach from the centroid, plus 0.5), and the reconstruction
+    residual on that circle is recorded.
     """
     gaps = np.abs(np.abs(sample_of_k.points[:, None] - cover.centers) - cover.radii)
     meets = np.min(gaps, axis=0) < 1e-10
@@ -209,14 +210,13 @@ def mittag_leffler(f, cover: DiskUnion, sample_of_k: CompactSample, *,
     components = []
     for d in cover:
         circle = CircleContour(d.center, d.radius)
-        split = laurent_split(remainder, circle, k_max, tol=np.inf)
+        split = laurent_split(remainder, circle, ML_KMAX, tol=np.inf)
         splits.append(split)
         components.append((d, split))
 
     center = complex(np.mean(cover.centers))
-    if test_radius is None:
-        test_radius = 1.5 * float(np.max(np.abs(cover.centers - center) + cover.radii)) + 0.5
-    test_circle = CircleContour(center, test_radius)
+    reach = float(np.max(np.abs(cover.centers - center) + cover.radii))
+    test_circle = CircleContour(center, 1.5 * reach + 0.5)
     ks, coeffs, quad = _laurent_coeffs(remainder, test_circle, TAYLOR_DEGREE)
     analytic = PolynomialC(coeffs[ks >= 0])
 

@@ -230,18 +230,16 @@ class RationalModel(FunctionModel):
     """Rational function given by simple poles/residues plus a polynomial part."""
 
     family = "rational"
+    label = "rational"
 
     poles: np.ndarray
     residues: np.ndarray
     polynomial: PolynomialC
-    label: str = "rational"
 
-    def __init__(self, poles, residues, polynomial: PolynomialC | None = None,
-                 label: str = "rational"):
+    def __init__(self, poles, residues, polynomial: PolynomialC | None = None):
         object.__setattr__(self, "poles", as_complex_array(poles))
         object.__setattr__(self, "residues", as_complex_array(residues))
         object.__setattr__(self, "polynomial", polynomial or ZERO_POLY)
-        object.__setattr__(self, "label", label)
         if self.poles.shape != self.residues.shape:
             raise ValueError("poles and residues must have equal length")
 

@@ -31,7 +31,6 @@ __all__ = [
     "ThresholdTooSmall",
     "DepthOverflow",
     "PointInsideCover",
-    "StartInsideTarget",
     "StartInsideObstacle",
     "WienerReport",
     "MeasureEstimate",
@@ -55,10 +54,6 @@ class DepthOverflow(PolarhullError):
 
 class PointInsideCover(PolarhullError):
     """The thinness query point lies interior to a cover disk."""
-
-
-class StartInsideTarget(PolarhullError):
-    pass
 
 
 class StartInsideObstacle(PolarhullError):
@@ -175,6 +170,7 @@ def _dyadic_chain(z0: complex, region_radius: float, region_center: complex,
 
 WIENER_TOLERANCE = 1e-3
 WIENER_SLOPE = 0.1
+MAX_DEPTH = 60  # the deepest annulus is 2^-61 < |z - point| < 2^-60
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,8 +222,8 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40) -> WienerRepo
     `depth`: deeper annuli of a truncated family are not evidence.  The
     report's `depth` is the depth used, and `depth_requested` the one asked.
     """
-    if depth > 60:
-        raise DepthOverflow("depth must be <= 60")
+    if depth > MAX_DEPTH:
+        raise DepthOverflow(f"depth must be <= {MAX_DEPTH}")
     requested, depth = depth, min(depth, cover.faithful_depth)
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -293,7 +289,7 @@ class MeasureEstimate:
     walks: int
     seed: int
     method: str  # WOS | GRID
-    iterations: int = 0  # GRID: SOR sweeps; WOS: step rounds until every walk was absorbed
+    iterations: int  # GRID: SOR sweeps; WOS: step rounds until every walk was absorbed
     residual: float | None = None  # GRID: final max residual over free nodes
 
     def __post_init__(self):
@@ -312,20 +308,15 @@ class MeasureEstimate:
         }
 
 
-def _target_disks(target) -> tuple[DiskUnion, bool]:
-    """The target's absorbing circles as disks, and whether those disks are solid."""
-    if isinstance(target, DiskUnion):
-        return target, True
-    if isinstance(target, (CircleContour, Disk)):
-        return DiskUnion([Disk(target.center, target.radius)]), isinstance(target, Disk)
-    raise TypeError("target must be a CircleContour, Disk, or DiskUnion")
+WOS_SHELL = 1e-4  # absorption shell width, relative to the domain radius
+GRID_N = 321  # grid nodes per side
+MAX_WOS_ROUNDS = 200000  # step rounds before walk-on-spheres gives up
 
 
-def harmonic_measure(z, target, domain: Disk, obstacles: DiskUnion | None = None,
-                     walks: int = 10000, seed: int = 0, *, method: str = "wos",
-                     eps_abs: float | None = None, grid_n: int = 321,
-                     max_steps: int = 200000) -> MeasureEstimate:
-    """Estimate the harmonic function with value 1 on `target`, 0 elsewhere.
+def harmonic_measure(z, target: CircleContour, domain: Disk,
+                     obstacles: DiskUnion | None = None, walks: int = 10000, seed: int = 0, *,
+                     method: str = "wos") -> MeasureEstimate:
+    """Estimate the harmonic function with value 1 on the `target` circle, 0 elsewhere.
 
     The walk-on-spheres estimator steps to a uniform point on the largest
     circle that avoids every absorbing surface and scores 1 when it lands
@@ -333,15 +324,12 @@ def harmonic_measure(z, target, domain: Disk, obstacles: DiskUnion | None = None
     never hit, matching the theory.  Fixed (seed, walks) give reproducible
     results; std_error is the sample standard deviation over walks.
     """
+    if not isinstance(target, CircleContour):
+        raise TypeError("target must be a CircleContour")
     z = complex(z)
     obstacles = obstacles or DiskUnion([])
-    targets, solid = _target_disks(target)
-    eps = eps_abs if eps_abs is not None else 1e-4 * domain.radius
+    eps = WOS_SHELL * domain.radius
 
-    in_target = solid & (np.abs(z - targets.centers) < targets.radii - eps)
-    if in_target.any():
-        raise StartInsideTarget(
-            f"start {z!r} inside target disk at {complex(targets.centers[in_target][0])!r}")
     in_obstacle = np.abs(z - obstacles.centers) < obstacles.radii - eps
     if in_obstacle.any():
         raise StartInsideObstacle(
@@ -349,34 +337,31 @@ def harmonic_measure(z, target, domain: Disk, obstacles: DiskUnion | None = None
     if not abs(z - domain.center) < domain.radius:  # NaN fails too
         raise ValueError("start point must lie inside the domain")
 
-    # absorbing surfaces: targets, the domain circle unless a target circle
-    # coincides with it, obstacles
+    # absorbing surfaces: the target, the domain circle unless the target is
+    # that circle, obstacles
     dom_c, dom_r = complex(domain.center), float(domain.radius)
-    on_boundary = ((np.abs(dom_c - targets.centers) < 1e-12)
-                   & (np.abs(dom_r - targets.radii) < 1e-12))
-    n_t, n_dom = len(targets), 0 if on_boundary.any() else 1
+    t_c, t_r = complex(target.center), float(target.radius)
+    n_dom = 0 if abs(dom_c - t_c) < 1e-12 and abs(dom_r - t_r) < 1e-12 else 1
     if method == "grid":
-        # fixed disks: targets less any on the domain circle, then obstacles
-        inner = ~on_boundary
-        return _grid_measure(z, np.concatenate([targets.centers[inner], obstacles.centers]),
-                             np.concatenate([targets.radii[inner], obstacles.radii]),
-                             np.repeat([1.0, 0.0], [np.count_nonzero(inner), len(obstacles)]),
-                             domain, 1.0 - n_dom, grid_n)
+        # fixed disks: the target unless it is the domain circle, then obstacles
+        return _grid_measure(z, np.append(np.full(n_dom, t_c), obstacles.centers),
+                             np.append(np.full(n_dom, t_r), obstacles.radii),
+                             np.repeat([1.0, 0.0], [n_dom, len(obstacles)]), domain, 1.0 - n_dom)
     if method != "wos":
         raise ValueError("method must be 'wos' or 'grid'")
     if walks < 1:
         raise ValueError("walks must be >= 1")
 
-    centers = np.concatenate([targets.centers, np.full(n_dom, dom_c), obstacles.centers])
-    radii = np.concatenate([targets.radii, np.full(n_dom, dom_r), obstacles.radii])
-    scores = np.repeat([1.0, 0.0], [n_t, n_dom + len(obstacles)])
+    centers = np.concatenate([[t_c], np.full(n_dom, dom_c), obstacles.centers])
+    radii = np.concatenate([[t_r], np.full(n_dom, dom_r), obstacles.radii])
+    scores = np.repeat([1.0, 0.0], [1, n_dom + len(obstacles)])
     rng = np.random.default_rng(seed)
     result = np.zeros(walks)
     idx = np.arange(walks)  # the live walks and their positions
     pos = np.full(walks, z, dtype=complex)
     rounds = 0  # only rounds that find a live walk use the budget
     while idx.size:
-        if rounds == max_steps:
+        if rounds == MAX_WOS_ROUNDS:
             raise PolarhullError("walk-on-spheres failed to absorb within step budget")
         rounds += 1
         # a walk never leaves the domain, where r - |p - c| is bitwise
@@ -398,7 +383,7 @@ def harmonic_measure(z, target, domain: Disk, obstacles: DiskUnion | None = None
 
 
 def _grid_measure(z, centers, radii, values, domain: Disk, boundary_value: float,
-                  grid_n: int, tol: float = 1e-8) -> MeasureEstimate:
+                  tol: float = 1e-8) -> MeasureEstimate:
     """Five-point relaxation cross-check on a Cartesian grid (red-black SOR).
 
     The grid holds `boundary_value` outside the domain and values[i] on the
@@ -408,14 +393,14 @@ def _grid_measure(z, centers, radii, values, domain: Disk, boundary_value: float
     narrower than the grid step fixes at most its center node, so the
     estimate would not depend on its radius: it raises PolarhullError.
     """
-    R = domain.radius
+    R, grid_n = domain.radius, GRID_N
     ax = np.linspace(domain.center.real - R, domain.center.real + R, grid_n)
     ay = np.linspace(domain.center.imag - R, domain.center.imag + R, grid_n)
     h = ax[1] - ax[0]
     narrow = (values == 1.0) & (radii < h)
     if narrow.any():
         raise PolarhullError(f"target radius {radii[narrow][0]:.3e} is below the grid step "
-                             f"{h:.3e}; use walk-on-spheres or a larger grid_n")
+                             f"{h:.3e}; use walk-on-spheres or a larger GRID_N")
     X, Y = np.meshgrid(ax, ay)
     Z = X + 1j * Y
 

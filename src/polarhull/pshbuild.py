@@ -36,7 +36,6 @@ __all__ = [
     "h_eval",
     "certify_schedule",
     "u_eval",
-    "evans_discrete",
     "export_field",
 ]
 
@@ -83,12 +82,6 @@ def h_eval(approximant: RationalApproximant, z, w):
     certified as a finite value in this precision.
     """
     return _h_of_cleared(approximant.cleared_eval(z, w), approximant.normalization)
-
-
-def evans_discrete(k: CompactSample):
-    """Equal-weight atomic potential on the sample: -inf exactly on the atoms."""
-    w = 1.0 / len(k)
-    return [(complex(p), w) for p in k.points]
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,11 +187,10 @@ class PshLevel:
 
 @dataclass(frozen=True, eq=False)
 class PshField:
-    """Certified level stack, ready to evaluate as a single field."""
+    """Certified level stack plus the atomic potential of weight 1/|K| at each sample point."""
 
     levels: tuple
     floor_value: float
-    evans_weights: tuple
     sample: CompactSample
     model: object
 
@@ -207,7 +199,8 @@ class PshField:
             "levels": [lev.to_dict() for lev in self.levels],
             "floor_value": self.floor_value,
             "evans_weights": [
-                {"atom": complex_to_pair(a), "weight": wgt} for a, wgt in self.evans_weights
+                {"atom": complex_to_pair(a), "weight": 1.0 / len(self.sample)}
+                for a in self.sample.points
             ],
             "sample": self.sample.to_dict(),
         }
@@ -230,19 +223,23 @@ def u_eval(field: PshField, z, w):
         h = h_eval(lev.approximant, z, w).reshape(out.shape)
         out += np.maximum(h - math.log(nu + 2), _level_clamp(nu)) / nu**2
     zb = np.broadcast_to(z, out.shape)
+    weight = 1.0 / len(field.sample)
     with np.errstate(divide="ignore"):
-        for atom, wt in field.evans_weights:
-            out = out + wt * np.log(np.abs(zb - atom))
+        for atom in field.sample.points:
+            out = out + weight * np.log(np.abs(zb - atom))
     return out
 
 
-def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, degree_cap: int = 200,
-                     density: int = 10, builder=build_approximant) -> PshField:
+DEGREE_CAP = 200  # the largest degree m*N a level tries (m itself when m is larger)
+
+
+def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, density: int = 10,
+                     builder=build_approximant) -> PshField:
     """Search outer orders per level until the three bounds certify.
 
     The denominator degree m is pinned to the sample size (finite samples are
     consumed exactly); the outer order N increases until the level certifies or
-    the degree cap is hit.  Levels reuse the approximant cache, and the search
+    DEGREE_CAP is passed.  Levels reuse the approximant cache, and the search
     for level nu+1 starts at the order that certified level nu.  Each try
     evaluates the cleared difference once, on the graph nodes (z, f(z)): the
     graph bound is its largest h, and the off-graph floor
@@ -271,7 +268,7 @@ def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, degree_cap: int = 
         tried = []
         certified = None
         n = start_n
-        while m * n <= max(degree_cap, m):
+        while m * n <= max(DEGREE_CAP, m):
             approx = approx_for(n)
             cleared = approx.cleared_eval(z, fz)
             hg = float(np.max(_h_of_cleared(cleared, approx.normalization)))
@@ -296,13 +293,7 @@ def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, degree_cap: int = 
         start_n = certified.approximant.big_n
 
     floor = sum(_level_clamp(nu) / nu**2 for nu in range(2, nu_max + 1))
-    return PshField(
-        levels=tuple(levels),
-        floor_value=floor,
-        evans_weights=tuple(evans_discrete(k)),
-        sample=k,
-        model=f,
-    )
+    return PshField(levels=tuple(levels), floor_value=floor, sample=k, model=f)
 
 
 @dataclass(frozen=True)

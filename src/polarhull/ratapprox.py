@@ -79,9 +79,9 @@ class RationalApproximant:
     q_m: PolynomialC
     coeffs: np.ndarray
     noise: np.ndarray
-    contour: tuple
+    contour: CircleContour
     analytic_part: PolynomialC
-    nodes: int              # trapezoid nodes per contour circle
+    nodes: int              # trapezoid nodes on the contour
     converged: bool         # False when node doubling hit MAX_APPROX_NODES
 
     def __post_init__(self):
@@ -199,7 +199,7 @@ def _sample_contour(points: np.ndarray, q: PolynomialC, rho_floor: float) -> Cir
                 break
             lo = hi
         else:
-            raise ContourTooClose("|q_m| never cleared 10*rho_m on candidate circles")
+            raise ContourTooClose(f"|q_m| never cleared {CONTOUR_MARGIN}*rho_m on any circle tried")
         for _ in range(50):  # bisect to the constraint boundary, keep the safe side
             mid = 0.5 * (lo + hi)
             if ok(mid):
@@ -216,9 +216,9 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
 
     `f` is split into its polynomial part at infinity plus a principal part,
     and only the principal part is approximated; the polynomial part rides
-    along exactly.  Coefficients come from counterclockwise circles around the
-    sample, which by holomorphy agree with integrals over any admissible level
-    curve of |q_m|.
+    along exactly.  Coefficients are integrals over a counterclockwise circle
+    around the sample (`contour`, else the one `_sample_contour` finds), which
+    by holomorphy agree with integrals over any admissible level curve of |q_m|.
     """
     if m < 1 or big_n < 1:
         raise ValueError("m and big_n must be >= 1")
@@ -231,10 +231,10 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
     rho_floor = max(rho, RHO_FLOOR)
 
     analytic, principal = f.split_at_infinity()
-    circles = (tuple(contour) if contour is not None
-               else (_sample_contour(sys.base_set.points, q, rho_floor),))
+    if contour is None:
+        contour = _sample_contour(sys.base_set.points, q, rho_floor)
 
-    gap_tol = 1e-9 * min(c.radius for c in circles)
+    gap_tol = 1e-9 * contour.radius
     root_sample = CompactSample(roots)
 
     def principal_on_nodes(zeta):  # vets the nodes before evaluating on them
@@ -243,11 +243,11 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
             raise ContourTooClose(f"|q_m| <= rho_m at the contour node {zeta[qv.argmin()]!r}")
         return principal(zeta)
 
-    def integrals(circ, rot, fv):
-        zeta = circ.center + circ.radius * rot
+    def integrals(rot, fv):
+        zeta = contour.center + contour.radius * rot
         qv = q.eval_root_form(zeta)
         rows = _kernel_rows(q, zeta)
-        weights = circ.radius * rot / len(rot)
+        weights = contour.radius * rot / len(rot)
         coeff = np.empty((big_n, m), dtype=complex)
         qpow = np.ones_like(zeta)
         for k in range(big_n):
@@ -255,7 +255,7 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
             qpow = qpow * qv
         return coeff
 
-    quad = circle_trapezoid(principal_on_nodes, circles, integrals,
+    quad = circle_trapezoid(principal_on_nodes, contour, integrals,
                             max(256, 1 << (4 * m - 1).bit_length()),
                             tol=quad_tol, max_nodes=MAX_APPROX_NODES)
     coeff = quad.value
@@ -278,7 +278,7 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
         q_m=q,
         coeffs=coeff,
         noise=noise,
-        contour=circles,
+        contour=contour,
         analytic_part=analytic,
         nodes=quad.nodes,
         converged=quad.converged,
@@ -316,7 +316,7 @@ class ConvergenceReport:
 
 
 def convergence_scan(f, sys: FeketeSystem, schedule, target: CompactSample, *,
-                     quad_tol: float = 1e-10, contour=None) -> ConvergenceReport:
+                     quad_tol: float = 1e-10) -> ConvergenceReport:
     """Run `build_approximant` over a schedule and record sup errors on `target`.
 
     Sup errors at or below NOISE_FLOOR are reported with normalized error 0:
@@ -334,7 +334,7 @@ def convergence_scan(f, sys: FeketeSystem, schedule, target: CompactSample, *,
     entries, quadrature = [], []
     for m, n in schedule:
         try:
-            approx = build_approximant(f, sys, m, n, quad_tol=quad_tol, contour=contour)
+            approx = build_approximant(f, sys, m, n, quad_tol=quad_tol)
         except PolarhullError as e:
             raise type(e)(f"schedule entry (m={m}, N={n}): {e}") from e
         err = float(np.max(np.abs(fv - approx.eval(target.points))))

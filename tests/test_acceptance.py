@@ -70,7 +70,7 @@ def test_criterion_03_contour_independence():
     two = RationalModel([0.3, 0.5], [1.0, 2.0])
     system = leja_points(two.singular_sample(), 2)
     ap = build_approximant(two, system, 2, 3)
-    doubled = [CircleContour(c.center, 2 * c.radius) for c in ap.contour]
+    doubled = CircleContour(ap.contour.center, 2 * ap.contour.radius)
     ap2 = build_approximant(two, system, 2, 3, contour=doubled)
     worst = 0.0
     for ca, cb in zip(ap.coeffs, ap2.coeffs):
@@ -118,7 +118,7 @@ def test_criterion_05_harmonic_measure_oracle():
 def test_criterion_06_boundary_measure_with_thin_obstacles(gauss40):
     cover = sublevel_cover(gauss40, 1.0)
     r = 0.05
-    obstacles = DiskUnion([d for d in cover.disks if abs(d.center) + d.radius < r])
+    obstacles = DiskUnion([d for d in cover if abs(d.center) + d.radius < r])
     values = []
     for zk in (r / 4.0, r / 8.0):
         est = harmonic_measure(zk + 0j, CircleContour(0j, r), Disk(0j, r),

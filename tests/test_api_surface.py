@@ -1,12 +1,14 @@
-"""Pin the top-level exports and the defaulted parameters of the public API.
+"""Pin the top-level exports, the defaulted parameters and the settings constants.
 
 A defaulted parameter is a setting every caller may change, and each one
 doubles the configurations the tests would have to cover.  A setting with
-one value in use is a named module constant beside the code that reads it;
-a parameter keeps a default only when two callers need different values or
-when tests and the benchmark hook in through it.  So a new option, or a
-retired one, shows up here as an edit to PINNED.  Likewise a name added
-to or removed from `polarhull.__all__` shows up as an edit to EXPORTS.
+one value in use is a named module constant beside the code that reads it,
+read at call time, so a test sets another value by monkeypatching it.  A
+parameter keeps a default only when two callers need different values or
+when the benchmark hooks in through it (`potential=` and `builder=`).  So
+a new option, or a retired one, shows up here as an edit to PINNED, and a
+changed setting as an edit to CONSTANTS.  Likewise a name added to or
+removed from `polarhull.__all__` shows up as an edit to EXPORTS.
 """
 import importlib
 import inspect
@@ -22,33 +24,39 @@ EXPORTS = (
     "laurent_split", "mittag_leffler",
     "capacity_estimate", "leja_points",
     "build_approximant", "convergence_scan", "rho_of",
-    "certify_schedule", "evans_discrete", "export_field", "h_eval", "u_eval",
+    "certify_schedule", "export_field", "h_eval", "u_eval",
     "harmonic_measure", "sublevel_cover", "wiener_test",
     "classify_fiber", "f_at_origin", "series_conditions", "vn_upper_bound",
 )
 
 PINNED = {
-    "core.DiskUnion.__init__": ("disks", "faithful_depth"),
+    "core.DiskUnion.__init__": ("disks",),
     "core.DiskUnion.from_arrays": ("faithful_depth",),
     "core.PolynomialC.__init__": ("roots",),
-    "hull.FiberClassification.__init__": ("notes",),
     "hull.classify_fiber": ("depth", "potential"),
     "laurent.laurent_split": ("tol",),
-    "laurent.mittag_leffler": ("k_max", "test_radius"),
     "models.PoleSeries.__init__": ("log_abs_c", "label", "log_gamma_tail", "ca_tail"),
     "models.PoleSeries.singular_sample": ("include_origin",),
     "models.PoleSeries.gaussian": ("n_terms",),
     "models.PoleSeries.geometric": ("n_terms", "ratio"),
     "models.RecipSinPi.__init__": ("pole_cutoff",),
-    "models.RationalModel.__init__": ("polynomial", "label"),
-    "potential.MeasureEstimate.__init__": ("iterations", "residual"),
+    "models.RationalModel.__init__": ("polynomial",),
+    "potential.MeasureEstimate.__init__": ("residual",),
     "potential.sublevel_cover": ("z0", "radius"),
     "potential.wiener_test": ("depth",),
-    "potential.harmonic_measure": ("obstacles", "walks", "seed", "method", "eps_abs",
-                                   "grid_n", "max_steps"),
-    "pshbuild.certify_schedule": ("nu_max", "degree_cap", "density", "builder"),
+    "potential.harmonic_measure": ("obstacles", "walks", "seed", "method"),
+    "pshbuild.certify_schedule": ("nu_max", "density", "builder"),
     "ratapprox.build_approximant": ("quad_tol", "contour"),
-    "ratapprox.convergence_scan": ("quad_tol", "contour"),
+    "ratapprox.convergence_scan": ("quad_tol",),
+}
+
+# settings that were parameters, each with the one value every caller used
+CONSTANTS = {
+    "potential.WOS_SHELL": 1e-4,
+    "potential.GRID_N": 321,
+    "potential.MAX_WOS_ROUNDS": 200000,
+    "pshbuild.DEGREE_CAP": 200,
+    "laurent.ML_KMAX": 40,
 }
 
 
@@ -86,6 +94,12 @@ def test_defaulted_parameters_are_pinned():
         "the public defaulted parameters changed.  A setting that only one value in "
         "use needs belongs in a module constant; add a parameter only when two "
         "existing callers need different values, then pin it here.")
+
+
+def test_settings_constants_are_pinned():
+    for name, value in CONSTANTS.items():
+        module, attr = name.split(".")
+        assert getattr(importlib.import_module(f"polarhull.{module}"), attr) == value, name
 
 
 def test_top_level_exports_are_pinned():

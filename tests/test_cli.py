@@ -11,8 +11,10 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def test_malformed_function_exits_one(tmp_path, capsys):
-    code = run(["hull", "--function", "no-such-family", "--out", tmp_path / "x"])
+@pytest.mark.parametrize("spec", ["no-such-family", "exp-reciprocal:junk",
+                                  "pole-series-geometric:10,0.5,zzz"])
+def test_malformed_function_exits_one(tmp_path, capsys, spec):
+    code = run(["hull", "--function", spec, "--out", tmp_path / "x"])
     assert code == 1
     assert not (tmp_path / "x").exists()  # no partial files
 
@@ -29,6 +31,9 @@ def test_malformed_config_file_exits_one(tmp_path):
     # the coefficients a_k = moment_k r^-k overflow
     ["decompose", "--function", "exp-reciprocal", "--radius", "1e300"],
     ["decompose", "--function", "recip-sin-pi:8", "--radius", "1e300"],
+    # the integrand itself overflows on the nodes
+    ["decompose", "--function", "exp-reciprocal", "--radius", "1e-300"],
+    ["decompose", "--function", "recip-sin-pi:8", "--radius", "1e-300"],
     # an inner circle narrower than the grid step would fix only its center node
     ["hmeasure", "--annulus", "1e-5,1", "--at", 0.5, "--method", "grid"],
     ["hmeasure", "--annulus", "1e-300,1", "--at", 0.5, "--method", "grid"],
@@ -251,6 +256,8 @@ def test_nonpositive_count_rejected(tmp_path, command, value):
     ["decompose", "--function", "pole-series-gaussian:0"],
     ["thin", "--function", "pole-series-geometric:0"],
     ["thin", "--function", "recip-sin-pi:0"],
+    ["hull", "--function", "exp-reciprocal", "--depth", "61"],
+    ["thin", "--function", "exp-reciprocal", "--depth", "61"],
 ])
 def test_out_of_range_setting_rejected(tmp_path, monkeypatch, command):
     # settings are checked before any computation: none of these may run

@@ -64,7 +64,7 @@ def test_roots_roundtrip_random(rng, trial):
 
 
 def _contour(f, c, n0):
-    return circle_trapezoid(f, (c,), _mean_times_rot, n0, tol=1e-10,
+    return circle_trapezoid(f, c, _mean_times_rot(c), n0, tol=1e-10,
                             max_nodes=MAX_QUAD_NODES)
 
 
@@ -159,15 +159,15 @@ def test_disk_union_array_lengths_must_match():
 def test_empty_disk_union():
     empty = DiskUnion([])
     assert len(empty) == 0 and not empty
-    assert empty.disks == ()
+    assert tuple(empty) == ()
     assert empty.faithful_depth == 60
 
 
 def test_disk_union_keeps_disk_behaviour():
     disks = [Disk(0.5 + 0.25j, 0.125), Disk(-0.3 + 0j, 0.05), Disk(2.0 - 1.0j, 1.5)]
-    union = DiskUnion(disks, faithful_depth=7)
-    assert len(union) == 3 and union.faithful_depth == 7
-    assert list(union) == disks and union.disks == tuple(disks)
+    union = DiskUnion(disks)
+    assert len(union) == 3 and union.faithful_depth == 60
+    assert list(union) == disks
     same = DiskUnion.from_arrays([d.center for d in disks], [d.radius for d in disks], 7)
     assert list(same) == list(union) and same.faithful_depth == 7
     with pytest.raises(ValueError):
@@ -200,8 +200,9 @@ def _fresh_node_trapezoid(f, contour, n0, tol=1e-10, max_nodes=2**16):
     return value, n
 
 
-def _mean_times_rot(circle, rot, vals):
-    return circle.radius * np.mean(vals * rot)
+def _mean_times_rot(circle):
+    """The reduce of (1/(2 pi i)) * integral of f dz over `circle`."""
+    return lambda rot, vals: circle.radius * np.mean(vals * rot)
 
 
 ORACLE_CASES = [
@@ -214,7 +215,7 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("f, contour, n0", ORACLE_CASES)
 def test_engine_matches_fresh_node_oracle(f, contour, n0):
     want, n_want = _fresh_node_trapezoid(f, contour, n0)
-    quad = circle_trapezoid(f, (contour,), _mean_times_rot, n0,
+    quad = circle_trapezoid(f, contour, _mean_times_rot(contour), n0,
                             tol=1e-10, max_nodes=2**16)
     assert quad.converged and quad.nodes == n_want
     assert abs(quad.value - want) <= 1e-13 * max(1.0, abs(want))
@@ -228,7 +229,8 @@ def test_doubling_evaluates_each_node_once():
         return 1.0 / (z - 1.05)  # settles only after several doublings
 
     contour = CircleContour(0j, 1.0)
-    quad = circle_trapezoid(f, (contour,), _mean_times_rot, 16, tol=1e-12, max_nodes=2**16)
+    quad = circle_trapezoid(f, contour, _mean_times_rot(contour), 16, tol=1e-12,
+                            max_nodes=2**16)
     assert quad.converged and quad.nodes >= 512
     # one call per level: the 16 starting nodes, then only the n/2 new odd nodes
     levels = 2 ** np.arange(5, 17)
@@ -242,19 +244,11 @@ def test_doubling_evaluates_each_node_once():
 def test_unsettled_integrand_reports_not_converged():
     # a pole 1e-3 outside the circle needs thousands of nodes; the cap is 256
     contour = CircleContour(0j, 1.0)
-    quad = circle_trapezoid(lambda z: 1.0 / (z - 1.001), (contour,), _mean_times_rot, 16,
+    quad = circle_trapezoid(lambda z: 1.0 / (z - 1.001), contour, _mean_times_rot(contour), 16,
                             tol=1e-10, max_nodes=256)
     assert not quad.converged
     assert quad.nodes == 256
     assert quad.noise > 1e-10
-
-
-def test_engine_sums_circles_at_one_node_count():
-    f = lambda z: 1.0 / (z - 0.3) + 2.0 / (z + 0.3)
-    circles = (CircleContour(0.3 + 0j, 0.1), CircleContour(-0.3 + 0j, 0.1))
-    quad = circle_trapezoid(f, circles, _mean_times_rot, 16, tol=1e-12, max_nodes=2**16)
-    assert quad.converged
-    assert abs(quad.value - 3.0) < 1e-12
 
 
 def _dense_has_duplicates(pts):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -89,6 +90,13 @@ class TestClassify:
     def test_grid_needs_three_levels(self, gauss40):
         with pytest.raises(ValueError):
             classify_fiber(gauss40, 0j, [1.0, 2.0])
+
+    @pytest.mark.parametrize("depth", [0, 61])
+    def test_depth_out_of_range_rejected(self, gauss40, depth):
+        # checked before any cover is built, so no verdict carries it as a note
+        untouched = SimpleNamespace(sublevel_cover=lambda *a, **k: pytest.fail("cover built"))
+        with pytest.raises(ValueError, match=r"depth must be in \[1, 60\]"):
+            classify_fiber(gauss40, 0j, [1.0, 2.0, 4.0], depth=depth, potential=untouched)
 
     # 1e-10 is near the origin, but farther than SAMPLE_TOL from it
     @pytest.mark.parametrize("z0", [0.123 + 0.4j, 1e-10])

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from polarhull import laurent
-from polarhull.core import MAX_QUAD_NODES, CircleContour, CompactSample, Disk, DiskUnion
+from polarhull.core import (
+    MAX_QUAD_NODES,
+    CircleContour,
+    CompactSample,
+    Disk,
+    DiskUnion,
+    NodeEvaluationError,
+)
 from polarhull.laurent import (
     CoverError,
     TruncationError,
@@ -46,6 +53,14 @@ class TestLaurentSplit:
             warnings.simplefilter("error")
             with pytest.raises(TruncationError, match="overflow"):
                 laurent_split(f, CircleContour(0j, 1e300), 32)
+
+    @pytest.mark.parametrize("f", [ExpReciprocal(), RecipSinPi(8)], ids=["exp", "sin"])
+    def test_overflowing_integrand_raises_without_warning(self, f):
+        # f overflows on the nodes |z| = 1e-300; the node check names the node
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NodeEvaluationError, match="not finite at node"):
+                laurent_split(f, CircleContour(0j, 1e-300), 32)
 
     @pytest.mark.parametrize("trial", range(4))
     def test_reconstruction_random_rational(self, rng, trial):
@@ -89,10 +104,11 @@ class TestMittagLeffler:
         for _, split in ml.components:
             assert np.max(np.abs(split.principal_part)) < 1e-10
 
-    def test_truncated_pole_series_single_disk(self, rng):
+    def test_truncated_pole_series_single_disk(self, rng, monkeypatch):
+        monkeypatch.setattr(laurent, "ML_KMAX", 60)
         f = PoleSeries.gaussian(5)  # poles 1, 1/2, ..., 1/5
         cover = DiskUnion([Disk(0.6 + 0j, 0.55)])
-        ml = mittag_leffler(f, cover, f.singular_sample(), k_max=60)
+        ml = mittag_leffler(f, cover, f.singular_sample())
         z = 1.5 * np.exp(1j * rng.uniform(0, 2 * np.pi, 64))
         err = np.max(np.abs(f(z) - ml.reconstruct(z)))
         assert err < 1e-8
@@ -100,7 +116,7 @@ class TestMittagLeffler:
     def test_agrees_with_recentred_split(self):
         f = RationalModel([0.25, 0.45], [1.0, -0.5])
         disk = Disk(0.35 + 0j, 0.3)
-        ml = mittag_leffler(f, DiskUnion([disk]), f.singular_sample(), k_max=40)
+        ml = mittag_leffler(f, DiskUnion([disk]), f.singular_sample())
         direct = laurent_split(f, CircleContour(disk.center, disk.radius), 40,
                                tol=np.inf)
         got = ml.components[0][1].principal_part
@@ -124,16 +140,19 @@ class TestMittagLeffler:
         cover = DiskUnion([Disk(0.3 + 0j, 0.1)])
         ml = mittag_leffler(f, cover, f.singular_sample())
         assert ml.converged is True and ml.nodes < MAX_QUAD_NODES
-        # the test circle passes 1e-6 from the uncovered pole at 0.9
-        near = mittag_leffler(f, cover, f.singular_sample(), test_radius=0.6 + 1e-6)
+        # the test circle |z - 0.3| = 1.5 * 0.1 + 0.5 passes 1e-6 from the
+        # uncovered pole at 0.950001
+        f = RationalModel([0.3, 0.950001], [1.0, 1.0])
+        near = mittag_leffler(f, cover, f.singular_sample())
         assert not near.converged
         assert near.nodes == MAX_QUAD_NODES
         assert near.converged is False
 
-    def test_exp_reciprocal_principal(self):
+    def test_exp_reciprocal_principal(self, monkeypatch):
+        monkeypatch.setattr(laurent, "ML_KMAX", 30)
         f = ExpReciprocal()
         cover = DiskUnion([Disk(0j, 0.5)])
-        ml = mittag_leffler(f, cover, f.singular_sample(), k_max=30)
+        ml = mittag_leffler(f, cover, f.singular_sample())
         # principal coefficients of exp(1/z) are 1/k!
         split = ml.components[0][1]
         np.testing.assert_allclose(split.principal_part[0], 1.0, atol=1e-12)

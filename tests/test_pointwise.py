@@ -26,6 +26,8 @@ from polarhull import (
     poly_from_roots,
     u_eval,
 )
+from polarhull import laurent as laurent_module
+
 N_POINTS = 200
 
 
@@ -56,7 +58,9 @@ def evaluators(gauss10_field):
     gauss = PoleSeries.gaussian(10)
     laurent = laurent_split(exp, CircleContour(0j, 1.0), 24)
     g5 = PoleSeries.gaussian(5)
-    ml = mittag_leffler(g5, DiskUnion([Disk(0.6 + 0j, 0.55)]), g5.singular_sample(), k_max=60)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laurent_module, "ML_KMAX", 60)
+        ml = mittag_leffler(g5, DiskUnion([Disk(0.6 + 0j, 0.55)]), g5.singular_sample())
     level = gauss10_field.levels[-1].approximant
     return {
         "poly_eval": lambda z: poly_eval(poly, z),

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from polarhull import pshbuild
 from polarhull.core import CompactSample
 from polarhull.fekete import leja_points
 from polarhull.models import ExpReciprocal, PoleSeries, RationalModel, RecipSinPi
@@ -15,7 +16,6 @@ from polarhull.pshbuild import (
     _certification_grid,
     _level_clamp,
     certify_schedule,
-    evans_discrete,
     export_field,
     h_eval,
     u_eval,
@@ -70,23 +70,6 @@ class TestHEval:
         assert h_eval(single_pole_approx, z, w) == pytest.approx(math.log(1e-3))
 
 
-class TestEvans:
-    def test_singleton(self):
-        assert evans_discrete(CompactSample([0.0])) == [(0j, 1.0)]
-
-    def test_symmetric_pair(self):
-        weights = evans_discrete(CompactSample([1.0, -1.0]))
-        val = sum(w * math.log(abs(0.0 - a)) for a, w in weights)
-        assert val == pytest.approx(0.0)
-
-    def test_reciprocal_sample_vs_direct_sum(self):
-        pts = np.concatenate([[0.0], 1.0 / np.arange(1, 51)])
-        weights = evans_discrete(CompactSample(pts.astype(complex)))
-        val = sum(w * math.log(abs(2.0 - a.real)) for a, w in weights)
-        direct = np.mean(np.log(np.abs(2.0 - pts)))
-        assert val == pytest.approx(direct, rel=1e-12)
-
-
 class TestCertify:
     def test_single_pole_trivial_levels(self, single_pole_field):
         # the exact approximant pins the graph bound at -inf from the start;
@@ -115,10 +98,11 @@ class TestCertify:
             if math.isfinite(a) and math.isfinite(b):
                 assert b < a
 
-    def test_schedule_exhausted(self):
+    def test_schedule_exhausted(self, monkeypatch):
+        monkeypatch.setattr(pshbuild, "DEGREE_CAP", 3)
         f = ExpReciprocal()
         with pytest.raises(ScheduleExhausted) as info:
-            certify_schedule(f, f.singular_sample(), 4, degree_cap=3)
+            certify_schedule(f, f.singular_sample(), 4)
         assert info.value.nu == 2
         assert math.isfinite(info.value.best["graph"])
         tried = info.value.tried
@@ -149,12 +133,13 @@ class TestCertify:
         assert field.levels[0].approximant.big_n == 3
         assert field.levels[0].approximant.converged
 
-    def test_all_unconverged_exhausts_schedule(self):
+    def test_all_unconverged_exhausts_schedule(self, monkeypatch):
+        monkeypatch.setattr(pshbuild, "DEGREE_CAP", 6)
         f = RationalModel([A], [1.0])
         builder = lambda *a, **k: dataclasses.replace(build_approximant(*a, **k),
                                                        converged=False)
         with pytest.raises(ScheduleExhausted):
-            certify_schedule(f, f.singular_sample(), 2, degree_cap=6, builder=builder)
+            certify_schedule(f, f.singular_sample(), 2, builder=builder)
 
 
 FIELD_CERTIFY = {
@@ -239,7 +224,7 @@ def test_graph_nodes_equal_the_flat_grid(label, zw_grid):
                                   "box_count": 0, "offgraph_count": len(graph)}
 
 
-def test_floor_is_minus_inf_when_f_n_strays_from_f():
+def test_floor_is_minus_inf_when_f_n_strays_from_f(monkeypatch):
     # c_0 doubled: f_N = 2/(z - A), so |f - f_N| = 1/|z - A| reaches nu/1.02 on
     # the innermost ring, above 1/nu; no try may certify
     f = RationalModel([A], [1.0])
@@ -250,15 +235,16 @@ def test_floor_is_minus_inf_when_f_n_strays_from_f():
         coeffs[0] *= 2.0
         return dataclasses.replace(ap, coeffs=coeffs)
 
+    monkeypatch.setattr(pshbuild, "DEGREE_CAP", 6)
     with pytest.raises(ScheduleExhausted) as info:
-        certify_schedule(f, f.singular_sample(), 2, degree_cap=6, builder=builder)
+        certify_schedule(f, f.singular_sample(), 2, builder=builder)
     assert [t[0] for t in info.value.tried] == [1, 2, 3, 4, 5, 6]
     assert all(t[3] == -math.inf for t in info.value.tried)
     plain = certify_schedule(f, f.singular_sample(), 2)
     assert math.isfinite(plain.levels[0].h_bound_offgraph)
 
 
-def test_quadrature_noise_counts_against_both_closed_form_bounds():
+def test_quadrature_noise_counts_against_both_closed_form_bounds(monkeypatch):
     # coefficient noise 1 puts every graph node below the noise marker, so the
     # graph bound is -inf; the floor must still fail and the ceiling must rise
     f = RationalModel([A], [1.0])
@@ -267,8 +253,9 @@ def test_quadrature_noise_counts_against_both_closed_form_bounds():
         ap = build_approximant(*args, **kwargs)
         return dataclasses.replace(ap, noise=np.ones_like(ap.noise))
 
+    monkeypatch.setattr(pshbuild, "DEGREE_CAP", 8)
     with pytest.raises(ScheduleExhausted) as info:
-        certify_schedule(f, f.singular_sample(), 2, degree_cap=8, builder=noisy)
+        certify_schedule(f, f.singular_sample(), 2, builder=noisy)
     tried = info.value.tried
     assert [t[0] for t in tried] == list(range(1, 9))
     assert all(t[1] == t[3] == -math.inf for t in tried)
@@ -319,7 +306,8 @@ class TestUEval:
         lower = sum(
             (-math.log(nu + 1) - math.log(nu + 2)) / nu**2 for nu in range(2, 5)
         )
-        evans = sum(wt * math.log(abs(z - a)) for a, wt in gauss10_field.evans_weights)
+        atoms = gauss10_field.sample.points
+        evans = sum(math.log(abs(z - a)) / len(atoms) for a in atoms)
         assert u_eval(gauss10_field, z, w) >= lower + evans
 
     def test_gap_regression_oracle(self, gauss10_field, gauss10):
@@ -373,7 +361,7 @@ class TestSubMeanValue:
             vw = rng.normal() + 1j * rng.normal()
             scale = math.hypot(abs(vz), abs(vw))
             vz, vw = vz / scale, vw / scale
-            atoms = np.array([a for a, _ in gauss10_field.evans_weights])
+            atoms = gauss10_field.sample.points
             if np.min(np.abs(base_z - atoms)) < 0.2:
                 continue
             center = u_eval(gauss10_field, base_z, base_w)
@@ -388,13 +376,19 @@ class TestSubMeanValue:
 
 class TestExport:
     def test_constant_zero_field(self):
-        field = PshField(levels=(), floor_value=0.0, evans_weights=(),
-                         sample=CompactSample([0.0]), model=None)
-        axis = np.linspace(0, 1, 2)
-        plane = axis[None, :] + 1j * axis[:, None]
+        # no levels, one atom at 0: u = log|z| vanishes on the unit circle
+        field = PshField(levels=(), floor_value=0.0, sample=CompactSample([0.0]), model=None)
+        plane = np.array([[1.0, 1j], [-1.0, -1j]])
         us = u_eval(field, plane, 0j)
         assert us.shape == (2, 2)
         assert np.all(us == 0.0)
+        # weight 1/|K| on each atom: u is the mean log-distance to the sample
+        pts = np.concatenate([[0.0], 1.0 / np.arange(1, 51)])
+        field = PshField(levels=(), floor_value=0.0, sample=CompactSample(pts), model=None)
+        direct = np.mean(np.log(np.abs(2.0 - pts)))
+        assert u_eval(field, 2.0, 0j) == pytest.approx(direct, rel=1e-12)
+        assert field.to_dict()["evans_weights"] == [
+            {"atom": [p, 0.0], "weight": 1.0 / 51} for p in pts]
 
     def test_single_pole_graph_tube(self, single_pole_field):
         rows = export_field(

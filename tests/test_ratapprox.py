@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from polarhull import ratapprox
 from polarhull.core import CircleContour, CompactSample, PolynomialC, _horner, poly_from_roots
 from polarhull.fekete import leja_points
 from polarhull.models import ExpReciprocal, PoleSeries, RationalModel, RecipSinPi
@@ -80,14 +82,14 @@ class TestBuild:
     def test_contour_independence(self, two_pole):
         system = leja_points(two_pole.singular_sample(), 2)
         ap = build_approximant(two_pole, system, 2, 3)
-        doubled = [CircleContour(c.center, 2 * c.radius) for c in ap.contour]
+        doubled = CircleContour(ap.contour.center, 2 * ap.contour.radius)
         ap2 = build_approximant(two_pole, system, 2, 3, contour=doubled)
         for ca, cb in zip(ap.coeffs, ap2.coeffs):
             assert np.max(np.abs(ca - cb)) < 1e-9
 
     def test_contour_too_close(self, two_pole):
         system = leja_points(two_pole.singular_sample(), 2)
-        bad = [CircleContour(0.5 + 0j, 0.2)]  # node lands on the root at 0.3
+        bad = CircleContour(0.5 + 0j, 0.2)  # node lands on the root at 0.3
         with pytest.raises(ContourTooClose):
             build_approximant(two_pole, system, 2, 2, contour=bad)
 
@@ -141,12 +143,14 @@ class TestConvergence:
         with pytest.raises(ValueError):
             convergence_scan(two_pole, system, [(2, 2), (2, 1)], target)
 
-    def test_error_tagged_with_schedule_entry(self, two_pole):
+    def test_error_tagged_with_schedule_entry(self, two_pole, monkeypatch):
         system = leja_points(two_pole.singular_sample(), 2)
         target = CompactSample([2.0 + 0j, 2.0j, -2.0 + 0j])
-        bad = [CircleContour(0.5 + 0j, 0.2)]
+        bad = CircleContour(0.5 + 0j, 0.2)
+        monkeypatch.setattr(ratapprox, "build_approximant",
+                            functools.partial(build_approximant, contour=bad))
         with pytest.raises(ContourTooClose, match=r"schedule entry \(m=2, N=1\)"):
-            convergence_scan(two_pole, system, [(2, 1)], target, contour=bad)
+            convergence_scan(two_pole, system, [(2, 1)], target)
 
 
 def test_series_growth_guard():
