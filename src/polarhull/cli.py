@@ -12,9 +12,7 @@ import configparser
 import csv
 import hashlib
 import json
-import logging
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -22,21 +20,14 @@ import click
 import numpy as np
 
 from . import __version__
-from .core import CircleContour, CompactSample, Disk, DiskUnion, PolarhullError
+from .core import CircleContour, CompactSample, DiskUnion, PolarhullError
 from .models import ExpReciprocal, PoleSeries, RecipSinPi
 from .laurent import laurent_split
 from .fekete import leja_points, capacity_estimate
 from .ratapprox import convergence_scan
-from .pshbuild import GridSpec, certify_schedule, export_field
+from .pshbuild import MAX_NU, GridSpec, certify_schedule, export_field
 from .potential import MAX_DEPTH, harmonic_measure, sublevel_cover, wiener_test
 from .hull import classify_fiber
-
-log = logging.getLogger("polarhull")
-
-
-def _setup_logging():
-    level = os.environ.get("POLARHULL_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
 
 def _parse_function(spec: str | None):
@@ -174,7 +165,6 @@ def _finish(out_dir: str, command: str, config: dict, payload: dict,
             writer.writerow(header)
             for row in rows:
                 writer.writerow(list(row) + [digest, __version__])
-    log.info("wrote artifacts for %s to %s", command, out)
 
 
 def _common(fn):
@@ -190,7 +180,6 @@ _tolerance = click.option("--tolerance", type=float, default=None)
 @click.group()
 def cli():
     """Potential-theoretic toolkit for graphs with polar singularities."""
-    _setup_logging()
 
 
 @cli.command()
@@ -258,10 +247,14 @@ def approx(config_path, out_dir, tolerance, function_spec, m_den, n_list, target
         "tolerance": tolerance,
     }, {"n_list": "1,2,3,4", "target": "0,0:2.0:128"})
     orders = [_positive("n_list", t, int) for t in str(cfg["n_list"]).split(",")]
+    if any(b <= a for a, b in zip(orders, orders[1:])):
+        raise click.UsageError(f"n_list must be strictly increasing, got {cfg['n_list']!r}")
     tol = _positive("tolerance", cfg.get("tolerance", 1e-10))
     f = _parse_function(cfg.get("function"))
     sample = f.singular_sample()
     m = len(sample) if cfg.get("m") is None else _positive("m", cfg["m"], int)
+    if m > len(sample):
+        raise click.UsageError(f"m must be at most the sample size {len(sample)}, got {m}")
     ctr, rad, cnt = _fields("target", cfg["target"], ":", 3)
     center, rad, cnt = _parse_point(ctr), _positive("target", rad), _positive("target", cnt, int)
     theta = 2 * np.pi * np.arange(cnt) / cnt
@@ -276,18 +269,16 @@ def approx(config_path, out_dir, tolerance, function_spec, m_den, n_list, target
 @_common
 @click.option("--function", "function_spec", default=None)
 @click.option("--nu-max", type=int, default=None)
-@click.option("--density", type=int, default=None)
 @click.option("--tube", default=None,
               help="graph-tube export A,B:N:T1,T2,... (offsets in w)")
-def psh(config_path, out_dir, function_spec, nu_max, density, tube):
+def psh(config_path, out_dir, function_spec, nu_max, tube):
     """Certify the layered field schedule; optional graph-tube CSV export."""
     cfg = _config_overlay(config_path, "psh", {
-        "function": function_spec, "nu_max": nu_max, "density": density, "tube": tube,
-    }, {"nu_max": 4, "density": 10})
+        "function": function_spec, "nu_max": nu_max, "tube": tube,
+    }, {"nu_max": 4})
     nu_max = _positive("nu_max", cfg["nu_max"], int)
-    if not 2 <= nu_max <= 12:
-        raise click.UsageError(f"nu_max must be in [2, 12], got {nu_max}")
-    density = _positive("density", cfg["density"], int)
+    if not 2 <= nu_max <= MAX_NU:
+        raise click.UsageError(f"nu_max must be in [2, {MAX_NU}], got {nu_max}")
     tube = None
     if cfg.get("tube"):
         span, cnt, offs = _fields("tube", cfg["tube"], ":", 3)
@@ -295,7 +286,7 @@ def psh(config_path, out_dir, function_spec, nu_max, density, tube):
                                    _positive("tube", cnt, int),
                                    [_number("tube", t) for t in _fields("tube", offs)])
     f = _parse_function(cfg.get("function"))
-    field = certify_schedule(f, f.singular_sample(), nu_max, density=density)
+    field = certify_schedule(f, f.singular_sample(), nu_max)
     csv_rows = None
     if tube is not None:
         rows = export_field(field, tube)
@@ -349,7 +340,7 @@ def hmeasure(config_path, out_dir, annulus, at_point, walks, method, seed):
         raise click.UsageError(
             f"at must lie in the annulus {r_in} < |z| < {r_out}, got {cfg['at']!r}")
     est = harmonic_measure(
-        at, CircleContour(0j, r_in), Disk(0j, r_out), DiskUnion([]),
+        at, CircleContour(0j, r_in), CircleContour(0j, r_out), DiskUnion([]),
         walks=walks, seed=int(cfg["seed"]), method=str(cfg["method"]),
     )
     rows = [["value", "std_error", "walks", "seed", "method"],
@@ -372,6 +363,8 @@ def hull(config_path, out_dir, function_spec, points, r_grid, depth):
     depth = _depth(cfg["depth"])
     f = _parse_function(cfg.get("function"))
     grid = [_parse_level(t) for t in str(cfg["r_grid"]).split(",")]
+    if len(grid) < 3 or len(set(grid)) < len(grid):
+        raise click.UsageError(f"r_grid needs at least 3 distinct levels, got {cfg['r_grid']!r}")
     entries = [classify_fiber(f, _parse_point(token), grid, depth=depth)
                for token in str(cfg["points"]).split(";")]
     click.echo(f"{'point':>16}  {'classification':<14} w0")

@@ -83,17 +83,24 @@ def _eval_on_nodes(f, nodes: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Disk:
-    """Open disk |z - center| < radius."""
+class CircleContour:
+    """Circle |z - center| = radius, counterclockwise, and the open disk it bounds."""
 
     center: complex
     radius: float
 
     def __post_init__(self):
         if not (np.isfinite(self.center) and math.isfinite(self.radius)):
-            raise ValueError("disk center/radius must be finite")
+            raise ValueError("circle center/radius must be finite")
         if self.radius <= 0:
-            raise ValueError("disk radius must be positive")
+            raise ValueError("circle radius must be positive")
+
+    def nodes(self, n: int) -> np.ndarray:
+        theta = 2.0 * np.pi * np.arange(n) / n
+        return self.center + self.radius * np.exp(1j * theta)
+
+
+Disk = CircleContour  # the same class, named for the open disk
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +122,7 @@ class DiskUnion:
 
     @classmethod
     def from_arrays(cls, centers, radii, faithful_depth: int = 60) -> "DiskUnion":
-        """Union of the disks D(centers[i], radii[i]), checked as `Disk` checks one."""
+        """Union of the disks D(centers[i], radii[i]), each checked as a `CircleContour`."""
         return cls.__new__(cls)._set(centers, radii, faithful_depth)
 
     def _set(self, centers, radii, faithful_depth) -> "DiskUnion":
@@ -137,7 +144,7 @@ class DiskUnion:
         return len(self.radii)
 
     def __iter__(self):
-        return (Disk(c, r) for c, r in zip(self.centers.tolist(), self.radii.tolist()))
+        return (CircleContour(c, r) for c, r in zip(self.centers.tolist(), self.radii.tolist()))
 
 
 _DUPLICATE_TOL = 1e-14
@@ -235,10 +242,6 @@ class PolynomialC:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return self.degree == 0 and self.coeffs[0] == 0
-
     def __call__(self, z):
         return poly_eval(self, z)
 
@@ -311,24 +314,6 @@ def poly_from_roots(roots) -> PolynomialC:
     for r in roots:
         coeffs = np.convolve(coeffs, np.array([-r, 1.0 + 0j]))
     return PolynomialC(coeffs, roots=roots)
-
-
-@dataclass(frozen=True)
-class CircleContour:
-    """Circle used as an integration path, counterclockwise."""
-
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.center) and math.isfinite(self.radius)):
-            raise ValueError("contour center/radius must be finite")
-        if self.radius <= 0:
-            raise ValueError("contour radius must be positive")
-
-    def nodes(self, n: int) -> np.ndarray:
-        theta = 2.0 * np.pi * np.arange(n) / n
-        return self.center + self.radius * np.exp(1j * theta)
 
 
 MAX_QUAD_NODES = 2**16

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SAMPLE_TOL, Disk, PolarhullError, complex_to_pair
+from .core import SAMPLE_TOL, CircleContour, PolarhullError, complex_to_pair
 from .models import FunctionModel, PoleSeries, TailUncertifiable
 from . import potential as potential_mod
 
@@ -162,8 +162,8 @@ def classify_fiber(f: FunctionModel, z0: complex, r_grid, *,
     series at z0 = 0); conflicting or inconclusive evidence stays UNKNOWN.
     """
     r_grid = sorted(float(r) for r in r_grid)
-    if len(r_grid) < 3:
-        raise ValueError("r_grid needs at least 3 increasing values")
+    if len(r_grid) < 3 or any(a == b for a, b in zip(r_grid, r_grid[1:])):
+        raise ValueError(f"r_grid needs at least 3 distinct values, got {r_grid!r}")
     if not 1 <= depth <= potential_mod.MAX_DEPTH:
         raise ValueError(f"depth must be in [1, {potential_mod.MAX_DEPTH}], got {depth!r}")
     z0 = complex(z0)
@@ -222,7 +222,7 @@ def classify_fiber(f: FunctionModel, z0: complex, r_grid, *,
 
 # ----------------------------------------------------------------- v_N bounds
 
-def vn_upper_bound(f: PoleSeries, big_r: float, disc: Disk, w_probe: complex,
+def vn_upper_bound(f: PoleSeries, big_r: float, disc: CircleContour, w_probe: complex,
                    n_list) -> list:
     """Normalized two-constants ratios v_N(0, w_probe) for N in n_list.
 

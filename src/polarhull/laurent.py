@@ -209,8 +209,7 @@ def mittag_leffler(f, cover: DiskUnion, sample_of_k: CompactSample) -> MittagLef
 
     components = []
     for d in cover:
-        circle = CircleContour(d.center, d.radius)
-        split = laurent_split(remainder, circle, ML_KMAX, tol=np.inf)
+        split = laurent_split(remainder, d, ML_KMAX, tol=np.inf)
         splits.append(split)
         components.append((d, split))
 

@@ -13,23 +13,16 @@ grid refuses a target circle narrower than its step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (
-    CircleContour,
-    Disk,
-    DiskUnion,
-    PolarhullError,
-    complex_to_pair,
-)
+from .core import CircleContour, DiskUnion, PolarhullError, complex_to_pair
 from .models import ExpReciprocal, FunctionModel, PoleSeries, RecipSinPi
 
 __all__ = [
     "UnsupportedFamily",
     "ThresholdTooSmall",
-    "DepthOverflow",
     "PointInsideCover",
     "StartInsideObstacle",
     "WienerReport",
@@ -48,10 +41,6 @@ class ThresholdTooSmall(PolarhullError):
     """No valid cover certificate exists at this level threshold."""
 
 
-class DepthOverflow(PolarhullError):
-    """Requested annulus depth exceeds the supported range."""
-
-
 class PointInsideCover(PolarhullError):
     """The thinness query point lies interior to a cover disk."""
 
@@ -64,10 +53,10 @@ class StartInsideObstacle(PolarhullError):
 
 POLE_CAP = 4096  # 1/sin(pi/z) covers take the poles +-1/n for n <= POLE_CAP
 MIN_DISK_RADIUS = 1e-290
+COVER_WINDOW = 1.0  # 1/sin(pi/z) covers keep the poles within this distance of z0
 
 
-def sublevel_cover(f: FunctionModel, big_r: float, z0: complex = 0j,
-                   radius: float = 1.0) -> DiskUnion:
+def sublevel_cover(f: FunctionModel, big_r: float, z0: complex = 0j) -> DiskUnion:
     """Family-specific disk cover of {|f| >= big_r} near z0.
 
     Pole series get disks about each pole with radius C sqrt(gamma_n), C the
@@ -85,9 +74,9 @@ def sublevel_cover(f: FunctionModel, big_r: float, z0: complex = 0j,
         if big_r <= 1.0:
             raise ThresholdTooSmall("exp(1/z) cover needs big_r > 1")
         h = 0.5 / math.log(big_r)
-        return DiskUnion([Disk(complex(h), h)])
+        return DiskUnion([CircleContour(complex(h), h)])
     if isinstance(f, RecipSinPi):
-        return _recip_sin_cover(f, big_r, z0, radius)
+        return _recip_sin_cover(f, big_r, z0)
     raise UnsupportedFamily(f.family)
 
 
@@ -110,7 +99,7 @@ def _pole_series_cover(f: PoleSeries, big_r: float) -> DiskUnion:
     return DiskUnion.from_arrays(f.poles, radii)
 
 
-def _recip_sin_cover(f: RecipSinPi, big_r: float, z0: complex, radius: float) -> DiskUnion:
+def _recip_sin_cover(f: RecipSinPi, big_r: float, z0: complex) -> DiskUnion:
     if big_r <= 1.0:
         raise ThresholdTooSmall("1/sin(pi/z) cover needs big_r > 1")
     # |sin(pi eps)| <= sinh(pi |eps|), so |eps| <= asinh(1/R)/pi certifies
@@ -123,7 +112,7 @@ def _recip_sin_cover(f: RecipSinPi, big_r: float, z0: complex, radius: float) ->
     gap = np.abs(sign / n - z0)
     denom = n * n - rho * rho
     centers, radii = sign * n / denom, rho / denom
-    keep = gap <= radius + 1.0 / (n * n)
+    keep = gap <= COVER_WINDOW + 1.0 / (n * n)
     # each disk spans 1/(n + rho)..1/(n - rho) on the axis, so with rho < 1/2
     # the disks are disjoint and z0 sits inside at most one pole's own disk
     own = np.flatnonzero(keep & (gap < radii))
@@ -180,8 +169,6 @@ class WienerReport:
     partial_sums: np.ndarray
     verdict: str           # THIN | NON_THIN | INCONCLUSIVE
     depth: int
-    tolerance: float
-    slope: float
     bound_used: str        # lower | upper | none
     partial_sums_lower: np.ndarray
     partial_sums_upper: np.ndarray
@@ -204,8 +191,8 @@ class WienerReport:
             "depth_requested": self.depth_requested,
             "faithful_depth": self.faithful_depth,
             "cover_disks": self.cover_disks,
-            "tolerance": self.tolerance,
-            "slope": self.slope,
+            "tolerance": WIENER_TOLERANCE,
+            "slope": WIENER_SLOPE,
             "bound_used": self.bound_used,
         }
 
@@ -222,11 +209,10 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40) -> WienerRepo
     `depth`: deeper annuli of a truncated family are not evidence.  The
     report's `depth` is the depth used, and `depth_requested` the one asked.
     """
-    if depth > MAX_DEPTH:
-        raise DepthOverflow(f"depth must be <= {MAX_DEPTH}")
     requested, depth = depth, min(depth, cover.faithful_depth)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    if requested > MAX_DEPTH or depth < 1:
+        raise ValueError(f"need depth <= {MAX_DEPTH} and a used depth >= 1, got {requested!r} "
+                         f"used {depth} (the cover's faithful depth is {cover.faithful_depth})")
     point = complex(point)
     if not np.isfinite(point):
         raise ValueError(f"point {point!r} is not finite")
@@ -274,7 +260,7 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40) -> WienerRepo
         verdict, used, sums = "INCONCLUSIVE", "none", s_up
     return WienerReport(
         point=point, annuli=tuple(annuli), partial_sums=sums, verdict=verdict,
-        depth=depth, tolerance=WIENER_TOLERANCE, slope=WIENER_SLOPE, bound_used=used,
+        depth=depth, bound_used=used,
         partial_sums_lower=s_low, partial_sums_upper=s_up, depth_requested=requested,
         faithful_depth=cover.faithful_depth, cover_disks=len(cover),
     )
@@ -297,15 +283,7 @@ class MeasureEstimate:
             raise ValueError("measure estimate out of [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "std_error": self.std_error,
-            "walks": self.walks,
-            "seed": self.seed,
-            "method": self.method,
-            "iterations": self.iterations,
-            "residual": self.residual,
-        }
+        return asdict(self)
 
 
 WOS_SHELL = 1e-4  # absorption shell width, relative to the domain radius
@@ -313,7 +291,7 @@ GRID_N = 321  # grid nodes per side
 MAX_WOS_ROUNDS = 200000  # step rounds before walk-on-spheres gives up
 
 
-def harmonic_measure(z, target: CircleContour, domain: Disk,
+def harmonic_measure(z, target: CircleContour, domain: CircleContour,
                      obstacles: DiskUnion | None = None, walks: int = 10000, seed: int = 0, *,
                      method: str = "wos") -> MeasureEstimate:
     """Estimate the harmonic function with value 1 on the `target` circle, 0 elsewhere.
@@ -382,7 +360,7 @@ def harmonic_measure(z, target: CircleContour, domain: Disk,
                            walks=walks, seed=seed, method="WOS", iterations=rounds)
 
 
-def _grid_measure(z, centers, radii, values, domain: Disk, boundary_value: float,
+def _grid_measure(z, centers, radii, values, domain: CircleContour, boundary_value: float,
                   tol: float = 1e-8) -> MeasureEstimate:
     """Five-point relaxation cross-check on a Cartesian grid (red-black SOR).
 

@@ -101,11 +101,14 @@ class CertificationGrid:
         return {"nu": self.nu, "graph_count": count, "box_count": 0, "offgraph_count": count}
 
 
-def _certification_grid(sample: CompactSample, nu: int, density: int) -> CertificationGrid:
+GRID_DENSITY = 10  # certification grid nodes per unit length along each axis
+
+
+def _certification_grid(sample: CompactSample, nu: int) -> CertificationGrid:
     pts = sample.points
     cut = 1.0 / nu
 
-    n_side = 2 * density * nu + 1
+    n_side = 2 * GRID_DENSITY * nu + 1
     axis = np.linspace(-nu, nu, n_side)
     zz = (axis[None, :] + 1j * axis[:, None]).ravel()
     keep = np.abs(zz) < nu
@@ -231,45 +234,39 @@ def u_eval(field: PshField, z, w):
 
 
 DEGREE_CAP = 200  # the largest degree m*N a level tries (m itself when m is larger)
+MAX_NU = 12  # the deepest level a schedule may request
 
 
-def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, density: int = 10,
+def certify_schedule(f, k: CompactSample, nu_max: int = 4, *,
                      builder=build_approximant) -> PshField:
     """Search outer orders per level until the three bounds certify.
 
     The denominator degree m is pinned to the sample size (finite samples are
     consumed exactly); the outer order N increases until the level certifies or
-    DEGREE_CAP is passed.  Levels reuse the approximant cache, and the search
-    for level nu+1 starts at the order that certified level nu.  Each try
+    DEGREE_CAP is passed.  The search for level nu+1 starts at the order that
+    certified level nu, reusing that approximant.  Each try
     evaluates the cleared difference once, on the graph nodes (z, f(z)): the
     graph bound is its largest h, and the off-graph floor
     (`_offgraph_floor`) reads the same values.  The box ceiling
     (`_box_ceiling`) needs no nodes.
     """
-    if not 2 <= nu_max <= 12:
-        raise ValueError("nu_max must be in [2, 12]")
-    if density < 1:
-        raise ValueError("density must be >= 1")
+    if not 2 <= nu_max <= MAX_NU:
+        raise ValueError(f"nu_max must be in [2, {MAX_NU}]")
     m = len(k)
     sys = leja_points(k, m)
-    cache: dict[int, RationalApproximant] = {}
-
-    def approx_for(n: int) -> RationalApproximant:
-        if n not in cache:
-            cache[n] = builder(f, sys, m, n, quad_tol=CERTIFY_QUAD_TOL)
-        return cache[n]
 
     levels = []
-    start_n = 1
+    approx, built_n = None, 1  # the last approximant built and its order
     for nu in range(2, nu_max + 1):
-        grid = _certification_grid(k, nu, density)
+        grid = _certification_grid(k, nu)
         z = grid.graph_nodes
         fz = np.asarray(f(z), dtype=complex)
         tried = []
         certified = None
-        n = start_n
+        n = built_n
         while m * n <= max(DEGREE_CAP, m):
-            approx = approx_for(n)
+            if approx is None or n != built_n:
+                approx, built_n = builder(f, sys, m, n, quad_tol=CERTIFY_QUAD_TOL), n
             cleared = approx.cleared_eval(z, fz)
             hg = float(np.max(_h_of_cleared(cleared, approx.normalization)))
             hb = _box_ceiling(approx, nu)
@@ -290,7 +287,6 @@ def certify_schedule(f, k: CompactSample, nu_max: int = 4, *, density: int = 10,
             best = {"graph": hg, "box": hb, "offgraph": ho, "big_n": big_n}
             raise ScheduleExhausted(nu, best, tuple(tried))
         levels.append(certified)
-        start_n = certified.approximant.big_n
 
     floor = sum(_level_clamp(nu) / nu**2 for nu in range(2, nu_max + 1))
     return PshField(levels=tuple(levels), floor_value=floor, sample=k, model=f)

@@ -106,8 +106,7 @@ class RationalApproximant:
     @property
     def normalization(self) -> int:
         """Degree used to normalize log-potentials: max(deg p, deg q)."""
-        extra = self.analytic_part.degree if not self.analytic_part.is_zero else 0
-        return self.degree + max(extra, 0)
+        return self.degree + self.analytic_part.degree  # a zero polynomial has degree 0
 
     def q_values(self, z):
         return self.q_m.eval_root_form(z)
@@ -211,14 +210,14 @@ def _sample_contour(points: np.ndarray, q: PolynomialC, rho_floor: float) -> Cir
 
 
 def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
-                      quad_tol: float = 1e-10, contour=None) -> RationalApproximant:
+                      quad_tol: float = 1e-10) -> RationalApproximant:
     """Assemble the order-(m, N) approximant of `f` from its Leja system.
 
     `f` is split into its polynomial part at infinity plus a principal part,
     and only the principal part is approximated; the polynomial part rides
     along exactly.  Coefficients are integrals over a counterclockwise circle
-    around the sample (`contour`, else the one `_sample_contour` finds), which
-    by holomorphy agree with integrals over any admissible level curve of |q_m|.
+    around the sample (the one `_sample_contour` finds), which by holomorphy
+    agree with integrals over any admissible level curve of |q_m|.
     """
     if m < 1 or big_n < 1:
         raise ValueError("m and big_n must be >= 1")
@@ -231,8 +230,7 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
     rho_floor = max(rho, RHO_FLOOR)
 
     analytic, principal = f.split_at_infinity()
-    if contour is None:
-        contour = _sample_contour(sys.base_set.points, q, rho_floor)
+    contour = _sample_contour(sys.base_set.points, q, rho_floor)
 
     gap_tol = 1e-9 * contour.radius
     root_sample = CompactSample(roots)

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from polarhull import potential, ratapprox
 from polarhull.core import CircleContour, CompactSample, Disk, DiskUnion
 from polarhull.fekete import leja_points
 from polarhull.hull import classify_fiber, f_at_origin, series_conditions, vn_upper_bound
@@ -66,12 +67,14 @@ def test_criterion_02_prescribed_pole_convergence():
                f"normalized errors non-increasing")
 
 
-def test_criterion_03_contour_independence():
+def test_criterion_03_contour_independence(monkeypatch):
     two = RationalModel([0.3, 0.5], [1.0, 2.0])
     system = leja_points(two.singular_sample(), 2)
     ap = build_approximant(two, system, 2, 3)
     doubled = CircleContour(ap.contour.center, 2 * ap.contour.radius)
-    ap2 = build_approximant(two, system, 2, 3, contour=doubled)
+    monkeypatch.setattr(ratapprox, "_sample_contour", lambda *args: doubled)
+    ap2 = build_approximant(two, system, 2, 3)
+    assert ap2.contour == doubled
     worst = 0.0
     for ca, cb in zip(ap.coeffs, ap2.coeffs):
         worst = max(worst, float(np.max(np.abs(ca - cb))))
@@ -128,7 +131,7 @@ def test_criterion_06_boundary_measure_with_thin_obstacles(gauss40):
     _report(6, f"omega estimates {values[0]:.3f}, {values[1]:.3f} stay >= 1/2")
 
 
-def test_criterion_07_thinness_verdicts(gauss40):
+def test_criterion_07_thinness_verdicts(gauss40, monkeypatch):
     for big_r in (math.e, math.e**2, math.e**10):
         rep = wiener_test(sublevel_cover(ExpReciprocal(), big_r), 0j, 40)
         assert rep.verdict == "NON_THIN"
@@ -141,10 +144,12 @@ def test_criterion_07_thinness_verdicts(gauss40):
     assert float(np.sum(inc[20:])) < 1e-3
 
     sin = RecipSinPi()
-    c0 = sublevel_cover(sin, math.e, 0j, 1.2)
+    monkeypatch.setattr(potential, "COVER_WINDOW", 1.2)
+    c0 = sublevel_cover(sin, math.e, 0j)
     r0 = wiener_test(c0, 0j, min(40, c0.faithful_depth))
     assert r0.verdict == "NON_THIN"
-    c5 = sublevel_cover(sin, math.e, 0.2 + 0j, 0.5)
+    monkeypatch.setattr(potential, "COVER_WINDOW", 0.5)
+    c5 = sublevel_cover(sin, math.e, 0.2 + 0j)
     r5 = wiener_test(c5, 0.2 + 0j, min(30, c5.faithful_depth))
     assert r5.verdict == "NON_THIN"
     _report(7, "exp cover NON_THIN (3 levels), gaussian cover THIN, "

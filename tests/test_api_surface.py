@@ -1,4 +1,4 @@
-"""Pin the top-level exports, the defaulted parameters and the settings constants.
+"""Pin the top-level exports, the defaulted parameters, the CLI options and the constants.
 
 A defaulted parameter is a setting every caller may change, and each one
 doubles the configurations the tests would have to cover.  A setting with
@@ -7,14 +7,17 @@ read at call time, so a test sets another value by monkeypatching it.  A
 parameter keeps a default only when two callers need different values or
 when the benchmark hooks in through it (`potential=` and `builder=`).  So
 a new option, or a retired one, shows up here as an edit to PINNED, and a
-changed setting as an edit to CONSTANTS.  Likewise a name added to or
-removed from `polarhull.__all__` shows up as an edit to EXPORTS.
+changed setting as an edit to CONSTANTS.  A command-line flag is a setting
+too: one added or dropped shows up as an edit to CLI_OPTIONS.  Likewise a
+name added to or removed from `polarhull.__all__` shows up as an edit to
+EXPORTS.
 """
 import importlib
 import inspect
 import pkgutil
 
 import polarhull
+from polarhull import cli
 
 EXPORTS = (
     "__version__",
@@ -42,11 +45,11 @@ PINNED = {
     "models.RecipSinPi.__init__": ("pole_cutoff",),
     "models.RationalModel.__init__": ("polynomial",),
     "potential.MeasureEstimate.__init__": ("residual",),
-    "potential.sublevel_cover": ("z0", "radius"),
+    "potential.sublevel_cover": ("z0",),
     "potential.wiener_test": ("depth",),
     "potential.harmonic_measure": ("obstacles", "walks", "seed", "method"),
-    "pshbuild.certify_schedule": ("nu_max", "density", "builder"),
-    "ratapprox.build_approximant": ("quad_tol", "contour"),
+    "pshbuild.certify_schedule": ("nu_max", "builder"),
+    "ratapprox.build_approximant": ("quad_tol",),
     "ratapprox.convergence_scan": ("quad_tol",),
 }
 
@@ -57,6 +60,20 @@ CONSTANTS = {
     "potential.MAX_WOS_ROUNDS": 200000,
     "pshbuild.DEGREE_CAP": 200,
     "laurent.ML_KMAX": 40,
+    "pshbuild.GRID_DENSITY": 10,
+    "potential.COVER_WINDOW": 1.0,
+    "pshbuild.MAX_NU": 12,
+}
+
+_COMMON = ("--config", "--out")
+CLI_OPTIONS = {
+    "decompose": _COMMON + ("--tolerance", "--function", "--center", "--radius", "--kmax"),
+    "fekete": _COMMON + ("--function", "--segment", "--m"),
+    "approx": _COMMON + ("--tolerance", "--function", "--m", "--n-list", "--target"),
+    "psh": _COMMON + ("--function", "--nu-max", "--tube"),
+    "thin": _COMMON + ("--function", "--big-r", "--point", "--depth"),
+    "hmeasure": _COMMON + ("--annulus", "--at", "--walks", "--method", "--seed"),
+    "hull": _COMMON + ("--function", "--point", "--r-grid", "--depth"),
 }
 
 
@@ -102,8 +119,18 @@ def test_settings_constants_are_pinned():
         assert getattr(importlib.import_module(f"polarhull.{module}"), attr) == value, name
 
 
+def test_cli_options_are_pinned():
+    found = {name: sorted(opt for p in cmd.params for opt in p.opts)
+             for name, cmd in cli.cli.commands.items()}
+    assert found == {name: sorted(opts) for name, opts in CLI_OPTIONS.items()}
+
+
 def test_top_level_exports_are_pinned():
     assert tuple(polarhull.__all__) == EXPORTS
+
+
+def test_disk_is_the_circle_type():
+    assert polarhull.Disk is polarhull.CircleContour
 
 
 def test_every_export_resolves():

@@ -201,7 +201,6 @@ def test_nonpositive_tolerance_rejected(tmp_path, command, tol):
 
 
 @pytest.mark.parametrize("command", [
-    ["psh", "--function", "exp-reciprocal", "--nu-max", 2, "--density"],
     ["hmeasure", "--walks"],
     ["psh", "--function", "exp-reciprocal", "--nu-max"],
     ["thin", "--function", "exp-reciprocal", "--depth"],
@@ -258,6 +257,12 @@ def test_nonpositive_count_rejected(tmp_path, command, value):
     ["thin", "--function", "recip-sin-pi:0"],
     ["hull", "--function", "exp-reciprocal", "--depth", "61"],
     ["thin", "--function", "exp-reciprocal", "--depth", "61"],
+    ["hull", "--function", "exp-reciprocal", "--r-grid", "e,e2"],
+    ["hull", "--function", "exp-reciprocal", "--r-grid", "e,e,e"],
+    ["hull", "--function", "exp-reciprocal", "--r-grid", "e2,e,e2"],
+    ["approx", "--function", "exp-reciprocal", "--n-list", "2,1"],
+    ["approx", "--function", "exp-reciprocal", "--n-list", "1,1"],
+    ["approx", "--function", "recip-sin-pi:8", "--m", 1000],
 ])
 def test_out_of_range_setting_rejected(tmp_path, monkeypatch, command):
     # settings are checked before any computation: none of these may run

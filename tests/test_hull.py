@@ -91,6 +91,12 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_fiber(gauss40, 0j, [1.0, 2.0])
 
+    @pytest.mark.parametrize("r_grid", [[1.0, 1.0, 2.0], [2.0, 1.0, 2.0, 4.0]])
+    def test_repeated_levels_rejected(self, gauss40, r_grid):
+        # a repeated level would only run the same test twice
+        with pytest.raises(ValueError, match="3 distinct values"):
+            classify_fiber(gauss40, 0j, r_grid)
+
     @pytest.mark.parametrize("depth", [0, 61])
     def test_depth_out_of_range_rejected(self, gauss40, depth):
         # checked before any cover is built, so no verdict carries it as a note

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 from types import SimpleNamespace
 
@@ -79,19 +78,22 @@ class TestBuild:
         z = z[np.min(np.abs(z[:, None] - poles[None, :]), axis=1) >= 0.1]
         assert np.max(np.abs(f(z) - ap.eval(z))) < 1e-9
 
-    def test_contour_independence(self, two_pole):
+    def test_contour_independence(self, two_pole, monkeypatch):
         system = leja_points(two_pole.singular_sample(), 2)
         ap = build_approximant(two_pole, system, 2, 3)
         doubled = CircleContour(ap.contour.center, 2 * ap.contour.radius)
-        ap2 = build_approximant(two_pole, system, 2, 3, contour=doubled)
+        monkeypatch.setattr(ratapprox, "_sample_contour", lambda *args: doubled)
+        ap2 = build_approximant(two_pole, system, 2, 3)
+        assert ap2.contour == doubled
         for ca, cb in zip(ap.coeffs, ap2.coeffs):
             assert np.max(np.abs(ca - cb)) < 1e-9
 
-    def test_contour_too_close(self, two_pole):
+    def test_contour_too_close(self, two_pole, monkeypatch):
         system = leja_points(two_pole.singular_sample(), 2)
         bad = CircleContour(0.5 + 0j, 0.2)  # node lands on the root at 0.3
+        monkeypatch.setattr(ratapprox, "_sample_contour", lambda *args: bad)
         with pytest.raises(ContourTooClose):
-            build_approximant(two_pole, system, 2, 2, contour=bad)
+            build_approximant(two_pole, system, 2, 2)
 
 
 class TestConvergence:
@@ -147,8 +149,7 @@ class TestConvergence:
         system = leja_points(two_pole.singular_sample(), 2)
         target = CompactSample([2.0 + 0j, 2.0j, -2.0 + 0j])
         bad = CircleContour(0.5 + 0j, 0.2)
-        monkeypatch.setattr(ratapprox, "build_approximant",
-                            functools.partial(build_approximant, contour=bad))
+        monkeypatch.setattr(ratapprox, "_sample_contour", lambda *args: bad)
         with pytest.raises(ContourTooClose, match=r"schedule entry \(m=2, N=1\)"):
             convergence_scan(two_pole, system, [(2, 1)], target)
 
