@@ -1,9 +1,13 @@
 """Command-line front end: reproducible runs, JSON reports, CSV traces.
 
-Config comes from an INI file (key = value sections) with flag overrides;
-flags win.  Every artifact embeds the sha256 of the resolved config and the
-library version, so an identical config (which holds the seed of `hmeasure`)
-reproduces byte-identical JSON.
+Each option holds its default and its check, a click type.  `--config` loads
+an INI file's [run] and [<command>] sections as click's default map, so a
+file value is typed and checked like the flag it stands for, and a flag
+wins over it.  Every artifact records the command's resolved options as its
+config, with the sha256 of that config and the library version, so an
+identical config (which holds the seed of `hmeasure`) reproduces
+byte-identical JSON.  Compound settings (points, levels, grids, function
+specs) stay text in the record and are parsed by the helpers below.
 Exit codes: 0 success, 1 config/schema error, 2 numeric failure.
 """
 from __future__ import annotations
@@ -79,30 +83,6 @@ def _parse_level(token: str) -> float:
     raise click.UsageError(f"bad level {token!r}; expected a finite positive number or e<k>")
 
 
-def _config_overlay(config_path: str | None, section: str,
-                    flags: dict, defaults: dict) -> dict:
-    """Config-file sections [run] and [section], then flags, then defaults.
-
-    A tolerance means something different in each command, so the file may
-    set it only in the section of a command that takes one (has it in flags).
-    """
-    merged: dict = {}
-    if config_path:
-        parser = configparser.ConfigParser()
-        if not parser.read(config_path):
-            raise click.UsageError(f"config file {config_path!r} not readable")
-        for sec in ("run", section):
-            if parser.has_section(sec):
-                items = dict(parser.items(sec))
-                if "tolerance" in items and (sec == "run" or "tolerance" not in flags):
-                    raise click.UsageError(f"config section [{sec}] may not set tolerance")
-                merged.update(items)
-    merged.update({k: v for k, v in flags.items() if v is not None})
-    for key, val in defaults.items():
-        merged.setdefault(key, val)
-    return merged
-
-
 def _positive(key: str, text, kind=float):
     """`text`, the setting `key`, as a finite positive `kind`, else a usage error."""
     try:
@@ -110,22 +90,29 @@ def _positive(key: str, text, kind=float):
             return kind(text)
     except ValueError:
         pass
-    raise click.UsageError(f"{key} must be a positive number, got {text!r}")
+    raise click.BadParameter(f"{key} must be a positive number, got {text!r}")
+
+
+class _PositiveFloat(click.ParamType):
+    """A finite positive float option; `click.FloatRange` would let NaN through."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        return _positive(param.name, value)
+
+
+_POSITIVE = _PositiveFloat()
+_COUNT = click.IntRange(min=1)
+_DEPTH = click.IntRange(1, MAX_DEPTH)
 
 
 def _fields(key: str, text, sep: str = ",", count: int | None = None) -> list:
     """`text`, the setting `key`, split at `sep`: into `count` fields, or any number."""
-    parts = str(text).split(sep)
+    parts = text.split(sep)
     if count is not None and len(parts) != count:
         raise click.UsageError(f"{key} needs {count} fields separated by {sep!r}, got {text!r}")
     return parts
-
-
-def _depth(text) -> int:
-    """The setting `depth`, an annulus count in [1, MAX_DEPTH], else a usage error."""
-    if _positive("depth", text, int) > MAX_DEPTH:
-        raise click.UsageError(f"depth must be at most {MAX_DEPTH}, got {text!r}")
-    return int(text)
 
 
 def _number(key: str, text) -> float:
@@ -146,8 +133,36 @@ def _sample(key: str, text, points) -> CompactSample:
         raise click.UsageError(f"{key} {text!r}: {e}")
 
 
-def _finish(out_dir: str, command: str, config: dict, payload: dict,
-            csv_rows=None, csv_name: str | None = None) -> None:
+def _load_config(ctx, param, path):
+    """The INI file's sections [run] and [<command>] as the command's default map.
+
+    A tolerance means something different in each command, so the file may
+    set it only in the section of a command that takes one.  Hull's `points`
+    holds its fibers separated by `;`, one per `--point` flag.
+    """
+    if path is None:
+        return
+    parser = configparser.ConfigParser()
+    if not parser.read(path):
+        raise click.UsageError(f"config file {path!r} not readable")
+    takes_tolerance = any(p.name == "tolerance" for p in ctx.command.params)
+    values: dict = {}
+    for sec in ("run", ctx.command.name):
+        if parser.has_section(sec):
+            items = dict(parser.items(sec))
+            if "tolerance" in items and (sec == "run" or not takes_tolerance):
+                raise click.UsageError(f"config section [{sec}] may not set tolerance")
+            values.update(items)
+    if "points" in values:
+        values["points"] = values["points"].split(";")
+    ctx.default_map = values
+
+
+def _finish(out_dir: str, payload: dict, csv_rows=None, csv_name: str | None = None) -> None:
+    """Write `<command>.json`, recording the resolved options as its config, and the CSV."""
+    ctx = click.get_current_context()
+    command = ctx.command.name
+    config = {k: v for k, v in ctx.params.items() if k != "out_dir" and v is not None}
     canon = json.dumps(config, sort_keys=True, default=str)
     digest = hashlib.sha256(canon.encode()).hexdigest()
     meta = {"config_sha256": digest, "version": __version__, "command": command}
@@ -168,16 +183,17 @@ def _finish(out_dir: str, command: str, config: dict, payload: dict,
 
 
 def _common(fn):
-    fn = click.option("--config", "config_path", type=str, default=None,
-                      help="INI config file; flags override its values")(fn)
+    fn = click.option("--config", type=str, is_eager=True, expose_value=False,
+                      callback=_load_config, help="INI config file; flags override its values")(fn)
     fn = click.option("--out", "out_dir", type=str, default="out")(fn)
     return fn
 
 
-_tolerance = click.option("--tolerance", type=float, default=None)
+_tolerance = click.option("--tolerance", type=_POSITIVE, default=None)
+_function = click.option("--function", default=None)
 
 
-@click.group()
+@click.group(context_settings={"show_default": True})
 def cli():
     """Potential-theoretic toolkit for graphs with polar singularities."""
 
@@ -185,42 +201,31 @@ def cli():
 @cli.command()
 @_common
 @_tolerance
-@click.option("--function", "function_spec", default=None)
-@click.option("--center", default=None)
-@click.option("--radius", type=float, default=None)
-@click.option("--kmax", type=int, default=None)
-def decompose(config_path, out_dir, tolerance, function_spec, center, radius, kmax):
+@_function
+@click.option("--center", default="0")
+@click.option("--radius", type=_POSITIVE, default=1.0)
+@click.option("--kmax", type=_COUNT, default=32)
+def decompose(out_dir, tolerance, function, center, radius, kmax):
     """Laurent split of a function model on one circle."""
-    cfg = _config_overlay(config_path, "decompose", {
-        "function": function_spec, "center": center, "radius": radius, "kmax": kmax,
-        "tolerance": tolerance,
-    }, {"center": "0", "radius": 1.0, "kmax": 32})
-    kmax = _positive("kmax", cfg["kmax"], int)
-    tol = _positive("tolerance", cfg.get("tolerance", 1e-8))
-    f = _parse_function(cfg.get("function"))
-    circle = CircleContour(_parse_point(str(cfg["center"])), _positive("radius", cfg["radius"]))
-    split = laurent_split(f, circle, kmax, tol=tol)
-    _finish(out_dir, "decompose", cfg, split.to_dict())
+    f = _parse_function(function)
+    circle = CircleContour(_parse_point(center), radius)
+    split = laurent_split(f, circle, kmax, tol=tolerance or 1e-8)
+    _finish(out_dir, split.to_dict())
 
 
 @cli.command()
 @_common
-@click.option("--function", "function_spec", default=None,
-              help="use the singular sample of a function family")
+@click.option("--function", default=None, help="use the singular sample of a function family")
 @click.option("--segment", default=None, help="A,B,N sample of a real segment")
-@click.option("--m", "m_points", type=int, default=None)
-def fekete(config_path, out_dir, function_spec, segment, m_points):
+@click.option("--m", type=_COUNT, default=40)
+def fekete(out_dir, function, segment, m):
     """Leja points and the capacity diagnostic on a sample."""
-    cfg = _config_overlay(config_path, "fekete", {
-        "function": function_spec, "segment": segment, "m": m_points,
-    }, {"m": 40})
-    m = _positive("m", cfg["m"], int)
-    if cfg.get("segment"):
-        a, b, n = _fields("segment", cfg["segment"], ",", 3)
-        sample = _sample("segment", cfg["segment"], np.linspace(
+    if segment:
+        a, b, n = _fields("segment", segment, ",", 3)
+        sample = _sample("segment", segment, np.linspace(
             _number("segment", a), _number("segment", b), _positive("segment", n, int)))
-    elif cfg.get("function"):
-        sample = _parse_function(cfg["function"]).singular_sample()
+    elif function:
+        sample = _parse_function(function).singular_sample()
     else:
         raise click.UsageError("need --segment or --function")
     m = min(m, len(sample))
@@ -229,149 +234,121 @@ def fekete(config_path, out_dir, function_spec, segment, m_points):
     if m >= 8:
         est = capacity_estimate(system)
         payload["capacity_estimate"] = {"value": est.value, "decreasing": est.decreasing}
-    _finish(out_dir, "fekete", cfg, payload,
+    _finish(out_dir, payload,
             csv_rows=[["m", "norm_root"]] + [[str(mm), repr(d)] for mm, d in system.diagnostics])
 
 
 @cli.command()
 @_common
 @_tolerance
-@click.option("--function", "function_spec", default=None)
-@click.option("--m", "m_den", type=int, default=None, help="denominator degree; defaults to sample size")
-@click.option("--n-list", default=None, help="outer orders, comma separated")
-@click.option("--target", default=None, help="target circle CX,CY:R:N")
-def approx(config_path, out_dir, tolerance, function_spec, m_den, n_list, target):
+@_function
+@click.option("--m", type=_COUNT, default=None, help="denominator degree; defaults to sample size")
+@click.option("--n-list", default="1,2,3,4", help="outer orders, comma separated")
+@click.option("--target", default="0,0:2.0:128", help="target circle CX,CY:R:N")
+def approx(out_dir, tolerance, function, m, n_list, target):
     """Convergence scan of prescribed-pole approximants; CSV trace of errors."""
-    cfg = _config_overlay(config_path, "approx", {
-        "function": function_spec, "m": m_den, "n_list": n_list, "target": target,
-        "tolerance": tolerance,
-    }, {"n_list": "1,2,3,4", "target": "0,0:2.0:128"})
-    orders = [_positive("n_list", t, int) for t in str(cfg["n_list"]).split(",")]
+    orders = [_positive("n_list", t, int) for t in n_list.split(",")]
     if any(b <= a for a, b in zip(orders, orders[1:])):
-        raise click.UsageError(f"n_list must be strictly increasing, got {cfg['n_list']!r}")
-    tol = _positive("tolerance", cfg.get("tolerance", 1e-10))
-    f = _parse_function(cfg.get("function"))
+        raise click.UsageError(f"n_list must be strictly increasing, got {n_list!r}")
+    f = _parse_function(function)
     sample = f.singular_sample()
-    m = len(sample) if cfg.get("m") is None else _positive("m", cfg["m"], int)
+    m = len(sample) if m is None else m
     if m > len(sample):
         raise click.UsageError(f"m must be at most the sample size {len(sample)}, got {m}")
-    ctr, rad, cnt = _fields("target", cfg["target"], ":", 3)
+    ctr, rad, cnt = _fields("target", target, ":", 3)
     center, rad, cnt = _parse_point(ctr), _positive("target", rad), _positive("target", cnt, int)
     theta = 2 * np.pi * np.arange(cnt) / cnt
-    target_sample = _sample("target", cfg["target"], center + rad * np.exp(1j * theta))
+    target_sample = _sample("target", target, center + rad * np.exp(1j * theta))
     system = leja_points(sample, m)
     report = convergence_scan(f, system, [(m, n) for n in orders], target_sample,
-                              quad_tol=tol)
-    _finish(out_dir, "approx", cfg, report.to_dict(), csv_rows=report.to_csv_rows())
+                              quad_tol=tolerance or 1e-10)
+    _finish(out_dir, report.to_dict(), csv_rows=report.to_csv_rows())
 
 
 @cli.command()
 @_common
-@click.option("--function", "function_spec", default=None)
-@click.option("--nu-max", type=int, default=None)
-@click.option("--tube", default=None,
-              help="graph-tube export A,B:N:T1,T2,... (offsets in w)")
-def psh(config_path, out_dir, function_spec, nu_max, tube):
+@_function
+@click.option("--nu-max", type=click.IntRange(2, MAX_NU), default=4)
+@click.option("--tube", default=None, help="graph-tube export A,B:N:T1,T2,... (offsets in w)")
+def psh(out_dir, function, nu_max, tube):
     """Certify the layered field schedule; optional graph-tube CSV export."""
-    cfg = _config_overlay(config_path, "psh", {
-        "function": function_spec, "nu_max": nu_max, "tube": tube,
-    }, {"nu_max": 4})
-    nu_max = _positive("nu_max", cfg["nu_max"], int)
-    if not 2 <= nu_max <= MAX_NU:
-        raise click.UsageError(f"nu_max must be in [2, {MAX_NU}], got {nu_max}")
-    tube = None
-    if cfg.get("tube"):
-        span, cnt, offs = _fields("tube", cfg["tube"], ":", 3)
-        tube = GridSpec.graph_tube([_number("tube", t) for t in _fields("tube", span, ",", 2)],
+    spec = None
+    if tube:
+        span, cnt, offs = _fields("tube", tube, ":", 3)
+        spec = GridSpec.graph_tube([_number("tube", t) for t in _fields("tube", span, ",", 2)],
                                    _positive("tube", cnt, int),
                                    [_number("tube", t) for t in _fields("tube", offs)])
-    f = _parse_function(cfg.get("function"))
+    f = _parse_function(function)
     field = certify_schedule(f, f.singular_sample(), nu_max)
     csv_rows = None
-    if tube is not None:
-        rows = export_field(field, tube)
+    if spec is not None:
+        rows = export_field(field, spec)
         csv_rows = [["z_re", "z_im", "w_re", "w_im", "u"]] + [
             [repr(v) for v in row] for row in rows
         ]
-    _finish(out_dir, "psh", cfg, field.to_dict(), csv_rows=csv_rows, csv_name="field.csv")
+    _finish(out_dir, field.to_dict(), csv_rows=csv_rows, csv_name="field.csv")
 
 
 @cli.command()
 @_common
-@click.option("--function", "function_spec", default=None)
-@click.option("--big-r", default=None, help="level threshold; accepts e<k> shorthand")
-@click.option("--point", default=None)
-@click.option("--depth", type=int, default=None)
-def thin(config_path, out_dir, function_spec, big_r, point, depth):
+@_function
+@click.option("--big-r", default="e", help="level threshold; accepts e<k> shorthand")
+@click.option("--point", default="0")
+@click.option("--depth", type=_DEPTH, default=40)
+def thin(out_dir, function, big_r, point, depth):
     """Wiener thinness test of a sublevel cover at a point."""
-    cfg = _config_overlay(config_path, "thin", {
-        "function": function_spec, "big_r": big_r, "point": point, "depth": depth,
-    }, {"big_r": "e", "point": "0", "depth": 40})
-    depth = _depth(cfg["depth"])
-    f = _parse_function(cfg.get("function"))
-    z0 = _parse_point(str(cfg["point"]))
-    cover = sublevel_cover(f, _parse_level(str(cfg["big_r"])), z0)
+    f = _parse_function(function)
+    z0 = _parse_point(point)
+    cover = sublevel_cover(f, _parse_level(big_r), z0)
     report = wiener_test(cover, z0, depth)
     rows = [["n", "inner", "outer", "capacity_estimate", "partial_sum"]]
     for (n, inner, outer, cap), s in zip(report.annuli, report.partial_sums):
         rows.append([str(n), repr(inner), repr(outer), repr(cap), repr(float(s))])
-    _finish(out_dir, "thin", cfg, report.to_dict(), csv_rows=rows)
+    _finish(out_dir, report.to_dict(), csv_rows=rows)
 
 
 @cli.command()
 @_common
-@click.option("--annulus", default=None, help="inner,outer radii")
-@click.option("--at", "at_point", default=None)
-@click.option("--walks", type=int, default=None)
-@click.option("--method", type=click.Choice(["wos", "grid"]), default=None)
-@click.option("--seed", type=int, default=None,
-              help="default 0; config-file value used unless set")
-def hmeasure(config_path, out_dir, annulus, at_point, walks, method, seed):
+@click.option("--annulus", default="0.1,1.0", help="inner,outer radii")
+@click.option("--at", default="0.4")
+@click.option("--walks", type=_COUNT, default=100000)
+@click.option("--method", type=click.Choice(["wos", "grid"]), default="wos")
+@click.option("--seed", type=click.IntRange(min=0), default=0)
+def hmeasure(out_dir, annulus, at, walks, method, seed):
     """Harmonic measure of the inner circle in an annulus, WOS or grid."""
-    cfg = _config_overlay(config_path, "hmeasure", {
-        "annulus": annulus, "at": at_point, "walks": walks, "method": method, "seed": seed,
-    }, {"annulus": "0.1,1.0", "at": "0.4", "walks": 100000, "method": "wos", "seed": 0})
-    walks = _positive("walks", cfg["walks"], int)
-    r_in, r_out = (_positive("annulus", t) for t in _fields("annulus", cfg["annulus"], ",", 2))
+    r_in, r_out = (_positive("annulus", t) for t in _fields("annulus", annulus, ",", 2))
     if not r_in < r_out:
-        raise click.UsageError(f"annulus needs inner < outer, got {cfg['annulus']!r}")
-    at = _parse_point(str(cfg["at"]))
-    if not r_in < abs(at) < r_out:
-        raise click.UsageError(
-            f"at must lie in the annulus {r_in} < |z| < {r_out}, got {cfg['at']!r}")
-    est = harmonic_measure(
-        at, CircleContour(0j, r_in), CircleContour(0j, r_out), DiskUnion([]),
-        walks=walks, seed=int(cfg["seed"]), method=str(cfg["method"]),
-    )
+        raise click.UsageError(f"annulus needs inner < outer, got {annulus!r}")
+    z = _parse_point(at)
+    if not r_in < abs(z) < r_out:
+        raise click.UsageError(f"at must lie in the annulus {r_in} < |z| < {r_out}, got {at!r}")
+    est = harmonic_measure(z, CircleContour(0j, r_in), CircleContour(0j, r_out), DiskUnion([]),
+                           walks=walks, seed=seed, method=method)
     rows = [["value", "std_error", "walks", "seed", "method"],
             [repr(est.value), repr(est.std_error), str(est.walks), str(est.seed), est.method]]
-    _finish(out_dir, "hmeasure", cfg, est.to_dict(), csv_rows=rows)
+    _finish(out_dir, est.to_dict(), csv_rows=rows)
 
 
 @cli.command()
 @_common
-@click.option("--function", "function_spec", default=None)
-@click.option("--point", "points", multiple=True)
-@click.option("--r-grid", default=None)
-@click.option("--depth", type=int, default=None)
-def hull(config_path, out_dir, function_spec, points, r_grid, depth):
+@_function
+@click.option("--point", "points", multiple=True, default=["0"],
+              callback=lambda ctx, param, value: ";".join(value))
+@click.option("--r-grid", default="e,e2,e10")
+@click.option("--depth", type=_DEPTH, default=40)
+def hull(out_dir, function, points, r_grid, depth):
     """Classify hull fibers over singular points; prints a table, writes JSON."""
-    cfg = _config_overlay(config_path, "hull", {
-        "function": function_spec, "points": ";".join(points) or None, "r_grid": r_grid,
-        "depth": depth,
-    }, {"points": "0", "r_grid": "e,e2,e10", "depth": 40})
-    depth = _depth(cfg["depth"])
-    f = _parse_function(cfg.get("function"))
-    grid = [_parse_level(t) for t in str(cfg["r_grid"]).split(",")]
+    f = _parse_function(function)
+    grid = [_parse_level(t) for t in r_grid.split(",")]
     if len(grid) < 3 or len(set(grid)) < len(grid):
-        raise click.UsageError(f"r_grid needs at least 3 distinct levels, got {cfg['r_grid']!r}")
+        raise click.UsageError(f"r_grid needs at least 3 distinct levels, got {r_grid!r}")
     entries = [classify_fiber(f, _parse_point(token), grid, depth=depth)
-               for token in str(cfg["points"]).split(";")]
+               for token in points.split(";")]
     click.echo(f"{'point':>16}  {'classification':<14} w0")
     for e in entries:
         w0 = "-" if e.w0 is None else f"{e.w0.real:+.12f}{e.w0.imag:+.12f}j"
         click.echo(f"{e.point!s:>16}  {e.classification:<14} {w0}")
-    _finish(out_dir, "hull", cfg, {"model": f.label, "entries": [e.to_dict() for e in entries]})
+    _finish(out_dir, {"model": f.label, "entries": [e.to_dict() for e in entries]})
 
 
 def main(argv=None) -> int:

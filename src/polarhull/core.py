@@ -75,10 +75,10 @@ def _eval_on_nodes(f, nodes: np.ndarray) -> np.ndarray:
         vals = np.asarray(f(nodes), dtype=complex)
     if vals.shape != nodes.shape:
         raise NodeEvaluationError(
-            f"integrand returned shape {vals.shape} on nodes of shape {nodes.shape}")
+            f"function returned shape {vals.shape} on nodes of shape {nodes.shape}")
     if not np.all(np.isfinite(vals)):
         bad = nodes[~np.isfinite(vals)][:1]
-        raise NodeEvaluationError(f"integrand is not finite at node {bad[0]!r}")
+        raise NodeEvaluationError(f"function is not finite at node {bad[0]!r}")
     return vals
 
 
@@ -292,8 +292,8 @@ def _horner(high_first, x, start=None):
     may be a scalar or an array that broadcasts against the array x, and
     `high_first` may be a generator, so array coefficients are made one at a
     time.  The running sum starts from zeros shaped like x, or from `start`,
-    a sum this function returned for the leading coefficients: folding the
-    rest into it is bitwise the fold of all of them from zeros.
+    the initial running sum: `pshbuild._box_ceiling` passes `nu + |A|(nu)`,
+    the term that Horner's rule then multiplies by x once per coefficient.
     """
     out = np.zeros_like(x) if start is None else start
     for c in high_first:

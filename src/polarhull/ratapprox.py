@@ -21,6 +21,7 @@ from .core import (
     CompactSample,
     PolarhullError,
     PolynomialC,
+    _eval_on_nodes,
     _horner,
     circle_trapezoid,
     pointwise,
@@ -328,7 +329,7 @@ def convergence_scan(f, sys: FeketeSystem, schedule, target: CompactSample, *,
     if dist <= 0:
         raise ValueError("target must keep positive distance from the sample")
 
-    fv = np.asarray(f(target.points), dtype=complex)
+    fv = _eval_on_nodes(f, target.points)
     entries, quadrature = [], []
     for m, n in schedule:
         try:

@@ -1,6 +1,9 @@
 import json
 import math
+import re
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +42,8 @@ def test_malformed_config_file_exits_one(tmp_path):
     ["hmeasure", "--annulus", "1e-300,1", "--at", 0.5, "--method", "grid"],
     # within 1e-9 of the origin, but not within SAMPLE_TOL of any sample point
     ["hull", "--function", "pole-series-gaussian:40", "--point", "1e-10", "--r-grid", "1,2,4"],
+    # the target circle comes so close to the essential singularity that exp(1/z) overflows
+    ["approx", "--function", "exp-reciprocal", "--target", "0,0:0.001:8"],
 ])
 def test_numeric_failure_exits_two(tmp_path, capsys, command):
     with warnings.catch_warnings(record=True) as caught:
@@ -263,14 +268,56 @@ def test_nonpositive_count_rejected(tmp_path, command, value):
     ["approx", "--function", "exp-reciprocal", "--n-list", "2,1"],
     ["approx", "--function", "exp-reciprocal", "--n-list", "1,1"],
     ["approx", "--function", "recip-sin-pi:8", "--m", 1000],
+    ["hmeasure", "--seed", -1],
 ])
 def test_out_of_range_setting_rejected(tmp_path, monkeypatch, command):
+    _forbid_library_calls(monkeypatch)
+    assert run(command + ["--out", tmp_path / "x"]) == 1
+    assert not (tmp_path / "x").exists()
+
+
+def _forbid_library_calls(monkeypatch):
     # settings are checked before any computation: none of these may run
     for name in ("certify_schedule", "convergence_scan", "leja_points", "harmonic_measure",
                  "laurent_split", "sublevel_cover", "wiener_test", "classify_fiber"):
         monkeypatch.setattr(f"polarhull.cli.{name}", lambda *a, _n=name, **k: pytest.fail(_n))
-    assert run(command + ["--out", tmp_path / "x"]) == 1
+
+
+@pytest.mark.parametrize("command, ini", [
+    (["hmeasure"], "[hmeasure]\nmethod = foo\n"),
+    (["hmeasure"], "[hmeasure]\nseed = x\n"),
+    (["thin", "--function", "exp-reciprocal"], "[thin]\ndepth = 61\n"),
+    (["decompose", "--function", "exp-reciprocal"], "[decompose]\nradius = nan\n"),
+], ids=["method-foo", "seed-x", "depth-61", "radius-nan"])
+def test_config_value_checked_like_its_flag(tmp_path, monkeypatch, command, ini):
+    _forbid_library_calls(monkeypatch)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    assert run(command + ["--config", cfg, "--out", tmp_path / "x"]) == 1
     assert not (tmp_path / "x").exists()
+
+
+def test_config_file_run_records_typed_options(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nfunction = exp-reciprocal\n[hmeasure]\nwalks = 5000\n")
+    assert run(["hmeasure", "--config", cfg, "--out", tmp_path / "x"]) == 0
+    config = json.loads((tmp_path / "x" / "hmeasure.json").read_text())["config"]
+    assert config["walks"] == 5000
+    assert "function" not in config  # not an option of hmeasure
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("polarhull ")]
+
+
+@pytest.mark.parametrize("args", _readme_commands(), ids=lambda args: args[0])
+def test_readme_cli_commands_run(tmp_path, args):
+    out = args.index("--out")
+    assert run(args[:out + 1] + [tmp_path] + args[out + 2:]) == 0
+    assert (tmp_path / f"{args[0]}.json").exists()
 
 
 def test_hmeasure_grid_reruns_byte_identical(tmp_path):
