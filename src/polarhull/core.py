@@ -110,22 +110,31 @@ class DiskUnion:
     `faithful_depth` is how many dyadic annuli about a point the union speaks
     for: a cover of a truncated family may look empty deeper in only because
     of the truncation, so thinness tests read no evidence past it.
+
+    `side` says how the union stands to the set S it covers: "inner" (every
+    disk lies in S), "outer" (the union contains S) or "exact" (the union
+    is S).  A lower capacity bound speaks for S only from a union that is
+    not outer, an upper bound only from one that is not inner.
     """
 
     centers: np.ndarray
     radii: np.ndarray
     faithful_depth: int = 60
+    side: str = "exact"
 
     def __init__(self, disks=()):
         disks = tuple(disks)
-        self._set([d.center for d in disks], [d.radius for d in disks], 60)
+        self._set([d.center for d in disks], [d.radius for d in disks], 60, "exact")
 
     @classmethod
-    def from_arrays(cls, centers, radii, faithful_depth: int = 60) -> "DiskUnion":
+    def from_arrays(cls, centers, radii, faithful_depth: int = 60,
+                    side: str = "exact") -> "DiskUnion":
         """Union of the disks D(centers[i], radii[i]), each checked as a `CircleContour`."""
-        return cls.__new__(cls)._set(centers, radii, faithful_depth)
+        return cls.__new__(cls)._set(centers, radii, faithful_depth, side)
 
-    def _set(self, centers, radii, faithful_depth) -> "DiskUnion":
+    def _set(self, centers, radii, faithful_depth, side) -> "DiskUnion":
+        if side not in ("inner", "outer", "exact"):
+            raise ValueError(f"side must be 'inner', 'outer' or 'exact', got {side!r}")
         centers = np.array(centers, dtype=complex).ravel()
         radii = np.array(radii, dtype=float).ravel()
         if centers.shape != radii.shape:
@@ -138,6 +147,7 @@ class DiskUnion:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "faithful_depth", int(faithful_depth))
+        object.__setattr__(self, "side", side)
         return self
 
     def __len__(self):

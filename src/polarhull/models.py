@@ -227,32 +227,26 @@ class RecipSinPi(FunctionModel):
 
 @dataclass(frozen=True, eq=False)
 class RationalModel(FunctionModel):
-    """Rational function given by simple poles/residues plus a polynomial part."""
+    """Rational function sum residues[n] / (z - poles[n]) with simple poles."""
 
     family = "rational"
     label = "rational"
 
     poles: np.ndarray
     residues: np.ndarray
-    polynomial: PolynomialC
 
-    def __init__(self, poles, residues, polynomial: PolynomialC | None = None):
+    def __init__(self, poles, residues):
         object.__setattr__(self, "poles", as_complex_array(poles))
         object.__setattr__(self, "residues", as_complex_array(residues))
-        object.__setattr__(self, "polynomial", polynomial or ZERO_POLY)
         if self.poles.shape != self.residues.shape:
             raise ValueError("poles and residues must have equal length")
 
     @pointwise
     def __call__(self, z):
-        return self.polynomial(z) + self._principal(z)
+        return _chunked_pole_sum(z, self.poles, self.residues)
 
     def singular_sample(self) -> CompactSample:
         return CompactSample(self.poles)
 
     def split_at_infinity(self):
-        return self.polynomial, self._principal
-
-    @pointwise
-    def _principal(self, z):
-        return _chunked_pole_sum(z, self.poles, self.residues)
+        return ZERO_POLY, self

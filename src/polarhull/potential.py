@@ -1,10 +1,13 @@
 """One-variable potential theory: thinness tests and harmonic measure.
 
 The Wiener test works on dyadic annuli around the query point and keeps two
-one-sided capacity bounds per annulus: a contained segment/disk rule that can
-only under-estimate (sound for a divergence verdict) and a per-disk radius
-bound that can only over-estimate (sound for a convergence verdict).  The
-report records which side drove the verdict.
+one-sided capacity bounds per annulus: a contained segment/disk rule that
+under-estimates the capacity of the union (a divergence verdict) and a
+per-disk radius bound that over-estimates it (a convergence verdict).  Each
+bound speaks for the sublevel set only from a cover on its side: the lower
+one from disks inside the set, the upper one from disks that cover it (see
+`DiskUnion.side`).  The report records the cover's side and which bound
+drove the verdict.
 
 Harmonic measure is estimated by walk-on-spheres with absorbing circles, or
 by a five-point relaxation sweep on a Cartesian grid for cross-checking; the
@@ -23,7 +26,6 @@ from .models import ExpReciprocal, FunctionModel, PoleSeries, RecipSinPi
 __all__ = [
     "UnsupportedFamily",
     "ThresholdTooSmall",
-    "PointInsideCover",
     "StartInsideObstacle",
     "WienerReport",
     "MeasureEstimate",
@@ -41,10 +43,6 @@ class ThresholdTooSmall(PolarhullError):
     """No valid cover certificate exists at this level threshold."""
 
 
-class PointInsideCover(PolarhullError):
-    """The thinness query point lies interior to a cover disk."""
-
-
 class StartInsideObstacle(PolarhullError):
     pass
 
@@ -59,12 +57,12 @@ COVER_WINDOW = 1.0  # 1/sin(pi/z) covers keep the poles within this distance of 
 def sublevel_cover(f: FunctionModel, big_r: float, z0: complex = 0j) -> DiskUnion:
     """Family-specific disk cover of {|f| >= big_r} near z0.
 
-    Pole series get disks about each pole with radius C sqrt(gamma_n), C the
-    smallest power of two certifying sum |c_n|/r_n <= big_r.  exp(1/z) gets
-    the exact level disk of re(1/z) >= log R.  1/sin(pi/z) gets rigorously
-    inner disks (Moebius images of |eps| <= asinh(1/R)/(2 pi), a 2x margin on
-    the linearized radius); when z0 is itself a pole, its own disk is replaced
-    by a dyadic chain of inscribed disks so the query point stays exterior.
+    Pole series get an outer cover: disks about each pole with radius
+    C sqrt(gamma_n), C the smallest power of two certifying
+    sum |c_n|/r_n <= big_r.  exp(1/z) gets the exact level disk of
+    re(1/z) >= log R.  1/sin(pi/z) gets rigorously inner disks (Moebius
+    images of |eps| <= asinh(1/R)/(2 pi), a 2x margin on the linearized
+    radius).  A disk may contain z0: the Wiener test reads it as evidence.
     """
     if not 0 < big_r < math.inf:
         raise ThresholdTooSmall(f"a cover needs 0 < big_r < inf, got {big_r!r}")
@@ -89,14 +87,10 @@ def _pole_series_cover(f: PoleSeries, big_r: float) -> DiskUnion:
         raise ThresholdTooSmall("empty coefficient data")
     c_factor = 2.0 ** math.ceil(math.log2(needed))
     log_radii = math.log(c_factor) + 0.5 * log_gamma
-    if np.any(log_radii >= np.log(np.abs(f.poles))):
-        raise ThresholdTooSmall(
-            "cover disks would swallow their poles; raise big_r or the truncation"
-        )
     radii = np.maximum(np.exp(log_radii), MIN_DISK_RADIUS)
     # tail disks beyond the truncation shrink at the sqrt(gamma) rate, so the
     # deep annuli they would occupy contribute below any verdict tolerance
-    return DiskUnion.from_arrays(f.poles, radii)
+    return DiskUnion.from_arrays(f.poles, radii, side="outer")
 
 
 def _recip_sin_cover(f: RecipSinPi, big_r: float, z0: complex) -> DiskUnion:
@@ -105,54 +99,18 @@ def _recip_sin_cover(f: RecipSinPi, big_r: float, z0: complex) -> DiskUnion:
     # |sin(pi eps)| <= sinh(pi |eps|), so |eps| <= asinh(1/R)/pi certifies
     # |f| >= R; halving gives the 2x enclosure margin.
     rho = math.asinh(1.0 / big_r) / math.pi / 2.0
-    z0 = complex(z0)
     # poles +1/n for ascending n, then -1/n
     n = np.tile(np.arange(1, POLE_CAP + 1, dtype=float), 2)
     sign = np.repeat([1.0, -1.0], POLE_CAP)
-    gap = np.abs(sign / n - z0)
     denom = n * n - rho * rho
-    centers, radii = sign * n / denom, rho / denom
-    keep = gap <= COVER_WINDOW + 1.0 / (n * n)
-    # each disk spans 1/(n + rho)..1/(n - rho) on the axis, so with rho < 1/2
-    # the disks are disjoint and z0 sits inside at most one pole's own disk
-    own = np.flatnonzero(keep & (gap < radii))
-    chain_depth = 0
-    if own.size:
-        i = own[0]
-        chain_centers, chain_radii, chain_depth = _dyadic_chain(z0, radii[i], centers[i])
-        keep[i] = False
-        at = np.count_nonzero(keep[:i])
-        centers = np.insert(centers[keep].astype(complex), at, chain_centers)
-        radii = np.insert(radii[keep], at, chain_radii)
-    else:
-        centers, radii = centers[keep], radii[keep]
-    if not radii.size:
+    keep = np.abs(sign / n - complex(z0)) <= COVER_WINDOW + 1.0 / (n * n)
+    if not keep.any():
         raise ThresholdTooSmall("no singular points inside the requested window")
     # poles with index beyond POLE_CAP are missing near 0; annuli around z0
     # deeper than their scale are truncation artifacts, not evidence
-    if abs(z0) <= 2.0 / POLE_CAP:
-        faithful = int(math.floor(math.log2(POLE_CAP))) - 1
-    elif chain_depth:
-        faithful = min(60, chain_depth - 2)
-    else:
-        faithful = 60
-    return DiskUnion.from_arrays(centers, radii, faithful_depth=faithful)
-
-
-def _dyadic_chain(z0: complex, region_radius: float, region_center: complex,
-                  depth: int = 50) -> tuple[np.ndarray, np.ndarray, int]:
-    """Inscribed disks D(z0 + 0.75 2^-k, 2^-k/4) inside a punctured disk at z0.
-
-    They witness the full annulus occupancy of a set that surrounds z0 without
-    ever containing z0, so the Wiener test precondition holds.  Returns the
-    centers, the radii and the deepest dyadic scale reached.
-    """
-    slack = region_radius - abs(region_center - z0)
-    k0 = max(1, math.ceil(-math.log2(max(slack, 1e-280))))
-    k = np.arange(k0, k0 + depth)
-    step = np.ldexp(1.0, -k)
-    k, step = k[step >= 1e-280], step[step >= 1e-280]
-    return z0 + 0.75 * step, step / 4.0, int(k[-1]) if k.size else k0
+    faithful = int(math.floor(math.log2(POLE_CAP))) - 1 if abs(z0) <= 2.0 / POLE_CAP else 60
+    return DiskUnion.from_arrays((sign * n / denom)[keep], (rho / denom)[keep], faithful,
+                                 side="inner")
 
 
 # ---------------------------------------------------------------- wiener test
@@ -175,6 +133,7 @@ class WienerReport:
     depth_requested: int   # `depth` is this, capped at the cover's faithful depth
     faithful_depth: int
     cover_disks: int
+    cover_side: str        # inner | outer | exact, see DiskUnion.side
 
     def to_dict(self) -> dict:
         return {
@@ -191,6 +150,7 @@ class WienerReport:
             "depth_requested": self.depth_requested,
             "faithful_depth": self.faithful_depth,
             "cover_disks": self.cover_disks,
+            "cover_side": self.cover_side,
             "tolerance": WIENER_TOLERANCE,
             "slope": WIENER_SLOPE,
             "bound_used": self.bound_used,
@@ -198,12 +158,16 @@ class WienerReport:
 
 
 def wiener_test(cover: DiskUnion, point: complex, depth: int = 40) -> WienerReport:
-    """Dyadic-annulus Wiener sum around `point` with a two-sided verdict.
+    """Dyadic-annulus Wiener sums around `point` and the verdict its cover can prove.
 
-    NON_THIN requires the lower partial sums to majorize WIENER_SLOPE*n over
-    the last 10 depths; THIN requires the upper partial sum increments over
-    the last 5 depths to total below WIENER_TOLERANCE; anything else, or both
-    at once, is INCONCLUSIVE.
+    The lower partial sums show divergence when they majorize WIENER_SLOPE*n
+    over the last 10 depths; the upper ones show convergence when their
+    increments over the last 5 depths total below WIENER_TOLERANCE.  NON_THIN
+    needs the first alone and a cover that is not outer, THIN the second
+    alone and a cover that is not inner; anything else is INCONCLUSIVE.  A
+    disk that contains `point` is evidence like any other: an inner or
+    exact one puts a segment of capacity 2^-n-3 in every annulus n it
+    spans, and an outer one makes the upper sums diverge.
 
     The sum stops at the cover's `faithful_depth` when that comes before
     `depth`: deeper annuli of a truncated family are not evidence.  The
@@ -218,11 +182,6 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40) -> WienerRepo
         raise ValueError(f"point {point!r} is not finite")
     r = cover.radii
     dist = np.abs(cover.centers - point)
-    inside = dist < r - 1e-15
-    if inside.any():
-        raise PointInsideCover(
-            f"{point!r} interior to disk at {complex(cover.centers[inside][0])!r}")
-
     near, far = dist - r, dist + r
     annuli = []
     low_terms = np.zeros(depth)
@@ -252,9 +211,9 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40) -> WienerRepo
     thin_window = min(5, depth)
     thin = bool(np.sum(up_terms[-thin_window:]) < WIENER_TOLERANCE)
 
-    if non_thin and not thin:
+    if non_thin and not thin and cover.side != "outer":
         verdict, used, sums = "NON_THIN", "lower", s_low
-    elif thin and not non_thin:
+    elif thin and not non_thin and cover.side != "inner":
         verdict, used, sums = "THIN", "upper", s_up
     else:
         verdict, used, sums = "INCONCLUSIVE", "none", s_up
@@ -262,7 +221,7 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40) -> WienerRepo
         point=point, annuli=tuple(annuli), partial_sums=sums, verdict=verdict,
         depth=depth, bound_used=used,
         partial_sums_lower=s_low, partial_sums_upper=s_up, depth_requested=requested,
-        faithful_depth=cover.faithful_depth, cover_disks=len(cover),
+        faithful_depth=cover.faithful_depth, cover_disks=len(cover), cover_side=cover.side,
     )
 
 

@@ -34,7 +34,7 @@ EXPORTS = (
 
 PINNED = {
     "core.DiskUnion.__init__": ("disks",),
-    "core.DiskUnion.from_arrays": ("faithful_depth",),
+    "core.DiskUnion.from_arrays": ("faithful_depth", "side"),
     "core.PolynomialC.__init__": ("roots",),
     "hull.classify_fiber": ("depth", "potential"),
     "laurent.laurent_split": ("tol",),
@@ -43,7 +43,6 @@ PINNED = {
     "models.PoleSeries.gaussian": ("n_terms",),
     "models.PoleSeries.geometric": ("n_terms", "ratio"),
     "models.RecipSinPi.__init__": ("pole_cutoff",),
-    "models.RationalModel.__init__": ("polynomial",),
     "potential.MeasureEstimate.__init__": ("residual",),
     "potential.sublevel_cover": ("z0",),
     "potential.wiener_test": ("depth",),

@@ -126,6 +126,19 @@ def test_thin_csv_trace(tmp_path):
     assert doc["result"]["verdict"] == "NON_THIN"
 
 
+@pytest.mark.parametrize("function, verdict, side", [
+    ("pole-series-gaussian", "INCONCLUSIVE", "outer"),
+    ("exp-reciprocal", "NON_THIN", "exact"),
+])
+def test_thin_at_a_point_inside_a_cover_disk(tmp_path, function, verdict, side):
+    # 0.5 is a pole of the series and an interior point of exp(1/z)'s level
+    # disk at R = e: a disk over the point is evidence, not an error
+    out = tmp_path / "run"
+    assert run(["thin", "--function", function, "--point", "0.5", "--out", out]) == 0
+    doc = json.loads((out / "thin.json").read_text())["result"]
+    assert (doc["verdict"], doc["cover_side"]) == (verdict, side)
+
+
 def test_thin_stops_at_the_faithful_depth_as_hull_does(tmp_path):
     # the 1/sin(pi/z) cover at 0 holds poles 1/n for n <= 4096 only, so it
     # speaks for 11 dyadic annuli; hull and thin both stop there
@@ -306,9 +319,13 @@ def test_config_file_run_records_typed_options(tmp_path):
     assert "function" not in config  # not an option of hmeasure
 
 
-def _readme_commands():
+def _readme_block(heading, lang):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    return re.search(rf"## {heading}\n.*?```{lang}\n(.*?)```", readme, re.S).group(1)
+
+
+def _readme_commands():
+    block = _readme_block("CLI", "sh")
     return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
             if line.startswith("polarhull ")]
 
@@ -318,6 +335,15 @@ def test_readme_cli_commands_run(tmp_path, args):
     out = args.index("--out")
     assert run(args[:out + 1] + [tmp_path] + args[out + 2:]) == 0
     assert (tmp_path / f"{args[0]}.json").exists()
+
+
+def test_readme_example_prints_its_comments(capsys):
+    block = _readme_block("Example", "python")
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    assert prints and all("#" in line for line in prints)
+    exec(block, {})
+    assert capsys.readouterr().out.splitlines() == [line.split("#", 1)[1].strip()
+                                                    for line in prints]
 
 
 def test_hmeasure_grid_reruns_byte_identical(tmp_path):

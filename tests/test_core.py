@@ -168,8 +168,13 @@ def test_disk_union_keeps_disk_behaviour():
     union = DiskUnion(disks)
     assert len(union) == 3 and union.faithful_depth == 60
     assert list(union) == disks
+    assert union.side == "exact"
     same = DiskUnion.from_arrays([d.center for d in disks], [d.radius for d in disks], 7)
     assert list(same) == list(union) and same.faithful_depth == 7
+    inner = DiskUnion.from_arrays(same.centers, same.radii, 7, "inner")
+    assert list(inner) == list(union) and inner.side == "inner"
+    with pytest.raises(ValueError, match="side"):
+        DiskUnion.from_arrays(same.centers, same.radii, 7, side="sideways")
     with pytest.raises(ValueError):
         union.radii[0] = 1.0  # the arrays are read-only
 

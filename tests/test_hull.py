@@ -127,6 +127,14 @@ class TestClassify:
         assert entry.classification == "UNKNOWN"
         assert "UnsupportedFamily" in entry.notes
 
+    def test_inner_cover_never_proves_thin(self):
+        # at R = e^30 the pole's own inner disk reaches only 2^-48, so the
+        # 40 annuli look empty; inner disks cannot show that the set is thin
+        entry = classify_fiber(RecipSinPi(), 0.5, (math.e, math.e**2, math.e**30))
+        assert entry.classification == "UNKNOWN"
+        assert [r.verdict for r in entry.wiener_reports] == ["NON_THIN", "NON_THIN",
+                                                             "INCONCLUSIVE"]
+
     def test_conflicting_evidence_stays_unknown(self, gauss40):
         # thin below a non-thin level is contradictory and must not be
         # silently resolved either way

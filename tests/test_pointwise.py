@@ -54,7 +54,7 @@ def evaluators(gauss10_field):
     q = poly_from_roots(roots)
     poly = PolynomialC(rng.normal(size=9) + 1j * rng.normal(size=9))
     exp, rsp = ExpReciprocal(), RecipSinPi(16)
-    rational = RationalModel([0.3, 0.5], [1.0, 2.0], PolynomialC([0.5, 1.0, -0.25]))
+    rational = RationalModel([0.3, 0.5], [1.0, 2.0])
     gauss = PoleSeries.gaussian(10)
     laurent = laurent_split(exp, CircleContour(0j, 1.0), 24)
     g5 = PoleSeries.gaussian(5)

@@ -13,7 +13,6 @@ from polarhull.models import (
     TailUncertifiable,
 )
 from polarhull.potential import (
-    PointInsideCover,
     StartInsideObstacle,
     ThresholdTooSmall,
     UnsupportedFamily,
@@ -113,9 +112,39 @@ class TestWiener:
         inc = np.diff(rep.partial_sums_upper)
         assert np.sum(inc[-20:]) < 1e-3
 
-    def test_point_inside_cover_rejected(self):
-        with pytest.raises(PointInsideCover):
-            wiener_test(DiskUnion([Disk(0j, 0.5)]), 0j, 10)
+    @pytest.mark.parametrize("side,verdict", [("exact", "NON_THIN"), ("inner", "NON_THIN"),
+                                              ("outer", "INCONCLUSIVE")])
+    def test_disk_containing_point_is_evidence(self, side, verdict):
+        cover = DiskUnion.from_arrays([0.125 + 0j], [0.5], side=side)
+        rep = wiener_test(cover, 0j, 10)
+        assert (rep.verdict, rep.cover_side) == (verdict, side)
+        # the disk holds the radial segment [2^-n-1, 2^-n] of every annulus
+        assert [cap for _, _, _, cap in rep.annuli] == [2.0 ** (-n - 3) for n in range(1, 11)]
+        # and the per-disk upper bound n / log(2^n) never dies out
+        np.testing.assert_allclose(np.diff(rep.partial_sums_upper), 1.0 / math.log(2.0))
+
+    @pytest.mark.parametrize("side,far_verdict,exp_verdict", [
+        ("exact", "THIN", "NON_THIN"), ("inner", "INCONCLUSIVE", "NON_THIN"),
+        ("outer", "THIN", "INCONCLUSIVE")])
+    def test_each_bound_speaks_only_from_its_side(self, side, far_verdict, exp_verdict):
+        far = DiskUnion.from_arrays([3.0 + 0j], [0.5], side=side)
+        exp = sublevel_cover(ExpReciprocal(), math.e)
+        tangent = DiskUnion.from_arrays(exp.centers, exp.radii, side=side)
+        assert wiener_test(far, 0j, 40).verdict == far_verdict
+        assert wiener_test(tangent, 0j, 40).verdict == exp_verdict
+
+    def test_covers_carry_their_side(self):
+        assert sublevel_cover(ExpReciprocal(), math.e).side == "exact"
+        assert sublevel_cover(PoleSeries.gaussian(40), 1.0).side == "outer"
+        assert sublevel_cover(RecipSinPi(), math.e, 0.5).side == "inner"
+
+    def test_geometric_low_level_is_inconclusive(self):
+        # at R = 2 the outer disk about the pole 1 reaches past the origin,
+        # so the upper sums diverge: INCONCLUSIVE, no ThresholdTooSmall
+        cover = sublevel_cover(PoleSeries.geometric(40), 2.0)
+        assert np.any(np.abs(cover.centers) < cover.radii)
+        rep = wiener_test(cover, 0j, 40)
+        assert (rep.verdict, rep.bound_used) == ("INCONCLUSIVE", "none")
 
     @pytest.mark.parametrize("point", [complex(math.nan, 0), complex(0, math.inf)])
     def test_non_finite_point_rejected(self, point):
@@ -291,8 +320,13 @@ def _annulus_lower_cap_oracle(d, z0, inner, outer):
 
 
 def _wiener_oracle(cover, point, depth, tolerance=1e-3, slope=0.1):
-    """Disk-by-disk Wiener sums: (annuli, lower sums, upper sums, verdict, bound_used)."""
+    """Disk-by-disk Wiener sums: (annuli, lower sums, upper sums, verdict, bound_used).
+
+    The lower sums decide only for a cover that is not outer, the upper sums
+    only for one that is not inner.
+    """
     point = complex(point)
+    side = cover.side
     cover = tuple(cover)
     annuli = []
     low_terms = np.zeros(depth)
@@ -314,32 +348,19 @@ def _wiener_oracle(cover, point, depth, tolerance=1e-3, slope=0.1):
     tail = min(10, depth)
     non_thin = bool(np.all(s_low[-tail:] >= slope * np.arange(depth - tail + 1, depth + 1)))
     thin = bool(np.sum(up_terms[-min(5, depth):]) < tolerance)
-    if non_thin and not thin:
+    if non_thin and not thin and side in ("inner", "exact"):
         verdict, used = "NON_THIN", "lower"
-    elif thin and not non_thin:
+    elif thin and not non_thin and side in ("outer", "exact"):
         verdict, used = "THIN", "upper"
     else:
         verdict, used = "INCONCLUSIVE", "none"
     return tuple(annuli), s_low, s_up, verdict, used
 
 
-def _dyadic_chain_oracle(z0, region_radius, region_center, depth=50):
-    slack = region_radius - abs(region_center - z0)
-    k0 = max(1, math.ceil(-math.log2(max(slack, 1e-280))))
-    out, last_k = [], k0
-    for k in range(k0, k0 + depth):
-        step = 2.0 ** (-k)
-        if step < 1e-280:
-            break
-        out.append(Disk(z0 + 0.75 * step, step / 4.0))
-        last_k = k
-    return out, last_k
-
-
 def _recip_sin_cover_oracle(big_r, z0, radius=1.0, pole_cap=4096):
     """Pole-by-pole 1/sin(pi/z) cover: (disks, faithful_depth)."""
     rho = math.asinh(1.0 / big_r) / math.pi / 2.0
-    disks, chain_depth = [], 0
+    disks = []
     z0 = complex(z0)
     for sign in (1, -1):
         for n in range(1, pole_cap + 1):
@@ -347,19 +368,8 @@ def _recip_sin_cover_oracle(big_r, z0, radius=1.0, pole_cap=4096):
             if abs(pole - z0) > radius + 1.0 / n**2:
                 continue
             denom = n * n - rho * rho
-            center, r = sign * n / denom, rho / denom
-            if abs(pole - z0) < r:
-                chain, last_k = _dyadic_chain_oracle(z0, r, center)
-                disks.extend(chain)
-                chain_depth = max(chain_depth, last_k)
-            else:
-                disks.append(Disk(complex(center), r))
-    if abs(z0) <= 2.0 / pole_cap:
-        faithful = int(math.floor(math.log2(pole_cap))) - 1
-    elif chain_depth:
-        faithful = min(60, chain_depth - 2)
-    else:
-        faithful = 60
+            disks.append(Disk(complex(sign * n / denom), rho / denom))
+    faithful = int(math.floor(math.log2(pole_cap))) - 1 if abs(z0) <= 2.0 / pole_cap else 60
     return disks, faithful
 
 
@@ -397,6 +407,9 @@ def _oracle_cases():
         ("gaussian-40@0", sublevel_cover(PoleSeries.gaussian(40), 1.0), 0j, 40),
         ("truncated-chain", _chain(range(1, 16)), 0j, 40),
         ("enlarged-chain", _chain(range(1, 41), grow=1.4), 0j, 40),
+        # an outer disk over the point, and inner disks that look thin
+        ("geometric-40@0/R=2", sublevel_cover(PoleSeries.geometric(40), 2.0), 0j, 40),
+        ("recip-sin-pi@0.5/R=e30", sublevel_cover(sin, e**30, 0.5 + 0j), 0.5 + 0j, 40),
     ]
     for z0 in (0j, 0.5 + 0j, -0.5 + 0j):
         for big_r in (e, e**2, e**4):
@@ -436,10 +449,10 @@ class TestArrayPathsAgainstOracles:
 
     def test_recip_sin_faithful_depths(self):
         assert sublevel_cover(RecipSinPi(), math.e, 0j).faithful_depth == 11
-        # at +-1/2 the pole's own disk is replaced by a dyadic chain
-        chain = sublevel_cover(RecipSinPi(), math.e, 0.5 + 0j)
-        assert chain.faithful_depth < 60
-        assert np.sum(np.abs(chain.centers - 0.5) < 0.01) >= 40
+        # at +-1/2 the cover keeps the pole's own disk, which contains the pole
+        own = sublevel_cover(RecipSinPi(), math.e, 0.5 + 0j)
+        assert own.faithful_depth == 60
+        assert np.count_nonzero(np.abs(own.centers - 0.5) < own.radii) == 1
 
     @pytest.mark.parametrize("n_terms", [40, 1000])
     @pytest.mark.parametrize("big_r", [1.0, 2.0])
