@@ -24,7 +24,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .core import CircleContour, CompactSample, DiskUnion, PolarhullError
+from .core import MAX_QUAD_NODES, CircleContour, CompactSample, DiskUnion, PolarhullError
 from .models import ExpReciprocal, PoleSeries, RecipSinPi
 from .laurent import laurent_split
 from .fekete import leja_points, capacity_estimate
@@ -204,7 +204,8 @@ def cli():
 @_function
 @click.option("--center", default="0")
 @click.option("--radius", type=_POSITIVE, default=1.0)
-@click.option("--kmax", type=_COUNT, default=32)
+# the split starts its quadrature at 4 (kmax + 1) nodes rounded up to a power of 2
+@click.option("--kmax", type=click.IntRange(1, MAX_QUAD_NODES // 4 - 1), default=32)
 def decompose(out_dir, tolerance, function, center, radius, kmax):
     """Laurent split of a function model on one circle."""
     f = _parse_function(function)

@@ -107,10 +107,6 @@ Disk = CircleContour  # the same class, named for the open disk
 class DiskUnion:
     """Ordered finite union of open disks, held as center and radius arrays.
 
-    `faithful_depth` is how many dyadic annuli about a point the union speaks
-    for: a cover of a truncated family may look empty deeper in only because
-    of the truncation, so thinness tests read no evidence past it.
-
     `side` says how the union stands to the set S it covers: "inner" (every
     disk lies in S), "outer" (the union contains S) or "exact" (the union
     is S).  A lower capacity bound speaks for S only from a union that is
@@ -119,20 +115,18 @@ class DiskUnion:
 
     centers: np.ndarray
     radii: np.ndarray
-    faithful_depth: int = 60
     side: str = "exact"
 
     def __init__(self, disks=()):
         disks = tuple(disks)
-        self._set([d.center for d in disks], [d.radius for d in disks], 60, "exact")
+        self._set([d.center for d in disks], [d.radius for d in disks], "exact")
 
     @classmethod
-    def from_arrays(cls, centers, radii, faithful_depth: int = 60,
-                    side: str = "exact") -> "DiskUnion":
+    def from_arrays(cls, centers, radii, side: str = "exact") -> "DiskUnion":
         """Union of the disks D(centers[i], radii[i]), each checked as a `CircleContour`."""
-        return cls.__new__(cls)._set(centers, radii, faithful_depth, side)
+        return cls.__new__(cls)._set(centers, radii, side)
 
-    def _set(self, centers, radii, faithful_depth, side) -> "DiskUnion":
+    def _set(self, centers, radii, side) -> "DiskUnion":
         if side not in ("inner", "outer", "exact"):
             raise ValueError(f"side must be 'inner', 'outer' or 'exact', got {side!r}")
         centers = np.array(centers, dtype=complex).ravel()
@@ -146,7 +140,6 @@ class DiskUnion:
         for name, value in (("centers", centers), ("radii", radii)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "faithful_depth", int(faithful_depth))
         object.__setattr__(self, "side", side)
         return self
 
@@ -344,8 +337,10 @@ def circle_trapezoid(f, circle: CircleContour, reduce, n0: int, *, tol: float,
     `reduce(rot, vals)` turns the values of `f` there into the wanted
     quantity.  A doubling keeps the old nodes and evaluates `f` only on the
     new odd ones.  It stops once max|new - old| <= tol * max(1, max|new|), or
-    at `max_nodes`.
+    at `max_nodes`; an `n0` above `max_nodes` raises ValueError.
     """
+    if n0 > max_nodes:
+        raise ValueError(f"quadrature would start at {n0} nodes, above its cap of {max_nodes}")
     n = n0
     rot = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
     vals = _eval_on_nodes(f, circle.center + circle.radius * rot)

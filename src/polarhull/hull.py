@@ -179,10 +179,7 @@ def classify_fiber(f: FunctionModel, z0: complex, r_grid, *,
     for big_r in r_grid:
         try:
             cover = potential.sublevel_cover(f, big_r, z0)
-            report = potential.wiener_test(cover, z0, depth)
-            if report.depth < depth:
-                notes.append(f"R={big_r}: depth capped at {report.depth} by cover resolution")
-            reports.append(report)
+            reports.append(potential.wiener_test(cover, z0, depth))
         except PolarhullError as e:
             notes.append(f"R={big_r}: {type(e).__name__}: {e}")
             reports.append(None)

@@ -49,7 +49,7 @@ class StartInsideObstacle(PolarhullError):
 
 # --------------------------------------------------------------------- covers
 
-POLE_CAP = 4096  # 1/sin(pi/z) covers take the poles +-1/n for n <= POLE_CAP
+POLE_CAP = 4096  # 1/sin(pi/z) covers take every pole +-1/n for n <= POLE_CAP
 MIN_DISK_RADIUS = 1e-290
 COVER_WINDOW = 1.0  # 1/sin(pi/z) covers keep the poles within this distance of z0
 
@@ -62,7 +62,8 @@ def sublevel_cover(f: FunctionModel, big_r: float, z0: complex = 0j) -> DiskUnio
     sum |c_n|/r_n <= big_r.  exp(1/z) gets the exact level disk of
     re(1/z) >= log R.  1/sin(pi/z) gets rigorously inner disks (Moebius
     images of |eps| <= asinh(1/R)/(2 pi), a 2x margin on the linearized
-    radius).  A disk may contain z0: the Wiener test reads it as evidence.
+    radius) about the poles +-1/n, n <= POLE_CAP, and a pair in every deeper
+    annulus about 0.  A disk may contain z0: the Wiener test reads it as evidence.
     """
     if not 0 < big_r < math.inf:
         raise ThresholdTooSmall(f"a cover needs 0 < big_r < inf, got {big_r!r}")
@@ -83,8 +84,8 @@ def _pole_series_cover(f: PoleSeries, big_r: float) -> DiskUnion:
     # certificate sum |c_n| / (C sqrt(gamma_n)) computed in log space
     terms = np.exp(f.log_abs_c - 0.5 * log_gamma)
     needed = float(np.sum(terms)) / big_r
-    if needed <= 0:
-        raise ThresholdTooSmall("empty coefficient data")
+    if not 0 < needed < math.inf:
+        raise ThresholdTooSmall(f"no cover certificate at big_r={big_r!r}")
     c_factor = 2.0 ** math.ceil(math.log2(needed))
     log_radii = math.log(c_factor) + 0.5 * log_gamma
     radii = np.maximum(np.exp(log_radii), MIN_DISK_RADIUS)
@@ -99,18 +100,17 @@ def _recip_sin_cover(f: RecipSinPi, big_r: float, z0: complex) -> DiskUnion:
     # |sin(pi eps)| <= sinh(pi |eps|), so |eps| <= asinh(1/R)/pi certifies
     # |f| >= R; halving gives the 2x enclosure margin.
     rho = math.asinh(1.0 / big_r) / math.pi / 2.0
-    # poles +1/n for ascending n, then -1/n
-    n = np.tile(np.arange(1, POLE_CAP + 1, dtype=float), 2)
-    sign = np.repeat([1.0, -1.0], POLE_CAP)
+    # poles 1/n, n <= POLE_CAP, reach annulus 11 about 0; each annulus j = 12..MAX_DEPTH
+    # gets n = 3 * 2^(j-1), exact in float64, at (2/3) 2^-j.  +1/n ascending, then -1/n
+    deep = 3.0 * 2.0 ** np.arange(int(math.log2(POLE_CAP)) - 1, MAX_DEPTH)
+    n = np.tile(np.concatenate([np.arange(1, POLE_CAP + 1, dtype=float), deep]), 2)
+    sign = np.repeat([1.0, -1.0], len(n) // 2)
     denom = n * n - rho * rho
     keep = np.abs(sign / n - complex(z0)) <= COVER_WINDOW + 1.0 / (n * n)
     if not keep.any():
         raise ThresholdTooSmall("no singular points inside the requested window")
-    # poles with index beyond POLE_CAP are missing near 0; annuli around z0
-    # deeper than their scale are truncation artifacts, not evidence
-    faithful = int(math.floor(math.log2(POLE_CAP))) - 1 if abs(z0) <= 2.0 / POLE_CAP else 60
-    return DiskUnion.from_arrays((sign * n / denom)[keep], (rho / denom)[keep], faithful,
-                                 side="inner")
+    # for n > 1e15 (R = e) a center rounds off by more than r; Wiener reads only r and annuli
+    return DiskUnion.from_arrays((sign * n / denom)[keep], (rho / denom)[keep], side="inner")
 
 
 # ---------------------------------------------------------------- wiener test
@@ -130,8 +130,6 @@ class WienerReport:
     bound_used: str        # lower | upper | none
     partial_sums_lower: np.ndarray
     partial_sums_upper: np.ndarray
-    depth_requested: int   # `depth` is this, capped at the cover's faithful depth
-    faithful_depth: int
     cover_disks: int
     cover_side: str        # inner | outer | exact, see DiskUnion.side
 
@@ -147,8 +145,6 @@ class WienerReport:
             "partial_sums_upper": [float(x) for x in self.partial_sums_upper],
             "verdict": self.verdict,
             "depth": self.depth,
-            "depth_requested": self.depth_requested,
-            "faithful_depth": self.faithful_depth,
             "cover_disks": self.cover_disks,
             "cover_side": self.cover_side,
             "tolerance": WIENER_TOLERANCE,
@@ -167,16 +163,11 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40) -> WienerRepo
     alone and a cover that is not inner; anything else is INCONCLUSIVE.  A
     disk that contains `point` is evidence like any other: an inner or
     exact one puts a segment of capacity 2^-n-3 in every annulus n it
-    spans, and an outer one makes the upper sums diverge.
-
-    The sum stops at the cover's `faithful_depth` when that comes before
-    `depth`: deeper annuli of a truncated family are not evidence.  The
-    report's `depth` is the depth used, and `depth_requested` the one asked.
+    spans, and an outer one makes the upper sums diverge.  The sums run to
+    `depth`, at most MAX_DEPTH.
     """
-    requested, depth = depth, min(depth, cover.faithful_depth)
-    if requested > MAX_DEPTH or depth < 1:
-        raise ValueError(f"need depth <= {MAX_DEPTH} and a used depth >= 1, got {requested!r} "
-                         f"used {depth} (the cover's faithful depth is {cover.faithful_depth})")
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"need depth <= {MAX_DEPTH} and depth >= 1, got {depth!r}")
     point = complex(point)
     if not np.isfinite(point):
         raise ValueError(f"point {point!r} is not finite")
@@ -219,9 +210,8 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40) -> WienerRepo
         verdict, used, sums = "INCONCLUSIVE", "none", s_up
     return WienerReport(
         point=point, annuli=tuple(annuli), partial_sums=sums, verdict=verdict,
-        depth=depth, bound_used=used,
-        partial_sums_lower=s_low, partial_sums_upper=s_up, depth_requested=requested,
-        faithful_depth=cover.faithful_depth, cover_disks=len(cover), cover_side=cover.side,
+        depth=depth, bound_used=used, partial_sums_lower=s_low, partial_sums_upper=s_up,
+        cover_disks=len(cover), cover_side=cover.side,
     )
 
 

@@ -146,11 +146,11 @@ def test_criterion_07_thinness_verdicts(gauss40, monkeypatch):
     sin = RecipSinPi()
     monkeypatch.setattr(potential, "COVER_WINDOW", 1.2)
     c0 = sublevel_cover(sin, math.e, 0j)
-    r0 = wiener_test(c0, 0j, min(40, c0.faithful_depth))
+    r0 = wiener_test(c0, 0j, 40)
     assert r0.verdict == "NON_THIN"
     monkeypatch.setattr(potential, "COVER_WINDOW", 0.5)
     c5 = sublevel_cover(sin, math.e, 0.2 + 0j)
-    r5 = wiener_test(c5, 0.2 + 0j, min(30, c5.faithful_depth))
+    r5 = wiener_test(c5, 0.2 + 0j, 30)
     assert r5.verdict == "NON_THIN"
     _report(7, "exp cover NON_THIN (3 levels), gaussian cover THIN, "
                "sin covers NON_THIN at 0 and 1/5")

@@ -34,7 +34,7 @@ EXPORTS = (
 
 PINNED = {
     "core.DiskUnion.__init__": ("disks",),
-    "core.DiskUnion.from_arrays": ("faithful_depth", "side"),
+    "core.DiskUnion.from_arrays": ("side",),
     "core.PolynomialC.__init__": ("roots",),
     "hull.classify_fiber": ("depth", "potential"),
     "laurent.laurent_split": ("tol",),

@@ -44,6 +44,8 @@ def test_malformed_config_file_exits_one(tmp_path):
     ["hull", "--function", "pole-series-gaussian:40", "--point", "1e-10", "--r-grid", "1,2,4"],
     # the target circle comes so close to the essential singularity that exp(1/z) overflows
     ["approx", "--function", "exp-reciprocal", "--target", "0,0:0.001:8"],
+    # sum |c_n|/sqrt(gamma_n) divided by the level overflows to inf
+    ["thin", "--function", "pole-series-gaussian", "--big-r", "5e-324"],
 ])
 def test_numeric_failure_exits_two(tmp_path, capsys, command):
     with warnings.catch_warnings(record=True) as caught:
@@ -139,9 +141,9 @@ def test_thin_at_a_point_inside_a_cover_disk(tmp_path, function, verdict, side):
     assert (doc["verdict"], doc["cover_side"]) == (verdict, side)
 
 
-def test_thin_stops_at_the_faithful_depth_as_hull_does(tmp_path):
-    # the 1/sin(pi/z) cover at 0 holds poles 1/n for n <= 4096 only, so it
-    # speaks for 11 dyadic annuli; hull and thin both stop there
+def test_thin_reads_every_annulus_as_hull_does(tmp_path):
+    # the 1/sin(pi/z) cover at 0 holds the poles 1/n for n <= 4096 and one
+    # more pole on each side in each annulus 12..60, so both read all 40
     assert run(["thin", "--function", "recip-sin-pi", "--point", "0",
                 "--out", tmp_path / "thin"]) == 0
     assert run(["hull", "--function", "recip-sin-pi", "--point", "0",
@@ -149,12 +151,12 @@ def test_thin_stops_at_the_faithful_depth_as_hull_does(tmp_path):
     thin = json.loads((tmp_path / "thin" / "thin.json").read_text())["result"]
     entry = json.loads((tmp_path / "hull" / "hull.json").read_text())["result"]["entries"][0]
     assert thin["verdict"] == "NON_THIN"
-    assert (thin["depth_requested"], thin["depth"], thin["faithful_depth"],
-            thin["cover_disks"]) == (40, 11, 11, 8192)
-    assert len((tmp_path / "thin" / "thin.csv").read_text().strip().splitlines()) == 12
+    assert (thin["depth"], thin["cover_disks"]) == (40, 8290)
+    assert len((tmp_path / "thin" / "thin.csv").read_text().strip().splitlines()) == 41
     assert entry["evidence"][0] == thin  # hull's R = e is thin's default level
     assert entry["classification"] == "FIBER_EMPTY"
-    assert "depth capped at 11" in entry["notes"]
+    assert [e["depth"] for e in entry["evidence"]] == [40, 40, 40]
+    assert entry["notes"] == ""
 
 
 def test_fekete_segment_artifact(tmp_path):
@@ -282,6 +284,8 @@ def test_nonpositive_count_rejected(tmp_path, command, value):
     ["approx", "--function", "exp-reciprocal", "--n-list", "1,1"],
     ["approx", "--function", "recip-sin-pi:8", "--m", 1000],
     ["hmeasure", "--seed", -1],
+    # 4 (kmax + 1) start nodes round up to 2^17, above the 2^16 quadrature cap
+    ["decompose", "--function", "exp-reciprocal", "--kmax", 16384],
 ])
 def test_out_of_range_setting_rejected(tmp_path, monkeypatch, command):
     _forbid_library_calls(monkeypatch)
@@ -335,6 +339,28 @@ def test_readme_cli_commands_run(tmp_path, args):
     out = args.index("--out")
     assert run(args[:out + 1] + [tmp_path] + args[out + 2:]) == 0
     assert (tmp_path / f"{args[0]}.json").exists()
+
+
+def _schema_keys(command):
+    """First words of the backticked spans in `command`'s bullet of the artifact schema."""
+    schema = (Path(__file__).resolve().parents[1] / "docs" / "artifact-schema.md").read_text()
+    bullet = re.search(rf"^- `{command}`:(.*?)(?=^- |^$)", schema, re.S | re.M).group(1)
+    return {span.split()[0] for span in re.findall(r"`([^`]+)`", bullet)}
+
+
+@pytest.mark.parametrize("args", _readme_commands(), ids=lambda args: args[0])
+def test_artifact_keys_are_documented(tmp_path, args):
+    out = args.index("--out")
+    assert run(args[:out + 1] + [tmp_path] + args[out + 2:]) == 0
+    result = json.loads((tmp_path / f"{args[0]}.json").read_text())["result"]
+    keys = {args[0]: set(result)}
+    for command, rows in (("psh", "levels"), ("hull", "entries")):
+        if args[0] == command:
+            keys[command] |= {k for row in result[rows] for k in row}
+    if args[0] == "hull":
+        keys["thin"] = {k for e in result["entries"] for rep in e["evidence"] for k in rep}
+    for command, found in keys.items():
+        assert found <= _schema_keys(command), (command, found - _schema_keys(command))
 
 
 def test_readme_example_prints_its_comments(capsys):

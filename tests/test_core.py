@@ -160,21 +160,20 @@ def test_empty_disk_union():
     empty = DiskUnion([])
     assert len(empty) == 0 and not empty
     assert tuple(empty) == ()
-    assert empty.faithful_depth == 60
 
 
 def test_disk_union_keeps_disk_behaviour():
     disks = [Disk(0.5 + 0.25j, 0.125), Disk(-0.3 + 0j, 0.05), Disk(2.0 - 1.0j, 1.5)]
     union = DiskUnion(disks)
-    assert len(union) == 3 and union.faithful_depth == 60
+    assert len(union) == 3
     assert list(union) == disks
     assert union.side == "exact"
-    same = DiskUnion.from_arrays([d.center for d in disks], [d.radius for d in disks], 7)
-    assert list(same) == list(union) and same.faithful_depth == 7
-    inner = DiskUnion.from_arrays(same.centers, same.radii, 7, "inner")
+    same = DiskUnion.from_arrays([d.center for d in disks], [d.radius for d in disks])
+    assert list(same) == list(union) and same.side == "exact"
+    inner = DiskUnion.from_arrays(same.centers, same.radii, "inner")
     assert list(inner) == list(union) and inner.side == "inner"
     with pytest.raises(ValueError, match="side"):
-        DiskUnion.from_arrays(same.centers, same.radii, 7, side="sideways")
+        DiskUnion.from_arrays(same.centers, same.radii, side="sideways")
     with pytest.raises(ValueError):
         union.radii[0] = 1.0  # the arrays are read-only
 
@@ -254,6 +253,15 @@ def test_unsettled_integrand_reports_not_converged():
     assert not quad.converged
     assert quad.nodes == 256
     assert quad.noise > 1e-10
+
+
+def test_start_above_the_cap_is_refused():
+    calls = []
+    contour = CircleContour(0j, 1.0)
+    with pytest.raises(ValueError, match="above its cap of 256"):
+        circle_trapezoid(lambda z: calls.append(z) or z, contour, _mean_times_rot(contour), 512,
+                         tol=1e-10, max_nodes=256)
+    assert calls == []
 
 
 def _dense_has_duplicates(pts):

@@ -81,6 +81,12 @@ class TestClassify:
                                depth=30)
         assert entry.classification == "FIBER_EMPTY"
 
+    def test_recip_sin_origin_reads_all_sixty_annuli(self):
+        entry = classify_fiber(RecipSinPi(), 0j, [math.e, math.e**2, math.e**4], depth=60)
+        assert entry.classification == "FIBER_EMPTY"
+        assert [r.depth for r in entry.wiener_reports] == [60, 60, 60]
+        assert entry.notes == ""
+
     def test_gaussian_hull_point(self, gauss40):
         entry = classify_fiber(gauss40, 0j, [1.0, 2.0, 4.0])
         assert entry.classification == "HULL_POINT"

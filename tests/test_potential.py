@@ -357,20 +357,22 @@ def _wiener_oracle(cover, point, depth, tolerance=1e-3, slope=0.1):
     return tuple(annuli), s_low, s_up, verdict, used
 
 
-def _recip_sin_cover_oracle(big_r, z0, radius=1.0, pole_cap=4096):
-    """Pole-by-pole 1/sin(pi/z) cover: (disks, faithful_depth)."""
+def _recip_sin_cover_oracle(big_r, z0, radius=1.0, pole_cap=4096, max_depth=60):
+    """Pole-by-pole 1/sin(pi/z) cover: the poles 1/n for n <= pole_cap, then
+    1/n for n = 3 * 2^(j-1) in each deeper annulus j about 0."""
     rho = math.asinh(1.0 / big_r) / math.pi / 2.0
     disks = []
     z0 = complex(z0)
+    ns = list(range(1, pole_cap + 1))
+    ns += [3 * 2 ** (j - 1) for j in range(int(math.log2(pole_cap)), max_depth + 1)]
     for sign in (1, -1):
-        for n in range(1, pole_cap + 1):
+        for n in ns:
             pole = sign / n
             if abs(pole - z0) > radius + 1.0 / n**2:
                 continue
             denom = n * n - rho * rho
             disks.append(Disk(complex(sign * n / denom), rho / denom))
-    faithful = int(math.floor(math.log2(pole_cap))) - 1 if abs(z0) <= 2.0 / pole_cap else 60
-    return disks, faithful
+    return disks
 
 
 def _log_gamma_oracle(f, n_start):
@@ -414,8 +416,7 @@ def _oracle_cases():
     for z0 in (0j, 0.5 + 0j, -0.5 + 0j):
         for big_r in (e, e**2, e**4):
             cover = sublevel_cover(sin, big_r, z0)
-            cases.append((f"recip-sin-pi@{z0.real}/R={big_r:.3g}", cover, z0,
-                          min(30, cover.faithful_depth)))
+            cases.append((f"recip-sin-pi@{z0.real}/R={big_r:.3g}", cover, z0, 30))
     return cases
 
 
@@ -442,17 +443,34 @@ class TestArrayPathsAgainstOracles:
     @pytest.mark.parametrize("big_r", [math.e, math.e**2, math.e**4])
     def test_recip_sin_cover_matches_pole_loop(self, z0, big_r):
         cover = sublevel_cover(RecipSinPi(), big_r, z0)
-        disks, faithful = _recip_sin_cover_oracle(big_r, z0)
+        disks = _recip_sin_cover_oracle(big_r, z0)
         assert np.array_equal(cover.centers, [d.center for d in disks])
         assert np.array_equal(cover.radii, [d.radius for d in disks])
-        assert cover.faithful_depth == faithful
 
-    def test_recip_sin_faithful_depths(self):
-        assert sublevel_cover(RecipSinPi(), math.e, 0j).faithful_depth == 11
+    def test_recip_sin_cover_fills_every_annulus(self):
+        for big_r in (math.e, math.e**2, math.e**4, math.e**30):
+            cover = sublevel_cover(RecipSinPi(), big_r, 0j)
+            dist = np.abs(cover.centers)
+            for j in range(1, potential.MAX_DEPTH + 1):
+                inside = (dist - cover.radii >= 2.0 ** (-j - 1)) & (dist + cover.radii <= 2.0**-j)
+                assert inside.any(), (big_r, j)
         # at +-1/2 the cover keeps the pole's own disk, which contains the pole
         own = sublevel_cover(RecipSinPi(), math.e, 0.5 + 0j)
-        assert own.faithful_depth == 60
         assert np.count_nonzero(np.abs(own.centers - 0.5) < own.radii) == 1
+
+    @pytest.mark.parametrize("big_r", [math.e, math.e**2, math.e**4])
+    def test_deep_representatives_certify_the_level(self, big_r):
+        # on annuli 12..16, pi/z < 1e6 carries an error near 1e-10, far inside
+        # the 2x margin, so float values of f there are evidence; once pi/z
+        # passes ~1e15, one ulp of z moves it by more than 1, and only the
+        # Moebius certificate proves |f| >= R
+        cover = sublevel_cover(RecipSinPi(), big_r, 0j)
+        rot = np.exp(2j * np.pi * np.arange(64) / 64)
+        for j in range(12, 17):
+            for pole in np.array([1.0, -1.0]) / (3 * 2 ** (j - 1)):
+                (i,) = np.flatnonzero(np.abs(cover.centers - pole) < 1e-3 * abs(pole))
+                ring = cover.centers[i] + cover.radii[i] * rot
+                assert np.all(np.abs(RecipSinPi()(ring)) >= big_r)
 
     @pytest.mark.parametrize("n_terms", [40, 1000])
     @pytest.mark.parametrize("big_r", [1.0, 2.0])
@@ -462,7 +480,6 @@ class TestArrayPathsAgainstOracles:
         assert np.array_equal(cover.centers, f.poles)
         np.testing.assert_allclose(cover.radii, _pole_series_radii_oracle(f, big_r),
                                    rtol=1e-15, atol=0)
-        assert cover.faithful_depth == 60
 
     @pytest.mark.parametrize("f", [PoleSeries.gaussian(8), PoleSeries.gaussian(4000),
                                    PoleSeries.geometric(300, 0.7),
