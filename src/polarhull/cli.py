@@ -28,7 +28,7 @@ from .core import MAX_QUAD_NODES, CircleContour, CompactSample, DiskUnion, Polar
 from .models import ExpReciprocal, PoleSeries, RecipSinPi
 from .laurent import laurent_split
 from .fekete import leja_points, capacity_estimate
-from .ratapprox import convergence_scan
+from .ratapprox import MAX_APPROX_NODES, convergence_scan
 from .pshbuild import MAX_NU, GridSpec, certify_schedule, export_field
 from .potential import MAX_DEPTH, harmonic_measure, sublevel_cover, wiener_test
 from .hull import classify_fiber
@@ -254,8 +254,9 @@ def approx(out_dir, tolerance, function, m, n_list, target):
     f = _parse_function(function)
     sample = f.singular_sample()
     m = len(sample) if m is None else m
-    if m > len(sample):
-        raise click.UsageError(f"m must be at most the sample size {len(sample)}, got {m}")
+    if m > min(len(sample), MAX_APPROX_NODES // 4):  # an approximant starts at 4m nodes
+        raise click.UsageError(f"m must be at most the sample size {len(sample)} "
+                               f"and {MAX_APPROX_NODES // 4}, got {m}")
     ctr, rad, cnt = _fields("target", target, ":", 3)
     center, rad, cnt = _parse_point(ctr), _positive("target", rad), _positive("target", cnt, int)
     theta = 2 * np.pi * np.arange(cnt) / cnt
@@ -300,8 +301,7 @@ def thin(out_dir, function, big_r, point, depth):
     """Wiener thinness test of a sublevel cover at a point."""
     f = _parse_function(function)
     z0 = _parse_point(point)
-    cover = sublevel_cover(f, _parse_level(big_r), z0)
-    report = wiener_test(cover, z0, depth)
+    report = wiener_test(sublevel_cover(f, _parse_level(big_r)), z0, depth)
     rows = [["n", "inner", "outer", "capacity_estimate", "partial_sum"]]
     for (n, inner, outer, cap), s in zip(report.annuli, report.partial_sums):
         rows.append([str(n), repr(inner), repr(outer), repr(cap), repr(float(s))])

@@ -178,7 +178,7 @@ def classify_fiber(f: FunctionModel, z0: complex, r_grid, *,
     notes = []
     for big_r in r_grid:
         try:
-            cover = potential.sublevel_cover(f, big_r, z0)
+            cover = potential.sublevel_cover(f, big_r)
             reports.append(potential.wiener_test(cover, z0, depth))
         except PolarhullError as e:
             notes.append(f"R={big_r}: {type(e).__name__}: {e}")

@@ -49,21 +49,20 @@ class StartInsideObstacle(PolarhullError):
 
 # --------------------------------------------------------------------- covers
 
-POLE_CAP = 4096  # 1/sin(pi/z) covers take every pole +-1/n for n <= POLE_CAP
 MIN_DISK_RADIUS = 1e-290
-COVER_WINDOW = 1.0  # 1/sin(pi/z) covers keep the poles within this distance of z0
 
 
-def sublevel_cover(f: FunctionModel, big_r: float, z0: complex = 0j) -> DiskUnion:
-    """Family-specific disk cover of {|f| >= big_r} near z0.
+def sublevel_cover(f: FunctionModel, big_r: float) -> DiskUnion:
+    """Family-specific disk cover of {|f| >= big_r}; it depends on (f, big_r) alone.
 
     Pole series get an outer cover: disks about each pole with radius
     C sqrt(gamma_n), C the smallest power of two certifying
     sum |c_n|/r_n <= big_r.  exp(1/z) gets the exact level disk of
-    re(1/z) >= log R.  1/sin(pi/z) gets rigorously inner disks (Moebius
-    images of |eps| <= asinh(1/R)/(2 pi), a 2x margin on the linearized
-    radius) about the poles +-1/n, n <= POLE_CAP, and a pair in every deeper
-    annulus about 0.  A disk may contain z0: the Wiener test reads it as evidence.
+    re(1/z) >= log R.  1/sin(pi/z) gets the inner Moebius disks about the
+    poles +-1/n, n <= f.pole_cutoff, and a pair in every deeper annulus
+    about 0.  Rounded, such a disk need not lie inside the set, but it meets,
+    or lies wholly inside, the same annuli about 0 as its exact disk.  A disk
+    may contain the query point: the Wiener test reads it as evidence.
     """
     if not 0 < big_r < math.inf:
         raise ThresholdTooSmall(f"a cover needs 0 < big_r < inf, got {big_r!r}")
@@ -75,7 +74,7 @@ def sublevel_cover(f: FunctionModel, big_r: float, z0: complex = 0j) -> DiskUnio
         h = 0.5 / math.log(big_r)
         return DiskUnion([CircleContour(complex(h), h)])
     if isinstance(f, RecipSinPi):
-        return _recip_sin_cover(f, big_r, z0)
+        return _recip_sin_cover(f, big_r)
     raise UnsupportedFamily(f.family)
 
 
@@ -94,23 +93,20 @@ def _pole_series_cover(f: PoleSeries, big_r: float) -> DiskUnion:
     return DiskUnion.from_arrays(f.poles, radii, side="outer")
 
 
-def _recip_sin_cover(f: RecipSinPi, big_r: float, z0: complex) -> DiskUnion:
+def _recip_sin_cover(f: RecipSinPi, big_r: float) -> DiskUnion:
     if big_r <= 1.0:
         raise ThresholdTooSmall("1/sin(pi/z) cover needs big_r > 1")
     # |sin(pi eps)| <= sinh(pi |eps|), so |eps| <= asinh(1/R)/pi certifies
     # |f| >= R; halving gives the 2x enclosure margin.
     rho = math.asinh(1.0 / big_r) / math.pi / 2.0
-    # poles 1/n, n <= POLE_CAP, reach annulus 11 about 0; each annulus j = 12..MAX_DEPTH
-    # gets n = 3 * 2^(j-1), exact in float64, at (2/3) 2^-j.  +1/n ascending, then -1/n
-    deep = 3.0 * 2.0 ** np.arange(int(math.log2(POLE_CAP)) - 1, MAX_DEPTH)
-    n = np.tile(np.concatenate([np.arange(1, POLE_CAP + 1, dtype=float), deep]), 2)
-    sign = np.repeat([1.0, -1.0], len(n) // 2)
+    # Moebius images of |eps| <= rho about the poles 1/n, n <= f.pole_cutoff,
+    # and about n = 3 * 2^(j-1), exact in float64, in each annulus j about 0
+    # where that n passes the cutoff
+    deep = 3.0 * 2.0 ** np.arange(MAX_DEPTH)
+    n = np.concatenate([np.arange(1, f.pole_cutoff + 1), deep[deep > f.pole_cutoff]])
+    n, sign = np.tile(n, 2), np.repeat([1.0, -1.0], len(n))  # +1/n ascending, then -1/n
     denom = n * n - rho * rho
-    keep = np.abs(sign / n - complex(z0)) <= COVER_WINDOW + 1.0 / (n * n)
-    if not keep.any():
-        raise ThresholdTooSmall("no singular points inside the requested window")
-    # for n > 1e15 (R = e) a center rounds off by more than r; Wiener reads only r and annuli
-    return DiskUnion.from_arrays((sign * n / denom)[keep], (rho / denom)[keep], side="inner")
+    return DiskUnion.from_arrays(sign * n / denom, rho / denom, side="inner")
 
 
 # ---------------------------------------------------------------- wiener test

@@ -186,7 +186,8 @@ def _sample_contour(points: np.ndarray, q: PolynomialC, rho_floor: float) -> Cir
 
     def ok(r):
         nodes = CircleContour(center, r).nodes(256)
-        return float(np.min(np.exp(q.log_abs_root_form(nodes)))) >= CONTOUR_MARGIN * rho_floor
+        with np.errstate(over="ignore"):  # |q| = inf on a node still clears the bar
+            return float(np.min(np.exp(q.log_abs_root_form(nodes)))) >= CONTOUR_MARGIN * rho_floor
 
     # a comfortable standoff keeps |f| tame on the nodes; circles hugging the
     # sample make functions with singularities there blow up and cost digits

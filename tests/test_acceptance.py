@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from polarhull import potential, ratapprox
+from polarhull import ratapprox
 from polarhull.core import CircleContour, CompactSample, Disk, DiskUnion
 from polarhull.fekete import leja_points
 from polarhull.hull import classify_fiber, f_at_origin, series_conditions, vn_upper_bound
@@ -131,7 +131,7 @@ def test_criterion_06_boundary_measure_with_thin_obstacles(gauss40):
     _report(6, f"omega estimates {values[0]:.3f}, {values[1]:.3f} stay >= 1/2")
 
 
-def test_criterion_07_thinness_verdicts(gauss40, monkeypatch):
+def test_criterion_07_thinness_verdicts(gauss40):
     for big_r in (math.e, math.e**2, math.e**10):
         rep = wiener_test(sublevel_cover(ExpReciprocal(), big_r), 0j, 40)
         assert rep.verdict == "NON_THIN"
@@ -143,17 +143,13 @@ def test_criterion_07_thinness_verdicts(gauss40, monkeypatch):
     inc = np.diff(rep.partial_sums_upper)
     assert float(np.sum(inc[20:])) < 1e-3
 
-    sin = RecipSinPi()
-    monkeypatch.setattr(potential, "COVER_WINDOW", 1.2)
-    c0 = sublevel_cover(sin, math.e, 0j)
-    r0 = wiener_test(c0, 0j, 40)
+    cover = sublevel_cover(RecipSinPi(), math.e)
+    r0 = wiener_test(cover, 0j, 40)
     assert r0.verdict == "NON_THIN"
-    monkeypatch.setattr(potential, "COVER_WINDOW", 0.5)
-    c5 = sublevel_cover(sin, math.e, 0.2 + 0j)
-    r5 = wiener_test(c5, 0.2 + 0j, 30)
+    r5 = wiener_test(cover, 0.2 + 0j, 30)
     assert r5.verdict == "NON_THIN"
     _report(7, "exp cover NON_THIN (3 levels), gaussian cover THIN, "
-               "sin covers NON_THIN at 0 and 1/5")
+               "sin cover NON_THIN at 0 and 1/5")
 
 
 def test_criterion_08_hull_classification_table(gauss40):

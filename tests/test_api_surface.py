@@ -10,11 +10,14 @@ a new option, or a retired one, shows up here as an edit to PINNED, and a
 changed setting as an edit to CONSTANTS.  A command-line flag is a setting
 too: one added or dropped shows up as an edit to CLI_OPTIONS.  Likewise a
 name added to or removed from `polarhull.__all__` shows up as an edit to
-EXPORTS.
+EXPORTS.  The docs name constants too, and a name they keep after the code
+dropped it shows up in `test_documented_names_resolve`.
 """
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import polarhull
 from polarhull import cli
@@ -44,7 +47,6 @@ PINNED = {
     "models.PoleSeries.geometric": ("n_terms", "ratio"),
     "models.RecipSinPi.__init__": ("pole_cutoff",),
     "potential.MeasureEstimate.__init__": ("residual",),
-    "potential.sublevel_cover": ("z0",),
     "potential.wiener_test": ("depth",),
     "potential.harmonic_measure": ("obstacles", "walks", "seed", "method"),
     "pshbuild.certify_schedule": ("nu_max", "builder"),
@@ -60,7 +62,6 @@ CONSTANTS = {
     "pshbuild.DEGREE_CAP": 200,
     "laurent.ML_KMAX": 40,
     "pshbuild.GRID_DENSITY": 10,
-    "potential.COVER_WINDOW": 1.0,
     "pshbuild.MAX_NU": 12,
 }
 
@@ -140,3 +141,29 @@ def test_every_export_resolves():
             assert hasattr(mod, name), f"polarhull.{info.name}.{name}"
     for name in polarhull.__all__:
         assert hasattr(polarhull, name), name
+
+
+def _documented_names():
+    """(module, NAME) for every backticked `module.NAME` in the README and the
+    artifact schema, and every bare backticked ALL-CAPS name in the README's
+    fixed-thresholds bullet, read in the module named last before it."""
+    root = Path(__file__).resolve().parents[1]
+    modules = {info.name for info in pkgutil.iter_modules(polarhull.__path__)}
+    for doc in ("README.md", "docs/artifact-schema.md"):
+        for module, name in re.findall(r"`(\w+)\.(\w+)`", (root / doc).read_text()):
+            if module in modules and name not in ("json", "csv"):  # not an artifact file
+                yield module, name
+    readme = (root / "README.md").read_text()
+    bullet = re.search(r"^- Fixed thresholds(.*?)(?=^- |^$)", readme, re.S | re.M).group(1)
+    module = None
+    for prefix, name in re.findall(r"`(?:(\w+)\.)?([A-Z][A-Z0-9_]*)`", bullet):
+        module = prefix or module
+        yield module, name
+
+
+def test_documented_names_resolve():
+    names = list(_documented_names())
+    assert ("potential", "MAX_DEPTH") in names  # the bullet was found and read
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(f"polarhull.{module}"), name)]
+    assert missing == []

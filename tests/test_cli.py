@@ -142,8 +142,8 @@ def test_thin_at_a_point_inside_a_cover_disk(tmp_path, function, verdict, side):
 
 
 def test_thin_reads_every_annulus_as_hull_does(tmp_path):
-    # the 1/sin(pi/z) cover at 0 holds the poles 1/n for n <= 4096 and one
-    # more pole on each side in each annulus 12..60, so both read all 40
+    # the 1/sin(pi/z) cover holds the poles 1/n for n <= 64 and one more
+    # pole on each side in each annulus 6..60 about 0, so both read all 40
     assert run(["thin", "--function", "recip-sin-pi", "--point", "0",
                 "--out", tmp_path / "thin"]) == 0
     assert run(["hull", "--function", "recip-sin-pi", "--point", "0",
@@ -151,12 +151,30 @@ def test_thin_reads_every_annulus_as_hull_does(tmp_path):
     thin = json.loads((tmp_path / "thin" / "thin.json").read_text())["result"]
     entry = json.loads((tmp_path / "hull" / "hull.json").read_text())["result"]["entries"][0]
     assert thin["verdict"] == "NON_THIN"
-    assert (thin["depth"], thin["cover_disks"]) == (40, 8290)
+    assert (thin["depth"], thin["cover_disks"]) == (40, 238)
     assert len((tmp_path / "thin" / "thin.csv").read_text().strip().splitlines()) == 41
     assert entry["evidence"][0] == thin  # hull's R = e is thin's default level
     assert entry["classification"] == "FIBER_EMPTY"
     assert [e["depth"] for e in entry["evidence"]] == [40, 40, 40]
     assert entry["notes"] == ""
+
+
+def test_thin_far_from_the_poles_is_inconclusive(tmp_path):
+    # no annulus about 5 meets the cover: the inner disks cannot show thinness
+    assert run(["thin", "--function", "recip-sin-pi", "--point", "5", "--out", tmp_path]) == 0
+    doc = json.loads((tmp_path / "thin.json").read_text())["result"]
+    assert (doc["verdict"], doc["cover_disks"]) == ("INCONCLUSIVE", 238)
+
+
+@pytest.mark.parametrize("function, verdict, disks", [
+    ("recip-sin-pi", "INCONCLUSIVE", 238),
+    ("recip-sin-pi:100", "NON_THIN", 308),
+])
+def test_thin_at_a_pole_past_the_cutoff(tmp_path, function, verdict, disks):
+    # 1/100 is a pole of 1/sin(pi/z), but only a cutoff of 100 puts its disk in the cover
+    assert run(["thin", "--function", function, "--point", "0.01", "--out", tmp_path]) == 0
+    doc = json.loads((tmp_path / "thin.json").read_text())["result"]
+    assert (doc["verdict"], doc["cover_disks"]) == (verdict, disks)
 
 
 def test_fekete_segment_artifact(tmp_path):
@@ -286,6 +304,9 @@ def test_nonpositive_count_rejected(tmp_path, command, value):
     ["hmeasure", "--seed", -1],
     # 4 (kmax + 1) start nodes round up to 2^17, above the 2^16 quadrature cap
     ["decompose", "--function", "exp-reciprocal", "--kmax", 16384],
+    # an approximant's quadrature starts at 4m nodes, above the 2^14 cap for m > 4096
+    ["approx", "--function", "recip-sin-pi:2100", "--m", 4097, "--n-list", 1],
+    ["approx", "--function", "recip-sin-pi:2048", "--n-list", 1],
 ])
 def test_out_of_range_setting_rejected(tmp_path, monkeypatch, command):
     _forbid_library_calls(monkeypatch)

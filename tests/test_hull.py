@@ -81,6 +81,15 @@ class TestClassify:
                                depth=30)
         assert entry.classification == "FIBER_EMPTY"
 
+    def test_recip_sin_every_sampled_fiber_empty(self):
+        # the cover holds every pole the model samples, so each fiber over
+        # the 129 sample points is decided, not only those over 0 and +-1/n, n <= 8
+        f = RecipSinPi()
+        points = f.singular_sample().points
+        found = {classify_fiber(f, z0, [math.e, math.e**2, math.e**4], depth=30).classification
+                 for z0 in points}
+        assert (len(points), found) == (129, {"FIBER_EMPTY"})
+
     def test_recip_sin_origin_reads_all_sixty_annuli(self):
         entry = classify_fiber(RecipSinPi(), 0j, [math.e, math.e**2, math.e**4], depth=60)
         assert entry.classification == "FIBER_EMPTY"
@@ -150,8 +159,8 @@ class TestClassify:
             def __init__(self):
                 self.calls = 0
 
-            def sublevel_cover(self, f, big_r, z0):
-                return sublevel_cover(f, big_r, z0)
+            def sublevel_cover(self, f, big_r):
+                return sublevel_cover(f, big_r)
 
             def wiener_test(self, cover, point, depth):
                 rep = wiener_test(cover, point, depth)

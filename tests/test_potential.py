@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,10 +69,9 @@ class TestSublevelCover:
         with pytest.raises(UnsupportedFamily):
             sublevel_cover(RationalModel([0.5], [1.0]), 2.0)
 
-    def test_recip_sin_inner_disks_certify(self, monkeypatch):
-        monkeypatch.setattr(potential, "COVER_WINDOW", 1.2)
+    def test_recip_sin_inner_disks_certify(self):
         big_r = math.e
-        cover = sublevel_cover(RecipSinPi(), big_r, 0j)
+        cover = sublevel_cover(RecipSinPi(), big_r)
         f = RecipSinPi()
         rng = np.random.default_rng(5)
         for d in tuple(cover)[:8]:
@@ -136,7 +136,7 @@ class TestWiener:
     def test_covers_carry_their_side(self):
         assert sublevel_cover(ExpReciprocal(), math.e).side == "exact"
         assert sublevel_cover(PoleSeries.gaussian(40), 1.0).side == "outer"
-        assert sublevel_cover(RecipSinPi(), math.e, 0.5).side == "inner"
+        assert sublevel_cover(RecipSinPi(), math.e).side == "inner"
 
     def test_geometric_low_level_is_inconclusive(self):
         # at R = 2 the outer disk about the pole 1 reaches past the origin,
@@ -357,19 +357,19 @@ def _wiener_oracle(cover, point, depth, tolerance=1e-3, slope=0.1):
     return tuple(annuli), s_low, s_up, verdict, used
 
 
-def _recip_sin_cover_oracle(big_r, z0, radius=1.0, pole_cap=4096, max_depth=60):
-    """Pole-by-pole 1/sin(pi/z) cover: the poles 1/n for n <= pole_cap, then
-    1/n for n = 3 * 2^(j-1) in each deeper annulus j about 0."""
+def _recip_sin_ns(cutoff, max_depth=60):
+    """The n of the poles +-1/n in a 1/sin(pi/z) cover: n <= cutoff, then
+    n = 3 * 2^(j-1) in each annulus j about 0 where that n > cutoff."""
+    deep = [3 * 2 ** (j - 1) for j in range(1, max_depth + 1)]
+    return list(range(1, cutoff + 1)) + [n for n in deep if n > cutoff]
+
+
+def _recip_sin_cover_oracle(big_r, cutoff):
+    """Pole-by-pole 1/sin(pi/z) cover, +1/n ascending, then -1/n."""
     rho = math.asinh(1.0 / big_r) / math.pi / 2.0
     disks = []
-    z0 = complex(z0)
-    ns = list(range(1, pole_cap + 1))
-    ns += [3 * 2 ** (j - 1) for j in range(int(math.log2(pole_cap)), max_depth + 1)]
     for sign in (1, -1):
-        for n in ns:
-            pole = sign / n
-            if abs(pole - z0) > radius + 1.0 / n**2:
-                continue
+        for n in _recip_sin_ns(cutoff):
             denom = n * n - rho * rho
             disks.append(Disk(complex(sign * n / denom), rho / denom))
     return disks
@@ -411,11 +411,11 @@ def _oracle_cases():
         ("enlarged-chain", _chain(range(1, 41), grow=1.4), 0j, 40),
         # an outer disk over the point, and inner disks that look thin
         ("geometric-40@0/R=2", sublevel_cover(PoleSeries.geometric(40), 2.0), 0j, 40),
-        ("recip-sin-pi@0.5/R=e30", sublevel_cover(sin, e**30, 0.5 + 0j), 0.5 + 0j, 40),
+        ("recip-sin-pi@0.5/R=e30", sublevel_cover(sin, e**30), 0.5 + 0j, 40),
     ]
+    covers = {big_r: sublevel_cover(sin, big_r) for big_r in (e, e**2, e**4)}
     for z0 in (0j, 0.5 + 0j, -0.5 + 0j):
-        for big_r in (e, e**2, e**4):
-            cover = sublevel_cover(sin, big_r, z0)
+        for big_r, cover in covers.items():
             cases.append((f"recip-sin-pi@{z0.real}/R={big_r:.3g}", cover, z0, 30))
     return cases
 
@@ -439,24 +439,43 @@ class TestArrayPathsAgainstOracles:
         verdicts = {wiener_test(c, z0, d).verdict for _, c, z0, d in ORACLE_CASES}
         assert verdicts == {"THIN", "NON_THIN", "INCONCLUSIVE"}
 
-    @pytest.mark.parametrize("z0", [0j, 0.5 + 0j, -0.5 + 0j, 0.3 + 0j])
+    @pytest.mark.parametrize("cutoff", [1, 2, 8, 64, 100])
     @pytest.mark.parametrize("big_r", [math.e, math.e**2, math.e**4])
-    def test_recip_sin_cover_matches_pole_loop(self, z0, big_r):
-        cover = sublevel_cover(RecipSinPi(), big_r, z0)
-        disks = _recip_sin_cover_oracle(big_r, z0)
+    def test_recip_sin_cover_matches_pole_loop(self, cutoff, big_r):
+        cover = sublevel_cover(RecipSinPi(cutoff), big_r)
+        disks = _recip_sin_cover_oracle(big_r, cutoff)
         assert np.array_equal(cover.centers, [d.center for d in disks])
         assert np.array_equal(cover.radii, [d.radius for d in disks])
 
     def test_recip_sin_cover_fills_every_annulus(self):
         for big_r in (math.e, math.e**2, math.e**4, math.e**30):
-            cover = sublevel_cover(RecipSinPi(), big_r, 0j)
+            cover = sublevel_cover(RecipSinPi(), big_r)
             dist = np.abs(cover.centers)
             for j in range(1, potential.MAX_DEPTH + 1):
                 inside = (dist - cover.radii >= 2.0 ** (-j - 1)) & (dist + cover.radii <= 2.0**-j)
                 assert inside.any(), (big_r, j)
         # at +-1/2 the cover keeps the pole's own disk, which contains the pole
-        own = sublevel_cover(RecipSinPi(), math.e, 0.5 + 0j)
+        own = sublevel_cover(RecipSinPi(), math.e)
         assert np.count_nonzero(np.abs(own.centers - 0.5) < own.radii) == 1
+
+    @pytest.mark.parametrize("big_r", [math.e, math.e**4, math.e**30])
+    def test_recip_sin_float_disks_sit_in_the_annuli_of_exact_ones(self, big_r):
+        # a rounded centre can leave the certified disk, but in each annulus
+        # about 0 a float disk meets and lies wholly inside where its exact
+        # Moebius disk does; the flags are computed as wiener_test computes them
+        f = RecipSinPi()
+        cover = sublevel_cover(f, big_r)
+        rho = Fraction(math.asinh(1.0 / big_r) / math.pi / 2.0)
+        ns = _recip_sin_ns(f.pole_cutoff)
+        exact = [(n / (n * n - rho * rho), rho / (n * n - rho * rho)) for n in ns] * 2
+        dist = np.abs(cover.centers)
+        near, far = dist - cover.radii, dist + cover.radii
+        for j in range(1, potential.MAX_DEPTH + 1):
+            inner, outer = Fraction(1, 2 ** (j + 1)), Fraction(1, 2**j)
+            meets = [c - r < outer and c + r > inner for c, r in exact]
+            whole = [c - r >= inner and c + r <= outer for c, r in exact]
+            assert list((near < float(outer)) & (far > float(inner))) == meets, j
+            assert list((near >= float(inner)) & (far <= float(outer))) == whole, j
 
     @pytest.mark.parametrize("big_r", [math.e, math.e**2, math.e**4])
     def test_deep_representatives_certify_the_level(self, big_r):
@@ -464,7 +483,7 @@ class TestArrayPathsAgainstOracles:
         # the 2x margin, so float values of f there are evidence; once pi/z
         # passes ~1e15, one ulp of z moves it by more than 1, and only the
         # Moebius certificate proves |f| >= R
-        cover = sublevel_cover(RecipSinPi(), big_r, 0j)
+        cover = sublevel_cover(RecipSinPi(), big_r)
         rot = np.exp(2j * np.pi * np.arange(64) / 64)
         for j in range(12, 17):
             for pole in np.array([1.0, -1.0]) / (3 * 2 ** (j - 1)):

@@ -88,6 +88,14 @@ class TestBuild:
         for ca, cb in zip(ap.coeffs, ap2.coeffs):
             assert np.max(np.abs(ca - cb)) < 1e-9
 
+    def test_sample_contour_of_high_degree_denominator(self):
+        # |q| on the first circle overflows for 1801 roots; the suite turns
+        # the overflow warning into an error, and inf still clears the bar
+        points = RecipSinPi(900).singular_sample().points
+        contour = ratapprox._sample_contour(points, poly_from_roots(points),
+                                            ratapprox.RHO_FLOOR)
+        assert (contour.center, contour.radius) == (0j, 1.5)
+
     def test_contour_too_close(self, two_pole, monkeypatch):
         system = leja_points(two_pole.singular_sample(), 2)
         bad = CircleContour(0.5 + 0j, 0.2)  # node lands on the root at 0.3
