@@ -15,10 +15,9 @@ from .core import (
     DiskUnion,
     PolarhullError,
     PolynomialC,
-    poly_eval,
     poly_from_roots,
 )
-from .models import ExpReciprocal, FunctionModel, PoleSeries, RationalModel, RecipSinPi
+from .models import ExpReciprocal, PoleSeries, RationalModel, RecipSinPi
 from .laurent import laurent_split, mittag_leffler
 from .fekete import capacity_estimate, leja_points
 from .ratapprox import build_approximant, convergence_scan, rho_of
@@ -34,10 +33,8 @@ __all__ = [
     "DiskUnion",
     "PolarhullError",
     "PolynomialC",
-    "poly_eval",
     "poly_from_roots",
     "ExpReciprocal",
-    "FunctionModel",
     "PoleSeries",
     "RationalModel",
     "RecipSinPi",

@@ -115,6 +115,16 @@ def _fields(key: str, text, sep: str = ",", count: int | None = None) -> list:
     return parts
 
 
+def _degree(sample: CompactSample, m: int | None) -> int:
+    """The denominator degree m, the sample size if None; it may exceed neither
+    the sample nor MAX_APPROX_NODES // 4, as an approximant starts at 4m nodes."""
+    m = len(sample) if m is None else m
+    if m > min(len(sample), MAX_APPROX_NODES // 4):
+        raise click.UsageError(f"m must be at most the sample size {len(sample)} "
+                               f"and {MAX_APPROX_NODES // 4}, got {m}")
+    return m
+
+
 def _number(key: str, text) -> float:
     """`text`, a field of the setting `key`, as a finite float, else a usage error."""
     try:
@@ -253,10 +263,7 @@ def approx(out_dir, tolerance, function, m, n_list, target):
         raise click.UsageError(f"n_list must be strictly increasing, got {n_list!r}")
     f = _parse_function(function)
     sample = f.singular_sample()
-    m = len(sample) if m is None else m
-    if m > min(len(sample), MAX_APPROX_NODES // 4):  # an approximant starts at 4m nodes
-        raise click.UsageError(f"m must be at most the sample size {len(sample)} "
-                               f"and {MAX_APPROX_NODES // 4}, got {m}")
+    m = _degree(sample, m)
     ctr, rad, cnt = _fields("target", target, ":", 3)
     center, rad, cnt = _parse_point(ctr), _positive("target", rad), _positive("target", cnt, int)
     theta = 2 * np.pi * np.arange(cnt) / cnt
@@ -281,7 +288,9 @@ def psh(out_dir, function, nu_max, tube):
                                    _positive("tube", cnt, int),
                                    [_number("tube", t) for t in _fields("tube", offs)])
     f = _parse_function(function)
-    field = certify_schedule(f, f.singular_sample(), nu_max)
+    sample = f.singular_sample()
+    _degree(sample, None)  # the field's approximants take m = the sample size
+    field = certify_schedule(f, sample, nu_max)
     csv_rows = None
     if spec is not None:
         rows = export_field(field, spec)

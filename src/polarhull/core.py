@@ -23,7 +23,6 @@ __all__ = [
     "CircleContour",
     "Quadrature",
     "circle_trapezoid",
-    "poly_eval",
     "poly_from_roots",
     "pointwise",
     "as_complex_array",
@@ -115,14 +114,14 @@ class DiskUnion:
 
     centers: np.ndarray
     radii: np.ndarray
-    side: str = "exact"
+    side: str
 
-    def __init__(self, disks=()):
+    def __init__(self, disks):
         disks = tuple(disks)
         self._set([d.center for d in disks], [d.radius for d in disks], "exact")
 
     @classmethod
-    def from_arrays(cls, centers, radii, side: str = "exact") -> "DiskUnion":
+    def from_arrays(cls, centers, radii, side: str) -> "DiskUnion":
         """Union of the disks D(centers[i], radii[i]), each checked as a `CircleContour`."""
         return cls.__new__(cls)._set(centers, radii, side)
 
@@ -245,8 +244,10 @@ class PolynomialC:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    @pointwise
     def __call__(self, z):
-        return poly_eval(self, z)
+        """Horner evaluation at z (scalar or array)."""
+        return _horner(self.coeffs[::-1], z)
 
     def _fold_roots(self, step, start, z):
         """step(acc, z - root) folded over the retained roots, in their order.
@@ -302,12 +303,6 @@ def _horner(high_first, x, start=None):
     for c in high_first:
         out = out * x + c
     return out
-
-
-@pointwise
-def poly_eval(p: PolynomialC, z):
-    """Horner evaluation of p at z (scalar or array)."""
-    return _horner(p.coeffs[::-1], z)
 
 
 def poly_from_roots(roots) -> PolynomialC:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import SAMPLE_TOL, CircleContour, PolarhullError, complex_to_pair
-from .models import FunctionModel, PoleSeries, TailUncertifiable
+from .models import PoleSeries, TailUncertifiable
 from . import potential as potential_mod
 
 __all__ = [
@@ -152,7 +152,7 @@ class FiberClassification:
         }
 
 
-def classify_fiber(f: FunctionModel, z0: complex, r_grid, *,
+def classify_fiber(f, z0: complex, r_grid, *,
                    depth: int = 40, potential=potential_mod) -> FiberClassification:
     """Classify the fiber over one singular point from Wiener evidence.
 
@@ -160,6 +160,8 @@ def classify_fiber(f: FunctionModel, z0: complex, r_grid, *,
     NON_THIN means the fiber is empty over the tested grid; a THIN level
     yields a hull point with that radius bound (and the origin value for pole
     series at z0 = 0); conflicting or inconclusive evidence stays UNKNOWN.
+    The origin is a sampled point of a pole series only when it has a
+    certified tail (`ca_tail`), that is, when its poles accumulate at 0.
     """
     r_grid = sorted(float(r) for r in r_grid)
     if len(r_grid) < 3 or any(a == b for a, b in zip(r_grid, r_grid[1:])):
@@ -167,10 +169,8 @@ def classify_fiber(f: FunctionModel, z0: complex, r_grid, *,
     if not 1 <= depth <= potential_mod.MAX_DEPTH:
         raise ValueError(f"depth must be in [1, {potential_mod.MAX_DEPTH}], got {depth!r}")
     z0 = complex(z0)
-    if isinstance(f, PoleSeries):
-        singular = f.singular_sample(include_origin=True)
-    else:
-        singular = f.singular_sample()
+    tailed = isinstance(f, PoleSeries) and f.ca_tail is not None
+    singular = f.singular_sample(include_origin=True) if tailed else f.singular_sample()
     if not singular.min_distance_to(z0) <= SAMPLE_TOL:  # NaN fails too
         raise ValueError(f"{z0!r} is not a sampled singular point of {f.label}")
 
@@ -209,7 +209,7 @@ def classify_fiber(f: FunctionModel, z0: complex, r_grid, *,
         return entry("FIBER_EMPTY")
 
     bound = min(thin_rs)
-    if isinstance(f, PoleSeries) and abs(z0) <= SAMPLE_TOL:
+    if tailed and abs(z0) <= SAMPLE_TOL:
         w0, err = f_at_origin(f)
         if abs(w0) > bound:
             return entry("UNKNOWN", extra="origin value exceeds thin-level radius bound")

@@ -1,9 +1,12 @@
 """Concrete holomorphic function families with known singular sets.
 
-Each model knows how to evaluate itself off its singularities, how to sample
-its singular set, and how to split itself into a polynomial part at infinity
-plus a principal part vanishing at infinity.  The built-in families carry
-analytic tail bounds where the hull machinery needs them.
+A model is any object with `label`, a name for reports, and three methods:
+`__call__(z)` evaluates it off its singularities, `singular_sample()` is a
+`CompactSample` of its singular set, and `split_at_infinity()` returns
+(polynomial_part, principal), principal a callable that tends to 0 at
+infinity, whose sum reproduces the model off its singular set.  The
+built-in families carry analytic tail bounds where the hull machinery needs
+them.
 """
 from __future__ import annotations
 
@@ -22,7 +25,6 @@ from .core import (
 )
 
 __all__ = [
-    "FunctionModel",
     "PoleSeries",
     "ExpReciprocal",
     "RecipSinPi",
@@ -35,50 +37,14 @@ class TailUncertifiable(PolarhullError):
     """No analytic tail bound is available for this coefficient sequence."""
 
 
-class FunctionModel:
-    """Base class for the built-in function families."""
-
-    family = "abstract"
-    label = "abstract"
-
-    def __call__(self, z):
-        raise NotImplementedError
-
-    def singular_sample(self) -> CompactSample:
-        raise NotImplementedError
-
-    def split_at_infinity(self):
-        """Return (polynomial_part, principal) with principal -> 0 at infinity.
-
-        `principal` is a callable; polynomial_part + principal reproduces the
-        model off its singular set.
-        """
-        raise NotImplementedError
-
-
-def _chunked_pole_sum(z, poles, weights):
-    """sum_n weights[n] / (z - poles[n]) at the complex array z, chunked over poles."""
-    out = np.zeros(z.shape, dtype=complex)
-    flat = out.reshape(-1)
-    zf = z.reshape(-1)
-    step = 512
-    for lo in range(0, len(poles), step):
-        p = poles[lo : lo + step]
-        w = weights[lo : lo + step]
-        flat += (w[None, :] / (zf[:, None] - p[None, :])).sum(axis=1)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
-class PoleSeries(FunctionModel):
+class PoleSeries:
     """f(z) = sum c_n / (z - a_n), truncated at n_terms stored terms.
 
     `log_abs_c` stays finite even when c_n underflows, and the optional
     `log_gamma_tail(N)` bound certifies the log of the coefficient tail sum
     beyond the stored terms.  Presets `gaussian` and `geometric` populate both.
     """
-
-    family = "pole-series"
 
     poles: np.ndarray
     residues: np.ndarray
@@ -109,7 +75,12 @@ class PoleSeries(FunctionModel):
 
     @pointwise
     def __call__(self, z):
-        return _chunked_pole_sum(z, self.poles, self.residues)
+        out = np.zeros(z.shape, dtype=complex)
+        flat, zf = out.reshape(-1), z.reshape(-1)
+        for lo in range(0, self.n_terms, 512):  # 512 poles at a time bound the temporary
+            p, w = self.poles[lo : lo + 512], self.residues[lo : lo + 512]
+            flat += (w[None, :] / (zf[:, None] - p[None, :])).sum(axis=1)
+        return out
 
     def singular_sample(self, include_origin: bool = False) -> CompactSample:
         pts = self.poles
@@ -177,10 +148,9 @@ class PoleSeries(FunctionModel):
         )
 
 
-class ExpReciprocal(FunctionModel):
+class ExpReciprocal:
     """f(z) = exp(1/z), essential singularity at 0."""
 
-    family = "exp-reciprocal"
     label = "exp-reciprocal"
 
     @pointwise
@@ -198,10 +168,9 @@ class ExpReciprocal(FunctionModel):
         return np.expm1(1.0 / z)
 
 
-class RecipSinPi(FunctionModel):
+class RecipSinPi:
     """f(z) = 1/sin(pi/z), poles at 1/n for integer n plus the limit point 0."""
 
-    family = "recip-sin-pi"
     label = "recip-sin-pi"
 
     def __init__(self, pole_cutoff: int = 64):
@@ -225,28 +194,5 @@ class RecipSinPi(FunctionModel):
         return 1.0 / np.sin(np.pi / z) - z / math.pi
 
 
-@dataclass(frozen=True, eq=False)
-class RationalModel(FunctionModel):
-    """Rational function sum residues[n] / (z - poles[n]) with simple poles."""
-
-    family = "rational"
-    label = "rational"
-
-    poles: np.ndarray
-    residues: np.ndarray
-
-    def __init__(self, poles, residues):
-        object.__setattr__(self, "poles", as_complex_array(poles))
-        object.__setattr__(self, "residues", as_complex_array(residues))
-        if self.poles.shape != self.residues.shape:
-            raise ValueError("poles and residues must have equal length")
-
-    @pointwise
-    def __call__(self, z):
-        return _chunked_pole_sum(z, self.poles, self.residues)
-
-    def singular_sample(self) -> CompactSample:
-        return CompactSample(self.poles)
-
-    def split_at_infinity(self):
-        return ZERO_POLY, self
+# a finite pole sum is a rational function with simple poles
+RationalModel = PoleSeries

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import CircleContour, DiskUnion, PolarhullError, complex_to_pair
-from .models import ExpReciprocal, FunctionModel, PoleSeries, RecipSinPi
+from .models import ExpReciprocal, PoleSeries, RecipSinPi
 
 __all__ = [
     "UnsupportedFamily",
@@ -52,11 +52,11 @@ class StartInsideObstacle(PolarhullError):
 MIN_DISK_RADIUS = 1e-290
 
 
-def sublevel_cover(f: FunctionModel, big_r: float) -> DiskUnion:
+def sublevel_cover(f, big_r: float) -> DiskUnion:
     """Family-specific disk cover of {|f| >= big_r}; it depends on (f, big_r) alone.
 
-    Pole series get an outer cover: disks about each pole with radius
-    C sqrt(gamma_n), C the smallest power of two certifying
+    Pole series get an outer cover: disks about each pole of nonzero residue
+    with radius C sqrt(gamma_n), C the smallest power of two certifying
     sum |c_n|/r_n <= big_r.  exp(1/z) gets the exact level disk of
     re(1/z) >= log R.  1/sin(pi/z) gets the inner Moebius disks about the
     poles +-1/n, n <= f.pole_cutoff, and a pair in every deeper annulus
@@ -75,13 +75,16 @@ def sublevel_cover(f: FunctionModel, big_r: float) -> DiskUnion:
         return DiskUnion([CircleContour(complex(h), h)])
     if isinstance(f, RecipSinPi):
         return _recip_sin_cover(f, big_r)
-    raise UnsupportedFamily(f.family)
+    raise UnsupportedFamily(type(f).__name__)
 
 
 def _pole_series_cover(f: PoleSeries, big_r: float) -> DiskUnion:
-    log_gamma = f.log_gamma_suffix()[: f.n_terms]
+    live = f.log_abs_c > -math.inf  # a zero residue leaves its pole removable
+    if not live.any():
+        return DiskUnion.from_arrays([], [], side="outer")
+    log_gamma = f.log_gamma_suffix()[: f.n_terms][live]
     # certificate sum |c_n| / (C sqrt(gamma_n)) computed in log space
-    terms = np.exp(f.log_abs_c - 0.5 * log_gamma)
+    terms = np.exp(f.log_abs_c[live] - 0.5 * log_gamma)
     needed = float(np.sum(terms)) / big_r
     if not 0 < needed < math.inf:
         raise ThresholdTooSmall(f"no cover certificate at big_r={big_r!r}")
@@ -90,7 +93,7 @@ def _pole_series_cover(f: PoleSeries, big_r: float) -> DiskUnion:
     radii = np.maximum(np.exp(log_radii), MIN_DISK_RADIUS)
     # tail disks beyond the truncation shrink at the sqrt(gamma) rate, so the
     # deep annuli they would occupy contribute below any verdict tolerance
-    return DiskUnion.from_arrays(f.poles, radii, side="outer")
+    return DiskUnion.from_arrays(f.poles[live], radii, side="outer")
 
 
 def _recip_sin_cover(f: RecipSinPi, big_r: float) -> DiskUnion:

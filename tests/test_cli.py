@@ -307,6 +307,8 @@ def test_nonpositive_count_rejected(tmp_path, command, value):
     # an approximant's quadrature starts at 4m nodes, above the 2^14 cap for m > 4096
     ["approx", "--function", "recip-sin-pi:2100", "--m", 4097, "--n-list", 1],
     ["approx", "--function", "recip-sin-pi:2048", "--n-list", 1],
+    # psh pins m to the sample size, here 4201
+    ["psh", "--function", "recip-sin-pi:2100", "--nu-max", 2],
 ])
 def test_out_of_range_setting_rejected(tmp_path, monkeypatch, command):
     _forbid_library_calls(monkeypatch)

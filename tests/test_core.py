@@ -12,26 +12,25 @@ from polarhull.core import (
     NodeEvaluationError,
     PolynomialC,
     circle_trapezoid,
-    poly_eval,
     poly_from_roots,
 )
 from polarhull.models import PoleSeries
 
 
-def test_poly_eval_constant():
+def test_poly_call_constant():
     p = PolynomialC([1.0])
-    assert poly_eval(p, 5.0 + 0j) == 1.0 + 0j
+    assert p(5.0 + 0j) == 1.0 + 0j
 
 
-def test_poly_eval_identity():
+def test_poly_call_identity():
     p = PolynomialC([0.0, 1.0])
-    assert poly_eval(p, 2.0 + 3.0j) == 2.0 + 3.0j
+    assert p(2.0 + 3.0j) == 2.0 + 3.0j
 
 
-def test_poly_eval_two_roots_at_zero():
+def test_poly_call_two_roots_at_zero():
     # (z-1)(z-2) = z^2 - 3z + 2
     p = PolynomialC([2.0, -3.0, 1.0])
-    assert poly_eval(p, 0.0 + 0j) == 2.0 + 0j
+    assert p(0.0 + 0j) == 2.0 + 0j
 
 
 def test_poly_from_roots_empty():
@@ -49,7 +48,7 @@ def test_poly_from_roots_single():
 def test_poly_from_roots_pm_one():
     p = poly_from_roots([1.0, -1.0])
     np.testing.assert_allclose(p.coeffs, [-1.0, 0.0, 1.0], atol=1e-15)
-    assert abs(poly_eval(p, 2.0) - 3.0) < 1e-14
+    assert abs(p(2.0) - 3.0) < 1e-14
 
 
 @pytest.mark.parametrize("trial", range(5))
@@ -59,7 +58,7 @@ def test_roots_roundtrip_random(rng, trial):
     p = poly_from_roots(roots)
     scale = np.sum(np.abs(p.coeffs))
     for r in roots:
-        assert abs(poly_eval(p, r)) <= 1e-10 * max(scale, 1.0)
+        assert abs(p(r)) <= 1e-10 * max(scale, 1.0)
         assert abs(p.eval_root_form(r)) == 0.0
 
 
@@ -148,12 +147,12 @@ def test_disk_union_arrays_checked_like_disk(center, radius):
     with pytest.raises(ValueError):
         Disk(center, radius)
     with pytest.raises(ValueError):
-        DiskUnion.from_arrays([0.5 + 0j, center], [0.1, radius])
+        DiskUnion.from_arrays([0.5 + 0j, center], [0.1, radius], side="exact")
 
 
 def test_disk_union_array_lengths_must_match():
     with pytest.raises(ValueError):
-        DiskUnion.from_arrays([0j, 1.0], [0.1])
+        DiskUnion.from_arrays([0j, 1.0], [0.1], side="exact")
 
 
 def test_empty_disk_union():
@@ -168,7 +167,8 @@ def test_disk_union_keeps_disk_behaviour():
     assert len(union) == 3
     assert list(union) == disks
     assert union.side == "exact"
-    same = DiskUnion.from_arrays([d.center for d in disks], [d.radius for d in disks])
+    same = DiskUnion.from_arrays([d.center for d in disks], [d.radius for d in disks],
+                                 side="exact")
     assert list(same) == list(union) and same.side == "exact"
     inner = DiskUnion.from_arrays(same.centers, same.radii, "inner")
     assert list(inner) == list(union) and inner.side == "inner"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polarhull.core import CompactSample, poly_eval, poly_from_roots
+from polarhull.core import CompactSample, poly_from_roots
 from polarhull.fekete import InsufficientSample, capacity_estimate, leja_points
 
 
@@ -79,5 +79,5 @@ def test_root_form_matches_coefficient_form(segment_sample):
     # points well off the interval, where coefficient Horner is conditioned
     z = np.array([0.37 + 0.5j, -0.9 + 0.4j, 1.4 - 0.3j])
     root_form = q.eval_root_form(z)
-    coeff_form = poly_eval(q, z)
+    coeff_form = q(z)
     np.testing.assert_allclose(root_form, coeff_form, rtol=1e-8)

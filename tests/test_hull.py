@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from polarhull.core import Disk
-from polarhull.models import ExpReciprocal, PoleSeries, RecipSinPi, TailUncertifiable
+from polarhull.models import (
+    ExpReciprocal,
+    PoleSeries,
+    RationalModel,
+    RecipSinPi,
+    TailUncertifiable,
+)
 from polarhull.hull import (
     ProbeEqualsValue,
     classify_fiber,
@@ -135,12 +141,27 @@ class TestClassify:
         with pytest.raises(ValueError, match="singular"):
             classify_fiber(ExpReciprocal(), complex(math.nan, 0), [math.e, math.e**2, math.e**10])
 
-    def test_unknown_on_unsupported(self):
-        from polarhull.models import RationalModel
-
-        entry = classify_fiber(RationalModel([0.5], [1.0]), 0.5, [1.0, 2.0, 4.0])
+    def test_unknown_on_unsupported(self, uncovered):
+        entry = classify_fiber(uncovered, 0.5, [1.0, 2.0, 4.0])
         assert entry.classification == "UNKNOWN"
         assert "UnsupportedFamily" in entry.notes
+
+    def test_rational_pole_inside_its_outer_disk_unknown(self):
+        # the outer disk about the pole contains the query point, so the
+        # upper sums diverge and no level proves THIN or NON_THIN
+        entry = classify_fiber(RationalModel([0.5], [1.0]), 0.5, [1.0, 2.0, 4.0])
+        assert entry.classification == "UNKNOWN"
+        assert entry.notes == "incomplete or inconclusive evidence"
+
+    @pytest.mark.parametrize("f", [
+        PoleSeries(1.0 / np.arange(1, 21), np.exp(-np.arange(1.0, 21.0) ** 2)),
+        RationalModel([0.3, 0.5], [1.0, 2.0]),
+    ], ids=["untailed-series", "rational"])
+    def test_origin_needs_certified_tail(self, f):
+        # without a certified tail the series models only its stored poles,
+        # so 0 is no singular point and no origin value could be certified
+        with pytest.raises(ValueError, match="singular"):
+            classify_fiber(f, 0j, [1.0, 2.0, 4.0])
 
     def test_inner_cover_never_proves_thin(self):
         # at R = e^30 the pole's own inner disk reaches only 2^-48, so the

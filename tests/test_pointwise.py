@@ -22,7 +22,6 @@ from polarhull import (
     h_eval,
     laurent_split,
     mittag_leffler,
-    poly_eval,
     poly_from_roots,
     u_eval,
 )
@@ -63,7 +62,6 @@ def evaluators(gauss10_field):
         ml = mittag_leffler(g5, DiskUnion([Disk(0.6 + 0j, 0.55)]), g5.singular_sample())
     level = gauss10_field.levels[-1].approximant
     return {
-        "poly_eval": lambda z: poly_eval(poly, z),
         "PolynomialC.__call__": poly,
         "eval_root_form": q.eval_root_form,
         "log_abs_root_form": q.log_abs_root_form,
@@ -88,7 +86,7 @@ def evaluators(gauss10_field):
 
 
 NAMES = [
-    "poly_eval", "PolynomialC.__call__", "eval_root_form", "log_abs_root_form",
+    "PolynomialC.__call__", "eval_root_form", "log_abs_root_form",
     "PoleSeries", "ExpReciprocal", "ExpReciprocal.principal", "RecipSinPi",
     "RecipSinPi.principal", "RationalModel", "RationalModel.principal",
     "LaurentSplit.principal_eval", "LaurentSplit.analytic_eval",

@@ -65,9 +65,20 @@ class TestSublevelCover:
         )
         assert total <= 1.0
 
-    def test_unsupported_family(self):
-        with pytest.raises(UnsupportedFamily):
-            sublevel_cover(RationalModel([0.5], [1.0]), 2.0)
+    def test_unsupported_family(self, uncovered):
+        with pytest.raises(UnsupportedFamily, match="_UncoveredModel"):
+            sublevel_cover(uncovered, 2.0)
+
+    def test_zero_residue_pole_gets_no_disk(self):
+        # a zero residue leaves its pole removable: no disk, no certificate term
+        cover = sublevel_cover(PoleSeries([0.5, 0.25], [1.0, 0.0]), 1.0)
+        assert (cover.centers.tolist(), cover.radii.tolist(), cover.side) == (
+            [0.5 + 0j], [1.0], "outer")
+
+    def test_all_zero_residues_give_empty_thin_cover(self):
+        cover = sublevel_cover(RationalModel([0.4, -0.2], [0.0, 0.0]), 1.0)
+        assert (len(cover), cover.side) == (0, "outer")
+        assert wiener_test(cover, 0.4).verdict == "THIN"
 
     def test_recip_sin_inner_disks_certify(self):
         big_r = math.e

@@ -166,7 +166,6 @@ def test_series_growth_guard():
     # a singularity missing from the q roots but faster than rho makes the
     # scaled coefficient magnitudes grow, which the guard must catch
     class Stray:
-        family = "synthetic"
         label = "synthetic"
 
         def __call__(self, z):
