@@ -268,6 +268,8 @@ def approx(out_dir, tolerance, function, m, n_list, target):
     center, rad, cnt = _parse_point(ctr), _positive("target", rad), _positive("target", cnt, int)
     theta = 2 * np.pi * np.arange(cnt) / cnt
     target_sample = _sample("target", target, center + rad * np.exp(1j * theta))
+    if np.min(sample.min_distance_to(target_sample.points)) <= 0:
+        raise click.UsageError(f"target {target!r} meets the sample")
     system = leja_points(sample, m)
     report = convergence_scan(f, system, [(m, n) for n in orders], target_sample,
                               quad_tol=tolerance or 1e-10)

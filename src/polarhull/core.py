@@ -315,13 +315,17 @@ def poly_from_roots(roots) -> PolynomialC:
 
 
 MAX_QUAD_NODES = 2**16
+# a doubling whose differences all lie within this factor of their rounding
+# floor is the last: more nodes cannot make two results agree more closely
+QUAD_FLOOR_FACTOR = 16
 
 
 class Quadrature(NamedTuple):
     value: complex | np.ndarray
     noise: float | np.ndarray   # |last - previous|, inf if never doubled
+    floor: float | np.ndarray   # rounding floor of value, from `reduce`
     nodes: int                  # at the last doubling
-    converged: bool             # False when max_nodes came first
+    converged: bool             # false at the cap or at the rounding floor
 
 
 def circle_trapezoid(f, circle: CircleContour, reduce, n0: int, *, tol: float,
@@ -330,16 +334,20 @@ def circle_trapezoid(f, circle: CircleContour, reduce, n0: int, *, tol: float,
 
     The nodes are c + r*rot with rot = exp(2 pi i j/n), n = n0 first;
     `reduce(rot, vals)` turns the values of `f` there into the wanted
-    quantity.  A doubling keeps the old nodes and evaluates `f` only on the
-    new odd ones.  It stops once max|new - old| <= tol * max(1, max|new|), or
-    at `max_nodes`; an `n0` above `max_nodes` raises ValueError.
+    quantity and its entrywise rounding floor, the error that summing those
+    values alone may leave.  A doubling keeps the old nodes and evaluates
+    `f` only on the new odd ones.  It stops, converged, once max|new - old|
+    <= tol * max(1, max|new|).  `converged` is false at the cap or at the
+    rounding floor: at `max_nodes`, or as soon as every |new - old| lies
+    within QUAD_FLOOR_FACTOR of its floor, where more nodes cannot help.
+    An `n0` above `max_nodes` raises ValueError.
     """
     if n0 > max_nodes:
         raise ValueError(f"quadrature would start at {n0} nodes, above its cap of {max_nodes}")
     n = n0
     rot = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
     vals = _eval_on_nodes(f, circle.center + circle.radius * rot)
-    value = reduce(rot, vals)
+    value, floor = reduce(rot, vals)
     noise = np.full_like(np.abs(value), np.inf)
     while n < max_nodes:
         n *= 2
@@ -348,8 +356,10 @@ def circle_trapezoid(f, circle: CircleContour, reduce, n0: int, *, tol: float,
         rot = np.ravel([rot, odd], order="F")
         vals = np.ravel([vals, _eval_on_nodes(f, circle.center + circle.radius * odd)],
                         order="F")
-        new = reduce(rot, vals)
+        new, floor = reduce(rot, vals)
         noise, value = np.abs(new - value), new
         if np.max(noise) <= tol * max(1.0, float(np.max(np.abs(new)))):
-            return Quadrature(value, noise, n, True)
-    return Quadrature(value, noise, n, False)
+            return Quadrature(value, noise, floor, n, True)
+        if np.all(noise <= QUAD_FLOOR_FACTOR * floor):
+            break
+    return Quadrature(value, noise, floor, n, False)

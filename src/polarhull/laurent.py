@@ -92,9 +92,10 @@ def _laurent_coeffs(f, circle: CircleContour, k_max: int):
 
     All coefficients come from the FFT of one set of node values.  Node
     doubling is judged on the raw circle moments (which settle at machine
-    precision); a_k = moment_k * r^{-k} afterwards, and any coefficient below
-    the measurement resolution SNAP_REL * max|f| * r^{-k} is reported as
-    exactly zero, since quadrature on this circle cannot distinguish it from zero.
+    precision; eps * mean|f| is their rounding floor); a_k = moment_k * r^{-k}
+    afterwards, and any coefficient below the measurement resolution
+    SNAP_REL * max|f| * r^{-k} is reported as exactly zero, since quadrature
+    on this circle cannot distinguish it from zero.
     A coefficient that overflows (a radius far from 1) raises TruncationError.
     """
     ks = np.arange(-k_max, k_max + 1)
@@ -103,8 +104,9 @@ def _laurent_coeffs(f, circle: CircleContour, k_max: int):
 
     def moments(rot, vals):
         nonlocal f_scale
-        f_scale = float(np.max(np.abs(vals)))
-        return np.fft.fft(vals)[ks] / len(vals)
+        absvals = np.abs(vals)
+        f_scale = float(np.max(absvals))
+        return np.fft.fft(vals)[ks] / len(vals), np.finfo(float).eps * np.mean(absvals)
 
     quad = circle_trapezoid(f, circle, moments, n0, tol=LAURENT_QUAD_TOL,
                             max_nodes=MAX_QUAD_NODES)

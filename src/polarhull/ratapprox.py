@@ -73,20 +73,23 @@ class RationalApproximant:
     holds c_k in ascending powers of z.  `noise` is the (N, m) matrix of
     their quadrature error estimates (the last node-doubling differences);
     evaluation shadows fold them in so callers can tell a genuinely small
-    residual from one that is below the noise.  Both are read-only, so
-    approximants can be shared between levels.
+    residual from one that is below the noise.  `floor` is the (N, m) matrix
+    of their rounding floors, eps times the sum of the integrand terms'
+    magnitudes.  All three are read-only, so approximants can be shared
+    between levels.
     """
 
     q_m: PolynomialC
     coeffs: np.ndarray
     noise: np.ndarray
+    floor: np.ndarray
     contour: CircleContour
     analytic_part: PolynomialC
     nodes: int              # trapezoid nodes on the contour
-    converged: bool         # False when node doubling hit MAX_APPROX_NODES
+    converged: bool         # false at the cap or at the rounding floor
 
     def __post_init__(self):
-        for name, dtype in (("coeffs", complex), ("noise", float)):
+        for name, dtype in (("coeffs", complex), ("noise", float), ("floor", float)):
             value = np.array(getattr(self, name), dtype=dtype)
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -248,12 +251,16 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
         qv = q.eval_root_form(zeta)
         rows = _kernel_rows(q, zeta)
         weights = contour.radius * rot / len(rot)
+        abs_rows = np.abs(rows)
         coeff = np.empty((big_n, m), dtype=complex)
+        floor = np.empty((big_n, m))
         qpow = np.ones_like(zeta)
         for k in range(big_n):
-            coeff[k] = rows @ (fv * qpow * weights)
+            terms = fv * qpow * weights
+            coeff[k] = rows @ terms
+            floor[k] = abs_rows @ np.abs(terms)
             qpow = qpow * qv
-        return coeff
+        return coeff, np.finfo(float).eps * floor
 
     quad = circle_trapezoid(principal_on_nodes, contour, integrals,
                             max(256, 1 << (4 * m - 1).bit_length()),
@@ -278,6 +285,7 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
         q_m=q,
         coeffs=coeff,
         noise=noise,
+        floor=quad.floor,
         contour=contour,
         analytic_part=analytic,
         nodes=quad.nodes,
@@ -291,7 +299,7 @@ class ConvergenceReport:
 
     entries: tuple  # (degree, sup_error, normalized_error, at_noise_floor)
     target_distance: float
-    quadrature: tuple  # (nodes, converged) of each entry's approximant
+    quadrature: tuple  # (nodes, converged, max floor) of each entry's approximant
 
     def to_dict(self) -> dict:
         return {
@@ -303,8 +311,9 @@ class ConvergenceReport:
                     "at_noise_floor": bool(fl),
                     "nodes": nodes,
                     "converged": conv,
+                    "rounding_floor": floor,
                 }
-                for (d, e, ne, fl), (nodes, conv) in zip(self.entries, self.quadrature)
+                for (d, e, ne, fl), (nodes, conv, floor) in zip(self.entries, self.quadrature)
             ],
             "target_distance": self.target_distance,
         }
@@ -344,6 +353,6 @@ def convergence_scan(f, sys: FeketeSystem, schedule, target: CompactSample, *,
         else:
             norm = math.exp(math.log(err) / (m * n))
         entries.append((m * n, err, norm, floored))
-        quadrature.append((approx.nodes, approx.converged))
+        quadrature.append((approx.nodes, approx.converged, float(np.max(approx.floor))))
     return ConvergenceReport(entries=tuple(entries), target_distance=float(dist),
                              quadrature=tuple(quadrature))

@@ -61,6 +61,7 @@ CONSTANTS = {
     "laurent.ML_KMAX": 40,
     "pshbuild.GRID_DENSITY": 10,
     "pshbuild.MAX_NU": 12,
+    "core.QUAD_FLOOR_FACTOR": 16,
 }
 
 _COMMON = ("--config", "--out")

@@ -4,8 +4,12 @@
 passes `builder=` and `potential=` into the library, and `bench/workloads.py`
 builds its workloads from public names.  A refactor that drops or renames one
 of them breaks `bench/run.py --trace 1` without failing a library test, so
-these tests import both files unedited and check what they rely on.
+these tests import both files unedited and check what they rely on.  The
+field-certify operations also serve as the reference cases of the
+quadrature's rounding-floor stop: each is run again with the stop switched
+off (`QUAD_FLOOR_FACTOR = 0`, doubling to the node cap), as an oracle.
 """
+import functools
 import importlib.util
 import inspect
 import sys
@@ -14,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import polarhull
-from polarhull import ratapprox
+from polarhull import core, ratapprox
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -74,3 +78,62 @@ def test_traced_certify_op_passes_its_oracle(spans, workloads):
     assert tracer.counts["grid_nodes"] == nodes
     assert tracer.count_under("ratapprox.build_approximant", "pshbuild.certify_schedule") > 0
     assert ratapprox.build_approximant is polarhull.build_approximant  # restored
+
+
+def _run_ops(workloads, prefix, lib=None):
+    """{name: (op, result)} of the field-certify operations whose names start with `prefix`."""
+    lib = lib or workloads.plain_lib()
+    wl = workloads.build("field-certify", 1, lib)
+    return {op.name: (op, op.call(lib, {})) for op in wl.ops if op.name.startswith(prefix)}
+
+
+def test_scan_ops_pass_within_1024_nodes(workloads):
+    scans = _run_ops(workloads, "scan:")
+    assert len(scans) == 3
+    for name, (op, report) in scans.items():
+        problems, _ = op.check(report, op.expect)
+        assert problems == [], name
+        nodes = [nodes for nodes, _, _ in report.quadrature]
+        assert max(nodes) <= 1024, (name, nodes)
+
+
+def test_scans_match_the_doubling_to_cap_oracle(workloads, monkeypatch):
+    fast = _run_ops(workloads, "scan:")
+    monkeypatch.setattr(core, "QUAD_FLOOR_FACTOR", 0)
+    slow = _run_ops(workloads, "scan:")
+    # the four builds that stop at the rounding floor run to the cap without it
+    assert sum(nodes == ratapprox.MAX_APPROX_NODES
+               for _, report in slow.values() for nodes, _, _ in report.quadrature) == 4
+    for name, (_, report) in fast.items():
+        oracle = slow[name][1]
+        assert len(report.entries) == len(oracle.entries)
+        for (d, err, _, floored), (d0, err0, _, floored0) in zip(report.entries, oracle.entries):
+            assert d == d0 and floored == floored0, name
+            assert abs(err - err0) <= 1e-12, (name, d, err, err0)
+
+
+def _certify_builds(workloads):
+    """The approximants the seven certify operations built, and every try of their levels."""
+    built = []
+
+    def builder(*args, **kwargs):
+        built.append(ratapprox.build_approximant(*args, **kwargs))
+        return built[-1]
+
+    lib = workloads.plain_lib()
+    lib.certify_schedule = functools.partial(polarhull.certify_schedule, builder=builder)
+    fields = _run_ops(workloads, "certify:", lib)
+    assert len(fields) == 7
+    tried = [t for _, field in fields.values() for lev in field.levels for t in lev.tried]
+    return built, tried
+
+
+def test_certify_builds_match_the_doubling_to_cap_oracle(workloads, monkeypatch):
+    built, tried = _certify_builds(workloads)
+    monkeypatch.setattr(core, "QUAD_FLOOR_FACTOR", 0)
+    oracle, oracle_tried = _certify_builds(workloads)
+    assert tried == oracle_tried
+    assert len(built) == len(oracle)
+    for ap, want in zip(built, oracle):
+        assert (ap.nodes, ap.converged) == (want.nodes, want.converged)
+        assert ap.coeffs.tobytes() == want.coeffs.tobytes()

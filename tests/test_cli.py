@@ -301,6 +301,8 @@ def test_nonpositive_count_rejected(tmp_path, command, value):
     ["approx", "--function", "exp-reciprocal", "--n-list", "2,1"],
     ["approx", "--function", "exp-reciprocal", "--n-list", "1,1"],
     ["approx", "--function", "recip-sin-pi:8", "--m", 1000],
+    # the target node 0.5 is the sample point 1/2
+    ["approx", "--function", "recip-sin-pi:8", "--target", "0,0:0.5:64"],
     ["hmeasure", "--seed", -1],
     # 4 (kmax + 1) start nodes round up to 2^17, above the 2^16 quadrature cap
     ["decompose", "--function", "exp-reciprocal", "--kmax", 16384],
@@ -377,7 +379,7 @@ def test_artifact_keys_are_documented(tmp_path, args):
     assert run(args[:out + 1] + [tmp_path] + args[out + 2:]) == 0
     result = json.loads((tmp_path / f"{args[0]}.json").read_text())["result"]
     keys = {args[0]: set(result)}
-    for command, rows in (("psh", "levels"), ("hull", "entries")):
+    for command, rows in (("psh", "levels"), ("hull", "entries"), ("approx", "entries")):
         if args[0] == command:
             keys[command] |= {k for row in result[rows] for k in row}
     if args[0] == "hull":

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from polarhull import core
 from polarhull.core import (
     CircleContour,
     CompactSample,
@@ -205,8 +206,9 @@ def _fresh_node_trapezoid(f, contour, n0, tol=1e-10, max_nodes=2**16):
 
 
 def _mean_times_rot(circle):
-    """The reduce of (1/(2 pi i)) * integral of f dz over `circle`."""
-    return lambda rot, vals: circle.radius * np.mean(vals * rot)
+    """The reduce of (1/(2 pi i)) * integral of f dz over `circle`, with its rounding floor."""
+    return lambda rot, vals: (circle.radius * np.mean(vals * rot),
+                              np.finfo(float).eps * circle.radius * np.mean(np.abs(vals)))
 
 
 ORACLE_CASES = [
@@ -253,6 +255,18 @@ def test_unsettled_integrand_reports_not_converged():
     assert not quad.converged
     assert quad.nodes == 256
     assert quad.noise > 1e-10
+
+
+def test_differences_at_the_rounding_floor_stop_the_doubling():
+    # the same unsettled integrand, with a floor that says its first
+    # doubling difference is rounding: no further doubling is run
+    contour = CircleContour(0j, 1.0)
+    quad = circle_trapezoid(lambda z: 1.0 / (z - 1.001), contour,
+                            lambda rot, vals: (np.mean(vals * rot), 100.0), 16,
+                            tol=1e-10, max_nodes=256)
+    assert not quad.converged
+    assert quad.nodes == 32 and quad.floor == 100.0
+    assert 1e-10 < quad.noise <= core.QUAD_FLOOR_FACTOR * quad.floor
 
 
 def test_start_above_the_cap_is_refused():

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from polarhull import ratapprox
+from polarhull import core, ratapprox
 from polarhull.core import CircleContour, CompactSample, PolynomialC, _horner, poly_from_roots
 from polarhull.fekete import leja_points
 from polarhull.models import ExpReciprocal, PoleSeries, RationalModel, RecipSinPi
@@ -180,17 +180,35 @@ def test_series_growth_guard():
         build_approximant(Stray(), system, 1, 8)
 
 
-def test_capped_build_is_flagged():
-    # m = 33 on 1/sin(pi/z) needs more than the 2^14 node cap at N = 2
+def test_build_at_the_rounding_floor_is_flagged():
+    # m = 33 on 1/sin(pi/z): at N = 2 and 3 the doubling differences sit at
+    # the rounding floor from 512 nodes on, so the build stops there unsettled
     f = RecipSinPi(16)
     system = leja_points(f.singular_sample(), 33)
     target = CompactSample(2.0 * np.exp(2j * np.pi * np.arange(128) / 128))
-    rep = convergence_scan(f, system, [(33, 1), (33, 2)], target)
-    assert [(e["nodes"], e["converged"]) for e in rep.to_dict()["entries"]] == [
-        (512, True), (2**14, False)]
+    rep = convergence_scan(f, system, [(33, 1), (33, 2), (33, 3)], target)
+    entries = rep.to_dict()["entries"]
+    assert (entries[0]["nodes"], entries[0]["converged"]) == (512, True)
+    for e in entries[1:]:
+        assert e["nodes"] <= 1024 and e["converged"] is False
+        assert e["rounding_floor"] > 0
     assert len(rep.entries[0]) == 4  # csv rows and callers unpack four fields
-    ap = build_approximant(f, system, 33, 2)
-    assert ap.converged is False and ap.nodes == 2**14
+    for n in (2, 3):
+        ap = build_approximant(f, system, 33, n)
+        assert ap.converged is False and ap.nodes <= 1024
+        assert ap.floor.shape == ap.coeffs.shape and not ap.floor.flags.writeable
+        assert np.all(ap.noise <= core.QUAD_FLOOR_FACTOR * ap.floor)
+
+
+def test_build_short_of_the_floor_runs_to_the_cap():
+    # the contour about the sample {0.5, 0.3} is |z - 0.4| = 0.35; a pole 1e-4
+    # of its radius outside keeps the truncation error far above the floor
+    system = leja_points(CompactSample([0.5, 0.3]), 2)
+    f = RationalModel([0.4 + 0.35 * 1.0001], [1.0])
+    ap = build_approximant(f, system, 2, 1)
+    assert ap.contour.center == pytest.approx(0.4) and ap.contour.radius == pytest.approx(0.35)
+    assert ap.converged is False and ap.nodes == ratapprox.MAX_APPROX_NODES
+    assert np.any(ap.noise > core.QUAD_FLOOR_FACTOR * ap.floor)
 
 
 def _per_order(ap):
