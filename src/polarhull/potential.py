@@ -237,6 +237,7 @@ class MeasureEstimate:
 WOS_SHELL = 1e-4  # absorption shell width, relative to the domain radius
 GRID_N = 321  # grid nodes per side
 MAX_WOS_ROUNDS = 200000  # step rounds before walk-on-spheres gives up
+WOS_BLOCK_PAIRS = 1 << 16  # (walk, surface) distances held at once by walk-on-spheres
 
 
 def harmonic_measure(z, target: CircleContour, domain: CircleContour,
@@ -244,11 +245,16 @@ def harmonic_measure(z, target: CircleContour, domain: CircleContour,
                      method: str = "wos") -> MeasureEstimate:
     """Estimate the harmonic function with value 1 on the `target` circle, 0 elsewhere.
 
-    The walk-on-spheres estimator steps to a uniform point on the largest
-    circle that avoids every absorbing surface and scores 1 when it lands
-    within the absorption shell of the target.  Isolated polar points are
-    never hit, matching the theory.  Fixed (seed, walks) give reproducible
-    results; std_error is the sample standard deviation over walks.
+    The walk-on-spheres estimator (Muller 1956) steps to a uniform point on
+    the largest circle that avoids every absorbing surface and scores 1 when
+    it lands within the absorption shell, WOS_SHELL times the domain radius,
+    of the target.  Obstacles absorb within the same shell, so a disk far
+    narrower than the shell absorbs walks as a disk of the shell's radius
+    would, although Brownian motion never hits a polar set: on the dense
+    gaussian-100 cover disks near 0 the estimate is far too low (ROADMAP
+    item 5).  The walk-to-surface distances are computed in slabs of at most
+    WOS_BLOCK_PAIRS pairs.  Fixed (seed, walks) give reproducible results;
+    std_error is the sample standard deviation of the scores over sqrt(walks).
     """
     if not isinstance(target, CircleContour):
         raise TypeError("target must be a CircleContour")
@@ -282,6 +288,10 @@ def harmonic_measure(z, target: CircleContour, domain: CircleContour,
     radii = np.concatenate([[t_r], np.full(n_dom, dom_r), obstacles.radii])
     scores = np.repeat([1.0, 0.0], [1, n_dom + len(obstacles)])
     rng = np.random.default_rng(seed)
+    slab = max(1, WOS_BLOCK_PAIRS // len(centers))  # walks per distance slab
+    diff_buf = np.empty((min(slab, walks), len(centers)), dtype=complex)
+    dist_buf = np.empty(diff_buf.shape)
+    rows = np.arange(len(diff_buf))
     result = np.zeros(walks)
     idx = np.arange(walks)  # the live walks and their positions
     pos = np.full(walks, z, dtype=complex)
@@ -292,9 +302,17 @@ def harmonic_measure(z, target: CircleContour, domain: CircleContour,
         rounds += 1
         # a walk never leaves the domain, where r - |p - c| is bitwise
         # |(|p - c|) - r|: one formula serves the domain circle and the curves
-        dist = np.abs(np.abs(pos[:, None] - centers) - radii)
-        nearest = np.argmin(dist, axis=1)
-        dmin = dist[np.arange(len(idx)), nearest]
+        nearest = np.empty(len(idx), dtype=np.intp)
+        dmin = np.empty(len(idx))
+        for lo in range(0, len(idx), slab):
+            hi = min(lo + slab, len(idx))
+            diff, dist = diff_buf[: hi - lo], dist_buf[: hi - lo]
+            np.subtract(pos[lo:hi, None], centers, out=diff)
+            np.abs(diff, out=dist)
+            dist -= radii
+            np.abs(dist, out=dist)
+            np.argmin(dist, axis=1, out=nearest[lo:hi])
+            dmin[lo:hi] = dist[rows[: hi - lo], nearest[lo:hi]]
         hit = dmin < eps
         result[idx[hit]] = scores[nearest[hit]]
         move = ~hit
@@ -367,31 +385,39 @@ def _sor(u: np.ndarray, free: np.ndarray, omega: float, tol: float) -> tuple[int
     """Red-black SOR on `u` in place until max |stencil - u| over `free` < tol.
 
     `free` must be False on the border rows and columns.  The sweeps run on
-    four contiguous sub-lattices u[a::2, b::2]: red is (0, 0) and (1, 1),
-    black (0, 1) and (1, 0).  Every neighbour of a node lies on a lattice of
-    the other colour, so a colour is updated in place from shifted slices of
-    the other colour's lattices, with weight omega on free nodes and 0 on
-    fixed ones.  The neighbours are added up, down, left, right and then
-    scaled by 1/4, the order of the whole-grid stencil, so every iterate is
-    bitwise that of the whole-grid masked update.  The residual is checked
-    after every sweep.  Returns the sweep count and the final residual.
+    the four sub-lattices u[a::2, b::2], red (0, 0) and (1, 1), black (0, 1)
+    and (1, 0), each stored flat with a zero pad row above and below and a
+    zero pad column, all of one width.  Every neighbour of a node lies on a
+    lattice of the other colour at a flat shift of 0 or +-width (up, down)
+    and 0 or +-1 (left, right), so each stencil is four contiguous 1-D
+    slices.  A colour is updated in place with weight omega on free nodes
+    and 0 on fixed, border and pad entries.  The neighbours are added up,
+    down, left, right and then scaled by 1/4, the order of the whole-grid
+    stencil, so every iterate is bitwise that of the whole-grid masked
+    update.  The residual is checked after every sweep; its red stencils
+    are the next sweep's red update, as the black lattices do not move in
+    between.  Returns the sweep count and the final residual.
     """
-    rows, cols = u.shape
+    # the tallest lattice's rows; the widest lattice's columns and the pad column
+    height, width = (u.shape[0] + 1) // 2, (u.shape[1] + 1) // 2 + 1
+    size = height * width  # a flat lattice without its pad rows
 
-    def interior(a, n, shift=0):
-        # lattice indices p of the nodes 2p + a in 1..n-2, shifted by `shift`
-        return slice(1 - a + shift, (n - a) // 2 + shift)
+    def flat(grid, a, b):
+        block = np.zeros((height + 2, width))
+        sub = grid[a::2, b::2]
+        block[1:1 + sub.shape[0], :sub.shape[1]] = sub
+        return block
 
-    lat = {(a, b): np.ascontiguousarray(u[a::2, b::2]) for a in (0, 1) for b in (0, 1)}
+    lat = {(a, b): flat(u, a, b).ravel() for a in (0, 1) for b in (0, 1)}
     plan = []
     for a, b in ((0, 0), (1, 1), (0, 1), (1, 0)):  # red, then black
-        r, c = interior(a, rows), interior(b, cols)
         vert, horiz = lat[1 - a, b], lat[a, 1 - b]
-        neighbours = (vert[interior(a, rows, a - 1), c], vert[interior(a, rows, a), c],
-                      horiz[r, interior(b, cols, b - 1)], horiz[r, interior(b, cols, b)])
-        mask = free[a::2, b::2][r, c]
-        plan.append((lat[a, b][r, c], neighbours, np.where(mask, omega, 0.0),
-                     mask.astype(float), np.empty(mask.shape), np.empty(mask.shape)))
+        # up, down, left, right
+        neighbours = tuple(x[width + s:width + s + size] for x, s in (
+            (vert, (a - 1) * width), (vert, a * width), (horiz, b - 1), (horiz, b)))
+        is_free = flat(free, a, b).ravel()[width:width + size]
+        plan.append((lat[a, b][width:width + size], neighbours, omega * is_free, is_free,
+                     np.empty(size), np.empty(size)))
 
     def stencil(neighbours, out):
         up, down, left, right = neighbours
@@ -400,9 +426,12 @@ def _sor(u: np.ndarray, free: np.ndarray, omega: float, tol: float) -> tuple[int
         out += right
         out *= 0.25
 
+    for _, neighbours, _, _, nb, _ in plan[:2]:
+        stencil(neighbours, nb)
     for sweep in range(1, 200001):
-        for node, neighbours, weight, _, nb, step in plan:
-            stencil(neighbours, nb)
+        for k, (node, neighbours, weight, _, nb, step) in enumerate(plan):
+            if k >= 2:  # the red stencils carry over from the last residual check
+                stencil(neighbours, nb)
             np.subtract(nb, node, out=step)
             step *= weight
             node += step
@@ -418,7 +447,7 @@ def _sor(u: np.ndarray, free: np.ndarray, omega: float, tol: float) -> tuple[int
             break
     else:
         raise PolarhullError("grid relaxation did not reach the residual target")
-    for (a, b), sub in lat.items():
-        u[a::2, b::2] = sub
+    for (a, b), block in lat.items():
+        sub = u[a::2, b::2]
+        sub[...] = block.reshape(height + 2, width)[1:1 + sub.shape[0], :sub.shape[1]]
     return sweep, residual
-

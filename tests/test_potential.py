@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -572,3 +573,69 @@ def test_grid_sweeps_match_masked_oracle(monkeypatch, name, args, grid_n):
     slow = harmonic_measure(*args, method="grid")
     # bitwise: value, free-node count, sweep count and final residual
     assert fast == slow
+
+
+def _wos_block_oracle(z, target, domain, obstacles, walks, seed):
+    """Walk-on-spheres with the whole (live walks x surfaces) distance block per round."""
+    eps = 1e-4 * domain.radius
+    same = abs(domain.center - target.center) < 1e-12 and abs(domain.radius - target.radius) < 1e-12
+    n_dom = 0 if same else 1
+    centers = np.concatenate([[target.center], np.full(n_dom, domain.center), obstacles.centers])
+    radii = np.concatenate([[target.radius], np.full(n_dom, domain.radius), obstacles.radii])
+    scores = np.repeat([1.0, 0.0], [1, n_dom + len(obstacles)])
+    rng = np.random.default_rng(seed)
+    result = np.zeros(walks)
+    idx = np.arange(walks)
+    pos = np.full(walks, complex(z), dtype=complex)
+    rounds = 0
+    while idx.size:
+        rounds += 1
+        dist = np.abs(np.abs(pos[:, None] - centers) - radii)
+        nearest = np.argmin(dist, axis=1)
+        dmin = dist[np.arange(len(idx)), nearest]
+        hit = dmin < eps
+        result[idx[hit]] = scores[nearest[hit]]
+        move = ~hit
+        idx, pos, dmin = idx[move], pos[move], dmin[move]
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=len(idx))
+        pos = pos + dmin * np.exp(1j * theta)
+    value = min(max(float(np.mean(result)), 0.0), 1.0)
+    return value, float(np.std(result, ddof=1) / math.sqrt(walks)), rounds
+
+
+def _wos_cases():
+    r = 0.05
+
+    def inside(f):
+        return DiskUnion([d for d in sublevel_cover(f, 1.0) if abs(d.center) + d.radius < r])
+
+    ball = (CircleContour(0j, r), Disk(0j, r))
+    return [
+        ("annulus", (0.4 + 0j, CircleContour(0j, 0.1), Disk(0j, 1.0), DiskUnion([]))),
+        ("thin-obstacles@r/4", (r / 4 + 0j, *ball, inside(PoleSeries.gaussian(40)))),
+        ("dense-obstacles", (0.0123 + 0j, *ball, inside(PoleSeries.gaussian(100)))),
+    ]
+
+
+WOS_CASES = _wos_cases()
+
+
+@pytest.mark.parametrize("pairs", [1, 7, potential.WOS_BLOCK_PAIRS])
+@pytest.mark.parametrize("name,args", WOS_CASES, ids=[c[0] for c in WOS_CASES])
+def test_wos_slabs_match_block_oracle(monkeypatch, name, args, pairs):
+    # 1 pair, and 7 over the obstacles, make one-walk slabs; 7 over the annulus's two
+    # surfaces makes slabs of 3 walks, the last one ragged, as is the default's on dense
+    monkeypatch.setattr(potential, "WOS_BLOCK_PAIRS", pairs)
+    est = harmonic_measure(*args, walks=2000, seed=5)
+    assert (est.value, est.std_error, est.iterations) == _wos_block_oracle(*args, 2000, 5)
+
+
+def test_wos_peak_memory_on_dense_obstacles():
+    # the one-block walker peaked at 51 MiB on this case
+    tracemalloc.start()
+    try:
+        harmonic_measure(*WOS_CASES[2][1], walks=20000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
