@@ -154,7 +154,7 @@ _DUPLICATE_TOL = 1e-14
 SAMPLE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompactSample:
     """Finite point sample standing in for a compact set.
 
@@ -340,14 +340,23 @@ def circle_trapezoid(f, circle: CircleContour, reduce, n0: int, *, tol: float,
     <= tol * max(1, max|new|).  `converged` is false at the cap or at the
     rounding floor: at `max_nodes`, or as soon as every |new - old| lies
     within QUAD_FLOOR_FACTOR of its floor, where more nodes cannot help.
-    An `n0` above `max_nodes` raises ValueError.
+    An `n0` above `max_nodes` raises ValueError, and a reduction that is not
+    finite, value or floor, raises NodeEvaluationError at once.
     """
     if n0 > max_nodes:
         raise ValueError(f"quadrature would start at {n0} nodes, above its cap of {max_nodes}")
+
+    def reduce_finite(rot, vals):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+            value, floor = reduce(rot, vals)
+        if not (np.all(np.isfinite(value)) and np.all(np.isfinite(floor))):
+            raise NodeEvaluationError(f"quadrature is not finite on {len(rot)} nodes")
+        return value, floor
+
     n = n0
     rot = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
     vals = _eval_on_nodes(f, circle.center + circle.radius * rot)
-    value, floor = reduce(rot, vals)
+    value, floor = reduce_finite(rot, vals)
     noise = np.full_like(np.abs(value), np.inf)
     while n < max_nodes:
         n *= 2
@@ -356,7 +365,7 @@ def circle_trapezoid(f, circle: CircleContour, reduce, n0: int, *, tol: float,
         rot = np.ravel([rot, odd], order="F")
         vals = np.ravel([vals, _eval_on_nodes(f, circle.center + circle.radius * odd)],
                         order="F")
-        new, floor = reduce(rot, vals)
+        new, floor = reduce_finite(rot, vals)
         noise, value = np.abs(new - value), new
         if np.max(noise) <= tol * max(1.0, float(np.max(np.abs(new)))):
             return Quadrature(value, noise, floor, n, True)

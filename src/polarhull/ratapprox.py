@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     CircleContour,
     CompactSample,
+    NodeEvaluationError,
     PolarhullError,
     PolynomialC,
     _eval_on_nodes,
@@ -30,7 +31,6 @@ from .core import (
 from .fekete import FeketeSystem
 
 __all__ = [
-    "ContourTooClose",
     "SeriesDiverging",
     "RationalApproximant",
     "ConvergenceReport",
@@ -44,10 +44,6 @@ N_SCALE = 2
 NOISE_FLOOR = 1e-12
 # each doubling of this cap doubles the work of every build that cannot settle
 MAX_APPROX_NODES = 2**14
-
-
-class ContourTooClose(PolarhullError):
-    """A contour node sits where |q_m| is not safely above the rho threshold."""
 
 
 class SeriesDiverging(PolarhullError):
@@ -178,33 +174,30 @@ CONTOUR_MARGIN = 1.25
 
 
 def _sample_contour(points: np.ndarray, q: PolynomialC, rho_floor: float) -> CircleContour:
-    """Circle around the sample with min |q| >= margin*rho on its nodes.
+    """Circle |z - c| = r around the sample with |q| >= margin*rho on all of it.
 
-    The margin keeps the circle inside the region where the integrand series
-    converges while staying snug: large circles make |q|^k on the nodes dwarf
-    the coefficient integrals and destroy their conditioning.
+    For monic q, |q(z)| >= prod (r - |root - c|) on the whole circle by the
+    reverse triangle inequality; r is where that bound, summed in logs,
+    clears the bar, so no node is sampled.  The margin keeps the circle
+    inside the region where the integrand series converges while staying
+    snug: large circles make |q|^k on the nodes dwarf the coefficient
+    integrals and destroy their conditioning.
     """
     center = complex(np.mean(points))
     base = float(np.max(np.abs(points - center)))
+    gaps = np.abs(q.roots - center)
+    bar = math.log(CONTOUR_MARGIN * rho_floor)
 
     def ok(r):
-        nodes = CircleContour(center, r).nodes(256)
-        with np.errstate(over="ignore"):  # |q| = inf on a node still clears the bar
-            return float(np.min(np.exp(q.log_abs_root_form(nodes)))) >= CONTOUR_MARGIN * rho_floor
+        return float(np.sum(np.log(r - gaps))) >= bar
 
     # a comfortable standoff keeps |f| tame on the nodes; circles hugging the
     # sample make functions with singularities there blow up and cost digits
     r = base + max(0.5 * base, 0.25)
     if not ok(r):
-        lo, hi = r, r
-        for _ in range(60):
-            hi *= 1.3
-            if ok(hi):
-                break
-            lo = hi
-        else:
-            raise ContourTooClose(f"|q_m| never cleared {CONTOUR_MARGIN}*rho_m on any circle tried")
-        for _ in range(50):  # bisect to the constraint boundary, keep the safe side
+        # (r - base)^m <= prod (r - g_i), so the bound clears at hi
+        lo, hi = r, base + math.exp(bar / len(gaps))
+        for _ in range(50):  # bisect to the bound's boundary, keep the safe side
             mid = 0.5 * (lo + hi)
             if ok(mid):
                 hi = mid
@@ -222,7 +215,10 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
     and only the principal part is approximated; the polynomial part rides
     along exactly.  Coefficients are integrals over a counterclockwise circle
     around the sample (the one `_sample_contour` finds), which by holomorphy
-    agree with integrals over any admissible level curve of |q_m|.
+    agree with integrals over any admissible level curve of |q_m|.  That
+    circle is certified whole, not node by node: |q_m| >= 1.25 rho_m > rho_m
+    on all of it, by the closed-form bound prod (r - |root - c|), and every
+    sample point lies at least 1/4 away from it.
     """
     if m < 1 or big_n < 1:
         raise ValueError("m and big_n must be >= 1")
@@ -236,15 +232,6 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
 
     analytic, principal = f.split_at_infinity()
     contour = _sample_contour(sys.base_set.points, q, rho_floor)
-
-    gap_tol = 1e-9 * contour.radius
-    root_sample = CompactSample(roots)
-
-    def principal_on_nodes(zeta):  # vets the nodes before evaluating on them
-        qv = np.abs(q.eval_root_form(zeta))
-        if qv.min() <= rho or np.min(root_sample.min_distance_to(zeta)) <= gap_tol:
-            raise ContourTooClose(f"|q_m| <= rho_m at the contour node {zeta[qv.argmin()]!r}")
-        return principal(zeta)
 
     def integrals(rot, fv):
         zeta = contour.center + contour.radius * rot
@@ -262,22 +249,16 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
             qpow = qpow * qv
         return coeff, np.finfo(float).eps * floor
 
-    quad = circle_trapezoid(principal_on_nodes, contour, integrals,
+    quad = circle_trapezoid(principal, contour, integrals,
                             max(256, 1 << (4 * m - 1).bit_length()),
                             tol=quad_tol, max_nodes=MAX_APPROX_NODES)
     coeff = quad.value
     noise = np.maximum(quad.noise, np.finfo(float).eps * np.abs(coeff))
 
     if not degenerate and big_n >= 4:
-        scaled = [
-            float(np.max(np.abs(coeff[k]))) for k in range(big_n)
-        ]
-        with np.errstate(divide="ignore"):
-            t = [
-                (math.log(s) if s > 0 else -np.inf) - k * math.log(rho_floor)
-                for k, s in enumerate(scaled)
-            ]
-        tail = t[-4:]
+        peaks = np.max(np.abs(coeff[-4:]), axis=1).tolist()
+        tail = [(math.log(s) if s > 0 else -math.inf) - k * math.log(rho_floor)
+                for k, s in zip(range(big_n - 4, big_n), peaks)]
         if all(b > a for a, b in zip(tail, tail[1:])):
             raise SeriesDiverging("scaled coefficient terms grew over the last 3 orders")
 
@@ -346,7 +327,11 @@ def convergence_scan(f, sys: FeketeSystem, schedule, target: CompactSample, *,
             approx = build_approximant(f, sys, m, n, quad_tol=quad_tol)
         except PolarhullError as e:
             raise type(e)(f"schedule entry (m={m}, N={n}): {e}") from e
-        err = float(np.max(np.abs(fv - approx.eval(target.points))))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+            err = float(np.max(np.abs(fv - approx.eval(target.points))))
+        if not math.isfinite(err):
+            raise NodeEvaluationError(
+                f"schedule entry (m={m}, N={n}): the approximant is not finite on the target")
         floored = err <= NOISE_FLOOR
         if floored:
             norm = 0.0

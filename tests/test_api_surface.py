@@ -11,7 +11,9 @@ changed setting as an edit to CONSTANTS.  A command-line flag is a setting
 too: one added or dropped shows up as an edit to CLI_OPTIONS.  Likewise a
 name added to or removed from `polarhull.__all__` shows up as an edit to
 EXPORTS.  The docs name constants too, and a name they keep after the code
-dropped it shows up in `test_documented_names_resolve`.
+dropped it shows up in `test_documented_names_resolve`.  A change that grows
+the package past its non-blank line count shows up as an edit to
+SOURCE_LINES.
 """
 import importlib
 import inspect
@@ -63,6 +65,9 @@ CONSTANTS = {
     "pshbuild.MAX_NU": 12,
     "core.QUAD_FLOOR_FACTOR": 16,
 }
+
+# non-blank lines under src/polarhull: a ceiling, lowered as the package shrinks
+SOURCE_LINES = 2266
 
 _COMMON = ("--config", "--out")
 CLI_OPTIONS = {
@@ -128,6 +133,13 @@ def test_cli_options_are_pinned():
 
 def test_top_level_exports_are_pinned():
     assert tuple(polarhull.__all__) == EXPORTS
+
+
+def test_package_size_is_pinned():
+    package = Path(polarhull.__file__).parent
+    lines = sum(bool(line.strip()) for path in package.rglob("*.py")
+                for line in path.read_text().splitlines())
+    assert lines <= SOURCE_LINES, f"{lines} non-blank source lines, above {SOURCE_LINES}"
 
 
 def test_disk_is_the_circle_type():

@@ -46,6 +46,11 @@ def test_malformed_config_file_exits_one(tmp_path):
     ["approx", "--function", "exp-reciprocal", "--target", "0,0:0.001:8"],
     # sum |c_n|/sqrt(gamma_n) divided by the level overflows to inf
     ["thin", "--function", "pole-series-gaussian", "--big-r", "5e-324"],
+    # q^k on the contour overflows the coefficient integrals at the first 256 nodes
+    ["approx", "--function", "recip-sin-pi:16", "--n-list", 60],
+    # q_m of degree 120 overflows on the target circle of radius 1000
+    ["approx", "--function", "pole-series-gaussian:120", "--n-list", 1,
+     "--target", "0,0:1000:8"],
 ])
 def test_numeric_failure_exits_two(tmp_path, capsys, command):
     with warnings.catch_warnings(record=True) as caught:

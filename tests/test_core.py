@@ -107,6 +107,16 @@ def test_contour_rejects_nonfinite():
         _contour(bad, CircleContour(0j, 1.0), 256)
 
 
+def test_contour_rejects_nonfinite_reduction():
+    # 1e15^16 is finite and 1e15^32 overflows: the first doubling raises, silently
+    def reduce(rot, vals):
+        return complex(np.prod(np.full(len(rot), 1e15))), 0.0
+
+    with pytest.raises(NodeEvaluationError, match="not finite on 32 nodes"):
+        circle_trapezoid(np.ones_like, CircleContour(0j, 1.0), reduce, 16, tol=0.0,
+                         max_nodes=MAX_QUAD_NODES)
+
+
 def test_scalar_only_integrand_raises_its_own_error():
     # integrands are called once on the node array, never retried node by node
     with pytest.raises(TypeError):
@@ -133,6 +143,12 @@ def test_sample_rejects_duplicates():
 def test_sample_rejects_empty():
     with pytest.raises(ValueError):
         CompactSample([])
+
+
+def test_sample_equality_is_identity():
+    a, b = CompactSample([1, 2]), CompactSample([1, 2])
+    assert a == a and a != b
+    assert {a: 1}[a] == 1 and hash(a) != hash(b)
 
 
 def test_disk_requires_positive_radius():

@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
 import math
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,13 +13,9 @@ from polarhull.core import CircleContour, CompactSample, PolynomialC, _horner, p
 from polarhull.fekete import leja_points
 from polarhull.models import ExpReciprocal, PoleSeries, RationalModel, RecipSinPi
 from polarhull.pshbuild import QUAD_NOISE_SAFETY, _box_ceiling, certify_schedule, h_eval
-from polarhull.ratapprox import (
-    ContourTooClose,
-    SeriesDiverging,
-    build_approximant,
-    convergence_scan,
-    rho_of,
-)
+from polarhull.ratapprox import SeriesDiverging, build_approximant, convergence_scan, rho_of
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 class TestRho:
@@ -96,12 +95,6 @@ class TestBuild:
                                             ratapprox.RHO_FLOOR)
         assert (contour.center, contour.radius) == (0j, 1.5)
 
-    def test_contour_too_close(self, two_pole, monkeypatch):
-        system = leja_points(two_pole.singular_sample(), 2)
-        bad = CircleContour(0.5 + 0j, 0.2)  # node lands on the root at 0.3
-        monkeypatch.setattr(ratapprox, "_sample_contour", lambda *args: bad)
-        with pytest.raises(ContourTooClose):
-            build_approximant(two_pole, system, 2, 2)
 
 
 class TestConvergence:
@@ -153,31 +146,122 @@ class TestConvergence:
         with pytest.raises(ValueError):
             convergence_scan(two_pole, system, [(2, 2), (2, 1)], target)
 
-    def test_error_tagged_with_schedule_entry(self, two_pole, monkeypatch):
-        system = leja_points(two_pole.singular_sample(), 2)
+    def test_error_tagged_with_schedule_entry(self):
+        system = leja_points(CompactSample([0.5, 0.3]), 1)
         target = CompactSample([2.0 + 0j, 2.0j, -2.0 + 0j])
-        bad = CircleContour(0.5 + 0j, 0.2)
-        monkeypatch.setattr(ratapprox, "_sample_contour", lambda *args: bad)
-        with pytest.raises(ContourTooClose, match=r"schedule entry \(m=2, N=1\)"):
-            convergence_scan(two_pole, system, [(2, 1)], target)
+        with pytest.raises(SeriesDiverging, match=r"schedule entry \(m=1, N=8\)"):
+            convergence_scan(_Stray(), system, [(1, 8)], target)
+
+
+class _Stray:
+    """1/(z + 0.4): a singularity missing from the q roots but faster than rho."""
+
+    label = "synthetic"
+
+    def __call__(self, z):
+        z = np.asarray(z, dtype=complex)
+        return 1.0 / (z + 0.4)  # distance 0.9 from the q root at 0.5
+
+    def split_at_infinity(self):
+        return PolynomialC([0.0]), self
 
 
 def test_series_growth_guard():
-    # a singularity missing from the q roots but faster than rho makes the
-    # scaled coefficient magnitudes grow, which the guard must catch
-    class Stray:
-        label = "synthetic"
-
-        def __call__(self, z):
-            z = np.asarray(z, dtype=complex)
-            return 1.0 / (z + 0.4)  # distance 0.9 from the q root at 0.5
-
-        def split_at_infinity(self):
-            return PolynomialC([0.0]), self
-
+    # the stray singularity makes the scaled coefficient magnitudes grow,
+    # which the guard must catch
     system = leja_points(CompactSample([0.5, 0.3]), 1)  # rho_1 = 4 * 0.2 = 0.8
     with pytest.raises(SeriesDiverging):
-        build_approximant(Stray(), system, 1, 8)
+        build_approximant(_Stray(), system, 1, 8)
+
+
+def _probe_contour_oracle(points, q, rho_floor):
+    """Oracle: the contour search that sampled |q| on 256 nodes of each circle tried.
+
+    From the same standoff as `_sample_contour`, it grows the radius by 1.3
+    until the nodes clear the bar, then bisects between the last two radii.
+    """
+    center = complex(np.mean(points))
+    base = float(np.max(np.abs(points - center)))
+
+    def ok(r):
+        nodes = CircleContour(center, r).nodes(256)
+        with np.errstate(over="ignore"):  # |q| = inf on a node still clears the bar
+            return (float(np.min(np.exp(q.log_abs_root_form(nodes))))
+                    >= ratapprox.CONTOUR_MARGIN * rho_floor)
+
+    r = base + max(0.5 * base, 0.25)
+    if not ok(r):
+        lo, hi = r, r
+        for _ in range(60):
+            hi *= 1.3
+            if ok(hi):
+                break
+            lo = hi
+        else:
+            raise AssertionError("the probe never cleared the bar")
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            if ok(mid):
+                hi = mid
+            else:
+                lo = mid
+        r = hi
+    return CircleContour(center, r)
+
+
+def _contour_inputs(f, m):
+    """The (points, q_m, rho floor) that `build_approximant` hands `_sample_contour`."""
+    system = leja_points(f.singular_sample(), m)
+    q = poly_from_roots(system.points[:m])
+    rho = rho_of(q, system.base_set, ratapprox.N_SCALE)
+    return system.base_set.points, q, max(rho, ratapprox.RHO_FLOOR)
+
+
+def _load_bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_contour_equals_the_probe_on_the_benchmark_builds(monkeypatch):
+    # every certify and scan operation of the field-certify benchmark
+    calls, certified = [], ratapprox._sample_contour
+
+    def recording(*args):
+        calls.append((args, certified(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(ratapprox, "_sample_contour", recording)
+    workloads = _load_bench_workloads()
+    lib = workloads.plain_lib()
+    for op in workloads.build("field-certify", 1, lib).ops:
+        if op.name.startswith(("certify:", "scan:")):
+            op.call(lib, {})
+    assert len(calls) > 50
+    for args, contour in calls:
+        oracle = _probe_contour_oracle(*args)
+        assert (contour.center, contour.radius) == (oracle.center, oracle.radius)
+
+
+def test_contour_of_criterion_2_matches_the_probe():
+    for f in (RationalModel([0.4], [1.0]), RationalModel([0.3, 0.5], [1.0, 2.0])):
+        args = _contour_inputs(f, 1)
+        contour, oracle = ratapprox._sample_contour(*args), _probe_contour_oracle(*args)
+        assert contour.center == oracle.center
+        assert contour.radius == pytest.approx(oracle.radius, rel=1e-12, abs=0)
+    assert contour.radius == pytest.approx(1.1, rel=1e-12)
+
+
+@pytest.mark.parametrize("f, m", [(RecipSinPi(16), 10), (PoleSeries.geometric(10), 5)],
+                         ids=["recip-sin-pi-16", "geometric-10"])
+def test_contour_clears_the_bar_where_the_probe_cut_it_fine(f, m):
+    points, q, rho_floor = _contour_inputs(f, m)
+    contour = ratapprox._sample_contour(points, q, rho_floor)
+    assert contour.radius >= _probe_contour_oracle(points, q, rho_floor).radius
+    q_abs = np.abs(q.eval_root_form(contour.nodes(4096)))
+    assert np.min(q_abs) >= ratapprox.CONTOUR_MARGIN * rho_floor
 
 
 def test_build_at_the_rounding_floor_is_flagged():
