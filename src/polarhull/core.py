@@ -77,7 +77,7 @@ def _eval_on_nodes(f, nodes: np.ndarray) -> np.ndarray:
             f"function returned shape {vals.shape} on nodes of shape {nodes.shape}")
     if not np.all(np.isfinite(vals)):
         bad = nodes[~np.isfinite(vals)][:1]
-        raise NodeEvaluationError(f"function is not finite at node {bad[0]!r}")
+        raise NodeEvaluationError(f"function is not finite at node {complex(bad[0])}")
     return vals
 
 

@@ -86,11 +86,12 @@ def h_eval(approximant: RationalApproximant, z, w):
 
 @dataclass(frozen=True, eq=False)
 class CertificationGrid:
-    """The graph nodes z in D_nu, away from the sample, on which a level is certified.
+    """The graph nodes on which a level is certified, on the boundary of its region.
 
-    The graph bound and the off-graph floor both read these nodes; the box
-    ceiling reads none, so `to_dict()` counts them as graph and off-graph
-    nodes and the box as 0.
+    Both bounds that read them are extremes of log-subharmonic quantities over
+    {|z| <= nu, dist(z, K) >= 1/nu}, so they peak on its boundary (maximum
+    principle).  The box ceiling reads none, so `to_dict()` counts them as
+    graph and off-graph nodes and the box as 0.
     """
 
     nu: int
@@ -101,29 +102,18 @@ class CertificationGrid:
         return {"nu": self.nu, "graph_count": count, "box_count": 0, "offgraph_count": count}
 
 
-GRID_DENSITY = 10  # certification grid nodes per unit length along each axis
+GRID_DENSITY = 10  # certification nodes per unit length of the circle |z| = nu
 
 
 def _certification_grid(sample: CompactSample, nu: int) -> CertificationGrid:
-    pts = sample.points
     cut = 1.0 / nu
-
-    n_side = 2 * GRID_DENSITY * nu + 1
-    axis = np.linspace(-nu, nu, n_side)
-    zz = (axis[None, :] + 1j * axis[:, None]).ravel()
-    keep = np.abs(zz) < nu
-    zz = zz[keep]
-    graph = zz[sample.min_distance_to(zz) > cut]
-
-    # ring nodes hug the excluded neighborhoods where the bounds are tightest
-    angles = np.exp(2j * np.pi * np.arange(16) / 16)
-    rings = []
-    for s in (1.02, 1.1, 1.3):
-        ring = (pts[:, None] + s * cut * angles[None, :]).ravel()
-        rings.append(ring)
-    ring = np.concatenate(rings)
-    ring = ring[(sample.min_distance_to(ring) > cut) & (np.abs(ring) < nu)]
-    return CertificationGrid(nu=nu, graph_nodes=np.concatenate([graph, ring]))
+    n_outer = math.ceil(2 * math.pi * nu * GRID_DENSITY)
+    outer = nu * np.exp(2j * np.pi * np.arange(n_outer) / n_outer)
+    # 256 per circle keeps recip-sin-pi-8's floor at nu = 6..8 below the 2-D lattice's
+    rings = (sample.points[:, None] + cut * np.exp(2j * np.pi * np.arange(256) / 256)).ravel()
+    z = np.concatenate([outer, rings])
+    # drop a node only strictly inside another excluded disk, not for its own circle's rounding
+    return CertificationGrid(nu=nu, graph_nodes=z[sample.min_distance_to(z) > cut * (1 - 1e-9)])
 
 
 def _offgraph_floor(approx: RationalApproximant, z, cleared, nu: int) -> float:
@@ -283,8 +273,8 @@ def certify_schedule(f, k: CompactSample, nu_max: int = 4, *,
                 break
             n += 1
         if certified is None:
-            big_n, hg, hb, ho, _ = min(tried, key=lambda t: t[1])  # the first lowest graph bound
-            best = {"graph": hg, "box": hb, "offgraph": ho, "big_n": big_n}
+            big_n, hg, hb, ho, conv = min(tried, key=lambda t: t[1])  # the first lowest graph bound
+            best = {"graph": hg, "box": hb, "offgraph": ho, "big_n": big_n, "converged": conv}
             raise ScheduleExhausted(nu, best, tuple(tried))
         levels.append(certified)
 

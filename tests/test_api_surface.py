@@ -67,7 +67,7 @@ CONSTANTS = {
 }
 
 # non-blank lines under src/polarhull: a ceiling, lowered as the package shrinks
-SOURCE_LINES = 2266
+SOURCE_LINES = 2258
 
 _COMMON = ("--config", "--out")
 CLI_OPTIONS = {

@@ -51,6 +51,8 @@ def test_malformed_config_file_exits_one(tmp_path):
     # q_m of degree 120 overflows on the target circle of radius 1000
     ["approx", "--function", "pole-series-gaussian:120", "--n-list", 1,
      "--target", "0,0:1000:8"],
+    # N = 6..9 pass every bound of level 2, but no approximant from N = 4 on converged
+    ["psh", "--function", "recip-sin-pi:2", "--nu-max", 12],
 ])
 def test_numeric_failure_exits_two(tmp_path, capsys, command):
     with warnings.catch_warnings(record=True) as caught:

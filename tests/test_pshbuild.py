@@ -77,13 +77,20 @@ class TestCertify:
         # root absorbs the torus constants
         for lev in single_pole_field.levels:
             assert lev.h_bound_graph == -math.inf
-        assert [lev.approximant.degree for lev in single_pole_field.levels] == [2, 4, 6]
+        assert [lev.approximant.degree for lev in single_pole_field.levels] == [2, 4, 7]
 
     def test_exp_schedule_degrees(self, exp_field):
         # frozen desk-run oracle; degrees must stay well under the cap
         degrees = [lev.approximant.big_n for lev in exp_field.levels]
-        assert degrees == [16, 21, 24]
+        assert degrees == [16, 22, 25]
         assert all(d <= 60 for d in degrees)
+
+    def test_exp_truncation_residual_shows_on_the_boundary(self, exp_field):
+        # N = 21 at nu = 3 and N = 24 at nu = 4 read -inf on the old lattice; on
+        # the boundary they read the truncation residual, above the level's -nu
+        for lev, n in zip(exp_field.levels[1:], (21, 24)):
+            hg = {t[0]: t[1] for t in lev.tried}[n]
+            assert -lev.nu < hg < -2.0
 
     def test_gauss10_levels_certify(self, gauss10_field):
         for lev in gauss10_field.levels:
@@ -108,7 +115,20 @@ class TestCertify:
         tried = info.value.tried
         assert [t[0] for t in tried] == [1, 2, 3]
         best = min(tried, key=lambda t: t[1])
-        assert best[:4] == tuple(info.value.best[k] for k in ("big_n", "graph", "box", "offgraph"))
+        keys = ("big_n", "graph", "box", "offgraph", "converged")
+        assert best == tuple(info.value.best[k] for k in keys)
+        assert "'converged': True" in str(info.value)
+
+    def test_exhausted_best_says_it_never_converged(self):
+        # the first lowest graph bound, N = 6, passes every bound of level 2,
+        # but no try from N = 4 on converged; best must say so
+        f = RecipSinPi(2)
+        with pytest.raises(ScheduleExhausted) as info:
+            certify_schedule(f, f.singular_sample(), 2)
+        best = info.value.best
+        assert best["graph"] <= -2 and best["box"] <= math.log(4)
+        assert best["offgraph"] >= -math.log(3)
+        assert best["converged"] is False and "'converged': False" in str(info.value)
 
 
     def test_unconverged_approximant_never_certifies(self):
@@ -150,40 +170,47 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _grid_search(f, nu_max, build, zw_grid):
-    """`certify_schedule`'s search with all three bounds taken on (z, w) grids.
+def _oracle_bounds(ap, f, nu, zw_grid):
+    """The three bounds of `ap` at level nu taken on the (z, w) lattice oracle.
 
-    The graph bound is the largest `h_eval` on the graph nodes, the box
-    ceiling the largest on the 48 x 48 torus and the floor the smallest on
-    the off-graph nodes.  Returns each level's tries, (N, h_graph, h_box,
-    h_offgraph, converged).
+    The graph bound is the largest `h_eval` on the lattice's graph nodes, the
+    box ceiling the largest on the 48 x 48 torus and the floor the smallest on
+    the off-graph nodes.
+    """
+    graph, box, off = zw_grid(f, f.singular_sample(), nu, 10)
+    hg = float(np.max(h_eval(ap, graph, np.asarray(f(graph), dtype=complex))))
+    return hg, float(np.max(h_eval(ap, *box))), float(np.min(h_eval(ap, *off)))
+
+
+def _grid_search(f, nu_max, build, zw_grid):
+    """`certify_schedule`'s search with all three bounds taken on the lattice oracle.
+
+    Returns the order that certifies each level.
     """
     k = f.singular_sample()
     m = len(k)
     system = leja_points(k, m)
-    levels, n = [], 1
+    orders, n = [], 1
     for nu in range(2, nu_max + 1):
-        graph, box, off = zw_grid(f, k, nu, 10)
-        graph = (graph, np.asarray(f(graph), dtype=complex))
-        tried = []
         while True:
             assert m * n <= max(200, m), "oracle exhausted the degree cap"
             ap = build(f, system, m, n, quad_tol=1e-13)
-            hg = float(np.max(h_eval(ap, *graph)))
-            hb = float(np.max(h_eval(ap, *box)))
-            ho = float(np.min(h_eval(ap, *off)))
-            tried.append((n, hg, hb, ho, ap.converged))
+            hg, hb, ho = _oracle_bounds(ap, f, nu, zw_grid)
             if ap.converged and hg <= -nu and hb <= math.log(nu + 2) and ho >= -math.log(nu + 1):
                 break
             n += 1
-        levels.append(tuple(tried))
-    return levels
+        orders.append(n)
+    return orders
 
 
-@pytest.mark.parametrize("label", list(FIELD_CERTIFY))
-def test_certify_bounds_the_grid_search(label, zw_grid):
-    # the oracle reuses certify_schedule's approximants; only the bounds differ
-    f, nu_max = FIELD_CERTIFY[label]
+DOMINANCE_FIELDS = {**FIELD_CERTIFY, "single-pole/nu4": (RationalModel([A], [1.0]), 4)}
+
+
+@pytest.mark.parametrize("label", list(DOMINANCE_FIELDS))
+def test_boundary_bounds_dominate_the_lattice(label, zw_grid):
+    # by the maximum principle the boundary nodes read every bound at least as
+    # far from certifying as the 2-D lattice does, on the same approximants
+    f, nu_max = DOMINANCE_FIELDS[label]
     built = {}
 
     def build(f, system, m, n, *args, **kwargs):
@@ -192,34 +219,39 @@ def test_certify_bounds_the_grid_search(label, zw_grid):
         return built[n]
 
     field = certify_schedule(f, f.singular_sample(), nu_max, builder=build)
-    oracle = _grid_search(f, nu_max, build, zw_grid)
-    assert [[t[0] for t in lev.tried] for lev in field.levels] == [
-        [t[0] for t in tries] for tries in oracle]
-    for lev, tries in zip(field.levels, oracle):
-        for (_, hg, hb, ho, conv), (_, og, ob, oo, oconv) in zip(lev.tried, tries):
-            assert repr(hg) == repr(og)  # repr round-trips every float, -0.0 and -inf included
-            assert hb >= ob and ho <= oo and conv == oconv
+    for lev in field.levels:
+        for n, hg, hb, ho, conv in lev.tried:
+            og, ob, oo = _oracle_bounds(built[n], f, lev.nu, zw_grid)
+            assert hg >= og and hb >= ob and ho <= oo and conv == built[n].converged
         bounds = (lev.approximant.big_n, lev.h_bound_graph, lev.h_bound_box,
                   lev.h_bound_offgraph, True)
         assert repr(lev.tried[-1]) == repr(bounds)
+    oracle = _grid_search(f, nu_max, build, zw_grid)
+    assert all(lev.approximant.big_n >= n for lev, n in zip(field.levels, oracle))
 
 
 @pytest.mark.parametrize("label", list(FIELD_CERTIFY))
-def test_graph_nodes_equal_the_flat_grid(label, zw_grid):
+def test_graph_nodes_lie_on_the_boundary(label):
     f, nu_max = FIELD_CERTIFY[label]
     k = f.singular_sample()
     for nu in range(2, nu_max + 1):
         grid = _certification_grid(k, nu)
-        graph, _, _ = zw_grid(f, k, nu, 10)
-        assert _same_bits(grid.graph_nodes, graph)
+        z, cut = grid.graph_nodes, 1.0 / nu
+        dist = np.abs(z[:, None] - k.points[None, :])
+        on_outer = np.abs(np.abs(z) - nu) <= 1e-12 * nu
+        on_ring = np.any(np.abs(dist - cut) <= 1e-12, axis=1)
+        assert np.all(on_outer | on_ring)
+        assert np.all(dist.min(axis=1) > cut * (1 - 1e-9))  # none inside an excluded disk
+        # these samples keep 1/nu away from |z| = nu, so the outer circle is whole
+        assert on_outer.sum() == math.ceil(2 * math.pi * nu * pshbuild.GRID_DENSITY)
         # the floor reads the graph nodes; the box ceiling reads none
-        assert grid.to_dict() == {"nu": nu, "graph_count": len(graph),
-                                  "box_count": 0, "offgraph_count": len(graph)}
+        assert grid.to_dict() == {"nu": nu, "graph_count": len(z),
+                                  "box_count": 0, "offgraph_count": len(z)}
 
 
 def test_floor_is_minus_inf_when_f_n_strays_from_f(monkeypatch):
-    # c_0 doubled: f_N = 2/(z - A), so |f - f_N| = 1/|z - A| reaches nu/1.02 on
-    # the innermost ring, above 1/nu; no try may certify
+    # c_0 doubled: f_N = 2/(z - A), so |f - f_N| = 1/|z - A| reaches nu on
+    # the ring |z - A| = 1/nu, above 1/nu; no try may certify
     f = RationalModel([A], [1.0])
 
     def builder(*args, **kwargs):
