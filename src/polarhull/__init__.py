@@ -23,7 +23,7 @@ from .fekete import capacity_estimate, leja_points
 from .ratapprox import build_approximant, convergence_scan, rho_of
 from .pshbuild import certify_schedule, export_field, h_eval, u_eval
 from .potential import harmonic_measure, sublevel_cover, wiener_test
-from .hull import classify_fiber, f_at_origin, series_conditions, vn_upper_bound
+from .hull import classify_fiber, series_conditions, vn_upper_bound
 
 __all__ = [
     "__version__",
@@ -53,7 +53,6 @@ __all__ = [
     "sublevel_cover",
     "wiener_test",
     "classify_fiber",
-    "f_at_origin",
     "series_conditions",
     "vn_upper_bound",
 ]

@@ -24,13 +24,13 @@ import click
 import numpy as np
 
 from . import __version__
-from .core import MAX_QUAD_NODES, CircleContour, CompactSample, DiskUnion, PolarhullError
+from .core import MAX_DEPTH, MAX_QUAD_NODES, CircleContour, CompactSample, DiskUnion, PolarhullError
 from .models import ExpReciprocal, PoleSeries, RecipSinPi
 from .laurent import laurent_split
 from .fekete import leja_points, capacity_estimate
 from .ratapprox import MAX_APPROX_NODES, convergence_scan
 from .pshbuild import MAX_NU, GridSpec, certify_schedule, export_field
-from .potential import MAX_DEPTH, harmonic_measure, sublevel_cover, wiener_test
+from .potential import harmonic_measure, sublevel_cover, wiener_test
 from .hull import classify_fiber
 
 

@@ -149,6 +149,8 @@ class DiskUnion:
         return (CircleContour(c, r) for c, r in zip(self.centers.tolist(), self.radii.tolist()))
 
 
+MAX_DEPTH = 60  # the deepest annulus a Wiener test reads is 2^-61 < |z - point| < 2^-60
+
 _DUPLICATE_TOL = 1e-14
 # how near a sample point counts as on it; written into every sample's record
 SAMPLE_TOL = 1e-12

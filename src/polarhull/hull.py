@@ -2,18 +2,17 @@
 
 A fiber over z0 is declared empty when the sublevel sets {|f| >= R} test
 NON_THIN at z0 for every R in the tested grid; a THIN level instead produces
-a hull point, located at -sum c_n/a_n for pole series over the origin.  Both
-verdicts are evidence-based and carry their reports.
+a hull point, located at the limit value `f.limit(z0)` when the model has
+one.  Both verdicts are evidence-based and carry their reports.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import SAMPLE_TOL, CircleContour, PolarhullError, complex_to_pair
+from .core import MAX_DEPTH, SAMPLE_TOL, CircleContour, PolarhullError, complex_to_pair
 from .models import PoleSeries, TailUncertifiable
 from . import potential as potential_mod
 
@@ -22,7 +21,6 @@ __all__ = [
     "SeriesConditionReport",
     "FiberClassification",
     "series_conditions",
-    "f_at_origin",
     "classify_fiber",
     "vn_upper_bound",
 ]
@@ -111,21 +109,6 @@ def series_conditions(f: PoleSeries) -> SeriesConditionReport:
     )
 
 
-class OriginValue(NamedTuple):
-    value: complex
-    error_bound: float
-
-
-def f_at_origin(f: PoleSeries) -> OriginValue:
-    """-sum c_n/a_n with the certified tail of sum |c_n/a_n| as error bound."""
-    if not isinstance(f, PoleSeries):
-        raise TypeError("f_at_origin expects a PoleSeries model")
-    if f.ca_tail is None:
-        raise TailUncertifiable(f.label)
-    value = -np.sum(f.residues / f.poles)
-    return OriginValue(complex(value), float(f.ca_tail))
-
-
 # --------------------------------------------------------------- classification
 
 @dataclass(frozen=True, eq=False)
@@ -156,22 +139,20 @@ def classify_fiber(f, z0: complex, r_grid, *,
                    depth: int = 40, potential=potential_mod) -> FiberClassification:
     """Classify the fiber over one singular point from Wiener evidence.
 
+    z0 must be a sampled singular point or have a limit value `f.limit(z0)`.
     Every R in the grid gets a sublevel cover and a thinness test at z0.  All
-    NON_THIN means the fiber is empty over the tested grid; a THIN level
-    yields a hull point with that radius bound (and the origin value for pole
-    series at z0 = 0); conflicting or inconclusive evidence stays UNKNOWN.
-    The origin is a sampled point of a pole series only when it has a
-    certified tail (`ca_tail`), that is, when its poles accumulate at 0.
+    NON_THIN means an empty fiber over the tested grid; a THIN level yields a
+    hull point with that radius bound, at w0 = the limit value (w0_error its
+    error bound) if any; conflicting or inconclusive evidence stays UNKNOWN.
     """
     r_grid = sorted(float(r) for r in r_grid)
     if len(r_grid) < 3 or any(a == b for a, b in zip(r_grid, r_grid[1:])):
         raise ValueError(f"r_grid needs at least 3 distinct values, got {r_grid!r}")
-    if not 1 <= depth <= potential_mod.MAX_DEPTH:
-        raise ValueError(f"depth must be in [1, {potential_mod.MAX_DEPTH}], got {depth!r}")
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be in [1, {MAX_DEPTH}], got {depth!r}")
     z0 = complex(z0)
-    tailed = isinstance(f, PoleSeries) and f.ca_tail is not None
-    singular = f.singular_sample(include_origin=True) if tailed else f.singular_sample()
-    if not singular.min_distance_to(z0) <= SAMPLE_TOL:  # NaN fails too
+    limit = f.limit(z0) if hasattr(f, "limit") else None
+    if limit is None and not f.singular_sample().min_distance_to(z0) <= SAMPLE_TOL:  # NaN too
         raise ValueError(f"{z0!r} is not a sampled singular point of {f.label}")
 
     reports = []
@@ -209,12 +190,11 @@ def classify_fiber(f, z0: complex, r_grid, *,
         return entry("FIBER_EMPTY")
 
     bound = min(thin_rs)
-    if tailed and abs(z0) <= SAMPLE_TOL:
-        w0, err = f_at_origin(f)
-        if abs(w0) > bound:
-            return entry("UNKNOWN", extra="origin value exceeds thin-level radius bound")
-        return entry("HULL_POINT", w0=w0, w0_err=err, bound=bound)
-    return entry("HULL_POINT", bound=bound, extra="hull point located only for pole series at 0")
+    if limit is not None:
+        if abs(limit.value) > bound:
+            return entry("UNKNOWN", extra="limit value exceeds thin-level radius bound")
+        return entry("HULL_POINT", w0=limit.value, w0_err=limit.error_bound, bound=bound)
+    return entry("HULL_POINT", bound=bound, extra="no limit value at z0 locates the hull point")
 
 
 # ----------------------------------------------------------------- v_N bounds
@@ -232,13 +212,15 @@ def vn_upper_bound(f: PoleSeries, big_r: float, disc: CircleContour, w_probe: co
     if not isinstance(f, PoleSeries):
         raise TypeError("vn_upper_bound expects a PoleSeries model")
     w_probe = complex(w_probe)
-    origin = f_at_origin(f)
+    origin = f.limit(0j)
+    if origin is None:
+        raise TailUncertifiable(f.label)
     if abs(w_probe - origin.value) < 1e-12:
         raise ProbeEqualsValue("probe coincides with the origin limit value")
     if abs(w_probe) >= big_r:
         raise ValueError("probe must satisfy |w| < big_r")
     z0, r0 = complex(disc.center), float(disc.radius)
-    if f.singular_sample(include_origin=True).min_distance_to(z0) < 2.0 * r0:
+    if min(abs(z0), f.singular_sample().min_distance_to(z0)) < 2.0 * r0:
         raise ValueError("need the doubled disc to avoid the closed singular set")
 
     abs_a = np.abs(f.poles)

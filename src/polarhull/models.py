@@ -4,19 +4,27 @@ A model is any object with `label`, a name for reports, and three methods:
 `__call__(z)` evaluates it off its singularities, `singular_sample()` is a
 `CompactSample` of its singular set, and `split_at_infinity()` returns
 (polynomial_part, principal), principal a callable that tends to 0 at
-infinity, whose sum reproduces the model off its singular set.  The
-built-in families carry analytic tail bounds where the hull machinery needs
-them.
+infinity, whose sum reproduces the model off its singular set.
+
+Two optional methods carry the evidence of the verdicts.  `cover(big_r)` is a
+`DiskUnion` certifying {|f| >= big_r} from its `side`, or raises
+`ThresholdTooSmall`; without it every fiber is UNKNOWN.  `limit(z0)` is the
+certified limit value at z0 as an `OriginValue`, or None; a z0 with one is
+singular and its hull point lies there, and without it none is located.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
+    MAX_DEPTH,
+    SAMPLE_TOL,
     CompactSample,
+    DiskUnion,
     PolarhullError,
     PolynomialC,
     ZERO_POLY,
@@ -30,11 +38,24 @@ __all__ = [
     "RecipSinPi",
     "RationalModel",
     "TailUncertifiable",
+    "ThresholdTooSmall",
 ]
 
 
 class TailUncertifiable(PolarhullError):
     """No analytic tail bound is available for this coefficient sequence."""
+
+
+class ThresholdTooSmall(PolarhullError):
+    """No valid cover certificate exists at this level threshold."""
+
+
+class OriginValue(NamedTuple):
+    value: complex
+    error_bound: float
+
+
+MIN_DISK_RADIUS = 1e-290
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,14 +103,35 @@ class PoleSeries:
             flat += (w[None, :] / (zf[:, None] - p[None, :])).sum(axis=1)
         return out
 
-    def singular_sample(self, include_origin: bool = False) -> CompactSample:
-        pts = self.poles
-        if include_origin:
-            pts = np.concatenate([[0.0 + 0j], pts])
-        return CompactSample(pts)
+    def singular_sample(self) -> CompactSample:
+        return CompactSample(self.poles)
 
     def split_at_infinity(self):
         return ZERO_POLY, self
+
+    def limit(self, z0) -> OriginValue | None:
+        """-sum c_n/a_n at 0 with error bound `ca_tail`; None elsewhere or without it."""
+        if self.ca_tail is None or not abs(z0) <= SAMPLE_TOL:
+            return None
+        return OriginValue(complex(-np.sum(self.residues / self.poles)), float(self.ca_tail))
+
+    def cover(self, big_r: float) -> DiskUnion:
+        """Outer cover: disks of radius C sqrt(gamma_n), C certifying sum |c_n|/r_n <= big_r."""
+        live = self.log_abs_c > -math.inf  # a zero residue leaves its pole removable
+        if not live.any():
+            return DiskUnion.from_arrays([], [], side="outer")
+        log_gamma = self.log_gamma_suffix()[: self.n_terms][live]
+        # certificate sum |c_n| / (C sqrt(gamma_n)) computed in log space
+        terms = np.exp(self.log_abs_c[live] - 0.5 * log_gamma)
+        needed = float(np.sum(terms)) / big_r
+        if not 0 < needed < math.inf:
+            raise ThresholdTooSmall(f"no cover certificate at big_r={big_r!r}")
+        c_factor = 2.0 ** math.ceil(math.log2(needed))
+        log_radii = math.log(c_factor) + 0.5 * log_gamma
+        radii = np.maximum(np.exp(log_radii), MIN_DISK_RADIUS)
+        # tail disks beyond the truncation shrink at the sqrt(gamma) rate, so the
+        # deep annuli they would occupy contribute below any verdict tolerance
+        return DiskUnion.from_arrays(self.poles[live], radii, side="outer")
 
     def log_gamma_suffix(self) -> np.ndarray:
         """log gamma_n = log sum_{k >= n} |c_k| at index n - 1, in O(n_terms).
@@ -163,6 +205,13 @@ class ExpReciprocal:
     def split_at_infinity(self):
         return PolynomialC([1.0]), self._principal
 
+    def cover(self, big_r: float) -> DiskUnion:
+        """The exact level disk re(1/z) >= log big_r."""
+        if big_r <= 1.0:
+            raise ThresholdTooSmall("exp(1/z) cover needs big_r > 1")
+        h = 0.5 / math.log(big_r)
+        return DiskUnion.from_arrays([h], [h], side="exact")
+
     @pointwise
     def _principal(self, z):
         return np.expm1(1.0 / z)
@@ -192,6 +241,26 @@ class RecipSinPi:
     @pointwise
     def _principal(self, z):
         return 1.0 / np.sin(np.pi / z) - z / math.pi
+
+    def cover(self, big_r: float) -> DiskUnion:
+        """Inner cover: Moebius disks about +-1/n, n <= pole_cutoff, and a pair in each
+        deeper annulus about 0.  Rounded, a disk need not lie in the set, but it
+        meets, or lies wholly inside, the same annuli about 0 as its exact disk."""
+        if big_r <= 1.0:
+            raise ThresholdTooSmall("1/sin(pi/z) cover needs big_r > 1")
+        # |sin(pi eps)| <= sinh(pi |eps|), so |eps| <= asinh(1/R)/pi certifies
+        # |f| >= R; halving gives the 2x enclosure margin.
+        rho = math.asinh(1.0 / big_r) / math.pi / 2.0
+        # Moebius images of |eps| <= rho about the poles 1/n, n <= pole_cutoff,
+        # and about n = 3 * 2^(j-1), exact in float64, in each annulus j about 0
+        # where that n passes the cutoff
+        deep = 3.0 * 2.0 ** np.arange(MAX_DEPTH)
+        n = np.concatenate([np.arange(1, self.pole_cutoff + 1), deep[deep > self.pole_cutoff]])
+        n, sign = np.tile(n, 2), np.repeat([1.0, -1.0], len(n))  # +1/n ascending, then -1/n
+        denom = n * n - rho * rho
+        if not rho / denom[-1] > 0.0:  # the deepest radius underflows
+            raise ThresholdTooSmall(f"1/sin(pi/z) cover underflows at big_r={big_r!r}")
+        return DiskUnion.from_arrays(sign * n / denom, rho / denom, side="inner")
 
 
 # a finite pole sum is a rational function with simple poles

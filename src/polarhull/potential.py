@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import CircleContour, DiskUnion, PolarhullError, complex_to_pair
-from .models import ExpReciprocal, PoleSeries, RecipSinPi
+from .core import MAX_DEPTH, CircleContour, DiskUnion, PolarhullError, complex_to_pair
+from .models import ThresholdTooSmall
 
 __all__ = [
     "UnsupportedFamily",
@@ -39,84 +39,30 @@ class UnsupportedFamily(PolarhullError):
     """No analytic sublevel cover is available for this function family."""
 
 
-class ThresholdTooSmall(PolarhullError):
-    """No valid cover certificate exists at this level threshold."""
-
-
 class StartInsideObstacle(PolarhullError):
     pass
 
 
 # --------------------------------------------------------------------- covers
 
-MIN_DISK_RADIUS = 1e-290
-
-
 def sublevel_cover(f, big_r: float) -> DiskUnion:
-    """Family-specific disk cover of {|f| >= big_r}; it depends on (f, big_r) alone.
+    """The model's disk cover `f.cover(big_r)` of {|f| >= big_r}; it depends on (f, big_r) alone.
 
-    Pole series get an outer cover: disks about each pole of nonzero residue
-    with radius C sqrt(gamma_n), C the smallest power of two certifying
-    sum |c_n|/r_n <= big_r.  exp(1/z) gets the exact level disk of
-    re(1/z) >= log R.  1/sin(pi/z) gets the inner Moebius disks about the
-    poles +-1/n, n <= f.pole_cutoff, and a pair in every deeper annulus
-    about 0.  Rounded, such a disk need not lie inside the set, but it meets,
-    or lies wholly inside, the same annuli about 0 as its exact disk.  A disk
-    may contain the query point: the Wiener test reads it as evidence.
+    Its `side` says which Wiener bound it certifies (see each model's
+    `cover`).  A disk may contain the query point: the Wiener test reads it
+    as evidence.  A model without `cover` raises UnsupportedFamily.
     """
     if not 0 < big_r < math.inf:
         raise ThresholdTooSmall(f"a cover needs 0 < big_r < inf, got {big_r!r}")
-    if isinstance(f, PoleSeries):
-        return _pole_series_cover(f, big_r)
-    if isinstance(f, ExpReciprocal):
-        if big_r <= 1.0:
-            raise ThresholdTooSmall("exp(1/z) cover needs big_r > 1")
-        h = 0.5 / math.log(big_r)
-        return DiskUnion([CircleContour(complex(h), h)])
-    if isinstance(f, RecipSinPi):
-        return _recip_sin_cover(f, big_r)
-    raise UnsupportedFamily(type(f).__name__)
-
-
-def _pole_series_cover(f: PoleSeries, big_r: float) -> DiskUnion:
-    live = f.log_abs_c > -math.inf  # a zero residue leaves its pole removable
-    if not live.any():
-        return DiskUnion.from_arrays([], [], side="outer")
-    log_gamma = f.log_gamma_suffix()[: f.n_terms][live]
-    # certificate sum |c_n| / (C sqrt(gamma_n)) computed in log space
-    terms = np.exp(f.log_abs_c[live] - 0.5 * log_gamma)
-    needed = float(np.sum(terms)) / big_r
-    if not 0 < needed < math.inf:
-        raise ThresholdTooSmall(f"no cover certificate at big_r={big_r!r}")
-    c_factor = 2.0 ** math.ceil(math.log2(needed))
-    log_radii = math.log(c_factor) + 0.5 * log_gamma
-    radii = np.maximum(np.exp(log_radii), MIN_DISK_RADIUS)
-    # tail disks beyond the truncation shrink at the sqrt(gamma) rate, so the
-    # deep annuli they would occupy contribute below any verdict tolerance
-    return DiskUnion.from_arrays(f.poles[live], radii, side="outer")
-
-
-def _recip_sin_cover(f: RecipSinPi, big_r: float) -> DiskUnion:
-    if big_r <= 1.0:
-        raise ThresholdTooSmall("1/sin(pi/z) cover needs big_r > 1")
-    # |sin(pi eps)| <= sinh(pi |eps|), so |eps| <= asinh(1/R)/pi certifies
-    # |f| >= R; halving gives the 2x enclosure margin.
-    rho = math.asinh(1.0 / big_r) / math.pi / 2.0
-    # Moebius images of |eps| <= rho about the poles 1/n, n <= f.pole_cutoff,
-    # and about n = 3 * 2^(j-1), exact in float64, in each annulus j about 0
-    # where that n passes the cutoff
-    deep = 3.0 * 2.0 ** np.arange(MAX_DEPTH)
-    n = np.concatenate([np.arange(1, f.pole_cutoff + 1), deep[deep > f.pole_cutoff]])
-    n, sign = np.tile(n, 2), np.repeat([1.0, -1.0], len(n))  # +1/n ascending, then -1/n
-    denom = n * n - rho * rho
-    return DiskUnion.from_arrays(sign * n / denom, rho / denom, side="inner")
+    if not hasattr(f, "cover"):
+        raise UnsupportedFamily(type(f).__name__)
+    return f.cover(big_r)
 
 
 # ---------------------------------------------------------------- wiener test
 
 WIENER_TOLERANCE = 1e-3
 WIENER_SLOPE = 0.1
-MAX_DEPTH = 60  # the deepest annulus is 2^-61 < |z - point| < 2^-60
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,10 +131,11 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40) -> WienerRepo
         whole = (near >= inner) & (far <= outer)
         seg = np.maximum(np.minimum(outer, far) - np.maximum(inner, near), 0.0) / 4.0
         cap_lo = float(np.where(whole, r, seg)[meets].max(initial=0.0))
-        # upper bound: every meeting disk counts with cap <= min(radius, outer)
-        up = float(np.sum(1.0 / np.log(1.0 / np.minimum(r[meets], min(outer, 0.5)))))
+        # upper bound: every meeting disk counts with cap <= min(radius, outer);
+        # -1/log(r), as 1/r overflows for a subnormal r
+        up = float(np.sum(-1.0 / np.log(np.minimum(r[meets], min(outer, 0.5)))))
         if cap_lo > 0.0:
-            low_terms[n - 1] = n / math.log(1.0 / min(cap_lo, 0.5))
+            low_terms[n - 1] = -n / math.log(min(cap_lo, 0.5))
         up_terms[n - 1] = n * up
         annuli.append((n, inner, outer, cap_lo))
 

@@ -15,7 +15,7 @@ import pytest
 from polarhull import ratapprox
 from polarhull.core import CircleContour, CompactSample, Disk, DiskUnion
 from polarhull.fekete import leja_points
-from polarhull.hull import classify_fiber, f_at_origin, series_conditions, vn_upper_bound
+from polarhull.hull import classify_fiber, series_conditions, vn_upper_bound
 from polarhull.laurent import laurent_split
 from polarhull.models import ExpReciprocal, PoleSeries, RationalModel, RecipSinPi
 from polarhull.potential import harmonic_measure, sublevel_cover, wiener_test
@@ -171,7 +171,7 @@ def test_criterion_08_hull_classification_table(gauss40):
 
 
 def test_criterion_09_vn_bound(gauss40):
-    w = f_at_origin(gauss40).value + 1.0
+    w = gauss40.limit(0j).value + 1.0
     out = vn_upper_bound(gauss40, 1.0, Disk(0.75j, 0.25), w, [5, 10, 20])
     values = [v for _, v in out]
     assert values == sorted(values, reverse=True)

@@ -8,6 +8,8 @@ these tests import both files unedited and check what they rely on.  The
 field-certify operations also serve as the reference cases of the
 quadrature's rounding-floor stop: each is run again with the stop switched
 off (`QUAD_FLOOR_FACTOR = 0`, doubling to the node cap), as an oracle.
+Every fiber-table and field-certify operation must also pass its own check
+and reach the verdicts frozen here.
 """
 import functools
 import importlib.util
@@ -137,3 +139,38 @@ def test_certify_builds_match_the_doubling_to_cap_oracle(workloads, monkeypatch)
     for ap, want in zip(built, oracle):
         assert (ap.nodes, ap.converged) == (want.nodes, want.converged)
         assert ap.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+# the verdicts the fiber-table and field-certify operations must reach at
+# seed 1: each fiber's classification, and each field's certified order N per
+# level nu = 2, 3, ...; the rounded numbers are left to the bench checksum
+FROZEN_FIBERS = {"fiber:exp-reciprocal@0": "FIBER_EMPTY",
+                 **{f"fiber:recip-sin-pi@{p}": "FIBER_EMPTY" for p in
+                    ["0"] + [f"{s}1/{n}" for s in "+-" for n in range(1, 9)]},
+                 **{f"fiber:gaussian-{n}@0": "HULL_POINT" for n in (40, 1000, 4000)}}
+FROZEN_ORDERS = {
+    "certify:exp-reciprocal/nu8": [16, 22, 25, 27, 28, 28, 28],
+    "certify:two-pole/nu8": [2, 2, 4, 5, 6, 7, 9],
+    "certify:recip-sin-pi-8/nu8": [1] * 7,
+    "certify:gaussian-10/nu4": [1] * 3,
+    "certify:gaussian-10/nu6": [1] * 5,
+    "certify:geometric-10/nu6": [1] * 5,
+    "certify:gaussian-20/nu4": [1] * 3,
+}
+
+
+def test_workload_verdicts_match_the_frozen_table(workloads):
+    fibers, orders = {}, {}
+    for name in ("fiber-table", "field-certify"):
+        lib = workloads.plain_lib()
+        results = {}
+        for op in workloads.build(name, 1, lib).ops:
+            results[op.name] = out = op.call(lib, results)
+            problems, _ = op.check(out, op.expect)
+            assert problems == [], op.name
+            if op.name.startswith("fiber:"):
+                fibers[op.name] = out.classification
+            elif op.name.startswith("certify:"):
+                orders[op.name] = [lev.approximant.big_n for lev in out.levels]
+    assert fibers == FROZEN_FIBERS
+    assert orders == FROZEN_ORDERS

@@ -88,6 +88,16 @@ def test_hull_verdict_artifact(tmp_path):
     assert doc["meta"]["version"]
 
 
+def test_hull_level_without_cover_is_a_note(tmp_path):
+    # the 1/sin(pi/z) cover underflows at R = 1e300: UNKNOWN with a note, not a crash
+    code = run(["hull", "--function", "recip-sin-pi", "--point", "0.5",
+                "--r-grid", "2,4,1e300", "--out", tmp_path])
+    assert code == 0
+    entry = json.loads((tmp_path / "hull.json").read_text())["result"]["entries"][0]
+    assert entry["classification"] == "UNKNOWN"
+    assert "ThresholdTooSmall" in entry["notes"]
+
+
 def test_hmeasure_csv_row(tmp_path):
     out = tmp_path / "run"
     code = run(["hmeasure", "--annulus", "0.1,1", "--at", "0.4",

@@ -5,9 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from polarhull.core import Disk
+from polarhull.core import ZERO_POLY, CompactSample, Disk, DiskUnion
 from polarhull.models import (
     ExpReciprocal,
+    OriginValue,
     PoleSeries,
     RationalModel,
     RecipSinPi,
@@ -16,13 +17,37 @@ from polarhull.models import (
 from polarhull.hull import (
     ProbeEqualsValue,
     classify_fiber,
-    f_at_origin,
     series_conditions,
     vn_upper_bound,
 )
 
 # independent direct-sum oracle for the origin value of the gaussian family
 ORIGIN_ORACLE = -sum(math.exp(-n * n) / n for n in range(1, 9))
+
+
+class _RemovableAtOrigin:
+    """1/(z - 2) with a removable singular point at 0, as a model of its own.
+
+    Its sample holds only the pole; 0 is a singular point through `limit`.
+    """
+
+    label = "removable-at-origin"
+
+    def __call__(self, z):
+        return 1.0 / (np.asarray(z, dtype=complex) - 2.0)
+
+    def singular_sample(self):
+        return CompactSample([2.0])
+
+    def split_at_infinity(self):
+        return ZERO_POLY, self
+
+    def cover(self, big_r):
+        # |f| >= R is the closed disk |z - 2| <= 1/R
+        return DiskUnion.from_arrays([2.0], [1.5 / big_r], side="outer")
+
+    def limit(self, z0):
+        return OriginValue(-0.5, 2.0**-60) if z0 == 0 else None
 
 
 class TestSeriesConditions:
@@ -61,18 +86,26 @@ class TestSeriesConditions:
 
 class TestOriginValue:
     def test_gaussian_origin(self, gauss40):
-        val = f_at_origin(gauss40)
+        val = gauss40.limit(0j)
         assert abs(val.value - ORIGIN_ORACLE) < 1e-15
         assert val.error_bound < 1e-17
 
     def test_single_pole(self):
         f = PoleSeries([1.0], [1.0], log_gamma_tail=lambda n: -np.inf, ca_tail=0.0)
-        assert f_at_origin(f).value == -1.0
+        assert f.limit(0j).value == -1.0
 
     def test_zero_coefficients(self):
         f = PoleSeries([1.0, 0.5], [0.0, 0.0], log_gamma_tail=lambda n: -np.inf,
                        ca_tail=0.0)
-        assert f_at_origin(f).value == 0.0
+        assert f.limit(0j).value == 0.0
+
+    @pytest.mark.parametrize("f, z0", [
+        (PoleSeries.gaussian(40), 0.5 + 0j),  # a pole, not the accumulation point
+        (PoleSeries.gaussian(40), 1e-10 + 0j),  # near 0, but farther than SAMPLE_TOL
+        (PoleSeries(1.0 / np.arange(1, 21), np.exp(-np.arange(1.0, 21.0) ** 2)), 0j),
+    ], ids=["pole", "near-origin", "untailed-series"])
+    def test_no_limit_elsewhere(self, f, z0):
+        assert f.limit(z0) is None
 
 
 class TestClassify:
@@ -146,6 +179,21 @@ class TestClassify:
         assert entry.classification == "UNKNOWN"
         assert "UnsupportedFamily" in entry.notes
 
+    def test_recip_sin_cover_underflow_is_unknown(self):
+        # at R = 1e300 the deepest Moebius radius rounds to 0: that level has no
+        # cover, so it is a note, not an uncaught ValueError from DiskUnion
+        entry = classify_fiber(RecipSinPi(), 0.5, [2.0, 4.0, 1e300])
+        assert entry.classification == "UNKNOWN"
+        assert "R=1e+300: ThresholdTooSmall" in entry.notes
+        assert len(entry.wiener_reports) == 2
+
+    def test_model_brings_its_own_cover_and_limit(self):
+        # the hull machinery reads a model only through its protocol
+        entry = classify_fiber(_RemovableAtOrigin(), 0j, [1.0, 2.0, 4.0])
+        assert entry.classification == "HULL_POINT"
+        assert (entry.w0, entry.w0_error, entry.radius_bound) == (-0.5, 2.0**-60, 1.0)
+        assert [r.cover_side for r in entry.wiener_reports] == ["outer"] * 3
+
     def test_rational_pole_inside_its_outer_disk_unknown(self):
         # the outer disk about the pole contains the query point, so the
         # upper sums diverge and no level proves THIN or NON_THIN
@@ -199,7 +247,7 @@ class TestVnBound:
     DISC = Disc = Disk(0.75j, 0.25)
 
     def test_decreasing_and_bounded(self, gauss40):
-        w = f_at_origin(gauss40).value + 1.0
+        w = gauss40.limit(0j).value + 1.0
         out = vn_upper_bound(gauss40, 1.0, self.DISC, w, [5, 10, 20])
         values = [v for _, v in out]
         assert all(0.0 <= v <= 1.0 + 1e-9 for v in values)
@@ -208,7 +256,7 @@ class TestVnBound:
         assert values[-1] == pytest.approx(0.10193, abs=5e-4)
 
     def test_probe_on_limit_value_rejected(self, gauss40):
-        w0 = f_at_origin(gauss40).value
+        w0 = gauss40.limit(0j).value
         with pytest.raises(ProbeEqualsValue):
             vn_upper_bound(gauss40, 1.0, self.DISC, w0, [5])
 
@@ -217,15 +265,20 @@ class TestVnBound:
             vn_upper_bound(gauss40, 1.0, self.DISC, 2.0 + 0j, [5])
 
     def test_disc_separation_enforced(self, gauss40):
-        w = f_at_origin(gauss40).value + 1.0
+        w = gauss40.limit(0j).value + 1.0
         with pytest.raises(ValueError):
             vn_upper_bound(gauss40, 1.0, Disk(0.3 + 0j, 0.2), w, [5])
 
     @pytest.mark.parametrize("n", [0, 41])
     def test_order_outside_terms_rejected(self, gauss40, n):
-        w = f_at_origin(gauss40).value + 1.0
+        w = gauss40.limit(0j).value + 1.0
         with pytest.raises(ValueError, match="n_terms"):
             vn_upper_bound(gauss40, 1.0, self.DISC, w, [n])
+
+    def test_needs_certified_origin_value(self):
+        f = PoleSeries(1.0 / np.arange(1, 21), np.exp(-np.arange(1.0, 21.0) ** 2))
+        with pytest.raises(TailUncertifiable):
+            vn_upper_bound(f, 1.0, self.DISC, 1.0 + 0j, [5])
 
     def test_needs_pole_series(self):
         with pytest.raises(TypeError):
@@ -234,7 +287,7 @@ class TestVnBound:
     def test_v_grows_toward_one_near_limit_value(self, gauss40):
         # h falls toward the graph bound K as the probe approaches the limit
         # value, pushing the ratio toward its upper endpoint
-        w0 = f_at_origin(gauss40).value
+        w0 = gauss40.limit(0j).value
         offsets = (1.0, 1e-4, 1e-9)
         vs = [
             vn_upper_bound(gauss40, 1.0, self.DISC, w0 + t, [10])[0][1]
@@ -247,7 +300,7 @@ class TestVnBound:
         # the origin value is certified, but gamma_{n_terms+1} is not
         g = PoleSeries.gaussian(40)
         f = PoleSeries(g.poles, g.residues, log_abs_c=g.log_abs_c, ca_tail=g.ca_tail)
-        w = f_at_origin(f).value + 1.0
+        w = f.limit(0j).value + 1.0
         assert vn_upper_bound(f, 1.0, self.DISC, w, [39])[0][1] == pytest.approx(
             vn_upper_bound(g, 1.0, self.DISC, w, [39])[0][1], rel=1e-12)
         with pytest.raises(TailUncertifiable):

@@ -177,6 +177,15 @@ class TestWiener:
         with pytest.raises(ValueError, match="need depth <= 60"):
             wiener_test(DiskUnion([Disk(1.0 + 0j, 0.1)]), 0j, 61)
 
+    def test_subnormal_radius_counts_in_the_upper_sums(self):
+        # 1/r overflows for r = 1e-310; the disk in annulus 10 adds 10/log(1e310)
+        cover = DiskUnion([Disk(0.75 * 2.0**-10, 1e-310)])
+        rep = wiener_test(cover, 0j, 12)
+        increments = np.diff(rep.partial_sums_upper, prepend=0.0)
+        assert increments[9] == pytest.approx(10 / (310 * math.log(10)), rel=1e-12)
+        assert np.count_nonzero(increments) == 1
+        assert rep.verdict == "INCONCLUSIVE"
+
     def test_enlarging_radii_keeps_non_thin(self):
         # dyadic chain toward the origin; enlarging keeps the origin exterior
         base = DiskUnion([Disk(0.75 * 2.0**-k, 2.0**-k / 4.0) for k in range(1, 41)])
@@ -351,9 +360,9 @@ def _wiener_oracle(cover, point, depth, tolerance=1e-3, slope=0.1):
             cap_lo = max(cap_lo, _annulus_lower_cap_oracle(d, point, inner, outer))
             dist = abs(d.center - point)
             if dist - d.radius < outer and dist + d.radius > inner:
-                up += 1.0 / math.log(1.0 / min(d.radius, outer, 0.5))
+                up += -1.0 / math.log(min(d.radius, outer, 0.5))
         if cap_lo > 0.0:
-            low_terms[n - 1] = n / math.log(1.0 / min(cap_lo, 0.5))
+            low_terms[n - 1] = -n / math.log(min(cap_lo, 0.5))
         up_terms[n - 1] = n * up
         annuli.append((n, inner, outer, cap_lo))
     s_low, s_up = np.cumsum(low_terms), np.cumsum(up_terms)
@@ -424,6 +433,7 @@ def _oracle_cases():
         # an outer disk over the point, and inner disks that look thin
         ("geometric-40@0/R=2", sublevel_cover(PoleSeries.geometric(40), 2.0), 0j, 40),
         ("recip-sin-pi@0.5/R=e30", sublevel_cover(sin, e**30), 0.5 + 0j, 40),
+        ("subnormal-disk", DiskUnion([Disk(0.75 * 2.0**-10, 1e-310)]), 0j, 12),
     ]
     covers = {big_r: sublevel_cover(sin, big_r) for big_r in (e, e**2, e**4)}
     for z0 in (0j, 0.5 + 0j, -0.5 + 0j):
