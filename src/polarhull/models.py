@@ -80,6 +80,8 @@ class PoleSeries:
         residues = as_complex_array(residues)
         if poles.shape != residues.shape:
             raise ValueError("poles and residues must have equal length")
+        if not (np.isfinite(poles).all() and np.isfinite(residues).all()):
+            raise ValueError("poles and residues must be finite")
         if log_abs_c is None:
             with np.errstate(divide="ignore"):
                 log_abs_c = np.log(np.abs(residues))

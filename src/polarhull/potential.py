@@ -109,44 +109,41 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40) -> WienerRepo
     disk that contains `point` is evidence like any other: an inner or
     exact one puts a segment of capacity 2^-n-3 in every annulus n it
     spans, and an outer one makes the upper sums diverge.  The sums run to
-    `depth`, at most MAX_DEPTH.
+    `depth`, at most MAX_DEPTH.  A disk at distances near..far from `point`
+    meets the annuli n with 2^-n-1 < far and near < 2^-n, a range lo..hi read
+    exactly off frexp.  One pass over these (disk, annulus) pairs costs
+    O(disks + pairs), where a disk meets about log2(far/near) annuli.
     """
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"need depth <= {MAX_DEPTH} and depth >= 1, got {depth!r}")
     point = complex(point)
     if not np.isfinite(point):
         raise ValueError(f"point {point!r} is not finite")
-    r = cover.radii
-    dist = np.abs(cover.centers - point)
+    r, dist = cover.radii, np.abs(cover.centers - point)
     near, far = dist - r, dist + r
-    annuli = []
-    low_terms = np.zeros(depth)
-    up_terms = np.zeros(depth)
-    # one annulus at a time: a (depth x disks) broadcast costs depth times the memory
-    for n in range(1, depth + 1):
-        inner, outer = 2.0 ** (-n - 1), 2.0 ** (-n)
-        meets = (near < outer) & (far > inner)
-        # lower bound: a whole closed disk inside the annulus has cap = radius;
-        # otherwise its radial diameter clipped to the annulus has cap = len/4
-        whole = (near >= inner) & (far <= outer)
-        seg = np.maximum(np.minimum(outer, far) - np.maximum(inner, near), 0.0) / 4.0
-        cap_lo = float(np.where(whole, r, seg)[meets].max(initial=0.0))
-        # upper bound: every meeting disk counts with cap <= min(radius, outer);
-        # -1/log(r), as 1/r overflows for a subnormal r
-        up = float(np.sum(-1.0 / np.log(np.minimum(r[meets], min(outer, 0.5)))))
-        if cap_lo > 0.0:
-            low_terms[n - 1] = -n / math.log(min(cap_lo, 0.5))
-        up_terms[n - 1] = n * up
-        annuli.append((n, inner, outer, cap_lo))
+    m_far, e_far = np.frexp(far)
+    lo = np.maximum(np.where(m_far > 0.5, -e_far, 1 - e_far), 1)
+    hi = np.minimum(np.where(near > 0.0, -np.frexp(near)[1], depth), depth)
+    counts = np.maximum(hi - lo + 1, 0)
+    i = np.repeat(np.arange(len(r)), counts)
+    n = np.arange(len(i)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    edges = np.ldexp(1.0, -np.arange(1, depth + 2))  # edges[n - 1] = 2^-n, edges[n] = 2^-n-1
+    near, far, r, inner, outer = near[i], far[i], r[i], edges[n], edges[n - 1]
+    # lower bound: cap = radius for a whole closed disk in the annulus, else clipped diameter/4
+    whole = (near >= inner) & (far <= outer)
+    seg = np.maximum(np.minimum(outer, far) - np.maximum(inner, near), 0.0) / 4.0
+    cap_lo = np.zeros(depth)
+    np.maximum.at(cap_lo, n - 1, np.where(whole, r, seg))
+    # upper bound: cap <= min(radius, outer) <= 1/2 per meeting disk; -1/log(r), as 1/r overflows
+    ns = np.arange(1, depth + 1)
+    up_terms = ns * np.bincount(n - 1, -1.0 / np.log(np.minimum(r, outer)), depth)
+    with np.errstate(divide="ignore"):  # an annulus that no disk meets: -n/log(0) = 0
+        low_terms = -ns / np.log(np.minimum(cap_lo, 0.5))
+    annuli = tuple(zip(ns.tolist(), edges[1:].tolist(), edges[:-1].tolist(), cap_lo.tolist()))
+    s_low, s_up = np.cumsum(low_terms), np.cumsum(up_terms)
 
-    s_low = np.cumsum(low_terms)
-    s_up = np.cumsum(up_terms)
-
-    tail = min(10, depth)
-    ns = np.arange(depth - tail + 1, depth + 1)
-    non_thin = bool(np.all(s_low[-tail:] >= WIENER_SLOPE * ns))
-    thin_window = min(5, depth)
-    thin = bool(np.sum(up_terms[-thin_window:]) < WIENER_TOLERANCE)
+    non_thin = bool(np.all(s_low[-10:] >= WIENER_SLOPE * ns[-10:]))
+    thin = bool(np.sum(up_terms[-5:]) < WIENER_TOLERANCE)
 
     if non_thin and not thin and cover.side != "outer":
         verdict, used, sums = "NON_THIN", "lower", s_low
@@ -155,7 +152,7 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40) -> WienerRepo
     else:
         verdict, used, sums = "INCONCLUSIVE", "none", s_up
     return WienerReport(
-        point=point, annuli=tuple(annuli), partial_sums=sums, verdict=verdict,
+        point=point, annuli=annuli, partial_sums=sums, verdict=verdict,
         depth=depth, bound_used=used, partial_sums_lower=s_low, partial_sums_upper=s_up,
         cover_disks=len(cover), cover_side=cover.side,
     )

@@ -76,6 +76,12 @@ class TestSublevelCover:
         assert (cover.centers.tolist(), cover.radii.tolist(), cover.side) == (
             [0.5 + 0j], [1.0], "outer")
 
+    @pytest.mark.parametrize("poles,residues", [([0.5, math.inf], [1, 1]),
+                                                ([0.5, 0.25], [1, math.nan])])
+    def test_pole_series_refuses_non_finite_terms(self, poles, residues):
+        with pytest.raises(ValueError, match="finite"):
+            PoleSeries(poles, residues)
+
     def test_all_zero_residues_give_empty_thin_cover(self):
         cover = sublevel_cover(RationalModel([0.4, -0.2], [0.0, 0.0]), 1.0)
         assert (len(cover), cover.side) == (0, "outer")
@@ -434,6 +440,14 @@ def _oracle_cases():
         ("geometric-40@0/R=2", sublevel_cover(PoleSeries.geometric(40), 2.0), 0j, 40),
         ("recip-sin-pi@0.5/R=e30", sublevel_cover(sin, e**30), 0.5 + 0j, 40),
         ("subnormal-disk", DiskUnion([Disk(0.75 * 2.0**-10, 1e-310)]), 0j, 12),
+        # the ends of each disk's annulus range n = lo..hi
+        ("empty-cover", PoleSeries([0.5], [0.0]).cover(1.0), 0j, 40),
+        ("tangent-at-point", DiskUnion([Disk(0.25 + 0j, 0.25)]), 0j, 20),
+        ("contains-point@max-depth", DiskUnion([Disk(0.1 + 0.1j, 0.3)]), 0j, potential.MAX_DEPTH),
+        ("depth-1", DiskUnion([Disk(0.375 + 0j, 0.125), Disk(0.1 + 0j, 0.05)]), 0j, 1),
+        ("below-last-annulus", DiskUnion([Disk(2.0**-15, 2.0**-17)]), 0j, 12),
+        ("far-on-last-outer-edge", DiskUnion([Disk(0.75 * 2.0**-12, 2.0**-14)]), 0j, 12),
+        ("far-beyond-1", DiskUnion([Disk(0.9 + 0j, 0.6), Disk(-3.0 + 0j, 2.5)]), 0j, 8),
     ]
     covers = {big_r: sublevel_cover(sin, big_r) for big_r in (e, e**2, e**4)}
     for z0 in (0j, 0.5 + 0j, -0.5 + 0j):
