@@ -181,13 +181,14 @@ class CompactSample:
         """min |z - p| over the sample points p, for each entry of z.
 
         The sample is taken in blocks, so no temporary holds more entries
-        than the larger of z and the sample.
+        than the larger of z and the sample (one point when z is the larger).
         """
-        step = max(1, len(self.points) // max(z.size, 1))
+        step = len(self.points) // max(z.size, 1)
         out = np.full(z.shape, np.inf)
-        for lo in range(0, len(self.points), step):
-            near = np.abs(z[..., None] - self.points[lo : lo + step])
-            np.minimum(out, np.min(near, axis=-1), out=out)
+        for lo in range(0, len(self.points), max(step, 1)):
+            near = (np.abs(z - self.points[lo]) if step <= 1 else
+                    np.min(np.abs(z[..., None] - self.points[lo : lo + step]), axis=-1))
+            np.minimum(out, near, out=out)
         return out
 
     def to_dict(self) -> dict:
@@ -297,9 +298,8 @@ def _horner(high_first, x, start=None):
     The coefficients run from the highest power down to the constant; each
     may be a scalar or an array that broadcasts against the array x, and
     `high_first` may be a generator, so array coefficients are made one at a
-    time.  The running sum starts from zeros shaped like x, or from `start`,
-    the initial running sum: `pshbuild._box_ceiling` passes `nu + |A|(nu)`,
-    the term that Horner's rule then multiplies by x once per coefficient.
+    time.  The running sum starts from zeros shaped like x, or from `start`:
+    a fold that resumes at a later row passes its running sum so far.
     """
     out = np.zeros_like(x) if start is None else start
     for c in high_first:

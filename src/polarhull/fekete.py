@@ -7,7 +7,7 @@ that cluster like 1/n do not underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +38,7 @@ class FeketeSystem:
     base_set: CompactSample
     points: np.ndarray
     diagnostics: tuple
+    quad_rows: dict = field(default_factory=dict, init=False, repr=False)
 
     def norms(self) -> np.ndarray:
         return np.array([d for _, d in self.diagnostics])

@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import CompactSample, PolarhullError, _horner, complex_to_pair, pointwise
 from .fekete import leja_points
-from .ratapprox import RationalApproximant, build_approximant
+from .ratapprox import RationalApproximant, _folded_rows, build_approximant
 
 __all__ = [
     "ScheduleExhausted",
@@ -116,18 +116,18 @@ def _certification_grid(sample: CompactSample, nu: int) -> CertificationGrid:
     return CertificationGrid(nu=nu, graph_nodes=z[sample.min_distance_to(z) > cut * (1 - 1e-9)])
 
 
-def _offgraph_floor(approx: RationalApproximant, z, cleared, nu: int) -> float:
+def _offgraph_floor(approx: RationalApproximant, abs_q, cleared, nu: int) -> float:
     """Lower bound of h where |w - f(z)| > 1/nu, from the graph nodes' cleared values.
 
     On the graph the cleared difference is q^N (f - f_N), so with the noise
     threshold R_N = (|diff| + thr) / |q|^N bounds |f - f_N| at each node, and
     off the graph |w q^N - p| >= |q|^N (1/nu - R_N).  R_N is formed in logs,
     where |q|^N cannot underflow.  -inf (never certifies) unless max R_N is
-    finite and below 1/nu.
+    finite and below 1/nu.  `abs_q` is |q| on the nodes.
     """
     diff, eval_shadow, quad_shadow = cleared
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_q = np.log(np.abs(approx.q_values(z)))
+        log_q = np.log(abs_q)
         log_r = np.log(np.abs(diff) + _noise_threshold(eval_shadow, quad_shadow))
         margin = 1.0 / nu - np.exp(np.max(log_r - approx.big_n * log_q))
         if not (np.isfinite(margin) and margin > 0):
@@ -135,21 +135,26 @@ def _offgraph_floor(approx: RationalApproximant, z, cleared, nu: int) -> float:
         return float(approx.big_n * np.min(log_q) + np.log(margin)) / approx.normalization
 
 
-def _box_ceiling(approx: RationalApproximant, nu: int) -> float:
-    """Upper bound of h on the torus |z| = |w| = nu, with no nodes.
+def _box_ceiling(approx: RationalApproximant, nu: int, prior):
+    """Upper bound of h on the torus |z| = |w| = nu, with no nodes, and its fold.
 
     There |q| <= P = prod(nu + |r_i|) over the roots of q_m, so |diff| is at
     most its cancellation shadow with |q| replaced by P, plus the quadrature
     noise at the safety factor: one Horner pass in P from nu + |A|(nu) over
-    |c_k|(nu) + QUAD_NOISE_SAFETY noise_k(nu).
+    |c_k|(nu) + QUAD_NOISE_SAFETY noise_k(nu).  The fold (approx, P, sum)
+    extends `prior`, one at the same nu or None, as `cleared_fold` does.
     """
-    r = float(nu)
-    p = math.prod(r + abs(root) for root in approx.poles)
+    r, k = float(nu), _folded_rows(approx, prior)
+    if k:
+        _, p, s = prior
+    else:
+        p = math.prod(r + abs(root) for root in approx.poles)
+        s = r + approx.analytic_part.abs_eval(r)
     terms = (_horner(np.abs(c[::-1]), r) + QUAD_NOISE_SAFETY * _horner(nv[::-1], r)
-             for c, nv in zip(approx.coeffs, approx.noise))
+             for c, nv in zip(approx.coeffs[k:], approx.noise[k:]))
     with np.errstate(over="ignore"):
-        s = _horner(terms, p, r + approx.analytic_part.abs_eval(r))
-        return float(np.log(s)) / approx.normalization
+        s = _horner(terms, p, s)
+        return float(np.log(s)) / approx.normalization, (approx, p, s)
 
 
 TRIED_KEYS = ("big_n", "h_bound_graph", "h_bound_box", "h_bound_offgraph", "converged")
@@ -232,13 +237,15 @@ def certify_schedule(f, k: CompactSample, nu_max: int = 4, *,
     """Search outer orders per level until the three bounds certify.
 
     The denominator degree m is pinned to the sample size (finite samples are
-    consumed exactly); the outer order N increases until the level certifies or
-    DEGREE_CAP is passed.  The search for level nu+1 starts at the order that
-    certified level nu, reusing that approximant.  Each try
-    evaluates the cleared difference once, on the graph nodes (z, f(z)): the
-    graph bound is its largest h, and the off-graph floor
-    (`_offgraph_floor`) reads the same values.  The box ceiling
-    (`_box_ceiling`) needs no nodes.
+    consumed exactly); the outer order N increases until the level certifies
+    or DEGREE_CAP is passed.  The search for level nu+1 starts at the order
+    that certified level nu, reusing that approximant.  Each try evaluates the
+    cleared difference once, on the graph nodes (z, f(z)): the graph bound is
+    its largest h, and the off-graph floor (`_offgraph_floor`) reads the same
+    values.  The box ceiling (`_box_ceiling`) needs no nodes.  The search is
+    incremental: builds share their rows on the Leja system, and each try
+    extends the previous try's folds by the rows its order adds (refolding
+    if those rows changed), every bound bitwise that of a fresh try.
     """
     if not 2 <= nu_max <= MAX_NU:
         raise ValueError(f"nu_max must be in [2, {MAX_NU}]")
@@ -252,15 +259,15 @@ def certify_schedule(f, k: CompactSample, nu_max: int = 4, *,
         z = grid.graph_nodes
         fz = np.asarray(f(z), dtype=complex)
         tried = []
-        certified = None
+        certified = fold = box = None
         n = built_n
         while m * n <= max(DEGREE_CAP, m):
             if approx is None or n != built_n:
                 approx, built_n = builder(f, sys, m, n, quad_tol=CERTIFY_QUAD_TOL), n
-            cleared = approx.cleared_eval(z, fz)
+            cleared, fold = approx.cleared_fold(z, fz, fold)
             hg = float(np.max(_h_of_cleared(cleared, approx.normalization)))
-            hb = _box_ceiling(approx, nu)
-            ho = _offgraph_floor(approx, z, cleared, nu)
+            hb, box = _box_ceiling(approx, nu, box)
+            ho = _offgraph_floor(approx, fold[2], cleared, nu)  # fold[2]: |q| on z
             tried.append((n, hg, hb, ho, approx.converged))
             # an approximant whose quadrature never settled certifies nothing
             ok = (approx.converged and hg <= -nu and hb <= math.log(nu + 2)

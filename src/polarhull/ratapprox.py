@@ -143,17 +143,42 @@ class RationalApproximant:
         (z of shape (n, 1), w of shape (n, k)) all of the recurrences run
         once per z.  Each entry is bitwise that of the flattened (z, w) pairs.
         """
-        qv = self.q_values(z)
-        aq = np.abs(qv)
-        az = np.abs(z)
-        qn, aqn = np.ones_like(qv), np.ones_like(aq)
-        for _ in range(self.big_n):
+        return self.cleared_fold(z, w, None)[0]
+
+    def cleared_fold(self, z, w, prior):
+        """(`cleared_eval`'s triple, the fold: this approximant and its recurrences in q).
+
+        `prior`, a fold over the same z or None, is extended by the rows past its
+        own (`_folded_rows`), each sum taking the steps of a fold from zero.
+        """
+        k = _folded_rows(self, prior)
+        if k:
+            qv, aq, az, qn, aqn, pn, sn, quad_shadow = prior[1:]
+        else:
+            qv = self.q_values(z)
+            aq, az = np.abs(qv), np.abs(z)
+            qn, aqn, pn = np.ones_like(qv), np.ones_like(aq), np.zeros_like(qv)
+            sn = quad_shadow = np.zeros_like(aq)
+        for _ in range(k, self.big_n):
             qn, aqn = qn * qv, aqn * aq
-        pn = _horner((-_horner(c[::-1], z) for c in self.coeffs), qv)
-        sn = _horner((_horner(np.abs(c[::-1]), az) for c in self.coeffs), aq)
-        quad_shadow = _horner((_horner(nv[::-1], az) for nv in self.noise), aq)
+        pn = _horner((-_horner(c[::-1], z) for c in self.coeffs[k:]), qv, pn)
+        sn = _horner((_horner(np.abs(c[::-1]), az) for c in self.coeffs[k:]), aq, sn)
+        quad_shadow = _horner((_horner(nv[::-1], az) for nv in self.noise[k:]), aq, quad_shadow)
         head = np.abs(w) + self.analytic_part.abs_eval(az)
-        return (w - self.analytic_part(z)) * qn + pn, head * aqn + sn, quad_shadow
+        cleared = (w - self.analytic_part(z)) * qn + pn, head * aqn + sn, quad_shadow
+        return cleared, (self, qv, aq, az, qn, aqn, pn, sn, quad_shadow)
+
+
+def _folded_rows(approx: RationalApproximant, prior) -> int:
+    """The rows of the approximant leading the fold `prior` if `approx` has its q_m and
+    analytic part and begins with its coefficient and noise rows, bit for bit; else 0."""
+    if prior is None:
+        return 0
+    old, k = prior[0], prior[0].big_n
+    pairs = ((approx.q_m.roots, old.q_m.roots), (approx.q_m.coeffs, old.q_m.coeffs),
+             (approx.analytic_part.coeffs, old.analytic_part.coeffs),
+             (approx.coeffs[:k], old.coeffs), (approx.noise[:k], old.noise))
+    return k if all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in pairs) else 0
 
 
 def _kernel_rows(q: PolynomialC, zeta: np.ndarray) -> np.ndarray:
@@ -218,7 +243,9 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
     agree with integrals over any admissible level curve of |q_m|.  That
     circle is certified whole, not node by node: |q_m| >= 1.25 rho_m > rho_m
     on all of it, by the closed-form bound prod (r - |root - c|), and every
-    sample point lies at least 1/4 away from it.
+    sample point lies at least 1/4 away from it.  The trapezoid rows are kept on
+    `sys.quad_rows`, so a build computes only rows no earlier build on `sys` did;
+    the stop rule and the growth check still read exactly its own N rows.
     """
     if m < 1 or big_n < 1:
         raise ValueError("m and big_n must be >= 1")
@@ -233,23 +260,33 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
     analytic, principal = f.split_at_infinity()
     contour = _sample_contour(sys.base_set.points, q, rho_floor)
 
-    def integrals(rot, fv):
-        zeta = contour.center + contour.radius * rot
-        qv = q.eval_root_form(zeta)
-        rows = _kernel_rows(q, zeta)
-        weights = contour.radius * rot / len(rot)
-        abs_rows = np.abs(rows)
-        coeff = np.empty((big_n, m), dtype=complex)
-        floor = np.empty((big_n, m))
-        qpow = np.ones_like(zeta)
-        for k in range(big_n):
-            terms = fv * qpow * weights
-            coeff[k] = rows @ terms
-            floor[k] = abs_rows @ np.abs(terms)
-            qpow = qpow * qv
-        return coeff, np.finfo(float).eps * floor
+    # node count n -> (f on the nodes that make n, q^K on them all, K coefficient rows,
+    # K floor rows before the factor eps), replaced whole, for this principal part, m, contour
+    saved, asked = sys.quad_rows.setdefault((principal, m, contour), {}), []
 
-    quad = circle_trapezoid(principal, contour, integrals,
+    def values(nodes):  # n0 nodes, then each doubling's new ones
+        asked.append(len(nodes))
+        n = sum(asked)
+        if n not in saved:
+            saved[n] = (principal(nodes), np.ones(n, dtype=complex), (), ())
+        return saved[n][0]
+
+    def integrals(rot, fv):  # only the rows that no earlier build on these nodes computed
+        new, qpow, coeff, floor = saved[len(rot)]
+        if len(coeff) < big_n:
+            zeta = contour.center + contour.radius * rot
+            qv, rows = q.eval_root_form(zeta), _kernel_rows(q, zeta)
+            weights, abs_rows = contour.radius * rot / len(rot), np.abs(rows)
+            coeff, floor = [*coeff], [*floor]
+            for _ in range(len(coeff), big_n):
+                terms = fv * qpow * weights
+                coeff.append(rows @ terms)
+                floor.append(abs_rows @ np.abs(terms))
+                qpow = qpow * qv
+            saved[len(rot)] = new, qpow, tuple(coeff), tuple(floor)
+        return np.array(coeff[:big_n]), np.finfo(float).eps * np.array(floor[:big_n])
+
+    quad = circle_trapezoid(values, contour, integrals,
                             max(256, 1 << (4 * m - 1).bit_length()),
                             tol=quad_tol, max_nodes=MAX_APPROX_NODES)
     coeff = quad.value

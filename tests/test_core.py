@@ -325,3 +325,18 @@ def test_duplicate_check_matches_dense_oracle(seed):
         assert rejected == _dense_has_duplicates(pts)
         verdicts.add(rejected)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n_z", [1, 7, 40, 41, 3000])
+def test_min_distance_matches_the_dense_minimum(n_z):
+    # 40 sample points: z smaller than, equal to and larger than the sample,
+    # so both the blocked and the one-point-at-a-time path run
+    rng = np.random.default_rng(n_z)
+    pts = rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40)
+    z = rng.uniform(-2, 2, n_z) + 1j * rng.uniform(-2, 2, n_z)
+    z[0] = pts[3]  # distance exactly 0
+    dense = np.min(np.abs(z[:, None] - pts[None, :]), axis=1)
+    got = CompactSample(pts).min_distance_to(z)
+    assert got.dtype == dense.dtype and got.tobytes() == dense.tobytes()
+    grid = CompactSample(pts).min_distance_to(z.reshape(1, -1))
+    assert grid.shape == (1, n_z) and grid.tobytes() == dense.tobytes()

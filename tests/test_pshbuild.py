@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from polarhull import pshbuild
-from polarhull.core import CompactSample
+from polarhull import pshbuild, ratapprox
+from polarhull.core import CircleContour, CompactSample, PolarhullError, _horner
 from polarhull.fekete import leja_points
 from polarhull.models import ExpReciprocal, PoleSeries, RationalModel, RecipSinPi
 from polarhull.pshbuild import (
@@ -14,6 +14,7 @@ from polarhull.pshbuild import (
     PshField,
     ScheduleExhausted,
     _certification_grid,
+    _h_of_cleared,
     _level_clamp,
     certify_schedule,
     export_field,
@@ -463,3 +464,137 @@ def test_exported_rows_equal_u_eval(gauss10_field):
     assert all(type(v) is float for row in rows for v in row)  # plain floats for field.csv
     assert [r[4] for r in rows] == [u_eval(gauss10_field, complex(zr, zi), complex(wr, wi))
                                     for zr, zi, wr, wi, _ in rows]
+
+
+def _built_or_raised(f, system, m, n):
+    try:
+        return build_approximant(f, system, m, n, quad_tol=pshbuild.CERTIFY_QUAD_TOL)
+    except PolarhullError as e:
+        return repr(e)
+
+
+def _assert_same_build(warm, fresh):
+    if isinstance(fresh, str):  # the same error on both
+        assert warm == fresh
+        return
+    for name in ("coeffs", "noise", "floor"):
+        assert _same_bits(getattr(warm, name), getattr(fresh, name)), name
+    assert (warm.nodes, warm.converged, warm.contour) == (fresh.nodes, fresh.converged,
+                                                          fresh.contour)
+
+
+@pytest.mark.parametrize("label", list(FIELD_CERTIFY))
+def test_warm_builds_equal_fresh_builds(label, monkeypatch):
+    # every order the search tries, built on its warm Leja system, equals the
+    # build on a fresh system; then, on the same warm system, under criterion
+    # 3's doubled contour, which must not read the rows of the first contour
+    f, nu_max = FIELD_CERTIFY[label]
+    k = f.singular_sample()
+    built = []
+
+    def builder(*args, **kwargs):
+        built.append((args, build_approximant(*args, **kwargs)))
+        return built[-1][1]
+
+    certify_schedule(f, k, nu_max, builder=builder)
+    warm = built[0][0][1]
+    assert all(args[1] is warm for args, _ in built)
+    orders = [(m, n) for (_, _, m, n), _ in built]
+    for (m, n), (_, ap) in zip(orders, built):
+        _assert_same_build(ap, _built_or_raised(f, leja_points(k, m), m, n))
+
+    plain = ratapprox._sample_contour
+
+    def doubled(*args):
+        c = plain(*args)
+        return CircleContour(c.center, 2 * c.radius)
+
+    monkeypatch.setattr(ratapprox, "_sample_contour", doubled)
+    for m, n in orders:
+        _assert_same_build(_built_or_raised(f, warm, m, n),
+                           _built_or_raised(f, leja_points(k, m), m, n))
+
+
+def _fresh_box_ceiling(approx, nu):
+    """`pshbuild._box_ceiling` from zero, as a formula of its own."""
+    r = float(nu)
+    p = math.prod(r + abs(root) for root in approx.poles)
+    terms = (_horner(np.abs(c[::-1]), r) + pshbuild.QUAD_NOISE_SAFETY * _horner(nv[::-1], r)
+             for c, nv in zip(approx.coeffs, approx.noise))
+    with np.errstate(over="ignore"):
+        s = _horner(terms, p, r + approx.analytic_part.abs_eval(r))
+        return float(np.log(s)) / approx.normalization
+
+
+def _fresh_offgraph_floor(approx, z, cleared, nu):
+    """`pshbuild._offgraph_floor` with |q| evaluated afresh on the nodes."""
+    diff, eval_shadow, quad_shadow = cleared
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_q = np.log(np.abs(approx.q_values(z)))
+        log_r = np.log(np.abs(diff) + pshbuild._noise_threshold(eval_shadow, quad_shadow))
+        margin = 1.0 / nu - np.exp(np.max(log_r - approx.big_n * log_q))
+        if not (np.isfinite(margin) and margin > 0):
+            return -math.inf
+        return float(approx.big_n * np.min(log_q) + np.log(margin)) / approx.normalization
+
+
+def _fresh_search(f, nu_max, builder):
+    """`certify_schedule`'s search with every try from scratch.
+
+    Each build gets a fresh Leja system, each try runs `cleared_eval` and
+    both closed-form bounds from row 0.  Returns every level's `tried`.
+    """
+    k = f.singular_sample()
+    m = len(k)
+    levels, approx, built_n = [], None, 1
+    for nu in range(2, nu_max + 1):
+        z = _certification_grid(k, nu).graph_nodes
+        fz = np.asarray(f(z), dtype=complex)
+        tried, n = [], built_n
+        while True:
+            assert m * n <= max(pshbuild.DEGREE_CAP, m), "oracle exhausted the degree cap"
+            if approx is None or n != built_n:
+                approx, built_n = builder(f, leja_points(k, m), m, n,
+                                          quad_tol=pshbuild.CERTIFY_QUAD_TOL), n
+            cleared = approx.cleared_eval(z, fz)
+            hg = float(np.max(_h_of_cleared(cleared, approx.normalization)))
+            hb = _fresh_box_ceiling(approx, nu)
+            ho = _fresh_offgraph_floor(approx, z, cleared, nu)
+            tried.append((n, hg, hb, ho, approx.converged))
+            if (approx.converged and hg <= -nu and hb <= math.log(nu + 2)
+                    and ho >= -math.log(nu + 1)):
+                break
+            n += 1
+        levels.append(tuple(tried))
+    return levels
+
+
+def _bent_builder(*args, **kwargs):
+    # row 0 scaled at odd N: no build begins with the previous build's rows,
+    # so every try must refold from zero
+    ap = build_approximant(*args, **kwargs)
+    if ap.big_n % 2:
+        coeffs = ap.coeffs.copy()
+        coeffs[0] *= 1.0 + 1e-12
+        ap = dataclasses.replace(ap, coeffs=coeffs)
+    return ap
+
+
+@pytest.mark.parametrize("bent", [False, True], ids=["plain", "bent"])
+@pytest.mark.parametrize("label", list(FIELD_CERTIFY))
+def test_incremental_search_equals_the_fresh_search(label, bent):
+    f, nu_max = FIELD_CERTIFY[label]
+    builder = _bent_builder if bent else build_approximant
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((args[2:], kwargs))
+        return builder(*args, **kwargs)
+
+    field = certify_schedule(f, f.singular_sample(), nu_max, builder=counted)
+    oracle = _fresh_search(f, nu_max, builder)
+    assert repr([lev.tried for lev in field.levels]) == repr(oracle)
+    # the hook runs once per order tried, the first try of a level reusing the last build
+    orders = [t[0] for tried in oracle for t in tried]
+    assert [n for (_, n), _ in calls] == sorted(set(orders))
+    assert all(kw == {"quad_tol": pshbuild.CERTIFY_QUAD_TOL} for _, kw in calls)

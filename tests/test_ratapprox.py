@@ -341,7 +341,7 @@ def _assert_same_as_per_order(ap, z, w, nu):
     assert _same_bits(ap.principal_eval(z), _per_order_principal_eval(ap, z))
     for part, oracle in zip(ap.cleared_eval(z, w), _per_order_cleared_eval(ap, z, w)):
         assert _same_bits(part, oracle)
-    assert repr(_box_ceiling(ap, nu)) == repr(_per_order_box_ceiling(ap, nu))
+    assert repr(_box_ceiling(ap, nu, None)[0]) == repr(_per_order_box_ceiling(ap, nu))
 
 
 def _power_sum_cleared_eval(ap, z, w):
@@ -458,3 +458,59 @@ def test_coefficient_matrices_are_read_only(two_pole):
         ap.coeffs[0, 0] = 1.0
     with pytest.raises(ValueError):
         ap.noise[0, 0] = 1.0
+
+
+def test_a_fold_resumes_only_on_the_same_leading_rows(two_pole):
+    system = leja_points(two_pole.singular_sample(), 2)
+    short, full = (build_approximant(two_pole, system, 2, n) for n in (3, 5))
+    z = 0.4 + 1.5 * np.exp(2j * np.pi * np.arange(64) / 64)
+    w = two_pole(z) + 0.1
+    _, fold = short.cleared_fold(z, w, None)
+    _, box = _box_ceiling(short, 2, None)
+    assert ratapprox._folded_rows(full, fold) == ratapprox._folded_rows(full, box) == 3
+    assert ratapprox._folded_rows(short, full.cleared_fold(z, w, None)[1]) == 0
+    noise, coeffs = full.noise.copy(), full.coeffs.copy()
+    noise[2, 0] *= 2.0
+    coeffs[0, 1] *= 1.0 + 1e-15
+    changed = [dataclasses.replace(full, noise=noise), dataclasses.replace(full, coeffs=coeffs),
+               dataclasses.replace(full, analytic_part=PolynomialC([1.0])),
+               dataclasses.replace(full, q_m=poly_from_roots(full.q_m.roots[::-1]))]
+    for ap in [full] + changed:
+        resumed = (ap.cleared_fold(z, w, fold)[0], _box_ceiling(ap, 2, box)[0])
+        fresh = (ap.cleared_eval(z, w), _box_ceiling(ap, 2, None)[0])
+        assert all(_same_bits(a, b) for a, b in zip(resumed[0], fresh[0]))
+        assert repr(resumed[1]) == repr(fresh[1])
+    assert all(ratapprox._folded_rows(ap, fold) == 0 for ap in changed)
+
+
+def test_a_fold_tells_the_signs_of_zero_apart(two_pole):
+    # +0 and -0 compare equal but can fold to different bits: no resumption
+    system = leja_points(two_pole.singular_sample(), 2)
+    short, full = (build_approximant(two_pole, system, 2, n) for n in (3, 5))
+    plus, minus = short.coeffs.copy(), full.coeffs.copy()
+    plus[1, 0], minus[1, 0] = complex(0.0, 0.0), complex(-0.0, 0.0)
+    minus[:1], minus[2:3] = plus[:1], plus[2:3]
+    short, full = dataclasses.replace(short, coeffs=plus), dataclasses.replace(full, coeffs=minus)
+    assert np.array_equal(full.coeffs[:3], short.coeffs)
+    z = 0.4 + 1.5 * np.exp(2j * np.pi * np.arange(64) / 64)
+    _, fold = short.cleared_fold(z, z, None)
+    assert ratapprox._folded_rows(full, fold) == 0
+
+
+@pytest.mark.parametrize("case", ["two-pole", "gaussian-10"])
+def test_builds_on_one_system_keep_their_own_rows(case, two_pole, gauss10):
+    # the saved rows are keyed by principal part, m and contour: another
+    # function or another m on the same system must not read them (gaussian-10
+    # at m = 7 and 8 picks the same contour)
+    f, m = {"two-pole": (two_pole, 2), "gaussian-10": (gauss10, 8)}[case]
+    k = f.singular_sample()
+    other = RationalModel(k.points, np.arange(1.0, len(k) + 1))
+    shared = leja_points(k, len(k))
+    for g, mm, n in [(f, m, 2), (other, m, 1), (f, m - 1, 2), (other, m, 3), (f, m, 1),
+                     (f, m - 1, 3), (f, m, 3)]:
+        got = build_approximant(g, shared, mm, n)
+        want = build_approximant(g, leja_points(k, len(k)), mm, n)
+        for name in ("coeffs", "noise", "floor"):
+            assert _same_bits(getattr(got, name), getattr(want, name)), (case, mm, n, name)
+        assert (got.nodes, got.converged, got.contour) == (want.nodes, want.converged, want.contour)
+    assert len(shared.quad_rows) == 3
