@@ -161,7 +161,7 @@ class CompactSample:
     """Finite point sample standing in for a compact set.
 
     The library never represents uncountable sets exactly; a point within
-    SAMPLE_TOL of a sample point counts as that point.
+    SAMPLE_TOL of a sample point counts as that point.  Every point is finite.
     """
 
     points: np.ndarray
@@ -170,6 +170,8 @@ class CompactSample:
         pts = as_complex_array(points)
         if pts.size == 0:
             raise ValueError("sample must be nonempty")
+        if not np.isfinite(pts).all():
+            raise ValueError("sample points must be finite")
         _check_no_duplicates(pts)
         object.__setattr__(self, "points", pts)
 

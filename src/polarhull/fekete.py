@@ -33,6 +33,8 @@ class FeketeSystem:
 
     The prefix of length m defines the monic polynomial q_m with those roots;
     diagnostics[m-1] = (m, sup |q_m| over the sample, to the power 1/m).
+    `quad_rows` keeps `ratapprox.build_approximant`'s trapezoid rows, no f values:
+    q_m^K on the nodes and K coefficient and floor rows, per principal part, m, contour, nodes.
     """
 
     base_set: CompactSample

@@ -6,10 +6,10 @@ h(z, w) = (1/n) log |w q(z) - p(z)| satisfies three bounds: on-graph depth
 an off-graph floor (h >= -log(nu+1)) where |w - f(z)| > 1/nu.  Only the
 depth is evaluated on (z, w) nodes, the graph nodes (z, f(z)).  Off the
 graph |w q^N - p| = |q(z)|^N |w - f_N(z)|, so the floor follows from the
-same nodes' |f - f_N| and |q|, and the ceiling is one scalar Horner pass on
-|z| = |w| = nu.  The weighted series of clamped levels plus a discrete
-Evans-style atomic potential gives a field that is finite off the graph and
-plunges on it.
+same nodes' |f - f_N| and |q|, in the same pass as the depth, and the ceiling
+is a Horner pass on |z| = |w| = nu over every coefficient row at once.  The
+weighted series of clamped levels plus a discrete Evans-style atomic
+potential gives a field that is finite off the graph and plunges on it.
 
 Minus infinity is represented by clamping.  h reports a NEG_INFINITY marker
 (-inf) whenever the cleared modulus falls below its floating-point
@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import CompactSample, PolarhullError, _horner, complex_to_pair, pointwise
 from .fekete import leja_points
-from .ratapprox import RationalApproximant, _folded_rows, build_approximant
+from .ratapprox import RationalApproximant, build_approximant
 
 __all__ = [
     "ScheduleExhausted",
@@ -63,8 +63,7 @@ def _noise_threshold(eval_shadow, quad_shadow):
 def _h_of_cleared(cleared, n: int) -> np.ndarray:
     diff, eval_shadow, quad_shadow = cleared
     thr = _noise_threshold(eval_shadow, quad_shadow)
-    mag = np.abs(np.atleast_1d(diff))
-    thr = np.broadcast_to(np.atleast_1d(thr), mag.shape)
+    mag = np.abs(diff)
     out = np.full(mag.shape, -np.inf)
     live = mag > thr
     with np.errstate(divide="ignore"):
@@ -116,45 +115,40 @@ def _certification_grid(sample: CompactSample, nu: int) -> CertificationGrid:
     return CertificationGrid(nu=nu, graph_nodes=z[sample.min_distance_to(z) > cut * (1 - 1e-9)])
 
 
-def _offgraph_floor(approx: RationalApproximant, abs_q, cleared, nu: int) -> float:
-    """Lower bound of h where |w - f(z)| > 1/nu, from the graph nodes' cleared values.
+def _graph_bounds(approx: RationalApproximant, abs_q, cleared, nu: int) -> tuple:
+    """(largest h, lower bound of h where |w - f(z)| > 1/nu) from the graph nodes' values.
 
-    On the graph the cleared difference is q^N (f - f_N), so with the noise
-    threshold R_N = (|diff| + thr) / |q|^N bounds |f - f_N| at each node, and
-    off the graph |w q^N - p| >= |q|^N (1/nu - R_N).  R_N is formed in logs,
-    where |q|^N cannot underflow.  -inf (never certifies) unless max R_N is
-    finite and below 1/nu.  `abs_q` is |q| on the nodes.
-    """
+    On the graph the cleared difference is q^N (f - f_N), so R_N = (|diff| + thr) / |q|^N,
+    thr the noise threshold, bounds |f - f_N| at each node, and off the graph
+    |w q^N - p| >= |q|^N (1/nu - R_N).  R_N is formed in logs, where |q|^N cannot
+    underflow.  The floor is -inf (never certifies) unless max R_N is finite and
+    below 1/nu.  `abs_q` is |q| on the nodes."""
     diff, eval_shadow, quad_shadow = cleared
+    mag, thr = np.abs(diff), _noise_threshold(eval_shadow, quad_shadow)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        graph = float(np.max(np.log(mag[mag > thr]), initial=-np.inf)) / approx.normalization
         log_q = np.log(abs_q)
-        log_r = np.log(np.abs(diff) + _noise_threshold(eval_shadow, quad_shadow))
-        margin = 1.0 / nu - np.exp(np.max(log_r - approx.big_n * log_q))
+        margin = 1.0 / nu - np.exp(np.max(np.log(mag + thr) - approx.big_n * log_q))
         if not (np.isfinite(margin) and margin > 0):
-            return -math.inf
-        return float(approx.big_n * np.min(log_q) + np.log(margin)) / approx.normalization
+            return graph, -math.inf
+        return graph, float(approx.big_n * np.min(log_q) + np.log(margin)) / approx.normalization
 
 
-def _box_ceiling(approx: RationalApproximant, nu: int, prior):
-    """Upper bound of h on the torus |z| = |w| = nu, with no nodes, and its fold.
+def _box_ceiling(approx: RationalApproximant, nu: int) -> float:
+    """Upper bound of h on the torus |z| = |w| = nu, with no nodes.
 
     There |q| <= P = prod(nu + |r_i|) over the roots of q_m, so |diff| is at
     most its cancellation shadow with |q| replaced by P, plus the quadrature
     noise at the safety factor: one Horner pass in P from nu + |A|(nu) over
-    |c_k|(nu) + QUAD_NOISE_SAFETY noise_k(nu).  The fold (approx, P, sum)
-    extends `prior`, one at the same nu or None, as `cleared_fold` does.
+    |c_k|(nu) + QUAD_NOISE_SAFETY noise_k(nu), every row's in one pass in nu.
     """
-    r, k = float(nu), _folded_rows(approx, prior)
-    if k:
-        _, p, s = prior
-    else:
-        p = math.prod(r + abs(root) for root in approx.poles)
-        s = r + approx.analytic_part.abs_eval(r)
-    terms = (_horner(np.abs(c[::-1]), r) + QUAD_NOISE_SAFETY * _horner(nv[::-1], r)
-             for c, nv in zip(approx.coeffs[k:], approx.noise[k:]))
+    r = float(nu)
+    p = math.prod(r + abs(root) for root in approx.poles)
+    terms = (_horner(np.abs(approx.coeffs).T[::-1], r)
+             + QUAD_NOISE_SAFETY * _horner(approx.noise.T[::-1], r))
     with np.errstate(over="ignore"):
-        s = _horner(terms, p, s)
-        return float(np.log(s)) / approx.normalization, (approx, p, s)
+        s = _horner(terms, p, r + approx.analytic_part.abs_eval(r))
+        return float(np.log(s)) / approx.normalization
 
 
 TRIED_KEYS = ("big_n", "h_bound_graph", "h_bound_box", "h_bound_offgraph", "converged")
@@ -240,12 +234,12 @@ def certify_schedule(f, k: CompactSample, nu_max: int = 4, *,
     consumed exactly); the outer order N increases until the level certifies
     or DEGREE_CAP is passed.  The search for level nu+1 starts at the order
     that certified level nu, reusing that approximant.  Each try evaluates the
-    cleared difference once, on the graph nodes (z, f(z)): the graph bound is
-    its largest h, and the off-graph floor (`_offgraph_floor`) reads the same
-    values.  The box ceiling (`_box_ceiling`) needs no nodes.  The search is
-    incremental: builds share their rows on the Leja system, and each try
-    extends the previous try's folds by the rows its order adds (refolding
-    if those rows changed), every bound bitwise that of a fresh try.
+    cleared difference once, on the graph nodes (z, f(z)); one pass over it
+    (`_graph_bounds`) gives the graph bound and the off-graph floor.  The box
+    ceiling (`_box_ceiling`) needs no nodes.  The search is incremental:
+    builds share their rows on the Leja system, and each try extends the
+    previous try's cleared fold by the rows its order adds (refolding if
+    those rows changed), every bound bitwise that of a fresh try.
     """
     if not 2 <= nu_max <= MAX_NU:
         raise ValueError(f"nu_max must be in [2, {MAX_NU}]")
@@ -259,15 +253,14 @@ def certify_schedule(f, k: CompactSample, nu_max: int = 4, *,
         z = grid.graph_nodes
         fz = np.asarray(f(z), dtype=complex)
         tried = []
-        certified = fold = box = None
+        certified = fold = None
         n = built_n
         while m * n <= max(DEGREE_CAP, m):
             if approx is None or n != built_n:
                 approx, built_n = builder(f, sys, m, n, quad_tol=CERTIFY_QUAD_TOL), n
             cleared, fold = approx.cleared_fold(z, fz, fold)
-            hg = float(np.max(_h_of_cleared(cleared, approx.normalization)))
-            hb, box = _box_ceiling(approx, nu, box)
-            ho = _offgraph_floor(approx, fold[2], cleared, nu)  # fold[2]: |q| on z
+            hg, ho = _graph_bounds(approx, fold[2], cleared, nu)  # fold[2]: |q| on z
+            hb = _box_ceiling(approx, nu)
             tried.append((n, hg, hb, ho, approx.converged))
             # an approximant whose quadrature never settled certifies nothing
             ok = (approx.converged and hg <= -nu and hb <= math.log(nu + 2)

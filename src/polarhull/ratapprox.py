@@ -260,19 +260,11 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
     analytic, principal = f.split_at_infinity()
     contour = _sample_contour(sys.base_set.points, q, rho_floor)
 
-    # node count n -> (f on the nodes that make n, q^K on them all, K coefficient rows,
-    # K floor rows before the factor eps), replaced whole, for this principal part, m, contour
-    saved, asked = sys.quad_rows.setdefault((principal, m, contour), {}), []
-
-    def values(nodes):  # n0 nodes, then each doubling's new ones
-        asked.append(len(nodes))
-        n = sum(asked)
-        if n not in saved:
-            saved[n] = (principal(nodes), np.ones(n, dtype=complex), (), ())
-        return saved[n][0]
+    # node count -> (q^K on the nodes, K coefficient rows, K floor rows before eps), replaced whole
+    saved = sys.quad_rows.setdefault((principal, m, contour), {})
 
     def integrals(rot, fv):  # only the rows that no earlier build on these nodes computed
-        new, qpow, coeff, floor = saved[len(rot)]
+        qpow, coeff, floor = saved.get(len(rot), (np.ones(len(rot), dtype=complex), (), ()))
         if len(coeff) < big_n:
             zeta = contour.center + contour.radius * rot
             qv, rows = q.eval_root_form(zeta), _kernel_rows(q, zeta)
@@ -283,10 +275,10 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
                 coeff.append(rows @ terms)
                 floor.append(abs_rows @ np.abs(terms))
                 qpow = qpow * qv
-            saved[len(rot)] = new, qpow, tuple(coeff), tuple(floor)
+            saved[len(rot)] = qpow, tuple(coeff), tuple(floor)
         return np.array(coeff[:big_n]), np.finfo(float).eps * np.array(floor[:big_n])
 
-    quad = circle_trapezoid(values, contour, integrals,
+    quad = circle_trapezoid(principal, contour, integrals,
                             max(256, 1 << (4 * m - 1).bit_length()),
                             tol=quad_tol, max_nodes=MAX_APPROX_NODES)
     coeff = quad.value

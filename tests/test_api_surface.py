@@ -66,7 +66,7 @@ CONSTANTS = {
 }
 
 # non-blank lines under src/polarhull: a ceiling, lowered as the package shrinks
-SOURCE_LINES = 2296
+SOURCE_LINES = 2286
 
 _COMMON = ("--config", "--out")
 CLI_OPTIONS = {

@@ -328,6 +328,10 @@ def test_nonpositive_count_rejected(tmp_path, command, value):
     ["approx", "--function", "recip-sin-pi:2048", "--n-list", 1],
     # psh pins m to the sample size, here 4201
     ["psh", "--function", "recip-sin-pi:2100", "--nu-max", 2],
+    # the step overflows, so linspace spans NaN and inf: no finite sample
+    pytest.param(["fekete", "--segment", "-1e308,1e308,3"], marks=pytest.mark.filterwarnings(
+        "ignore:overflow encountered:RuntimeWarning",
+        "ignore:invalid value encountered:RuntimeWarning")),
 ])
 def test_out_of_range_setting_rejected(tmp_path, monkeypatch, command):
     _forbid_library_calls(monkeypatch)

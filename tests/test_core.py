@@ -140,6 +140,13 @@ def test_sample_rejects_duplicates():
         CompactSample([0.5, 0.5 + 1e-16])
 
 
+@pytest.mark.parametrize("points", [[0.5, math.nan, math.inf], [complex(0.0, math.inf)],
+                                    [-math.inf, 1.0]])
+def test_sample_rejects_non_finite_points(points):
+    with pytest.raises(ValueError, match="finite"):
+        CompactSample(points)
+
+
 def test_sample_rejects_empty():
     with pytest.raises(ValueError):
         CompactSample([])

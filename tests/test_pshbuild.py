@@ -527,7 +527,7 @@ def _fresh_box_ceiling(approx, nu):
 
 
 def _fresh_offgraph_floor(approx, z, cleared, nu):
-    """`pshbuild._offgraph_floor` with |q| evaluated afresh on the nodes."""
+    """The floor of `pshbuild._graph_bounds` with |q| evaluated afresh on the nodes."""
     diff, eval_shadow, quad_shadow = cleared
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_q = np.log(np.abs(approx.q_values(z)))
@@ -536,6 +536,28 @@ def _fresh_offgraph_floor(approx, z, cleared, nu):
         if not (np.isfinite(margin) and margin > 0):
             return -math.inf
         return float(approx.big_n * np.min(log_q) + np.log(margin)) / approx.normalization
+
+
+@pytest.mark.parametrize("case", ["graph", "all-marked", "nan-diff", "margin-not-positive"])
+def test_graph_bounds_equal_the_depth_and_the_fresh_floor(case):
+    f = ExpReciprocal()
+    k = f.singular_sample()
+    approx = build_approximant(f, leja_points(k, 1), 1, 5)  # an order with a finite floor
+    z = _certification_grid(k, 2).graph_nodes
+    diff, eval_shadow, quad_shadow = approx.cleared_eval(z, np.asarray(f(z), dtype=complex))
+    if case == "all-marked":
+        diff = np.zeros_like(diff)
+    elif case == "nan-diff":
+        diff = diff.copy()
+        diff[::7] = complex(math.nan, 0.0)
+    elif case == "margin-not-positive":
+        diff = diff + approx.q_values(z) ** approx.big_n
+    cleared = diff, eval_shadow, quad_shadow
+    graph, floor = pshbuild._graph_bounds(approx, np.abs(approx.q_values(z)), cleared, 2)
+    assert repr(graph) == repr(float(np.max(_h_of_cleared(cleared, approx.normalization))))
+    assert repr(floor) == repr(_fresh_offgraph_floor(approx, z, cleared, 2))
+    assert (graph == -math.inf) == (case == "all-marked")
+    assert (floor == -math.inf) == (case in ("nan-diff", "margin-not-positive"))
 
 
 def _fresh_search(f, nu_max, builder):
