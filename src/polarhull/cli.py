@@ -233,8 +233,10 @@ def fekete(out_dir, function, segment, m):
     """Leja points and the capacity diagnostic on a sample."""
     if segment:
         a, b, n = _fields("segment", segment, ",", 3)
-        sample = _sample("segment", segment, np.linspace(
-            _number("segment", a), _number("segment", b), _positive("segment", n, int)))
+        a, b = _number("segment", a), _number("segment", b)
+        if not math.isfinite(b - a):  # np.linspace would overflow with a warning
+            raise click.UsageError(f"segment {segment!r} is wider than the largest float")
+        sample = _sample("segment", segment, np.linspace(a, b, _positive("segment", n, int)))
     elif function:
         sample = _parse_function(function).singular_sample()
     else:

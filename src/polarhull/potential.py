@@ -330,17 +330,18 @@ def _sor(u: np.ndarray, free: np.ndarray, omega: float, tol: float) -> tuple[int
 
     `free` must be False on the border rows and columns.  The sweeps run on
     the four sub-lattices u[a::2, b::2], red (0, 0) and (1, 1), black (0, 1)
-    and (1, 0), each stored flat with a zero pad row above and below and a
-    zero pad column, all of one width.  Every neighbour of a node lies on a
-    lattice of the other colour at a flat shift of 0 or +-width (up, down)
-    and 0 or +-1 (left, right), so each stencil is four contiguous 1-D
-    slices.  A colour is updated in place with weight omega on free nodes
-    and 0 on fixed, border and pad entries.  The neighbours are added up,
-    down, left, right and then scaled by 1/4, the order of the whole-grid
-    stencil, so every iterate is bitwise that of the whole-grid masked
-    update.  The residual is checked after every sweep; its red stencils
-    are the next sweep's red update, as the black lattices do not move in
-    between.  Returns the sweep count and the final residual.
+    and (1, 0), each stored flat with zero pad rows above and below and a
+    zero pad column, all of one width: a node's neighbours lie on lattices
+    of the other colour at flat shifts of 0 or +-width and 0 or +-1.  A
+    colour moves in place by fl(nb - u) * weight, weight omega on free nodes
+    and 0 elsewhere, nb the neighbours added up, down, left, right, then
+    scaled by 1/4, so every iterate is bitwise the whole-grid masked update.
+    A sweep ends with the next one's red steps (the black lattices do not
+    move in between), their differences the red residual's.  Rounding is
+    monotone and odd, so max |step| > fl(tol * omega), strictly, proves the
+    residual > tol and the sweeps go on.  Only otherwise is the residual
+    taken over all four lattices, in fresh arrays; the sweeps stop once it
+    is below tol, and return their count and that residual.
     """
     # the tallest lattice's rows; the widest lattice's columns and the pad column
     height, width = (u.shape[0] + 1) // 2, (u.shape[1] + 1) // 2 + 1
@@ -363,30 +364,27 @@ def _sor(u: np.ndarray, free: np.ndarray, omega: float, tol: float) -> tuple[int
         plan.append((lat[a, b][width:width + size], neighbours, omega * is_free, is_free,
                      np.empty(size), np.empty(size)))
 
-    def stencil(neighbours, out):
-        up, down, left, right = neighbours
-        np.add(up, down, out=out)
-        out += left
-        out += right
-        out *= 0.25
+    def step_of(node, neighbours, weight, nb, step):
+        np.add(neighbours[0], neighbours[1], out=nb)  # up, down, left, right
+        nb += neighbours[2]
+        nb += neighbours[3]
+        nb *= 0.25
+        np.subtract(nb, node, out=step)
+        step *= weight
 
-    for _, neighbours, _, _, nb, _ in plan[:2]:
-        stencil(neighbours, nb)
+    for node, neighbours, weight, _, nb, step in plan[:2]:
+        step_of(node, neighbours, weight, nb, step)
     for sweep in range(1, 200001):
         for k, (node, neighbours, weight, _, nb, step) in enumerate(plan):
-            if k >= 2:  # the red stencils carry over from the last residual check
-                stencil(neighbours, nb)
-            np.subtract(nb, node, out=step)
-            step *= weight
+            if k >= 2:  # the red steps carry over from the end of the last sweep
+                step_of(node, neighbours, weight, nb, step)
             node += step
-        residual = 0.0
-        for k, (node, neighbours, _, is_free, nb, res) in enumerate(plan):
-            if k < 2:  # the black update moved the red lattices' neighbours
-                stencil(neighbours, nb)
-            np.subtract(nb, node, out=res)
-            np.abs(res, out=res)
-            res *= is_free
-            residual = max(residual, float(res.max(initial=0.0)))
+        for node, neighbours, weight, _, nb, step in plan[:2]:
+            step_of(node, neighbours, weight, nb, step)
+        if any(step.max() > tol * omega or step.min() < -tol * omega for *_, step in plan[:2]):
+            continue
+        residual = max(float((np.abs(nb - node) * is_free).max())
+                       for node, _, _, is_free, nb, _ in plan)
         if residual < tol:
             break
     else:

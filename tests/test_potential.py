@@ -599,6 +599,49 @@ def test_grid_sweeps_match_masked_oracle(monkeypatch, name, args, grid_n):
     assert fast == slow
 
 
+def _sor_problem(n):
+    """An n x n grid on the unit disk: 1 on an off-centre target, 0 on one obstacle and outside."""
+    ax = np.linspace(-1.0, 1.0, n)
+    Z = ax[None, :] + 1j * ax[:, None]
+    target, obstacle = np.abs(Z - (0.3 + 0.2j)) <= 0.3, np.abs(Z + (0.2 + 0.5j)) <= 0.2
+    u = np.where(target, 1.0, 0.0)
+    free = np.zeros((n, n), dtype=bool)
+    free[1:-1, 1:-1] = ~((np.abs(Z) >= 1.0) | target | obstacle)[1:-1, 1:-1]
+    return u, free, 2.0 / (1.0 + math.sin(math.pi / (n - 1)))
+
+
+@pytest.mark.parametrize("tol", [10.0 ** -e for e in range(2, 13)])
+@pytest.mark.parametrize("n", [21, 40, 41])
+def test_sor_stop_test_matches_oracle_at_every_tolerance(n, tol):
+    u, free, omega = _sor_problem(n)
+    fast, slow = u.copy(), u.copy()
+    sweeps, residual = potential._sor(fast, free, omega, tol)
+    assert (sweeps, residual) == _masked_sor_oracle(slow, free, omega, tol)
+    assert fast.tobytes() == slow.tobytes()
+
+
+@pytest.mark.parametrize("n", [21, 40, 41])
+def test_sor_stop_test_is_strict_at_a_tie(n):
+    """With only red nodes free the residual is the red one, and each sweep's
+    steps share one sign, alternating from sweep to sweep.  A tolerance t
+    above the reached residual R with fl(t * omega) == fl(R * omega) is a tie:
+    max |step| = fl(t * omega) does not prove a residual above t.  omega = 1.2
+    is not dyadic, so such ties occur, on both signs, within few sweeps."""
+    u, free, _ = _sor_problem(n)
+    ii, jj = np.indices(free.shape)
+    free &= (ii + jj) % 2 == 0
+    omega, ties = 1.2, 0
+    for tol in np.geomspace(1e-2, 1e-12, 16):
+        tie = residual = _masked_sor_oracle(u.copy(), free, omega, tol)[1]
+        while np.nextafter(tie, 1.0) * omega == residual * omega:
+            tie = np.nextafter(tie, 1.0)
+        ties += tie > residual
+        fast, slow = u.copy(), u.copy()
+        assert potential._sor(fast, free, omega, tie) == _masked_sor_oracle(slow, free, omega, tie)
+        assert fast.tobytes() == slow.tobytes()
+    assert ties
+
+
 def _wos_block_oracle(z, target, domain, obstacles, walks, seed):
     """Walk-on-spheres with the whole (live walks x surfaces) distance block per round."""
     eps = 1e-4 * domain.radius
