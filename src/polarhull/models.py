@@ -128,9 +128,11 @@ class PoleSeries:
         needed = float(np.sum(terms)) / big_r
         if not 0 < needed < math.inf:
             raise ThresholdTooSmall(f"no cover certificate at big_r={big_r!r}")
-        c_factor = 2.0 ** math.ceil(math.log2(needed))
-        log_radii = math.log(c_factor) + 0.5 * log_gamma
-        radii = np.maximum(np.exp(log_radii), MIN_DISK_RADIUS)
+        c_factor = 2.0 ** math.ceil(math.log2(needed)) if needed <= 2.0**1023 else math.inf
+        with np.errstate(over="ignore"):  # C or a radius past float64 is inf, refused below
+            radii = np.maximum(np.exp(math.log(c_factor) + 0.5 * log_gamma), MIN_DISK_RADIUS)
+        if not np.isfinite(radii).all():
+            raise ThresholdTooSmall(f"cover radii overflow at big_r={big_r!r}")
         # tail disks beyond the truncation shrink at the sqrt(gamma) rate, so the
         # deep annuli they would occupy contribute below any verdict tolerance
         return DiskUnion.from_arrays(self.poles[live], radii, side="outer")

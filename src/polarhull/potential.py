@@ -11,7 +11,9 @@ drove the verdict.
 
 Harmonic measure is estimated by walk-on-spheres with absorbing circles, or
 by a five-point relaxation sweep on a Cartesian grid for cross-checking; the
-grid refuses a target circle narrower than its step.
+grid refuses a target circle narrower than its step.  A walk-on-spheres round
+keeps a running minimum of the walks' distances to the surfaces, the target's
+first, and an absorbed walk scores 1 when its target distance is that minimum.
 """
 from __future__ import annotations
 
@@ -181,7 +183,6 @@ class MeasureEstimate:
 WOS_SHELL = 1e-4  # absorption shell width, relative to the domain radius
 GRID_N = 321  # grid nodes per side
 MAX_WOS_ROUNDS = 200000  # step rounds before walk-on-spheres gives up
-WOS_BLOCK_PAIRS = 1 << 16  # (walk, surface) distances held at once by walk-on-spheres
 
 
 def harmonic_measure(z, target: CircleContour, domain: CircleContour,
@@ -196,9 +197,11 @@ def harmonic_measure(z, target: CircleContour, domain: CircleContour,
     narrower than the shell absorbs walks as a disk of the shell's radius
     would, although Brownian motion never hits a polar set: on the dense
     gaussian-100 cover disks near 0 the estimate is far too low (ROADMAP
-    item 5).  The walk-to-surface distances are computed in slabs of at most
-    WOS_BLOCK_PAIRS pairs.  Fixed (seed, walks) give reproducible results;
-    std_error is the sample standard deviation of the scores over sqrt(walks).
+    item 5).  Each round keeps one running minimum of the live walks' distances,
+    the target's first, in O(walks) memory whatever the number of obstacles; a
+    walk scores 1 when its target distance is that minimum, so a tie goes to the
+    target.  Fixed (seed, walks) give reproducible results; std_error is the
+    sample standard deviation of the scores over sqrt(walks).
     """
     if not isinstance(target, CircleContour):
         raise TypeError("target must be a CircleContour")
@@ -228,14 +231,8 @@ def harmonic_measure(z, target: CircleContour, domain: CircleContour,
     if walks < 1:
         raise ValueError("walks must be >= 1")
 
-    centers = np.concatenate([[t_c], np.full(n_dom, dom_c), obstacles.centers])
-    radii = np.concatenate([[t_r], np.full(n_dom, dom_r), obstacles.radii])
-    scores = np.repeat([1.0, 0.0], [1, n_dom + len(obstacles)])
+    others = [(dom_c, dom_r)] * n_dom + list(zip(obstacles.centers, obstacles.radii))
     rng = np.random.default_rng(seed)
-    slab = max(1, WOS_BLOCK_PAIRS // len(centers))  # walks per distance slab
-    diff_buf = np.empty((min(slab, walks), len(centers)), dtype=complex)
-    dist_buf = np.empty(diff_buf.shape)
-    rows = np.arange(len(diff_buf))
     result = np.zeros(walks)
     idx = np.arange(walks)  # the live walks and their positions
     pos = np.full(walks, z, dtype=complex)
@@ -246,19 +243,12 @@ def harmonic_measure(z, target: CircleContour, domain: CircleContour,
         rounds += 1
         # a walk never leaves the domain, where r - |p - c| is bitwise
         # |(|p - c|) - r|: one formula serves the domain circle and the curves
-        nearest = np.empty(len(idx), dtype=np.intp)
-        dmin = np.empty(len(idx))
-        for lo in range(0, len(idx), slab):
-            hi = min(lo + slab, len(idx))
-            diff, dist = diff_buf[: hi - lo], dist_buf[: hi - lo]
-            np.subtract(pos[lo:hi, None], centers, out=diff)
-            np.abs(diff, out=dist)
-            dist -= radii
-            np.abs(dist, out=dist)
-            np.argmin(dist, axis=1, out=nearest[lo:hi])
-            dmin[lo:hi] = dist[rows[: hi - lo], nearest[lo:hi]]
+        to_target = np.abs(np.abs(pos - t_c) - t_r)
+        dmin = to_target.copy()
+        for c, r in others:
+            np.minimum(dmin, np.abs(np.abs(pos - c) - r), out=dmin)
         hit = dmin < eps
-        result[idx[hit]] = scores[nearest[hit]]
+        result[idx[hit]] = to_target[hit] == dmin[hit]  # a tie goes to the target
         move = ~hit
         idx, pos, dmin = idx[move], pos[move], dmin[move]
         theta = rng.uniform(0.0, 2.0 * np.pi, size=len(idx))

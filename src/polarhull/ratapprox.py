@@ -51,14 +51,17 @@ class SeriesDiverging(PolarhullError):
 
 
 def rho_of(q_m: PolynomialC, k: CompactSample, n: int) -> float:
-    """n^(2m) * sup |q_m| over the sample, accumulated in log space."""
+    """n^(2m) * sup |q_m| over the sample, accumulated in log space; inf past float64."""
     if q_m.roots is None or len(q_m.roots) < 1:
         raise ValueError("q_m must be a monic root-form polynomial of degree >= 1")
     m = len(q_m.roots)
     log_sup = float(np.max(q_m.log_abs_root_form(k.points)))
     if log_sup == -np.inf:
         return 0.0
-    return math.exp(2.0 * m * math.log(n) + log_sup)
+    try:
+        return math.exp(2.0 * m * math.log(n) + log_sup)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,6 +257,8 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
         raise ValueError("Leja system shorter than requested m")
     q = poly_from_roots(roots)
     rho = rho_of(q, sys.base_set, N_SCALE)
+    if rho == math.inf:
+        raise PolarhullError(f"rho_m overflows at m={m}: no float64 circle has |q_m| >= 1.25 rho_m")
     degenerate = rho < RHO_FLOOR
     rho_floor = max(rho, RHO_FLOOR)
 

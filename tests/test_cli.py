@@ -53,6 +53,10 @@ def test_malformed_config_file_exits_one(tmp_path):
      "--target", "0,0:1000:8"],
     # N = 6..9 pass every bound of level 2, but no approximant from N = 4 on converged
     ["psh", "--function", "recip-sin-pi:2", "--nu-max", 12],
+    # the certificate sum |c_n|/sqrt(gamma_n) over the level passes 2^1023, so its
+    # power-of-two round-up is not a float
+    ["thin", "--function", "pole-series-gaussian:10", "--big-r", "6e-309"],
+    ["thin", "--function", "pole-series-geometric:10", "--big-r", "1e-308"],
 ])
 def test_numeric_failure_exits_two(tmp_path, capsys, command):
     with warnings.catch_warnings(record=True) as caught:

@@ -187,6 +187,13 @@ class TestClassify:
         assert "R=1e+300: ThresholdTooSmall" in entry.notes
         assert len(entry.wiener_reports) == 2
 
+    def test_pole_series_cover_overflow_is_unknown(self):
+        # at R = 6e-309 the certificate needs C > 2^1023: no float cover, a note
+        entry = classify_fiber(PoleSeries.gaussian(10), 0.0, [6e-309, 1.0, 2.0])
+        assert entry.classification == "UNKNOWN"
+        assert "R=6e-309: ThresholdTooSmall" in entry.notes
+        assert len(entry.wiener_reports) == 2
+
     def test_model_brings_its_own_cover_and_limit(self):
         # the hull machinery reads a model only through its protocol
         entry = classify_fiber(_RemovableAtOrigin(), 0j, [1.0, 2.0, 4.0])

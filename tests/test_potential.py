@@ -50,6 +50,11 @@ class TestSublevelCover:
         with pytest.raises(ThresholdTooSmall):
             sublevel_cover(f, big_r)
 
+    def test_pole_series_radii_overflow(self):
+        # C >= 1e150 / 1e-10 times sqrt(gamma_1) = 1e150 is not a float; no numpy warning
+        with pytest.raises(ThresholdTooSmall):
+            sublevel_cover(RationalModel([0.5], [1e300]), 1e-10)
+
     def test_pole_series_radii_follow_tail(self, gauss40):
         cover = sublevel_cover(gauss40, 1.0)
         # r_n = C sqrt(gamma_n) with gamma_n the coefficient tail sum
@@ -687,14 +692,20 @@ def _wos_cases():
 WOS_CASES = _wos_cases()
 
 
-@pytest.mark.parametrize("pairs", [1, 7, potential.WOS_BLOCK_PAIRS])
 @pytest.mark.parametrize("name,args", WOS_CASES, ids=[c[0] for c in WOS_CASES])
-def test_wos_slabs_match_block_oracle(monkeypatch, name, args, pairs):
-    # 1 pair, and 7 over the obstacles, make one-walk slabs; 7 over the annulus's two
-    # surfaces makes slabs of 3 walks, the last one ragged, as is the default's on dense
-    monkeypatch.setattr(potential, "WOS_BLOCK_PAIRS", pairs)
+def test_wos_matches_block_oracle(name, args):
     est = harmonic_measure(*args, walks=2000, seed=5)
     assert (est.value, est.std_error, est.iterations) == _wos_block_oracle(*args, 2000, 5)
+
+
+def test_wos_tie_at_absorption_goes_to_target():
+    # the start is exactly 2**-17 from the target circle and from the obstacle's
+    # circle, inside the 1e-4 shell: every walk is absorbed in round 1 on a tie
+    args = (0.5 + 2**-17, CircleContour(0j, 0.5), Disk(0j, 1.0),
+            DiskUnion([Disk(0.5 + 2**-15, 2**-16)]))
+    est = harmonic_measure(*args, walks=50, seed=3)
+    assert (est.value, est.iterations) == (1.0, 1)
+    assert (est.value, est.std_error, est.iterations) == _wos_block_oracle(*args, 50, 3)
 
 
 def test_wos_peak_memory_on_dense_obstacles():

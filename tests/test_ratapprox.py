@@ -32,6 +32,14 @@ class TestRho:
         s = CompactSample([0.1, -0.1, 0.0])
         assert rho_of(q, s, 3) == pytest.approx(0.81)
 
+    def test_overflow_is_inf_and_refuses_the_build(self):
+        # 2^96 (2e6)^48 is past float64 for the 48 Leja points of a wide circle
+        k = CompactSample(1e6 * np.exp(2j * np.pi * np.arange(64) / 64))
+        system = leja_points(k, 48)
+        assert rho_of(poly_from_roots(system.points[:48]), k, 2) == math.inf
+        with pytest.raises(core.PolarhullError, match="m=48"):
+            build_approximant(RationalModel([0.0], [1.0]), system, 48, 1)
+
 
 class TestBuild:
     def test_single_pole_identity(self):
