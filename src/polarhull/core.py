@@ -39,8 +39,8 @@ class NodeEvaluationError(PolarhullError):
 
 
 def as_complex_array(values) -> np.ndarray:
-    """Coerce scalars / sequences to a flat complex128 array."""
-    return np.atleast_1d(np.asarray(values, dtype=complex)).ravel()
+    """Coerce scalars / sequences to a flat complex128 array, always a new one."""
+    return np.array(values, dtype=complex).ravel()
 
 
 def complex_to_pair(z: complex) -> list:
@@ -173,6 +173,7 @@ class CompactSample:
         if not np.isfinite(pts).all():
             raise ValueError("sample points must be finite")
         _check_no_duplicates(pts)
+        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     def __len__(self):

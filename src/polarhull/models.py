@@ -11,11 +11,16 @@ Two optional methods carry the evidence of the verdicts.  `cover(big_r)` is a
 `ThresholdTooSmall`; without it every fiber is UNKNOWN.  `limit(z0)` is the
 certified limit value at z0 as an `OriginValue`, or None; a z0 with one is
 singular and its hull point lies there, and without it none is located.
+
+Models are immutable.  A cover depends on the level only through one scalar,
+so each model computes the level-independent part of its cover once, on
+first use, and keeps it: `cover(big_r)` then does only the arithmetic in R.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -85,9 +90,10 @@ class PoleSeries:
         if log_abs_c is None:
             with np.errstate(divide="ignore"):
                 log_abs_c = np.log(np.abs(residues))
-        object.__setattr__(self, "poles", poles)
-        object.__setattr__(self, "residues", residues)
-        object.__setattr__(self, "log_abs_c", np.asarray(log_abs_c, dtype=float))
+        arrays = (poles, residues, np.array(log_abs_c, dtype=float))  # copies of the inputs
+        for name, value in zip(("poles", "residues", "log_abs_c"), arrays):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "log_gamma_tail", log_gamma_tail)
         object.__setattr__(self, "ca_tail", ca_tail)
@@ -115,39 +121,53 @@ class PoleSeries:
         """-sum c_n/a_n at 0 with error bound `ca_tail`; None elsewhere or without it."""
         if self.ca_tail is None or not abs(z0) <= SAMPLE_TOL:
             return None
+        return self._origin
+
+    @cached_property
+    def _origin(self) -> OriginValue:
         return OriginValue(complex(-np.sum(self.residues / self.poles)), float(self.ca_tail))
 
     def cover(self, big_r: float) -> DiskUnion:
         """Outer cover: disks of radius C sqrt(gamma_n), C certifying sum |c_n|/r_n <= big_r."""
-        live = self.log_abs_c > -math.inf  # a zero residue leaves its pole removable
-        if not live.any():
+        poles, half_log_gamma, certificate = self._cover_data
+        if not len(poles):
             return DiskUnion.from_arrays([], [], side="outer")
-        log_gamma = self.log_gamma_suffix()[: self.n_terms][live]
-        # certificate sum |c_n| / (C sqrt(gamma_n)) computed in log space
-        terms = np.exp(self.log_abs_c[live] - 0.5 * log_gamma)
-        needed = float(np.sum(terms)) / big_r
+        needed = certificate / big_r
         if not 0 < needed < math.inf:
             raise ThresholdTooSmall(f"no cover certificate at big_r={big_r!r}")
         c_factor = 2.0 ** math.ceil(math.log2(needed)) if needed <= 2.0**1023 else math.inf
         with np.errstate(over="ignore"):  # C or a radius past float64 is inf, refused below
-            radii = np.maximum(np.exp(math.log(c_factor) + 0.5 * log_gamma), MIN_DISK_RADIUS)
+            radii = np.maximum(np.exp(math.log(c_factor) + half_log_gamma), MIN_DISK_RADIUS)
         if not np.isfinite(radii).all():
             raise ThresholdTooSmall(f"cover radii overflow at big_r={big_r!r}")
         # tail disks beyond the truncation shrink at the sqrt(gamma) rate, so the
         # deep annuli they would occupy contribute below any verdict tolerance
-        return DiskUnion.from_arrays(self.poles[live], radii, side="outer")
+        return DiskUnion.from_arrays(poles, radii, side="outer")
+
+    @cached_property
+    def _cover_data(self) -> tuple:
+        # the live poles, 0.5 log gamma_n there and sum |c_n| / sqrt(gamma_n) in log space
+        live = self.log_abs_c > -math.inf  # a zero residue leaves its pole removable
+        half_log_gamma = 0.5 * self.log_gamma_suffix()[: self.n_terms][live]
+        certificate = float(np.sum(np.exp(self.log_abs_c[live] - half_log_gamma)))
+        return self.poles[live], half_log_gamma, certificate
 
     def log_gamma_suffix(self) -> np.ndarray:
-        """log gamma_n = log sum_{k >= n} |c_k| at index n - 1, in O(n_terms).
+        """log gamma_n = log sum_{k >= n} |c_k| at index n - 1, in O(n_terms), read-only.
 
         A certified tail is included in every entry and adds a last entry,
         gamma_{n_terms+1}; without one the sums stop at the stored terms.
         """
+        return self._log_gamma
+
+    @cached_property
+    def _log_gamma(self) -> np.ndarray:
         suffix = np.logaddexp.accumulate(self.log_abs_c[::-1])[::-1]
-        if self.log_gamma_tail is None:
-            return suffix
-        tail = float(self.log_gamma_tail(self.n_terms + 1))
-        return np.append(np.logaddexp(suffix, tail), tail)
+        if self.log_gamma_tail is not None:
+            tail = float(self.log_gamma_tail(self.n_terms + 1))
+            suffix = np.append(np.logaddexp(suffix, tail), tail)
+        suffix.setflags(write=False)
+        return suffix
 
     # ---------------------------------------------------------------- presets
 
@@ -221,22 +241,27 @@ class ExpReciprocal:
         return np.expm1(1.0 / z)
 
 
+@dataclass(frozen=True, eq=False)
 class RecipSinPi:
     """f(z) = 1/sin(pi/z), poles at 1/n for integer n plus the limit point 0."""
 
+    pole_cutoff: int = 64
     label = "recip-sin-pi"
 
-    def __init__(self, pole_cutoff: int = 64):
-        self.pole_cutoff = int(pole_cutoff)
+    def __post_init__(self):
+        object.__setattr__(self, "pole_cutoff", int(self.pole_cutoff))
 
     @pointwise
     def __call__(self, z):
         return 1.0 / np.sin(np.pi / z)
 
     def singular_sample(self) -> CompactSample:
+        return self._sample
+
+    @cached_property
+    def _sample(self) -> CompactSample:
         n = np.arange(1, self.pole_cutoff + 1)
-        pts = np.concatenate([[0.0 + 0j], 1.0 / n, -1.0 / n])
-        return CompactSample(pts)
+        return CompactSample(np.concatenate([[0.0 + 0j], 1.0 / n, -1.0 / n]))
 
     def split_at_infinity(self):
         # sin(pi/z) ~ pi/z at infinity, so f(z) - z/pi -> 0
@@ -255,16 +280,21 @@ class RecipSinPi:
         # |sin(pi eps)| <= sinh(pi |eps|), so |eps| <= asinh(1/R)/pi certifies
         # |f| >= R; halving gives the 2x enclosure margin.
         rho = math.asinh(1.0 / big_r) / math.pi / 2.0
-        # Moebius images of |eps| <= rho about the poles 1/n, n <= pole_cutoff,
-        # and about n = 3 * 2^(j-1), exact in float64, in each annulus j about 0
-        # where that n passes the cutoff
+        # Moebius images of |eps| <= rho about the poles
+        signed_n, n_squared = self._cover_poles
+        denom = n_squared - rho * rho
+        if not rho / denom[-1] > 0.0:  # the deepest radius underflows
+            raise ThresholdTooSmall(f"1/sin(pi/z) cover underflows at big_r={big_r!r}")
+        return DiskUnion.from_arrays(signed_n / denom, rho / denom, side="inner")
+
+    @cached_property
+    def _cover_poles(self) -> tuple:
+        # sign * n and n * n of the poles sign/n: n <= pole_cutoff, and n = 3 * 2^(j-1),
+        # exact in float64, in each annulus j about 0 where that n passes the cutoff
         deep = 3.0 * 2.0 ** np.arange(MAX_DEPTH)
         n = np.concatenate([np.arange(1, self.pole_cutoff + 1), deep[deep > self.pole_cutoff]])
         n, sign = np.tile(n, 2), np.repeat([1.0, -1.0], len(n))  # +1/n ascending, then -1/n
-        denom = n * n - rho * rho
-        if not rho / denom[-1] > 0.0:  # the deepest radius underflows
-            raise ThresholdTooSmall(f"1/sin(pi/z) cover underflows at big_r={big_r!r}")
-        return DiskUnion.from_arrays(sign * n / denom, rho / denom, side="inner")
+        return sign * n, n * n
 
 
 # a finite pole sum is a rational function with simple poles

@@ -152,6 +152,15 @@ def test_sample_rejects_empty():
         CompactSample([])
 
 
+def test_sample_copies_its_points_and_keeps_them_read_only():
+    pts = np.array([0.5, 0.25, 0.125], dtype=complex)
+    sample = CompactSample(pts)
+    pts[0] = pts[1]  # a duplicate the constructor would refuse
+    assert sample.points.tolist() == [0.5, 0.25, 0.125]
+    with pytest.raises(ValueError, match="read-only"):
+        sample.points[0] = 1.0
+
+
 def test_sample_equality_is_identity():
     a, b = CompactSample([1, 2]), CompactSample([1, 2])
     assert a == a and a != b

@@ -1,13 +1,18 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from polarhull import potential
 from polarhull.core import CircleContour, Disk, DiskUnion, PolarhullError
+from polarhull.hull import classify_fiber
 from polarhull.models import (
+    MIN_DISK_RADIUS,
     ExpReciprocal,
     PoleSeries,
     RationalModel,
@@ -86,6 +91,23 @@ class TestSublevelCover:
     def test_pole_series_refuses_non_finite_terms(self, poles, residues):
         with pytest.raises(ValueError, match="finite"):
             PoleSeries(poles, residues)
+
+    def test_pole_series_copies_its_inputs_and_keeps_them_read_only(self):
+        poles, residues = np.array([0.5, 0.25], dtype=complex), np.array([1.0, 2.0], dtype=complex)
+        log_abs_c = np.log(np.abs(residues))
+        f = PoleSeries(poles, residues, log_abs_c=log_abs_c)
+        before = sublevel_cover(f, 1.0)
+        poles[0], residues[0], log_abs_c[0] = poles[1], 0.0, -math.inf
+        assert (f.poles.tolist(), f.residues.tolist()) == ([0.5, 0.25], [1.0, 2.0])
+        assert f.log_abs_c.tolist() == [0.0, math.log(2.0)]
+        after = sublevel_cover(f, 1.0)
+        assert (after.centers.tolist(), after.radii.tolist()) == (
+            before.centers.tolist(), before.radii.tolist())
+        for name in ("poles", "residues", "log_abs_c"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(f, name)[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            PoleSeries.gaussian(8).log_gamma_suffix()[0] = 0.0
 
     def test_all_zero_residues_give_empty_thin_cover(self):
         cover = sublevel_cover(RationalModel([0.4, -0.2], [0.0, 0.0]), 1.0)
@@ -553,6 +575,117 @@ class TestArrayPathsAgainstOracles:
             assert len(suffix) == f.n_terms
         else:
             assert suffix[-1] == _log_gamma_oracle(f, f.n_terms + 1)
+
+
+# ------------------------------------------- covers rebuilt per call, as oracles
+
+def _recip_sin_cover_per_call(f, big_r):
+    """RecipSinPi.cover with its poles and their squares built anew on every call."""
+    if big_r <= 1.0:
+        raise ThresholdTooSmall("1/sin(pi/z) cover needs big_r > 1")
+    rho = math.asinh(1.0 / big_r) / math.pi / 2.0
+    deep = 3.0 * 2.0 ** np.arange(potential.MAX_DEPTH)
+    n = np.concatenate([np.arange(1, f.pole_cutoff + 1), deep[deep > f.pole_cutoff]])
+    n, sign = np.tile(n, 2), np.repeat([1.0, -1.0], len(n))
+    denom = n * n - rho * rho
+    if not rho / denom[-1] > 0.0:
+        raise ThresholdTooSmall(f"1/sin(pi/z) cover underflows at big_r={big_r!r}")
+    return DiskUnion.from_arrays(sign * n / denom, rho / denom, side="inner")
+
+
+def _pole_series_cover_per_call(f, big_r):
+    """PoleSeries.cover with the live mask, log gamma and certificate sum built anew."""
+    live = f.log_abs_c > -math.inf
+    if not live.any():
+        return DiskUnion.from_arrays([], [], side="outer")
+    log_gamma = np.logaddexp.accumulate(f.log_abs_c[::-1])[::-1]
+    if f.log_gamma_tail is not None:
+        log_gamma = np.logaddexp(log_gamma, float(f.log_gamma_tail(f.n_terms + 1)))
+    log_gamma = log_gamma[live]
+    terms = np.exp(f.log_abs_c[live] - 0.5 * log_gamma)
+    needed = float(np.sum(terms)) / big_r
+    if not 0 < needed < math.inf:
+        raise ThresholdTooSmall(f"no cover certificate at big_r={big_r!r}")
+    c_factor = 2.0 ** math.ceil(math.log2(needed)) if needed <= 2.0**1023 else math.inf
+    with np.errstate(over="ignore"):
+        radii = np.maximum(np.exp(math.log(c_factor) + 0.5 * log_gamma), MIN_DISK_RADIUS)
+    if not np.isfinite(radii).all():
+        raise ThresholdTooSmall(f"cover radii overflow at big_r={big_r!r}")
+    return DiskUnion.from_arrays(f.poles[live], radii, side="outer")
+
+
+def _sublevel_cover_per_call(f, big_r):
+    """`sublevel_cover` with the pole-series and 1/sin(pi/z) covers rebuilt per call."""
+    per_call = {PoleSeries: _pole_series_cover_per_call, RecipSinPi: _recip_sin_cover_per_call}
+    if type(f) not in per_call or not 0 < big_r < math.inf:
+        return sublevel_cover(f, big_r)
+    return per_call[type(f)](f, big_r)
+
+
+def _cover_outcome(cover, f, big_r):
+    """The cover's bytes and side, or the type and message of what it raised."""
+    try:
+        union = cover(f, big_r)
+    except Exception as e:
+        return type(e), str(e)
+    return union.centers.tobytes(), union.radii.tobytes(), union.side
+
+
+KEPT_COVER_LEVELS = (6e-309, 1e-308, 1e-10, 0.5, 1.0, 1.0 + 1e-12, 2.0, math.e, math.e**2,
+                     math.e**4, math.e**30, 1e10, 1e100, 1e290, 1e300)
+
+
+def _kept_cover_models():
+    yield from (RecipSinPi(cutoff) for cutoff in (1, 8, 64, 400))
+    for n_terms in (10, 40, 1000, 4000):
+        yield PoleSeries.gaussian(n_terms)
+        yield PoleSeries.geometric(n_terms)
+    yield PoleSeries([0.5, 0.25, 0.125], [1.0, 0.0, 0.5])
+    yield RationalModel([0.4, -0.2], [0.0, 0.0])
+
+
+def _fiber_table():
+    """The 21 fibers of the benchmark's fiber table: (model, z0, r_grid, depth)."""
+    e, sin = math.e, RecipSinPi(64)
+    fibers = [(ExpReciprocal(), 0j, (e, e**2, e**10), 40)]
+    points = [0.0] + [s / n for s in (1.0, -1.0) for n in range(1, 9)]
+    fibers += [(sin, complex(p), (e, e**2, e**4), 30) for p in points]
+    fibers += [(PoleSeries.gaussian(n), 0j, (1.0, 2.0, 4.0), 40) for n in (40, 1000, 4000)]
+    return fibers
+
+
+class TestKeptCoverData:
+    @pytest.mark.parametrize("f", list(_kept_cover_models()), ids=lambda f: f.label)
+    def test_cover_matches_per_call_oracle(self, f):
+        # one model across every level, so all but the first cover read kept data
+        for big_r in KEPT_COVER_LEVELS:
+            assert (_cover_outcome(sublevel_cover, f, big_r)
+                    == _cover_outcome(_sublevel_cover_per_call, f, big_r)), big_r
+
+    @pytest.mark.parametrize("f,big_r", [(PoleSeries.gaussian(10), 6e-309),
+                                         (PoleSeries.geometric(10), 1e-308),
+                                         (RationalModel([0.5], [1e300]), 1e-10)])
+    def test_overflow_refusals_match_per_call_oracle(self, f, big_r):
+        got = _cover_outcome(sublevel_cover, f, big_r)
+        assert got[0] is ThresholdTooSmall
+        assert got == _cover_outcome(_sublevel_cover_per_call, f, big_r)
+
+    def test_fiber_table_matches_per_call_oracle(self):
+        oracle = SimpleNamespace(sublevel_cover=_sublevel_cover_per_call, wiener_test=wiener_test)
+        fibers = _fiber_table()
+        assert len(fibers) == 21
+        for f, z0, r_grid, depth in fibers:
+            got = classify_fiber(f, z0, r_grid, depth=depth).to_dict()
+            want = classify_fiber(f, z0, r_grid, depth=depth, potential=oracle).to_dict()
+            assert json.dumps(got) == json.dumps(want), (f.label, z0)
+            if isinstance(f, PoleSeries):
+                assert f.limit(z0).value == complex(-np.sum(f.residues / f.poles))
+
+    def test_recip_sin_cutoff_is_read_only(self):
+        f = RecipSinPi(8)
+        assert f.singular_sample() is f.singular_sample()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.pole_cutoff = 16
 
 
 def _masked_sor_oracle(u, free, omega, tol):
