@@ -155,32 +155,27 @@ def classify_fiber(f, z0: complex, r_grid, *,
     if limit is None and not f.singular_sample().min_distance_to(z0) <= SAMPLE_TOL:  # NaN too
         raise ValueError(f"{z0!r} is not a sampled singular point of {f.label}")
 
-    reports = []
-    notes = []
+    reports, notes = [], []  # a level that raised leaves a note and no report
     for big_r in r_grid:
         try:
             cover = potential.sublevel_cover(f, big_r)
             reports.append(potential.wiener_test(cover, z0, depth))
         except PolarhullError as e:
             notes.append(f"R={big_r}: {type(e).__name__}: {e}")
-            reports.append(None)
-
-    verdicts = [None if r is None else r.verdict for r in reports]
-    usable = [(big_r, v) for big_r, v in zip(r_grid, verdicts) if v is not None]
-    kept = tuple(r for r in reports if r is not None)
 
     def entry(cls, w0=None, w0_err=None, bound=None, extra=""):
         return FiberClassification(
             point=z0, classification=cls, w0=w0, w0_error=w0_err,
-            radius_bound=bound, wiener_reports=kept, r_grid=tuple(r_grid),
+            radius_bound=bound, wiener_reports=tuple(reports), r_grid=tuple(r_grid),
             notes="; ".join(notes + ([extra] if extra else [])),
         )
 
-    if len(usable) < len(r_grid) or any(v == "INCONCLUSIVE" for _, v in usable):
+    verdicts = [r.verdict for r in reports]
+    if notes or "INCONCLUSIVE" in verdicts:
         return entry("UNKNOWN", extra="incomplete or inconclusive evidence")
 
-    thin_rs = [big_r for big_r, v in usable if v == "THIN"]
-    non_thin_rs = [big_r for big_r, v in usable if v == "NON_THIN"]
+    thin_rs = [big_r for big_r, v in zip(r_grid, verdicts) if v == "THIN"]
+    non_thin_rs = [big_r for big_r, v in zip(r_grid, verdicts) if v == "NON_THIN"]
     # larger R shrinks the sublevel set, so THIN below a NON_THIN level is
     # contradictory evidence and must stay UNKNOWN
     if thin_rs and non_thin_rs and min(thin_rs) < max(non_thin_rs):

@@ -1,14 +1,13 @@
 """Concrete holomorphic function families with known singular sets.
 
-A model is any object with `label`, a name for reports, and three methods:
+A model is any object with `label`, a name for reports, and four methods:
 `__call__(z)` evaluates it off its singularities, `singular_sample()` is a
-`CompactSample` of its singular set, and `split_at_infinity()` returns
+`CompactSample` of its singular set, `split_at_infinity()` returns
 (polynomial_part, principal), principal a callable that tends to 0 at
-infinity, whose sum reproduces the model off its singular set.
-
-Two optional methods carry the evidence of the verdicts.  `cover(big_r)` is a
-`DiskUnion` certifying {|f| >= big_r} from its `side`, or raises
-`ThresholdTooSmall`; without it every fiber is UNKNOWN.  `limit(z0)` is the
+infinity, whose sum reproduces the model off its singular set, and
+`cover(big_r)` is a `DiskUnion` certifying {|f| >= big_r} from its `side`;
+it raises `ThresholdTooSmall` at a level outside its range, NaN and infinity
+included, or at one it cannot certify.  The optional `limit(z0)` is the
 certified limit value at z0 as an `OriginValue`, or None; a z0 with one is
 singular and its hull point lies there, and without it none is located.
 
@@ -129,6 +128,8 @@ class PoleSeries:
 
     def cover(self, big_r: float) -> DiskUnion:
         """Outer cover: disks of radius C sqrt(gamma_n), C certifying sum |c_n|/r_n <= big_r."""
+        if not 0 < big_r < math.inf:
+            raise ThresholdTooSmall(f"a pole-series cover needs 0 < big_r < inf, got {big_r!r}")
         poles, half_log_gamma, certificate = self._cover_data
         if not len(poles):
             return DiskUnion.from_arrays([], [], side="outer")
@@ -231,7 +232,7 @@ class ExpReciprocal:
 
     def cover(self, big_r: float) -> DiskUnion:
         """The exact level disk re(1/z) >= log big_r."""
-        if big_r <= 1.0:
+        if not 1 < big_r < math.inf:
             raise ThresholdTooSmall("exp(1/z) cover needs big_r > 1")
         h = 0.5 / math.log(big_r)
         return DiskUnion.from_arrays([h], [h], side="exact")
@@ -275,7 +276,7 @@ class RecipSinPi:
         """Inner cover: Moebius disks about +-1/n, n <= pole_cutoff, and a pair in each
         deeper annulus about 0.  Rounded, a disk need not lie in the set, but it
         meets, or lies wholly inside, the same annuli about 0 as its exact disk."""
-        if big_r <= 1.0:
+        if not 1 < big_r < math.inf:
             raise ThresholdTooSmall("1/sin(pi/z) cover needs big_r > 1")
         # |sin(pi eps)| <= sinh(pi |eps|), so |eps| <= asinh(1/R)/pi certifies
         # |f| >= R; halving gives the 2x enclosure margin.

@@ -26,7 +26,6 @@ from .core import MAX_DEPTH, CircleContour, DiskUnion, PolarhullError, complex_t
 from .models import ThresholdTooSmall
 
 __all__ = [
-    "UnsupportedFamily",
     "ThresholdTooSmall",
     "StartInsideObstacle",
     "WienerReport",
@@ -35,10 +34,6 @@ __all__ = [
     "wiener_test",
     "harmonic_measure",
 ]
-
-
-class UnsupportedFamily(PolarhullError):
-    """No analytic sublevel cover is available for this function family."""
 
 
 class StartInsideObstacle(PolarhullError):
@@ -50,14 +45,11 @@ class StartInsideObstacle(PolarhullError):
 def sublevel_cover(f, big_r: float) -> DiskUnion:
     """The model's disk cover `f.cover(big_r)` of {|f| >= big_r}; it depends on (f, big_r) alone.
 
-    Its `side` says which Wiener bound it certifies (see each model's
+    Its `side` says which Wiener bound it certifies, and the model raises
+    ThresholdTooSmall at a level outside its range (see each model's
     `cover`).  A disk may contain the query point: the Wiener test reads it
-    as evidence.  A model without `cover` raises UnsupportedFamily.
+    as evidence.
     """
-    if not 0 < big_r < math.inf:
-        raise ThresholdTooSmall(f"a cover needs 0 < big_r < inf, got {big_r!r}")
-    if not hasattr(f, "cover"):
-        raise UnsupportedFamily(type(f).__name__)
     return f.cover(big_r)
 
 

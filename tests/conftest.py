@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from polarhull import CompactSample, PoleSeries, RationalModel
-from polarhull.core import ZERO_POLY
 
 
 @pytest.fixture(scope="session")
@@ -18,26 +17,6 @@ def gauss40():
 @pytest.fixture(scope="session")
 def two_pole():
     return RationalModel([0.3, 0.5], [1.0, 2.0])
-
-
-class _UncoveredModel:
-    """1/(z - 0.5) as a model of its own, one that no sublevel cover knows."""
-
-    label = "uncovered"
-
-    def __call__(self, z):
-        return 1.0 / (np.asarray(z, dtype=complex) - 0.5)
-
-    def singular_sample(self):
-        return CompactSample([0.5])
-
-    def split_at_infinity(self):
-        return ZERO_POLY, self
-
-
-@pytest.fixture(scope="session")
-def uncovered():
-    return _UncoveredModel()
 
 
 @pytest.fixture(scope="session")

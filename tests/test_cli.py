@@ -206,6 +206,14 @@ def test_fekete_segment_artifact(tmp_path):
     assert abs(doc["result"]["capacity_estimate"]["value"] - 0.5) < 0.1
 
 
+def test_fekete_function_sample_artifact(tmp_path):
+    # the singular sample of 1/sin(pi/z) with cutoff 8: 0 and +-1/n, 17 points
+    assert run(["fekete", "--function", "recip-sin-pi:8", "--m", 10, "--out", tmp_path]) == 0
+    result = json.loads((tmp_path / "fekete.json").read_text())["result"]
+    assert len(result["points"]) == 10
+    assert math.isfinite(result["capacity_estimate"]["value"])
+
+
 @pytest.mark.parametrize("command", [
     ["hull", "--function", "exp-reciprocal", "--tolerance", 1e-3],
     ["hmeasure", "--walks", 10, "--tolerance", 1e-3],
@@ -334,6 +342,9 @@ def test_nonpositive_count_rejected(tmp_path, command, value):
     ["psh", "--function", "recip-sin-pi:2100", "--nu-max", 2],
     # b - a overflows: refused before linspace can warn
     ["fekete", "--segment", "-1e308,1e308,3"],
+    ["fekete"],
+    ["thin"],
+    ["thin", "--function", "exp-reciprocal", "--point", "1,2,3"],
 ])
 def test_out_of_range_setting_rejected(tmp_path, monkeypatch, command):
     _forbid_library_calls(monkeypatch)
@@ -360,6 +371,16 @@ def test_config_value_checked_like_its_flag(tmp_path, monkeypatch, command, ini)
     cfg.write_text(ini)
     assert run(command + ["--config", cfg, "--out", tmp_path / "x"]) == 1
     assert not (tmp_path / "x").exists()
+
+
+def test_config_file_hull_points(tmp_path):
+    # `points` holds one fiber per `;`, each classified, and is recorded as one string
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[hull]\nfunction = recip-sin-pi:8\npoints = 0.5;-0.5\n")
+    assert run(["hull", "--config", cfg, "--out", tmp_path / "x"]) == 0
+    doc = json.loads((tmp_path / "x" / "hull.json").read_text())
+    assert doc["config"]["points"] == "0.5;-0.5"
+    assert [e["point"] for e in doc["result"]["entries"]] == [[0.5, 0.0], [-0.5, 0.0]]
 
 
 def test_config_file_run_records_typed_options(tmp_path):

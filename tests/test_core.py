@@ -28,6 +28,11 @@ def test_poly_call_identity():
     assert p(2.0 + 3.0j) == 2.0 + 3.0j
 
 
+def test_root_form_needs_roots():
+    with pytest.raises(ValueError, match="polynomial was not built from roots"):
+        PolynomialC([1.0, 2.0]).eval_root_form(0.5)
+
+
 def test_poly_call_two_roots_at_zero():
     # (z-1)(z-2) = z^2 - 3z + 2
     p = PolynomialC([2.0, -3.0, 1.0])

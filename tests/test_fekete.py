@@ -22,6 +22,11 @@ def test_insufficient_sample():
         leja_points(CompactSample([0.0, 1.0]), 3)
 
 
+def test_leja_count_must_be_positive():
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        leja_points(CompactSample([0.0, 1.0]), 0)
+
+
 def test_segment_norms_approach_capacity(segment_sample):
     # transfinite diameter of [-1, 1] is 1/2 (length over four); the degree-m
     # norm roots converge to it from above

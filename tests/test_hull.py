@@ -51,6 +51,10 @@ class _RemovableAtOrigin:
 
 
 class TestSeriesConditions:
+    def test_needs_a_pole_series(self):
+        with pytest.raises(TypeError, match="series_conditions expects a PoleSeries model"):
+            series_conditions(ExpReciprocal())
+
     def test_gaussian_family_holds(self):
         rep = series_conditions(PoleSeries.gaussian(20000))
         assert rep.verdict_summability == "HOLDS"
@@ -174,11 +178,6 @@ class TestClassify:
         with pytest.raises(ValueError, match="singular"):
             classify_fiber(ExpReciprocal(), complex(math.nan, 0), [math.e, math.e**2, math.e**10])
 
-    def test_unknown_on_unsupported(self, uncovered):
-        entry = classify_fiber(uncovered, 0.5, [1.0, 2.0, 4.0])
-        assert entry.classification == "UNKNOWN"
-        assert "UnsupportedFamily" in entry.notes
-
     def test_recip_sin_cover_underflow_is_unknown(self):
         # at R = 1e300 the deepest Moebius radius rounds to 0: that level has no
         # cover, so it is a note, not an uncaught ValueError from DiskUnion
@@ -200,6 +199,24 @@ class TestClassify:
         assert entry.classification == "HULL_POINT"
         assert (entry.w0, entry.w0_error, entry.radius_bound) == (-0.5, 2.0**-60, 1.0)
         assert [r.cover_side for r in entry.wiener_reports] == ["outer"] * 3
+
+    def test_limit_beyond_thin_bound_unknown(self):
+        # no PoleSeries reaches this guard: a THIN level needs every disk off 0,
+        # so sum |c_n/a_n| < sum |c_n|/r_n <= R
+        class LargeLimit(_RemovableAtOrigin):
+            def limit(self, z0):
+                return OriginValue(10.0, 2.0**-60) if z0 == 0 else None
+
+        entry = classify_fiber(LargeLimit(), 0j, [1.0, 2.0, 4.0])
+        assert [r.verdict for r in entry.wiener_reports] == ["THIN"] * 3
+        assert (entry.classification, entry.w0, entry.radius_bound) == ("UNKNOWN", None, None)
+        assert entry.notes == "limit value exceeds thin-level radius bound"
+
+    def test_thin_without_limit_locates_no_point(self):
+        # the empty cover of an all-zero pole sum is THIN at every level
+        entry = classify_fiber(RationalModel([0.4, -0.2], [0.0, 0.0]), 0.4, [1, 2, 4])
+        assert (entry.classification, entry.w0, entry.radius_bound) == ("HULL_POINT", None, 1.0)
+        assert entry.notes == "no limit value at z0 locates the hull point"
 
     def test_rational_pole_inside_its_outer_disk_unknown(self):
         # the outer disk about the pole contains the query point, so the

@@ -23,6 +23,10 @@ from polarhull.models import ExpReciprocal, PoleSeries, RationalModel, RecipSinP
 
 
 class TestLaurentSplit:
+    def test_k_max_must_be_positive(self):
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            laurent_split(lambda z: 1.0 / z, CircleContour(0j, 1.0), 0)
+
     def test_pure_principal(self):
         split = laurent_split(lambda z: 1.0 / z, CircleContour(0j, 1.0), 8)
         assert np.max(np.abs(split.analytic_part.coeffs)) == 0.0

@@ -22,7 +22,6 @@ from polarhull.models import (
 from polarhull.potential import (
     StartInsideObstacle,
     ThresholdTooSmall,
-    UnsupportedFamily,
     harmonic_measure,
     sublevel_cover,
     wiener_test,
@@ -49,11 +48,15 @@ class TestSublevelCover:
             sublevel_cover(ExpReciprocal(), 0.9)
 
     @pytest.mark.parametrize("big_r", [0.0, -1.0, math.nan, math.inf])
-    @pytest.mark.parametrize("f", [PoleSeries.gaussian(40), ExpReciprocal(), RecipSinPi(16)],
-                             ids=["gaussian-40", "exp-reciprocal", "recip-sin-pi-16"])
+    @pytest.mark.parametrize("f", [PoleSeries.gaussian(40), ExpReciprocal(), RecipSinPi(16),
+                                   RationalModel([0.4, -0.2], [0.0, 0.0])],
+                             ids=["gaussian-40", "exp-reciprocal", "recip-sin-pi-16",
+                                  "all-zero-residues"])
     def test_threshold_out_of_range(self, f, big_r):
-        with pytest.raises(ThresholdTooSmall):
-            sublevel_cover(f, big_r)
+        # each model's own cover refuses the level; `sublevel_cover` only forwards
+        for cover in (f.cover, lambda r: sublevel_cover(f, r)):
+            with pytest.raises(ThresholdTooSmall):
+                cover(big_r)
 
     def test_pole_series_radii_overflow(self):
         # C >= 1e150 / 1e-10 times sqrt(gamma_1) = 1e150 is not a float; no numpy warning
@@ -76,10 +79,6 @@ class TestSublevelCover:
         )
         assert total <= 1.0
 
-    def test_unsupported_family(self, uncovered):
-        with pytest.raises(UnsupportedFamily, match="_UncoveredModel"):
-            sublevel_cover(uncovered, 2.0)
-
     def test_zero_residue_pole_gets_no_disk(self):
         # a zero residue leaves its pole removable: no disk, no certificate term
         cover = sublevel_cover(PoleSeries([0.5, 0.25], [1.0, 0.0]), 1.0)
@@ -91,6 +90,14 @@ class TestSublevelCover:
     def test_pole_series_refuses_non_finite_terms(self, poles, residues):
         with pytest.raises(ValueError, match="finite"):
             PoleSeries(poles, residues)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PoleSeries([0.5], [1, 2]), "poles and residues must have equal length"),
+        (lambda: PoleSeries.geometric(10, 1.0), r"ratio must lie in \(0, 1\)"),
+    ], ids=["unequal-lengths", "ratio-one"])
+    def test_pole_series_input_checks(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_pole_series_copies_its_inputs_and_keeps_them_read_only(self):
         poles, residues = np.array([0.5, 0.25], dtype=complex), np.array([1.0, 2.0], dtype=complex)
@@ -248,6 +255,10 @@ class TestHarmonicMeasure:
     def test_walks_must_be_positive(self, walks):
         with pytest.raises(ValueError, match="walks must be >= 1"):
             harmonic_measure(0.4 + 0j, CircleContour(0j, 0.1), Disk(0j, 1.0), walks=walks)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="method must be 'wos' or 'grid'"):
+            harmonic_measure(0.4 + 0j, CircleContour(0j, 0.1), Disk(0j, 1.0), method="x")
 
     def test_non_finite_start_rejected(self, monkeypatch):
         # walks=10 and 1000 rounds: a NaN walk that is never absorbed fails fast

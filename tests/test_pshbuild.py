@@ -72,6 +72,11 @@ class TestHEval:
 
 
 class TestCertify:
+    def test_nu_max_below_two_rejected(self):
+        f = RationalModel([A], [1.0])
+        with pytest.raises(ValueError, match=r"nu_max must be in \[2, 12\]"):
+            certify_schedule(f, f.singular_sample(), nu_max=1)
+
     def test_single_pole_trivial_levels(self, single_pole_field):
         # the exact approximant pins the graph bound at -inf from the start;
         # the box ceiling still needs the outer order to grow so its n-th

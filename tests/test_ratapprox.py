@@ -19,6 +19,10 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 class TestRho:
+    def test_needs_root_form(self):
+        with pytest.raises(ValueError, match="monic root-form polynomial of degree >= 1"):
+            rho_of(PolynomialC([1.0, 2.0]), CompactSample([0.5]), 2)
+
     def test_root_sample(self):
         q = poly_from_roots([0.5])
         assert rho_of(q, CompactSample([0.5]), 3) == 0.0
@@ -42,6 +46,13 @@ class TestRho:
 
 
 class TestBuild:
+    @pytest.mark.parametrize("m, message", [(0, "m and big_n must be >= 1"),
+                                            (3, "Leja system shorter than requested m")])
+    def test_degree_checked(self, two_pole, m, message):
+        system = leja_points(two_pole.singular_sample(), 2)
+        with pytest.raises(ValueError, match=message):
+            build_approximant(two_pole, system, m, 1)
+
     def test_single_pole_identity(self):
         f = RationalModel([0.4], [1.0])
         system = leja_points(f.singular_sample(), 1)
@@ -106,6 +117,11 @@ class TestBuild:
 
 
 class TestConvergence:
+    def test_target_through_a_sample_point_rejected(self, two_pole):
+        system = leja_points(two_pole.singular_sample(), 2)
+        with pytest.raises(ValueError, match="target must keep positive distance"):
+            convergence_scan(two_pole, system, [(2, 1)], CompactSample([0.5, 1.0]))
+
     def test_single_pole_floors_immediately(self):
         f = RationalModel([0.4], [1.0])
         system = leja_points(f.singular_sample(), 1)
