@@ -38,25 +38,19 @@ def _parse_function(spec: str | None):
     if not spec:
         raise click.UsageError("missing --function")
     name, _, arg = spec.partition(":")
+    families = {"exp-reciprocal": (ExpReciprocal,), "recip-sin-pi": (RecipSinPi, int),
+                "pole-series-gaussian": (PoleSeries.gaussian, int),
+                "pole-series-geometric": (PoleSeries.geometric, int, float)}
+    if name not in families:
+        raise click.UsageError(f"unknown function family {spec!r}")
+    build, *kinds = families[name]  # the family's constructor and the type of each field
+    fields = arg.split(",") if arg else []
     try:
-        if name == "exp-reciprocal":
-            if arg:
-                raise ValueError("exp-reciprocal takes no argument")
-            return ExpReciprocal()
-        if name == "recip-sin-pi":
-            return RecipSinPi(_positive("cutoff", arg, int) if arg else 64)
-        if name == "pole-series-gaussian":
-            return PoleSeries.gaussian(_positive("terms", arg, int) if arg else 40)
-        if name == "pole-series-geometric":
-            parts = arg.split(",") if arg else []
-            if len(parts) > 2:
-                raise ValueError("expected TERMS,RATIO")
-            n = _positive("terms", parts[0], int) if parts else 40
-            ratio = float(parts[1]) if len(parts) > 1 else 0.5
-            return PoleSeries.geometric(n, ratio)
-    except ValueError as e:
+        if len(fields) > len(kinds):
+            raise ValueError(f"too many fields for {name}")
+        return build(*[kind(text) for kind, text in zip(kinds, fields)])
+    except ValueError as e:  # a field that is not a number, or a model refusing it
         raise click.UsageError(f"bad function argument {spec!r}: {e}")
-    raise click.UsageError(f"unknown function family {spec!r}")
 
 
 def _parse_point(text: str) -> complex:

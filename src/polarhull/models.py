@@ -11,13 +11,16 @@ included, or at one it cannot certify.  The optional `limit(z0)` is the
 certified limit value at z0 as an `OriginValue`, or None; a z0 with one is
 singular and its hull point lies there, and without it none is located.
 
-Models are immutable.  A cover depends on the level only through one scalar,
-so each model computes the level-independent part of its cover once, on
-first use, and keeps it: `cover(big_r)` then does only the arithmetic in R.
+Models are immutable.  Each family holds its defaults and checks its own
+size, an integer of at least 1, so the CLI passes only the fields a spec
+gives.  A cover depends on the level only through one scalar, so each model
+computes the level-independent part of its cover once, on first use, and
+keeps it: `cover(big_r)` then does only the arithmetic in R.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -60,6 +63,12 @@ class OriginValue(NamedTuple):
 
 
 MIN_DISK_RADIUS = 1e-290
+
+
+def _size(key: str, n) -> int:
+    if operator.index(n) < 1:  # operator.index refuses a float such as 2.7
+        raise ValueError(f"{key} must be an integer of at least 1, got {n}")
+    return operator.index(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,9 +184,9 @@ class PoleSeries:
     @classmethod
     def gaussian(cls, n_terms: int = 40) -> "PoleSeries":
         """Poles at 1/n with super-exponentially decaying residues exp(-n^2)/n^2."""
+        n_terms = _size("n_terms", n_terms)
         n = np.arange(1, n_terms + 1)
         log_c = -n.astype(float) ** 2 - 2.0 * np.log(n)
-        residues = np.exp(log_c)
 
         def log_gamma_tail(n_start: int) -> float:
             # sum_{k>=N} e^{-k^2}/k^2 <= e^{-N^2}/N^2 * (1 + e^{-2N})
@@ -188,20 +197,18 @@ class PoleSeries:
         # tail of sum |c_n/a_n| = sum e^{-n^2}/n beyond the stored terms
         m = n_terms + 1
         ca_tail = math.exp(-float(m) ** 2) / m * (1.0 + math.exp(-2.0 * m))
-        return cls(
-            1.0 / n, residues, log_abs_c=log_c, label=f"gaussian-poles-{n_terms}",
-            log_gamma_tail=log_gamma_tail, ca_tail=ca_tail,
-        )
+        return cls(1.0 / n, np.exp(log_c), log_abs_c=log_c, label=f"gaussian-poles-{n_terms}",
+                   log_gamma_tail=log_gamma_tail, ca_tail=ca_tail)
 
     @classmethod
     def geometric(cls, n_terms: int = 40, ratio: float = 0.5) -> "PoleSeries":
         """Poles at 1/n with residues ratio^n (slow, merely geometric decay)."""
         if not 0 < ratio < 1:
             raise ValueError("ratio must lie in (0, 1)")
+        n_terms = _size("n_terms", n_terms)
         n = np.arange(1, n_terms + 1)
-        log_c = n * math.log(ratio)
-        residues = np.exp(log_c)
         lr = math.log(ratio)
+        log_c = n * lr
 
         def log_gamma_tail(n_start: int) -> float:
             # sum_{k>=N} r^k = r^N/(1-r)
@@ -209,10 +216,8 @@ class PoleSeries:
 
         m = n_terms + 1
         ca_tail = (m + 1.0) * ratio**m / (1.0 - ratio) ** 2  # sum n r^n tail bound
-        return cls(
-            1.0 / n, residues, log_abs_c=log_c, label=f"geometric-poles-{n_terms}",
-            log_gamma_tail=log_gamma_tail, ca_tail=ca_tail,
-        )
+        return cls(1.0 / n, np.exp(log_c), log_abs_c=log_c, label=f"geometric-poles-{n_terms}",
+                   log_gamma_tail=log_gamma_tail, ca_tail=ca_tail)
 
 
 class ExpReciprocal:
@@ -233,7 +238,7 @@ class ExpReciprocal:
     def cover(self, big_r: float) -> DiskUnion:
         """The exact level disk re(1/z) >= log big_r."""
         if not 1 < big_r < math.inf:
-            raise ThresholdTooSmall("exp(1/z) cover needs big_r > 1")
+            raise ThresholdTooSmall(f"exp(1/z) cover needs 1 < big_r < inf, got {big_r!r}")
         h = 0.5 / math.log(big_r)
         return DiskUnion.from_arrays([h], [h], side="exact")
 
@@ -250,7 +255,7 @@ class RecipSinPi:
     label = "recip-sin-pi"
 
     def __post_init__(self):
-        object.__setattr__(self, "pole_cutoff", int(self.pole_cutoff))
+        object.__setattr__(self, "pole_cutoff", _size("pole_cutoff", self.pole_cutoff))
 
     @pointwise
     def __call__(self, z):
@@ -277,7 +282,7 @@ class RecipSinPi:
         deeper annulus about 0.  Rounded, a disk need not lie in the set, but it
         meets, or lies wholly inside, the same annuli about 0 as its exact disk."""
         if not 1 < big_r < math.inf:
-            raise ThresholdTooSmall("1/sin(pi/z) cover needs big_r > 1")
+            raise ThresholdTooSmall(f"1/sin(pi/z) cover needs 1 < big_r < inf, got {big_r!r}")
         # |sin(pi eps)| <= sinh(pi |eps|), so |eps| <= asinh(1/R)/pi certifies
         # |f| >= R; halving gives the 2x enclosure margin.
         rho = math.asinh(1.0 / big_r) / math.pi / 2.0

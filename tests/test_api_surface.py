@@ -66,7 +66,7 @@ CONSTANTS = {
 }
 
 # non-blank lines under src/polarhull: a ceiling, lowered as the package shrinks
-SOURCE_LINES = 2300
+SOURCE_LINES = 2297
 
 _COMMON = ("--config", "--out")
 CLI_OPTIONS = {

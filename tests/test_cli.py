@@ -5,8 +5,10 @@ import shlex
 import warnings
 from pathlib import Path
 
+import click
 import pytest
 
+from polarhull import cli
 from polarhull.cli import main
 
 
@@ -15,11 +17,22 @@ def run(args):
 
 
 @pytest.mark.parametrize("spec", ["no-such-family", "exp-reciprocal:junk",
-                                  "pole-series-geometric:10,0.5,zzz"])
+                                  "pole-series-geometric:10,0.5,zzz",
+                                  # each model refuses a size or ratio it cannot build
+                                  "recip-sin-pi:2.7", "recip-sin-pi:-3", "recip-sin-pi:8,",
+                                  "pole-series-gaussian:1,2", "pole-series-geometric:5,1.5"])
 def test_malformed_function_exits_one(tmp_path, capsys, spec):
     code = run(["hull", "--function", spec, "--out", tmp_path / "x"])
     assert code == 1
     assert not (tmp_path / "x").exists()  # no partial files
+
+
+def test_abort_exits_one(monkeypatch):
+    # click raises Abort on Ctrl-C or an EOF at a prompt
+    def abort(*args, **kwargs):
+        raise click.Abort()
+    monkeypatch.setattr(cli.cli, "main", abort)
+    assert run(["hull", "--function", "exp-reciprocal"]) == 1
 
 
 def test_malformed_config_file_exits_one(tmp_path):
@@ -344,6 +357,8 @@ def test_nonpositive_count_rejected(tmp_path, command, value):
     ["fekete", "--segment", "-1e308,1e308,3"],
     ["fekete"],
     ["thin"],
+    ["decompose", "--function", "exp-reciprocal", "--radius", "abc"],
+    ["fekete", "--segment", "0,1,x"],
     ["thin", "--function", "exp-reciprocal", "--point", "1,2,3"],
 ])
 def test_out_of_range_setting_rejected(tmp_path, monkeypatch, command):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -20,6 +21,7 @@ from polarhull.models import (
     TailUncertifiable,
 )
 from polarhull.potential import (
+    MeasureEstimate,
     StartInsideObstacle,
     ThresholdTooSmall,
     harmonic_measure,
@@ -53,9 +55,12 @@ class TestSublevelCover:
                              ids=["gaussian-40", "exp-reciprocal", "recip-sin-pi-16",
                                   "all-zero-residues"])
     def test_threshold_out_of_range(self, f, big_r):
-        # each model's own cover refuses the level; `sublevel_cover` only forwards
+        # each model's own cover refuses the level, naming its range and the level;
+        # `sublevel_cover` only forwards
+        message = re.escape(f"{0 if isinstance(f, PoleSeries) else 1} < big_r < inf, "
+                            f"got {big_r!r}")
         for cover in (f.cover, lambda r: sublevel_cover(f, r)):
-            with pytest.raises(ThresholdTooSmall):
+            with pytest.raises(ThresholdTooSmall, match=message):
                 cover(big_r)
 
     def test_pole_series_radii_overflow(self):
@@ -98,6 +103,23 @@ class TestSublevelCover:
     def test_pole_series_input_checks(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: RecipSinPi(2.7), TypeError),
+        (lambda: RecipSinPi(0), ValueError),
+        (lambda: RecipSinPi(-3), ValueError),
+        (lambda: PoleSeries.gaussian(0), ValueError),
+        (lambda: PoleSeries.gaussian(-2), ValueError),
+        (lambda: PoleSeries.geometric(0), ValueError),
+    ], ids=["cutoff-2.7", "cutoff-0", "cutoff--3", "gaussian-0", "gaussian--2", "geometric-0"])
+    def test_model_size_must_be_an_integer_of_at_least_one(self, build, error):
+        # a size is never rounded or emptied into another model
+        with pytest.raises(error, match="integer"):
+            build()
+
+    def test_recip_sin_cutoff_is_a_python_int(self):
+        cutoff = RecipSinPi(np.int64(8)).pole_cutoff
+        assert type(cutoff) is int and cutoff == 8
 
     def test_pole_series_copies_its_inputs_and_keeps_them_read_only(self):
         poles, residues = np.array([0.5, 0.25], dtype=complex), np.array([1.0, 2.0], dtype=complex)
@@ -255,6 +277,12 @@ class TestHarmonicMeasure:
     def test_walks_must_be_positive(self, walks):
         with pytest.raises(ValueError, match="walks must be >= 1"):
             harmonic_measure(0.4 + 0j, CircleContour(0j, 0.1), Disk(0j, 1.0), walks=walks)
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
+    def test_measure_estimate_out_of_unit_interval_rejected(self, value):
+        with pytest.raises(ValueError, match=re.escape("measure estimate out of [0, 1]")):
+            MeasureEstimate(value=value, std_error=0.0, walks=1, seed=0, method="wos",
+                            iterations=1)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method must be 'wos' or 'grid'"):
@@ -593,7 +621,7 @@ class TestArrayPathsAgainstOracles:
 def _recip_sin_cover_per_call(f, big_r):
     """RecipSinPi.cover with its poles and their squares built anew on every call."""
     if big_r <= 1.0:
-        raise ThresholdTooSmall("1/sin(pi/z) cover needs big_r > 1")
+        raise ThresholdTooSmall(f"1/sin(pi/z) cover needs 1 < big_r < inf, got {big_r!r}")
     rho = math.asinh(1.0 / big_r) / math.pi / 2.0
     deep = 3.0 * 2.0 ** np.arange(potential.MAX_DEPTH)
     n = np.concatenate([np.arange(1, f.pole_cutoff + 1), deep[deep > f.pole_cutoff]])
