@@ -33,13 +33,16 @@ class FeketeSystem:
 
     The prefix of length m defines the monic polynomial q_m with those roots;
     diagnostics[m-1] = (m, sup |q_m| over the sample, to the power 1/m).
-    `quad_rows` keeps `ratapprox.build_approximant`'s trapezoid rows, no f values:
-    q_m^K on the nodes and K coefficient and floor rows, per principal part, m, contour, nodes.
+    Two dicts keep what `ratapprox.build_approximant` computed on this system:
+    `denominators` maps m to (q_m, rho_m), O(m) each, and `quad_rows` keeps its
+    trapezoid rows, no f values: q_m^K on the nodes and K coefficient and floor
+    rows, per principal part, m, contour and node count.
     """
 
     base_set: CompactSample
     points: np.ndarray
     diagnostics: tuple
+    denominators: dict = field(default_factory=dict, init=False, repr=False)
     quad_rows: dict = field(default_factory=dict, init=False, repr=False)
 
     def norms(self) -> np.ndarray:

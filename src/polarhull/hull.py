@@ -8,6 +8,7 @@ one.  Both verdicts are evidence-based and carry their reports.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +149,7 @@ def classify_fiber(f, z0: complex, r_grid, *,
     r_grid = sorted(float(r) for r in r_grid)
     if len(r_grid) < 3 or any(a == b for a, b in zip(r_grid, r_grid[1:])):
         raise ValueError(f"r_grid needs at least 3 distinct values, got {r_grid!r}")
+    depth = operator.index(depth)  # refuses a float such as 40.0
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be in [1, {MAX_DEPTH}], got {depth!r}")
     z0 = complex(z0)

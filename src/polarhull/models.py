@@ -71,6 +71,20 @@ def _size(key: str, n) -> int:
     return operator.index(n)
 
 
+def _check_log_abs_c(log_abs_c, log_c, abs_c) -> None:
+    """Refuse a `log_abs_c` the covers cannot trust, given |c_n| and log |c_n|."""
+    if log_abs_c.shape != abs_c.shape:
+        raise ValueError(f"log_abs_c has shape {log_abs_c.shape}, the poles {abs_c.shape}")
+    if np.isnan(log_abs_c).any() or (log_abs_c == math.inf).any():
+        raise ValueError("log_abs_c must contain no NaN and no +inf, nor |c_n| overflow")
+    if ((log_abs_c == -math.inf) & (abs_c > 0)).any():
+        raise ValueError("log_abs_c may be -inf only where the residue is 0")
+    normal = np.isfinite(abs_c) & (abs_c >= np.finfo(float).tiny)
+    given, exact = log_abs_c[normal], log_c[normal]
+    if (np.abs(given - exact) > 1e-12 * np.maximum(np.abs(exact), 1.0)).any():
+        raise ValueError("log_abs_c must agree with log|residues| to 1e-12 where |c_n| is normal")
+
+
 @dataclass(frozen=True, eq=False)
 class PoleSeries:
     """f(z) = sum c_n / (z - a_n), truncated at n_terms stored terms.
@@ -78,6 +92,9 @@ class PoleSeries:
     `log_abs_c` stays finite even when c_n underflows, and the optional
     `log_gamma_tail(N)` bound certifies the log of the coefficient tail sum
     beyond the stored terms.  Presets `gaussian` and `geometric` populate both.
+    `log_abs_c` has the poles' shape, no NaN or +inf, is -inf only where
+    c_n = 0, and, where |c_n| is a normal float, is log|c_n| to 1e-12
+    relative (absolute below 1); `ca_tail`, if given, is finite and >= 0.
     """
 
     poles: np.ndarray
@@ -95,10 +112,14 @@ class PoleSeries:
             raise ValueError("poles and residues must have equal length")
         if not (np.isfinite(poles).all() and np.isfinite(residues).all()):
             raise ValueError("poles and residues must be finite")
-        if log_abs_c is None:
-            with np.errstate(divide="ignore"):
-                log_abs_c = np.log(np.abs(residues))
-        arrays = (poles, residues, np.array(log_abs_c, dtype=float))  # copies of the inputs
+        with np.errstate(divide="ignore", over="ignore"):
+            abs_c = np.abs(residues)
+            log_c = np.log(abs_c)
+        log_abs_c = log_c if log_abs_c is None else np.array(log_abs_c, dtype=float)
+        _check_log_abs_c(log_abs_c, log_c, abs_c)
+        if ca_tail is not None and not 0 <= ca_tail < math.inf:
+            raise ValueError(f"ca_tail must be finite and at least 0, got {ca_tail!r}")
+        arrays = (poles, residues, log_abs_c)  # copies of the inputs
         for name, value in zip(("poles", "residues", "log_abs_c"), arrays):
             value.setflags(write=False)
             object.__setattr__(self, name, value)

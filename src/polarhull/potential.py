@@ -18,6 +18,7 @@ first, and an absorbed walk scores 1 when its target distance is that minimum.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -108,6 +109,7 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40) -> WienerRepo
     exactly off frexp.  One pass over these (disk, annulus) pairs costs
     O(disks + pairs), where a disk meets about log2(far/near) annuli.
     """
+    depth = operator.index(depth)  # refuses a float such as 40.0
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"need depth <= {MAX_DEPTH} and depth >= 1, got {depth!r}")
     point = complex(point)

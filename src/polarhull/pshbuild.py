@@ -208,11 +208,16 @@ def u_eval(field: PshField, z, w):
     """Weighted sum of clamped levels plus the atomic potential, over broadcast (z, w).
 
     Finite everywhere except exactly on the atoms, where -inf is returned.
+    Each level's h is `h_eval`'s, bitwise, from one cleared fold carried across
+    the levels: a level that keeps the last one's approximant folds no row,
+    one that extends its rows folds only the new ones, and any other refolds.
     """
     out = np.zeros(np.broadcast(z, w).shape)
+    fold = None
     for lev in field.levels:
         nu = lev.nu
-        h = h_eval(lev.approximant, z, w).reshape(out.shape)
+        cleared, fold = lev.approximant.cleared_fold(z, w, fold)
+        h = _h_of_cleared(cleared, lev.approximant.normalization).reshape(out.shape)
         out += np.maximum(h - math.log(nu + 2), _level_clamp(nu)) / nu**2
     zb = np.broadcast_to(z, out.shape)
     weight = 1.0 / len(field.sample)

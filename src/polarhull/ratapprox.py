@@ -118,7 +118,7 @@ class RationalApproximant:
     def principal_eval(self, z):
         """sum_k c_k(z) / q(z)^{k+1}; finite wherever q(z) != 0."""
         u = 1.0 / self.q_values(z)
-        return _horner((_horner(c[::-1], z) for c in self.coeffs[::-1]), u) * u
+        return _horner(_row_passes(self.coeffs[::-1], z, np.zeros_like(z) * z), u) * u
 
     @pointwise
     def eval(self, z):
@@ -151,8 +151,11 @@ class RationalApproximant:
     def cleared_fold(self, z, w, prior):
         """(`cleared_eval`'s triple, the fold: this approximant and its recurrences in q).
 
-        `prior`, a fold over the same z or None, is extended by the rows past its
-        own (`_folded_rows`), each sum taking the steps of a fold from zero.
+        The fold keeps only arrays in z, so it serves any w on the same z.  It
+        resumes `prior`, a fold on the same z or None: one holding all of this
+        approximant's rows folds none, one it extends (`_folded_rows`) the rows
+        past its own, any other from zero.  Each sum takes the steps of a fresh
+        fold, each row's pass from one shared zero (`_row_passes`): bitwise.
         """
         k = _folded_rows(self, prior)
         if k:
@@ -164,12 +167,22 @@ class RationalApproximant:
             sn = quad_shadow = np.zeros_like(aq)
         for _ in range(k, self.big_n):
             qn, aqn = qn * qv, aqn * aq
-        pn = _horner((-_horner(c[::-1], z) for c in self.coeffs[k:]), qv, pn)
-        sn = _horner((_horner(np.abs(c[::-1]), az) for c in self.coeffs[k:]), aq, sn)
-        quad_shadow = _horner((_horner(nv[::-1], az) for nv in self.noise[k:]), aq, quad_shadow)
+        zero, abs_zero = np.zeros_like(z) * z, np.zeros_like(az) * az
+        pn = _horner((-c for c in _row_passes(self.coeffs[k:], z, zero)), qv, pn)
+        sn = _horner(_row_passes(np.abs(self.coeffs[k:]), az, abs_zero), aq, sn)
+        quad_shadow = _horner(_row_passes(self.noise[k:], az, abs_zero), aq, quad_shadow)
         head = np.abs(w) + self.analytic_part.abs_eval(az)
         cleared = (w - self.analytic_part(z)) * qn + pn, head * aqn + sn, quad_shadow
         return cleared, (self, qv, aq, az, qn, aqn, pn, sn, quad_shadow)
+
+
+def _row_passes(rows, x, zero):
+    """Each row's Horner pass in x, its coefficients ascending, made one row at a time.
+
+    Every pass takes its first step, 0 * x + top coefficient, from the shared
+    `zero`, `np.zeros_like(x) * x`, so each is bitwise `_horner(row[::-1], x)`.
+    """
+    return (_horner(row[-2::-1], x, zero + row[-1]) for row in rows)
 
 
 def _folded_rows(approx: RationalApproximant, prior) -> int:
@@ -246,17 +259,20 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
     agree with integrals over any admissible level curve of |q_m|.  That
     circle is certified whole, not node by node: |q_m| >= 1.25 rho_m > rho_m
     on all of it, by the closed-form bound prod (r - |root - c|), and every
-    sample point lies at least 1/4 away from it.  The trapezoid rows are kept on
-    `sys.quad_rows`, so a build computes only rows no earlier build on `sys` did;
-    the stop rule and the growth check still read exactly its own N rows.
+    sample point lies at least 1/4 away from it.  q_m and rho_m are kept on
+    `sys.denominators` and the trapezoid rows on `sys.quad_rows`, so a build
+    computes only what no earlier build on `sys` did; the contour is found
+    afresh, and the stop rule and the growth check still read exactly its own N rows.
     """
     if m < 1 or big_n < 1:
         raise ValueError("m and big_n must be >= 1")
     roots = sys.points[:m]
     if len(roots) < m:
         raise ValueError("Leja system shorter than requested m")
-    q = poly_from_roots(roots)
-    rho = rho_of(q, sys.base_set, N_SCALE)
+    if m not in sys.denominators:
+        q = poly_from_roots(roots)
+        sys.denominators[m] = q, rho_of(q, sys.base_set, N_SCALE)
+    q, rho = sys.denominators[m]
     if rho == math.inf:
         raise PolarhullError(f"rho_m overflows at m={m}: no float64 circle has |q_m| >= 1.25 rho_m")
     degenerate = rho < RHO_FLOOR

@@ -162,6 +162,16 @@ class TestClassify:
         with pytest.raises(ValueError, match=r"depth must be in \[1, 60\]"):
             classify_fiber(gauss40, 0j, [1.0, 2.0, 4.0], depth=depth, potential=untouched)
 
+    @pytest.mark.parametrize("depth", [40.0, 20.5, "40"])
+    def test_depth_must_be_an_integer(self, gauss40, depth):
+        untouched = SimpleNamespace(sublevel_cover=lambda *a, **k: pytest.fail("cover built"))
+        with pytest.raises(TypeError, match="integer"):
+            classify_fiber(gauss40, 0j, [1.0, 2.0, 4.0], depth=depth, potential=untouched)
+
+    def test_numpy_integer_depth_is_a_python_int(self, gauss40):
+        entry = classify_fiber(gauss40, 0j, [1.0, 2.0, 4.0], depth=np.int64(30))
+        assert all(type(r.depth) is int and r.depth == 30 for r in entry.wiener_reports)
+
     # 1e-10 is near the origin, but farther than SAMPLE_TOL from it
     @pytest.mark.parametrize("z0", [0.123 + 0.4j, 1e-10])
     def test_point_must_be_singular(self, gauss40, z0):

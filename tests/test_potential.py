@@ -96,6 +96,41 @@ class TestSublevelCover:
         with pytest.raises(ValueError, match="finite"):
             PoleSeries(poles, residues)
 
+    @pytest.mark.parametrize("log_abs_c, message", [
+        ([0.0], "shape"),
+        ([math.nan, math.log(2.0)], "NaN"),
+        ([math.inf, math.log(2.0)], r"\+inf"),
+        ([-math.inf, math.log(2.0)], "-inf only where the residue is 0"),
+        ([math.log(2.0), math.log(2.0)], "agree with log"),
+        ([0.0, math.log(2.0) * (1 + 1e-11)], "agree with log"),
+    ], ids=["short", "nan", "plus-inf", "minus-inf-live", "wrong", "off-by-1e-11"])
+    def test_pole_series_log_abs_c_checks(self, log_abs_c, message):
+        # the covers trust log_abs_c: before, a short one raised IndexError at
+        # the first cover, and NaN or -inf dropped a live pole from an outer cover
+        with pytest.raises(ValueError, match=message):
+            PoleSeries([0.5, 0.25], [1.0, 2.0], log_abs_c=log_abs_c)
+
+    def test_pole_series_refuses_a_live_pole_marked_removable(self):
+        g = PoleSeries.geometric(40)
+        log_abs_c = g.log_abs_c.copy()
+        log_abs_c[10:] = -math.inf
+        with pytest.raises(ValueError, match="-inf only"):
+            PoleSeries(g.poles, g.residues, log_abs_c=log_abs_c)
+
+    def test_pole_series_log_abs_c_is_free_where_the_residue_is_not_normal(self):
+        # an underflowed or subnormal residue keeps the log it was given
+        f = PoleSeries([0.5, 0.25, 0.125], [0.0, 5e-324, 1.0],
+                       log_abs_c=[-1000.0, -800.0, 1e-13])
+        assert f.log_abs_c.tolist() == [-1000.0, -800.0, 1e-13]
+        assert len(PoleSeries([0.5, 0.25], [0.0, 1.0], log_abs_c=[-math.inf, 0.0]).cover(2.0)) == 1
+        for preset in (PoleSeries.gaussian(400), PoleSeries.geometric(400)):
+            PoleSeries(preset.poles, preset.residues, log_abs_c=preset.log_abs_c)
+
+    @pytest.mark.parametrize("ca_tail", [-1e-300, math.nan, math.inf])
+    def test_pole_series_ca_tail_must_be_finite_and_not_negative(self, ca_tail):
+        with pytest.raises(ValueError, match="ca_tail"):
+            PoleSeries([0.5], [1.0], ca_tail=ca_tail)
+
     @pytest.mark.parametrize("build, message", [
         (lambda: PoleSeries([0.5], [1, 2]), "poles and residues must have equal length"),
         (lambda: PoleSeries.geometric(10, 1.0), r"ratio must lie in \(0, 1\)"),
@@ -238,6 +273,11 @@ class TestWiener:
     def test_depth_cap(self):
         with pytest.raises(ValueError, match="need depth <= 60"):
             wiener_test(DiskUnion([Disk(1.0 + 0j, 0.1)]), 0j, 61)
+
+    @pytest.mark.parametrize("depth", [40.0, 20.5, "40"])
+    def test_depth_must_be_an_integer(self, depth):
+        with pytest.raises(TypeError, match="integer"):
+            wiener_test(DiskUnion([Disk(1.0 + 0j, 0.1)]), 0j, depth)
 
     def test_subnormal_radius_counts_in_the_upper_sums(self):
         # 1/r overflows for r = 1e-310; the disk in annulus 10 adds 10/log(1e310)

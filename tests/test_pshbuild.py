@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polarhull import pshbuild, ratapprox
-from polarhull.core import CircleContour, CompactSample, PolarhullError, _horner
+from polarhull.core import CircleContour, CompactSample, PolarhullError, _horner, pointwise
 from polarhull.fekete import leja_points
 from polarhull.models import ExpReciprocal, PoleSeries, RationalModel, RecipSinPi
 from polarhull.pshbuild import (
@@ -625,3 +625,73 @@ def test_incremental_search_equals_the_fresh_search(label, bent):
     orders = [t[0] for tried in oracle for t in tried]
     assert [n for (_, n), _ in calls] == sorted(set(orders))
     assert all(kw == {"quad_tol": pshbuild.CERTIFY_QUAD_TOL} for _, kw in calls)
+
+
+@pointwise
+def _u_eval_per_level(field, z, w):
+    """`u_eval` as a loop of `h_eval` calls, each level folded from zero."""
+    out = np.zeros(np.broadcast(z, w).shape)
+    for lev in field.levels:
+        nu = lev.nu
+        h = h_eval(lev.approximant, z, w).reshape(out.shape)
+        out += np.maximum(h - math.log(nu + 2), _level_clamp(nu)) / nu**2
+    zb = np.broadcast_to(z, out.shape)
+    weight = 1.0 / len(field.sample)
+    with np.errstate(divide="ignore"):
+        for atom in field.sample.points:
+            out = out + weight * np.log(np.abs(zb - atom))
+    return out
+
+
+SHARED_FOLD_FIELDS = [*FIELD_CERTIFY, "exp-reciprocal/nu8/bent"]
+
+
+@pytest.fixture(scope="module")
+def certified_fields():
+    fields = {label: certify_schedule(f, f.singular_sample(), nu)
+              for label, (f, nu) in FIELD_CERTIFY.items()}
+    f, nu = FIELD_CERTIFY["exp-reciprocal/nu8"]
+    fields["exp-reciprocal/nu8/bent"] = certify_schedule(f, f.singular_sample(), nu,
+                                                         builder=_bent_builder)
+    return fields
+
+
+def _fold_paths(field):
+    """How each level after the first takes the fold of the level before it."""
+    paths = []
+    for lower, upper in zip(field.levels, field.levels[1:]):
+        k = ratapprox._folded_rows(upper.approximant, (lower.approximant,))
+        paths.append("keep" if k == upper.approximant.big_n else "resume" if k else "refold")
+    return paths
+
+
+def test_the_fields_take_every_fold_path(certified_fields):
+    paths = {label: _fold_paths(field) for label, field in certified_fields.items()}
+    assert set(paths["recip-sin-pi-8/nu8"]) == {"keep"}  # one approximant for all seven levels
+    assert paths["exp-reciprocal/nu8"] == ["resume"] * 4 + ["keep"] * 2
+    assert paths["exp-reciprocal/nu8/bent"] == ["resume", "refold", "resume", "refold",
+                                                "keep", "keep"]
+
+
+@pytest.mark.parametrize("label", SHARED_FOLD_FIELDS)
+def test_shared_fold_equals_the_per_level_loop(label, certified_fields, rng):
+    field = certified_fields[label]
+    z = rng.uniform(-1.5, 1.5, 300) + 1j * rng.uniform(-1.5, 1.5, 300)
+    w = rng.uniform(-3.0, 3.0, 300) + 1j * rng.uniform(-3.0, 3.0, 300)
+    z[:10] = field.sample.points[0]
+    assert _same_bits(u_eval(field, z, w), _u_eval_per_level(field, z, w))
+    grid_w = w[:60] + np.array([0.0, 1e-3, 0.5j]).reshape(-1, 1)  # few z against many w
+    assert _same_bits(u_eval(field, z[:60], grid_w), _u_eval_per_level(field, z[:60], grid_w))
+    for a, b in zip(z[:25], w[:25]):
+        got = u_eval(field, a, b)
+        assert type(got) is float and repr(got) == repr(_u_eval_per_level(field, a, b))
+
+
+@pytest.mark.parametrize("label", SHARED_FOLD_FIELDS)
+def test_exported_rows_equal_the_per_level_loop(label, certified_fields):
+    # the bench's tube, which runs through a pole of gaussian-20 at 0.05
+    field = certified_fields[label]
+    rows = np.array(export_field(field, GridSpec.graph_tube((0.05, 0.95), 400, [0.0, 0.5, 1.0])))
+    z, w = rows[:, 0] + 1j * rows[:, 1], rows[:, 2] + 1j * rows[:, 3]
+    with np.errstate(invalid="ignore"):
+        assert _same_bits(rows[:, 4], _u_eval_per_level(field, z, w))

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -535,3 +536,38 @@ def test_builds_on_one_system_keep_their_own_rows(case, two_pole, gauss10):
             assert _same_bits(getattr(got, name), getattr(want, name)), (case, mm, n, name)
         assert (got.nodes, got.converged, got.contour) == (want.nodes, want.converged, want.contour)
     assert len(shared.quad_rows) == 3
+
+
+def test_one_denominator_per_system_and_m(monkeypatch):
+    # q_m and rho_m are the same at every order, so a search of 28 builds makes each once
+    calls = {"poly_from_roots": 0, "rho_of": 0}
+    for name in calls:
+        def counted(*args, plain=getattr(ratapprox, name), name=name):
+            calls[name] += 1
+            return plain(*args)
+        monkeypatch.setattr(ratapprox, name, counted)
+    builds = []
+
+    def builder(*args, **kwargs):
+        builds.append(args[2:])
+        return build_approximant(*args, **kwargs)
+
+    f = ExpReciprocal()
+    certify_schedule(f, f.singular_sample(), 8, builder=builder)
+    assert len(builds) == 28 and calls == {"poly_from_roots": 1, "rho_of": 1}
+
+
+def test_scan_memory_stays_bounded():
+    # what a system keeps is O(m) per m beside its trapezoid rows: the scan peaks
+    # near 51 MiB, where keeping each node count's m x nodes kernel rows too
+    # takes it to 97 MiB
+    f = RecipSinPi(64)
+    system = leja_points(f.singular_sample(), 129)
+    target = CompactSample(2.0 * np.exp(2j * np.pi * np.arange(128) / 128))
+    tracemalloc.start()
+    try:
+        convergence_scan(f, system, [(129, n) for n in range(1, 5)], target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 70 * 2**20, f"peak {peak / 2**20:.1f} MiB"
