@@ -21,7 +21,7 @@ from .models import ExpReciprocal, PoleSeries, RationalModel, RecipSinPi
 from .laurent import laurent_split, mittag_leffler
 from .fekete import capacity_estimate, leja_points
 from .ratapprox import build_approximant, convergence_scan, rho_of
-from .pshbuild import certify_schedule, export_field, h_eval, u_eval
+from .pshbuild import certify_schedule, export_field, u_eval
 from .potential import harmonic_measure, sublevel_cover, wiener_test
 from .hull import classify_fiber, series_conditions, vn_upper_bound
 
@@ -47,7 +47,6 @@ __all__ = [
     "rho_of",
     "certify_schedule",
     "export_field",
-    "h_eval",
     "u_eval",
     "harmonic_measure",
     "sublevel_cover",

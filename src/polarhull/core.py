@@ -132,10 +132,10 @@ class DiskUnion:
         radii = np.array(radii, dtype=float).ravel()
         if centers.shape != radii.shape:
             raise ValueError("centers and radii must have equal length")
-        if not (np.isfinite(centers).all() and np.isfinite(radii).all()):
-            raise ValueError("disk center/radius must be finite")
-        if np.any(radii <= 0):
-            raise ValueError("disk radius must be positive")
+        finite = np.isfinite(centers).all()
+        if not (finite and ((radii > 0.0) & (radii < math.inf)).all()):  # NaN fails both
+            raise ValueError("disk radius must be positive" if finite and np.isfinite(radii).all()
+                             else "disk center/radius must be finite")
         for name, value in (("centers", centers), ("radii", radii)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)

@@ -141,7 +141,8 @@ def classify_fiber(f, z0: complex, r_grid, *,
     """Classify the fiber over one singular point from Wiener evidence.
 
     z0 must be a sampled singular point or have a limit value `f.limit(z0)`.
-    Every R in the grid gets a sublevel cover and a thinness test at z0.  All
+    Each R in the grid gets a cover from `potential.sublevel_cover` (the hook
+    supplies covers only), and all levels share one Wiener pass at z0.  All
     NON_THIN means an empty fiber over the tested grid; a THIN level yields a
     hull point with that radius bound, at w0 = the limit value (w0_error its
     error bound) if any; conflicting or inconclusive evidence stays UNKNOWN.
@@ -157,18 +158,18 @@ def classify_fiber(f, z0: complex, r_grid, *,
     if limit is None and not f.singular_sample().min_distance_to(z0) <= SAMPLE_TOL:  # NaN too
         raise ValueError(f"{z0!r} is not a sampled singular point of {f.label}")
 
-    reports, notes = [], []  # a level that raised leaves a note and no report
+    covers, notes = [], []  # a level that raised leaves a note and no report
     for big_r in r_grid:
         try:
-            cover = potential.sublevel_cover(f, big_r)
-            reports.append(potential.wiener_test(cover, z0, depth))
+            covers.append(potential.sublevel_cover(f, big_r))
         except PolarhullError as e:
             notes.append(f"R={big_r}: {type(e).__name__}: {e}")
+    reports = potential_mod._wiener_sums(covers, z0, depth) if covers else ()
 
     def entry(cls, w0=None, w0_err=None, bound=None, extra=""):
         return FiberClassification(
             point=z0, classification=cls, w0=w0, w0_error=w0_err,
-            radius_bound=bound, wiener_reports=tuple(reports), r_grid=tuple(r_grid),
+            radius_bound=bound, wiener_reports=reports, r_grid=tuple(r_grid),
             notes="; ".join(notes + ([extra] if extra else [])),
         )
 
@@ -177,10 +178,9 @@ def classify_fiber(f, z0: complex, r_grid, *,
         return entry("UNKNOWN", extra="incomplete or inconclusive evidence")
 
     thin_rs = [big_r for big_r, v in zip(r_grid, verdicts) if v == "THIN"]
-    non_thin_rs = [big_r for big_r, v in zip(r_grid, verdicts) if v == "NON_THIN"]
     # larger R shrinks the sublevel set, so THIN below a NON_THIN level is
     # contradictory evidence and must stay UNKNOWN
-    if thin_rs and non_thin_rs and min(thin_rs) < max(non_thin_rs):
+    if thin_rs and "NON_THIN" in verdicts[verdicts.index("THIN"):]:
         return entry("UNKNOWN", extra="conflicting thinness pattern across R grid")
 
     if not thin_rs:

@@ -7,7 +7,8 @@ per-disk radius bound that over-estimates it (a convergence verdict).  Each
 bound speaks for the sublevel set only from a cover on its side: the lower
 one from disks inside the set, the upper one from disks that cover it (see
 `DiskUnion.side`).  The report records the cover's side and which bound
-drove the verdict.
+drove the verdict.  A fiber's levels share one pass (`_wiener_sums`); the
+`potential=` hook of `classify_fiber` supplies only their covers.
 
 Harmonic measure is estimated by walk-on-spheres with absorbing circles, or
 by a five-point relaxation sweep on a Cartesian grid for cross-checking; the
@@ -48,8 +49,7 @@ def sublevel_cover(f, big_r: float) -> DiskUnion:
 
     Its `side` says which Wiener bound it certifies, and the model raises
     ThresholdTooSmall at a level outside its range (see each model's
-    `cover`).  A disk may contain the query point: the Wiener test reads it
-    as evidence.
+    `cover`).  A disk may contain the query point; it then refuses THIN.
     """
     return f.cover(big_r)
 
@@ -58,6 +58,8 @@ def sublevel_cover(f, big_r: float) -> DiskUnion:
 
 WIENER_TOLERANCE = 1e-3
 WIENER_SLOPE = 0.1
+_EDGES = np.ldexp(1.0, -np.arange(1, MAX_DEPTH + 2))  # the annulus edges 2^-1 .. 2^-61
+_NS = np.arange(1, MAX_DEPTH + 1)  # the annulus indices 1 .. MAX_DEPTH
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,14 +102,21 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40) -> WienerRepo
     over the last 10 depths; the upper ones show convergence when their
     increments over the last 5 depths total below WIENER_TOLERANCE.  NON_THIN
     needs the first alone and a cover that is not outer, THIN the second
-    alone and a cover that is not inner; anything else is INCONCLUSIVE.  A
-    disk that contains `point` is evidence like any other: an inner or
-    exact one puts a segment of capacity 2^-n-3 in every annulus n it
-    spans, and an outer one makes the upper sums diverge.  The sums run to
-    `depth`, at most MAX_DEPTH.  A disk at distances near..far from `point`
-    meets the annuli n with 2^-n-1 < far and near < 2^-n, a range lo..hi read
-    exactly off frexp.  One pass over these (disk, annulus) pairs costs
-    O(disks + pairs), where a disk meets about log2(far/near) annuli.
+    alone, a cover that is not inner and no disk strictly over `point`, which
+    the upper sums see only in the annuli it reaches (none when its radius is
+    below 2^-depth-1).  The sums run to `depth`, at most MAX_DEPTH.
+    """
+    return _wiener_sums((cover,), point, depth)[0]
+
+
+def _wiener_sums(covers, point: complex, depth: int) -> tuple:
+    """`wiener_test(cover, point, depth)` for each of one or more covers, in one scatter pass.
+
+    A disk at distances near..far from `point` meets the annuli n with
+    2^-n-1 < far and near < 2^-n, a range lo..hi read exactly off frexp.  The
+    pairs (disk of cover k, annulus n) of all covers go to bins k*depth + n-1
+    at once, in O(disks + pairs), where a disk meets about log2(far/near)
+    annuli; each row of bins sums bitwise as a pass over its cover alone.
     """
     depth = operator.index(depth)  # refuses a float such as 40.0
     if not 1 <= depth <= MAX_DEPTH:
@@ -115,43 +124,46 @@ def wiener_test(cover: DiskUnion, point: complex, depth: int = 40) -> WienerRepo
     point = complex(point)
     if not np.isfinite(point):
         raise ValueError(f"point {point!r} is not finite")
-    r, dist = cover.radii, np.abs(cover.centers - point)
+    level = np.arange(len(covers)).repeat([len(c) for c in covers])  # each disk's cover
+    r = np.concatenate([c.radii for c in covers])
+    dist = np.abs(np.concatenate([c.centers for c in covers]) - point)
     near, far = dist - r, dist + r
+    # fl(|c - point|) < r exactly when fl(|c - point| - r) < 0: subtraction is sign-exact
+    contains = set(level[near < 0.0].tolist())  # the covers with a disk over `point`
     m_far, e_far = np.frexp(far)
     lo = np.maximum(np.where(m_far > 0.5, -e_far, 1 - e_far), 1)
     hi = np.minimum(np.where(near > 0.0, -np.frexp(near)[1], depth), depth)
     counts = np.maximum(hi - lo + 1, 0)
-    i = np.repeat(np.arange(len(r)), counts)
-    n = np.arange(len(i)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    edges = np.ldexp(1.0, -np.arange(1, depth + 2))  # edges[n - 1] = 2^-n, edges[n] = 2^-n-1
+    i = np.arange(len(r)).repeat(counts)
+    n = np.arange(len(i)) + (lo - (counts.cumsum() - counts)).repeat(counts)
+    bins = level[i] * depth + n - 1
+    edges, ns = _EDGES[:depth + 1], _NS[:depth]  # edges[n - 1] = 2^-n, edges[n] = 2^-n-1
     near, far, r, inner, outer = near[i], far[i], r[i], edges[n], edges[n - 1]
     # lower bound: cap = radius for a whole closed disk in the annulus, else clipped diameter/4
     whole = (near >= inner) & (far <= outer)
     seg = np.maximum(np.minimum(outer, far) - np.maximum(inner, near), 0.0) / 4.0
-    cap_lo = np.zeros(depth)
-    np.maximum.at(cap_lo, n - 1, np.where(whole, r, seg))
+    cap_lo = np.zeros((len(covers), depth))
+    np.maximum.at(cap_lo.reshape(-1), bins, np.where(whole, r, seg))  # a view of cap_lo
     # upper bound: cap <= min(radius, outer) <= 1/2 per meeting disk; -1/log(r), as 1/r overflows
-    ns = np.arange(1, depth + 1)
-    up_terms = ns * np.bincount(n - 1, -1.0 / np.log(np.minimum(r, outer)), depth)
+    up = np.bincount(bins, -1.0 / np.log(np.minimum(r, outer)), cap_lo.size)
+    up_terms = ns * up.reshape(cap_lo.shape)
     with np.errstate(divide="ignore"):  # an annulus that no disk meets: -n/log(0) = 0
         low_terms = -ns / np.log(np.minimum(cap_lo, 0.5))
-    annuli = tuple(zip(ns.tolist(), edges[1:].tolist(), edges[:-1].tolist(), cap_lo.tolist()))
-    s_low, s_up = np.cumsum(low_terms), np.cumsum(up_terms)
+    s_low, s_up = low_terms.cumsum(axis=1), up_terms.cumsum(axis=1)
+    non_thin = (s_low[:, -10:] >= WIENER_SLOPE * ns[-10:]).all(axis=1).tolist()
+    thin = (up_terms[:, -5:].sum(axis=1) < WIENER_TOLERANCE).tolist()
 
-    non_thin = bool(np.all(s_low[-10:] >= WIENER_SLOPE * ns[-10:]))
-    thin = bool(np.sum(up_terms[-5:]) < WIENER_TOLERANCE)
-
-    if non_thin and not thin and cover.side != "outer":
-        verdict, used, sums = "NON_THIN", "lower", s_low
-    elif thin and not non_thin and cover.side != "inner":
-        verdict, used, sums = "THIN", "upper", s_up
-    else:
-        verdict, used, sums = "INCONCLUSIVE", "none", s_up
-    return WienerReport(
-        point=point, annuli=annuli, partial_sums=sums, verdict=verdict,
-        depth=depth, bound_used=used, partial_sums_lower=s_low, partial_sums_upper=s_up,
-        cover_disks=len(cover), cover_side=cover.side,
-    )
+    bounds, reports = (ns.tolist(), edges[1:].tolist(), edges[:-1].tolist()), []
+    for k, (cover, caps) in enumerate(zip(covers, cap_lo.tolist())):
+        if non_thin[k] and not thin[k] and cover.side != "outer":
+            verdict, used, sums = "NON_THIN", "lower", s_low[k]
+        elif thin[k] and not non_thin[k] and cover.side != "inner" and k not in contains:
+            verdict, used, sums = "THIN", "upper", s_up[k]
+        else:
+            verdict, used, sums = "INCONCLUSIVE", "none", s_up[k]
+        reports.append(WienerReport(point, tuple(zip(*bounds, caps)), sums, verdict, depth, used,
+                                    s_low[k], s_up[k], len(cover), cover.side))
+    return tuple(reports)
 
 
 # ------------------------------------------------------------ harmonic measure

@@ -33,7 +33,6 @@ __all__ = [
     "PshLevel",
     "PshField",
     "GridSpec",
-    "h_eval",
     "certify_schedule",
     "u_eval",
     "export_field",
@@ -61,6 +60,7 @@ def _noise_threshold(eval_shadow, quad_shadow):
 
 
 def _h_of_cleared(cleared, n: int) -> np.ndarray:
+    """(1/n) log |w q(z) - p(z)| from `cleared_eval`, -inf where it is below the noise."""
     diff, eval_shadow, quad_shadow = cleared
     thr = _noise_threshold(eval_shadow, quad_shadow)
     mag = np.abs(diff)
@@ -69,18 +69,6 @@ def _h_of_cleared(cleared, n: int) -> np.ndarray:
     with np.errstate(divide="ignore"):
         out[live] = np.log(mag[live]) / n
     return out
-
-
-@pointwise
-def h_eval(approximant: RationalApproximant, z, w):
-    """(1/n) log |w q(z) - p(z)| in cleared form over broadcast (z, w).
-
-    -inf marks sub-noise cancellations: the marker threshold combines the
-    cancellation shadow of the cleared evaluation with the propagated
-    quadrature noise of the coefficients, and a modulus below it cannot be
-    certified as a finite value in this precision.
-    """
-    return _h_of_cleared(approximant.cleared_eval(z, w), approximant.normalization)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,8 +196,8 @@ def u_eval(field: PshField, z, w):
     """Weighted sum of clamped levels plus the atomic potential, over broadcast (z, w).
 
     Finite everywhere except exactly on the atoms, where -inf is returned.
-    Each level's h is `h_eval`'s, bitwise, from one cleared fold carried across
-    the levels: a level that keeps the last one's approximant folds no row,
+    Each level's h is `_h_of_cleared` of one cleared fold carried across the
+    levels: a level that keeps the last one's approximant folds no row,
     one that extends its rows folds only the new ones, and any other refolds.
     """
     out = np.zeros(np.broadcast(z, w).shape)

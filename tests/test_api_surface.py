@@ -32,7 +32,7 @@ EXPORTS = (
     "laurent_split", "mittag_leffler",
     "capacity_estimate", "leja_points",
     "build_approximant", "convergence_scan", "rho_of",
-    "certify_schedule", "export_field", "h_eval", "u_eval",
+    "certify_schedule", "export_field", "u_eval",
     "harmonic_measure", "sublevel_cover", "wiener_test",
     "classify_fiber", "series_conditions", "vn_upper_bound",
 )

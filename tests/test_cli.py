@@ -168,11 +168,25 @@ def test_thin_csv_trace(tmp_path):
 ])
 def test_thin_at_a_point_inside_a_cover_disk(tmp_path, function, verdict, side):
     # 0.5 is a pole of the series and an interior point of exp(1/z)'s level
-    # disk at R = e: a disk over the point is evidence, not an error
+    # disk at R = e: a disk over the point is evidence, not an error, and
+    # refuses THIN
     out = tmp_path / "run"
     assert run(["thin", "--function", function, "--point", "0.5", "--out", out]) == 0
     doc = json.loads((out / "thin.json").read_text())["result"]
     assert (doc["verdict"], doc["cover_side"]) == (verdict, side)
+
+
+def test_a_pole_in_a_disk_too_small_for_the_annuli_is_not_thin(tmp_path):
+    # at R = 1e14 the outer disk about the pole 0.5 reaches no annulus 1..40,
+    # but it contains the point, so neither the level nor the fiber is thin
+    assert run(["thin", "--function", "pole-series-gaussian", "--point", "0.5",
+                "--big-r", "1e14", "--out", tmp_path / "thin"]) == 0
+    assert run(["hull", "--function", "pole-series-gaussian", "--point", "0.5",
+                "--r-grid", "1e12,1e13,1e14", "--out", tmp_path / "hull"]) == 0
+    thin = json.loads((tmp_path / "thin" / "thin.json").read_text())["result"]
+    entry = json.loads((tmp_path / "hull" / "hull.json").read_text())["result"]["entries"][0]
+    assert thin["verdict"] == "INCONCLUSIVE"
+    assert entry["classification"] == "UNKNOWN"
 
 
 def test_thin_reads_every_annulus_as_hull_does(tmp_path):

@@ -177,19 +177,21 @@ def test_disk_requires_positive_radius():
         Disk(0j, 0.0)
 
 
-@pytest.mark.parametrize("center,radius", [
-    (complex(np.nan, 0.0), 0.1), (complex(0.0, np.inf), 0.1), (0j, np.inf),
-    (0j, 0.0), (0j, -0.1),
+@pytest.mark.parametrize("center,radius,message", [
+    (complex(np.nan, 0.0), 0.1, "finite"), (complex(0.0, np.inf), 0.1, "finite"),
+    (0j, np.inf, "finite"), (0j, np.nan, "finite"), (0j, -np.inf, "finite"),
+    (complex(np.nan, 0.0), -0.1, "finite"),  # a bad centre is named before a bad radius
+    (0j, 0.0, "positive"), (0j, -0.1, "positive"),
 ])
-def test_disk_union_arrays_checked_like_disk(center, radius):
-    with pytest.raises(ValueError):
+def test_disk_union_arrays_checked_like_disk(center, radius, message):
+    with pytest.raises(ValueError, match=message):
         Disk(center, radius)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"disk .*must be {message}"):
         DiskUnion.from_arrays([0.5 + 0j, center], [0.1, radius], side="exact")
 
 
 def test_disk_union_array_lengths_must_match():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="equal length"):
         DiskUnion.from_arrays([0j, 1.0], [0.1], side="exact")
 
 

@@ -1,10 +1,10 @@
-import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from polarhull import potential
 from polarhull.core import ZERO_POLY, CompactSample, Disk, DiskUnion
 from polarhull.models import (
     ExpReciprocal,
@@ -229,8 +229,8 @@ class TestClassify:
         assert entry.notes == "no limit value at z0 locates the hull point"
 
     def test_rational_pole_inside_its_outer_disk_unknown(self):
-        # the outer disk about the pole contains the query point, so the
-        # upper sums diverge and no level proves THIN or NON_THIN
+        # the outer disk about the pole contains the query point, so no
+        # level proves THIN, and an outer cover never proves NON_THIN
         entry = classify_fiber(RationalModel([0.5], [1.0]), 0.5, [1.0, 2.0, 4.0])
         assert entry.classification == "UNKNOWN"
         assert entry.notes == "incomplete or inconclusive evidence"
@@ -255,26 +255,39 @@ class TestClassify:
 
     def test_conflicting_evidence_stays_unknown(self, gauss40):
         # thin below a non-thin level is contradictory and must not be
-        # silently resolved either way
-        from polarhull.potential import sublevel_cover, wiener_test
-
-        class FlippingStub:
-            def __init__(self):
-                self.calls = 0
-
-            def sublevel_cover(self, f, big_r):
-                return sublevel_cover(f, big_r)
-
-            def wiener_test(self, cover, point, depth):
-                rep = wiener_test(cover, point, depth)
-                self.calls += 1
-                verdict = "THIN" if self.calls == 1 else "NON_THIN"
-                return dataclasses.replace(rep, verdict=verdict)
-
-        entry = classify_fiber(gauss40, 0j, [1.0, 2.0, 4.0],
-                               potential=FlippingStub())
+        # silently resolved either way: an empty outer cover is THIN at R = 1,
+        # the dense inner 1/sin(pi/z) cover NON_THIN at R = 2 and 4
+        empty, dense = DiskUnion.from_arrays([], [], side="outer"), RecipSinPi().cover(math.e)
+        stub = SimpleNamespace(sublevel_cover=lambda f, big_r: empty if big_r == 1.0 else dense)
+        entry = classify_fiber(gauss40, 0j, [1.0, 2.0, 4.0], potential=stub)
+        assert [r.verdict for r in entry.wiener_reports] == ["THIN", "NON_THIN", "NON_THIN"]
         assert entry.classification == "UNKNOWN"
         assert "conflicting" in entry.notes
+
+    @pytest.mark.parametrize("f,z0,r_grid", [
+        (ExpReciprocal(), 0j, [math.e, math.e**2, math.e**10]),
+        (RecipSinPi(), 0.5, [2.0, 4.0, 1e300]),  # a level that raises leaves its note
+        (PoleSeries.gaussian(40), 0j, [1.0, 2.0, 4.0]),
+        (PoleSeries.gaussian(40), 0.5, [1e12, 1e13, 1e14]),
+    ])
+    def test_a_cover_only_namespace_classifies_like_the_default(self, f, z0, r_grid):
+        hook = SimpleNamespace(sublevel_cover=potential.sublevel_cover)
+        want = classify_fiber(f, z0, r_grid).to_dict()
+        assert classify_fiber(f, z0, r_grid, potential=hook).to_dict() == want
+
+    @pytest.mark.parametrize("n_terms,z0,r_grid,depth", [
+        (40, 0.5, (1e12, 1e13, 1e14), 40),
+        (40, 1.0 / 3.0, (1e12, 1e13, 1e14), 40),
+        (10, 0.25, (1e12, 1e13, 1e14), 40),
+        (1000, 1.0 / 1000.0, (1e12, 1e13, 1e14), 40),
+        (40, 0.5, (1e20, 1e40, 1e60), 60),
+    ])
+    def test_a_pole_inside_its_own_disk_is_no_hull_point(self, n_terms, z0, r_grid, depth):
+        # at these levels the outer disk about the pole z0 is narrower than
+        # 2^-depth-1, so its annuli look empty; the disk over z0 refuses THIN
+        entry = classify_fiber(PoleSeries.gaussian(n_terms), z0, r_grid, depth=depth)
+        assert entry.classification != "HULL_POINT"
+        assert "THIN" not in [r.verdict for r in entry.wiener_reports]
 
 
 class TestVnBound:

@@ -19,15 +19,22 @@ from polarhull import (
     RationalModel,
     RecipSinPi,
     certify_schedule,
-    h_eval,
     laurent_split,
     mittag_leffler,
     poly_from_roots,
     u_eval,
 )
 from polarhull import laurent as laurent_module
+from polarhull.core import pointwise
+from polarhull.pshbuild import _h_of_cleared
 
 N_POINTS = 200
+
+
+@pointwise
+def h_eval(approximant, z, w):
+    """The deleted `pshbuild.h_eval`: (1/n) log |w q(z) - p(z)|, -inf below the noise."""
+    return _h_of_cleared(approximant.cleared_eval(z, w), approximant.normalization)
 
 
 @pytest.fixture(scope="module")

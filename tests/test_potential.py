@@ -461,6 +461,7 @@ def _wiener_oracle(cover, point, depth, tolerance=1e-3, slope=0.1):
     point = complex(point)
     side = cover.side
     cover = tuple(cover)
+    contains = any(abs(d.center - point) < d.radius for d in cover)
     annuli = []
     low_terms = np.zeros(depth)
     up_terms = np.zeros(depth)
@@ -483,11 +484,69 @@ def _wiener_oracle(cover, point, depth, tolerance=1e-3, slope=0.1):
     thin = bool(np.sum(up_terms[-min(5, depth):]) < tolerance)
     if non_thin and not thin and side in ("inner", "exact"):
         verdict, used = "NON_THIN", "lower"
-    elif thin and not non_thin and side in ("outer", "exact"):
+    elif thin and not non_thin and side in ("outer", "exact") and not contains:
         verdict, used = "THIN", "upper"
     else:
         verdict, used = "INCONCLUSIVE", "none"
     return tuple(annuli), s_low, s_up, verdict, used
+
+
+def _wiener_scatter_oracle(cover, point, depth):
+    """One cover's Wiener report from its own scatter pass, as before covers shared one.
+
+    Its THIN needs no more than the sums and the side: a disk that strictly
+    contains `point` does not block it.
+    """
+    point = complex(point)
+    r, dist = cover.radii, np.abs(cover.centers - point)
+    near, far = dist - r, dist + r
+    m_far, e_far = np.frexp(far)
+    lo = np.maximum(np.where(m_far > 0.5, -e_far, 1 - e_far), 1)
+    hi = np.minimum(np.where(near > 0.0, -np.frexp(near)[1], depth), depth)
+    counts = np.maximum(hi - lo + 1, 0)
+    i = np.repeat(np.arange(len(r)), counts)
+    n = np.arange(len(i)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    edges = np.ldexp(1.0, -np.arange(1, depth + 2))
+    near, far, r, inner, outer = near[i], far[i], r[i], edges[n], edges[n - 1]
+    whole = (near >= inner) & (far <= outer)
+    seg = np.maximum(np.minimum(outer, far) - np.maximum(inner, near), 0.0) / 4.0
+    cap_lo = np.zeros(depth)
+    np.maximum.at(cap_lo, n - 1, np.where(whole, r, seg))
+    ns = np.arange(1, depth + 1)
+    up_terms = ns * np.bincount(n - 1, -1.0 / np.log(np.minimum(r, outer)), depth)
+    with np.errstate(divide="ignore"):
+        low_terms = -ns / np.log(np.minimum(cap_lo, 0.5))
+    annuli = tuple(zip(ns.tolist(), edges[1:].tolist(), edges[:-1].tolist(), cap_lo.tolist()))
+    s_low, s_up = np.cumsum(low_terms), np.cumsum(up_terms)
+    non_thin = bool(np.all(s_low[-10:] >= potential.WIENER_SLOPE * ns[-10:]))
+    thin = bool(np.sum(up_terms[-5:]) < potential.WIENER_TOLERANCE)
+    if non_thin and not thin and cover.side != "outer":
+        verdict, used, sums = "NON_THIN", "lower", s_low
+    elif thin and not non_thin and cover.side != "inner":
+        verdict, used, sums = "THIN", "upper", s_up
+    else:
+        verdict, used, sums = "INCONCLUSIVE", "none", s_up
+    return potential.WienerReport(
+        point=point, annuli=annuli, partial_sums=sums, verdict=verdict,
+        depth=depth, bound_used=used, partial_sums_lower=s_low, partial_sums_upper=s_up,
+        cover_disks=len(cover), cover_side=cover.side,
+    )
+
+
+def _check_against_scatter_oracle(rep, cover, point, depth):
+    """`rep` is `_wiener_scatter_oracle`'s report bitwise, with THIN refused over a disk."""
+    want = _wiener_scatter_oracle(cover, point, depth)
+    assert rep.annuli == want.annuli
+    for name in ("partial_sums", "partial_sums_lower", "partial_sums_upper"):
+        assert getattr(rep, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (rep.point, rep.depth, rep.cover_disks, rep.cover_side) == (
+        want.point, want.depth, want.cover_disks, want.cover_side)
+    if np.any(np.abs(cover.centers - complex(point)) < cover.radii):
+        verdict = "INCONCLUSIVE" if want.verdict == "THIN" else want.verdict
+        used = "none" if want.verdict == "THIN" else want.bound_used
+        assert (rep.verdict, rep.bound_used) == (verdict, used)
+    else:
+        assert (rep.verdict, rep.bound_used) == (want.verdict, want.bound_used)
 
 
 def _recip_sin_ns(cutoff, max_depth=60):
@@ -554,6 +613,10 @@ def _oracle_cases():
         ("below-last-annulus", DiskUnion([Disk(2.0**-15, 2.0**-17)]), 0j, 12),
         ("far-on-last-outer-edge", DiskUnion([Disk(0.75 * 2.0**-12, 2.0**-14)]), 0j, 12),
         ("far-beyond-1", DiskUnion([Disk(0.9 + 0j, 0.6), Disk(-3.0 + 0j, 2.5)]), 0j, 8),
+        # outer disks about the poles, each too small to reach annulus 40 about its own
+        ("gaussian-40@1/2/R=1e14", sublevel_cover(PoleSeries.gaussian(40), 1e14), 0.5 + 0j, 40),
+        ("gaussian-40@1/3/R=1e60", sublevel_cover(PoleSeries.gaussian(40), 1e60),
+         1.0 / 3.0 + 0j, 60),
     ]
     covers = {big_r: sublevel_cover(sin, big_r) for big_r in (e, e**2, e**4)}
     for z0 in (0j, 0.5 + 0j, -0.5 + 0j):
@@ -580,6 +643,44 @@ class TestArrayPathsAgainstOracles:
     def test_oracle_cases_cover_every_verdict(self):
         verdicts = {wiener_test(c, z0, d).verdict for _, c, z0, d in ORACLE_CASES}
         assert verdicts == {"THIN", "NON_THIN", "INCONCLUSIVE"}
+
+    @pytest.mark.parametrize("name,cover,z0,depth", ORACLE_CASES,
+                             ids=[c[0] for c in ORACLE_CASES])
+    def test_one_cover_stack_matches_scatter_oracle(self, name, cover, z0, depth):
+        (rep,) = potential._wiener_sums((cover,), z0, depth)
+        _check_against_scatter_oracle(rep, cover, z0, depth)
+        assert wiener_test(cover, z0, depth).to_dict() == rep.to_dict()
+
+    @pytest.mark.parametrize("names,depth", [
+        (("far-disk", "gaussian-40@0", "recip-sin-pi@0.0/R=2.72", "exp-reciprocal"), 40),
+        (("empty-cover", "far-disk", "empty-cover", "truncated-chain", "empty-cover"), 40),
+        (("contains-point@max-depth", "geometric-40@0/R=2", "subnormal-disk"), 60),
+        (("depth-1", "tangent-at-point", "far-beyond-1", "empty-cover"), 1),
+        (("below-last-annulus", "far-on-last-outer-edge", "subnormal-disk"), 12),
+        (tuple(c[0] for c in ORACLE_CASES if c[2] == 0j), 40),
+    ], ids=["sides", "empty-covers", "contains-point@max-depth", "depth-1",
+            "below-last-annulus", "every-cover-at-0"])
+    def test_mixed_stack_matches_scatter_oracle(self, names, depth):
+        covers = {c[0]: c[1] for c in ORACLE_CASES}
+        stack = tuple(covers[name] for name in names)
+        reports = potential._wiener_sums(stack, 0j, depth)
+        assert len(reports) == len(stack)
+        for rep, cover in zip(reports, stack):
+            _check_against_scatter_oracle(rep, cover, 0j, depth)
+
+    def test_fiber_table_matches_scatter_oracle(self):
+        fibers = _fiber_table()
+        assert len(fibers) == 21
+        for f, z0, r_grid, depth in fibers:
+            entry = classify_fiber(f, z0, r_grid, depth=depth)
+            assert len(entry.wiener_reports) == len(r_grid)
+            for big_r, rep in zip(r_grid, entry.wiener_reports):
+                _check_against_scatter_oracle(rep, sublevel_cover(f, big_r), z0, depth)
+
+    def test_a_fiber_without_covers_has_no_report(self):
+        entry = classify_fiber(RecipSinPi(), 0.5, [0.5, 0.75, 1.0])
+        assert (entry.classification, entry.wiener_reports) == ("UNKNOWN", ())
+        assert entry.notes.count("ThresholdTooSmall") == 3
 
     @pytest.mark.parametrize("cutoff", [1, 2, 8, 64, 100])
     @pytest.mark.parametrize("big_r", [math.e, math.e**2, math.e**4])
@@ -750,7 +851,7 @@ class TestKeptCoverData:
         assert got == _cover_outcome(_sublevel_cover_per_call, f, big_r)
 
     def test_fiber_table_matches_per_call_oracle(self):
-        oracle = SimpleNamespace(sublevel_cover=_sublevel_cover_per_call, wiener_test=wiener_test)
+        oracle = SimpleNamespace(sublevel_cover=_sublevel_cover_per_call)
         fibers = _fiber_table()
         assert len(fibers) == 21
         for f, z0, r_grid, depth in fibers:

@@ -18,12 +18,17 @@ from polarhull.pshbuild import (
     _level_clamp,
     certify_schedule,
     export_field,
-    h_eval,
     u_eval,
 )
 from polarhull.ratapprox import build_approximant
 
 A = 0.4
+
+
+@pointwise
+def h_eval(approximant, z, w):
+    """The deleted `pshbuild.h_eval`: (1/n) log |w q(z) - p(z)|, -inf below the noise."""
+    return _h_of_cleared(approximant.cleared_eval(z, w), approximant.normalization)
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,6 @@ import math
 import sys
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from polarhull import core, ratapprox
 from polarhull.core import CircleContour, CompactSample, PolynomialC, _horner, poly_from_roots
 from polarhull.fekete import leja_points
 from polarhull.models import ExpReciprocal, PoleSeries, RationalModel, RecipSinPi
-from polarhull.pshbuild import QUAD_NOISE_SAFETY, _box_ceiling, certify_schedule, h_eval
+from polarhull.pshbuild import QUAD_NOISE_SAFETY, _box_ceiling, _h_of_cleared, certify_schedule
 from polarhull.ratapprox import SeriesDiverging, build_approximant, convergence_scan, rho_of
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -429,8 +428,6 @@ def _assert_cleared_eval_matches(certified_field, oracle, zw_grid):
         ap = lev.approximant
         graph, box, off = zw_grid(f, field.sample, lev.nu, 10)
         graph = (graph, np.asarray(f(graph), dtype=complex))
-        oracle_ap = SimpleNamespace(normalization=ap.normalization,
-                                    cleared_eval=lambda z, w: oracle(ap, z, w))
         for z, w in (graph, box, off):
             diff, eval_shadow, quad_shadow = ap.cleared_eval(z, w)
             o_diff, o_eval, o_quad = oracle(ap, z, w)
@@ -441,8 +438,9 @@ def _assert_cleared_eval_matches(certified_field, oracle, zw_grid):
             assert np.all(np.abs(diff - o_diff) <= 2 * ap.big_n * eps * o_eval)
             np.testing.assert_allclose(eval_shadow, o_eval, rtol=1e-13, atol=0)
             np.testing.assert_allclose(quad_shadow, o_quad, rtol=1e-13, atol=0)
-            assert np.array_equal(np.isneginf(h_eval(ap, z, w)),
-                                  np.isneginf(h_eval(oracle_ap, z, w)))
+            h, o_h = (_h_of_cleared(c, ap.normalization) for c in (
+                (diff, eval_shadow, quad_shadow), (o_diff, o_eval, o_quad)))
+            assert np.array_equal(np.isneginf(h), np.isneginf(o_h))
 
 
 def test_horner_cleared_eval_matches_power_sums(certified_field, zw_grid):
