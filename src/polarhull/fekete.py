@@ -34,9 +34,11 @@ class FeketeSystem:
     The prefix of length m defines the monic polynomial q_m with those roots;
     diagnostics[m-1] = (m, sup |q_m| over the sample, to the power 1/m).
     Two dicts keep what `ratapprox.build_approximant` computed on this system:
-    `denominators` maps m to (q_m, rho_m), O(m) each, and `quad_rows` keeps its
-    trapezoid rows, no f values: q_m^K on the nodes and K coefficient and floor
-    rows, per principal part, m, contour and node count.
+    `denominators` maps m to (q_m, rho_m, numerators), numerators mapping each
+    principal part to its exact numerator and bound over the m roots or None,
+    O(m) each, and `quad_rows` keeps its trapezoid rows, no f values: q_m^K on
+    the nodes and K coefficient and floor rows, per principal part, m,
+    contour and node count.
     """
 
     base_set: CompactSample

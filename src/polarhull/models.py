@@ -9,7 +9,10 @@ infinity, whose sum reproduces the model off its singular set, and
 it raises `ThresholdTooSmall` at a level outside its range, NaN and infinity
 included, or at one it cannot certify.  The optional `limit(z0)` is the
 certified limit value at z0 as an `OriginValue`, or None; a z0 with one is
-singular and its hull point lies there, and without it none is located.
+singular and its hull point lies there, and without it none is located.  A
+principal part may offer `numerator(roots)`, its numerator over
+prod (z - r_k) with a proved rounding bound, or None; an approximant over
+those roots then takes it in place of quadrature.
 
 Models are immutable.  Each family holds its defaults and checks its own
 size, an integer of at least 1, so the CLI passes only the fields a spec
@@ -145,6 +148,50 @@ class PoleSeries:
 
     def split_at_infinity(self):
         return ZERO_POLY, self
+
+    def numerator(self, roots):
+        """(p, bound): the numerator of this sum over q = prod (z - r_k), ascending, or None.
+
+        Offered when every live pole (`log_abs_c` > -inf) equals exactly one
+        of the distinct `roots`, no two poles the same one, and p and bound are
+        finite.  Root r_k carries its pole's residue c_k, or 0, and
+        p = sum_k c_k prod_{j != k} (z - r_j) comes from products by linear
+        factors, P <- P (z - r_k) + c_k Q and Q <- Q (z - r_k) from P = 0 and
+        Q = 1; the same recurrence in |r_k| and |c_k| gives its twin A.  Each
+        term of p meets at most m complex products, each within
+        sqrt(2) gamma_2 <= (1+u)^3 - 1 of exact, and 2m - 1 sums, and each term
+        of A at most 5m roundings, its absolute values' included.  So
+        |fl(p) - p| <= gamma_5m A <= gamma_10m fl(A), with gamma_n = nu/(1 - nu)
+        and u = 2^-53 (Higham, *Accuracy and Stability of Numerical
+        Algorithms*, §3.1, §3.6); `bound` = gamma_12m fl(A) covers its own
+        rounding.  Underflow adds at most 2^-1073 at each product; carried
+        through the recurrence, all of it stays below
+        2^-1070 m^2 (2 + sum |c_k|) prod (1 + |r_k|), which every entry adds.
+        """
+        roots = as_complex_array(roots)
+        where = {r: k for k, r in enumerate(roots.tolist())}
+        live = self.log_abs_c > -math.inf
+        at = [where.get(a) for a in self.poles[live].tolist()]
+        if len(where) < len(roots) or None in at or len(set(at)) < len(at):
+            return None
+        m, c = len(roots), np.zeros(len(roots), dtype=complex)
+        c[at] = self.residues[live]
+        # rows P, Q and their twins A, B in |r_k|, |c_k|: the twins are kept complex with
+        # zero imaginary parts, where each product and sum rounds as in real arithmetic
+        rows, shifted = np.zeros((2, 4, m + 1), dtype=complex)
+        rows[1, 0] = rows[3, 0] = 1.0
+        scale = np.stack([roots, roots, -np.abs(roots), -np.abs(roots)], axis=1)[:, :, None]
+        feed = np.stack([c, np.abs(c)], axis=1)[:, :, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # a value past float64 offers nothing
+            for k in range(m):
+                shifted[:, 1:] = rows[:, :-1]
+                grown = shifted - scale[k] * rows
+                grown[::2] += feed[k] * rows[1::2]
+                rows = grown
+            gamma = 12 * m * 2.0**-53 / (1 - 12 * m * 2.0**-53)
+            tiny = m * m * (2 + float(np.sum(np.abs(c)))) * float(np.prod(1 + np.abs(roots)))
+            p, bound = rows[0, :m], gamma * rows[2, :m].real + tiny * 2.0**-1070
+        return (p, bound) if np.isfinite(p).all() and np.isfinite(bound).all() else None
 
     def limit(self, z0) -> OriginValue | None:
         """-sum c_n/a_n at 0 with error bound `ca_tail`; None elsewhere or without it."""

@@ -157,6 +157,7 @@ class PshLevel:
             "nu": self.nu,
             "degree": self.approximant.degree,
             "big_n": self.approximant.big_n,
+            "exact": self.approximant.exact,
             "h_bound_graph": self.h_bound_graph,
             "h_bound_box": self.h_bound_box,
             "h_bound_offgraph": self.h_bound_offgraph,
@@ -197,15 +198,16 @@ def u_eval(field: PshField, z, w):
 
     Finite everywhere except exactly on the atoms, where -inf is returned.
     Each level's h is `_h_of_cleared` of one cleared fold carried across the
-    levels: a level that keeps the last one's approximant folds no row,
-    one that extends its rows folds only the new ones, and any other refolds.
+    levels: a level that keeps the last one's approximant reuses its h, one
+    that extends its rows folds only the new ones, and any other refolds.
     """
     out = np.zeros(np.broadcast(z, w).shape)
     fold = None
     for lev in field.levels:
         nu = lev.nu
-        cleared, fold = lev.approximant.cleared_fold(z, w, fold)
-        h = _h_of_cleared(cleared, lev.approximant.normalization).reshape(out.shape)
+        if fold is None or fold[0] is not lev.approximant:
+            cleared, fold = lev.approximant.cleared_fold(z, w, fold)
+            h = _h_of_cleared(cleared, lev.approximant.normalization).reshape(out.shape)
         out += np.maximum(h - math.log(nu + 2), _level_clamp(nu)) / nu**2
     zb = np.broadcast_to(z, out.shape)
     weight = 1.0 / len(field.sample)

@@ -7,7 +7,9 @@ The approximant of denominator q_m and outer order N evaluates as
 with each coefficient polynomial c_k of degree <= m-1 obtained from contour
 integrals of the divided-difference kernel (q(zeta)-q(z))/(zeta-z).  The
 kernel is expanded by synthetic division, never by numerical division, so the
-removable singularity is gone analytically.
+removable singularity is gone analytically.  A finite pole sum with every live
+pole among the roots of q_m needs no integrals: it is p/q_m, c_0 = p and every
+other c_k = 0, with p offered by the model (`PoleSeries.numerator`).
 """
 from __future__ import annotations
 
@@ -75,17 +77,20 @@ class RationalApproximant:
     residual from one that is below the noise.  `floor` is the (N, m) matrix
     of their rounding floors, eps times the sum of the integrand terms'
     magnitudes.  All three are read-only, so approximants can be shared
-    between levels.
+    between levels.  An `exact` approximant is its model's principal part
+    p/q_m itself: row 0 is p, every other row 0, `noise` and `floor` hold
+    p's proved rounding bound, and it has no contour and no nodes.
     """
 
     q_m: PolynomialC
     coeffs: np.ndarray
     noise: np.ndarray
     floor: np.ndarray
-    contour: CircleContour
+    contour: CircleContour | None
     analytic_part: PolynomialC
     nodes: int              # trapezoid nodes on the contour
     converged: bool         # false at the cap or at the rounding floor
+    exact: bool             # rows from the model's numerator, not from quadrature
 
     def __post_init__(self):
         for name, dtype in (("coeffs", complex), ("noise", float), ("floor", float)):
@@ -259,7 +264,10 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
     agree with integrals over any admissible level curve of |q_m|.  That
     circle is certified whole, not node by node: |q_m| >= 1.25 rho_m > rho_m
     on all of it, by the closed-form bound prod (r - |root - c|), and every
-    sample point lies at least 1/4 away from it.  q_m and rho_m are kept on
+    sample point lies at least 1/4 away from it.  A principal part that
+    offers its numerator over the m roots (`numerator(roots)`) is p/q_m: after
+    the argument checks, the build returns it with no quadrature, `exact`.
+    q_m, rho_m and each principal part's (p, bound) or None are kept on
     `sys.denominators` and the trapezoid rows on `sys.quad_rows`, so a build
     computes only what no earlier build on `sys` did; the contour is found
     afresh, and the stop rule and the growth check still read exactly its own N rows.
@@ -271,14 +279,23 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
         raise ValueError("Leja system shorter than requested m")
     if m not in sys.denominators:
         q = poly_from_roots(roots)
-        sys.denominators[m] = q, rho_of(q, sys.base_set, N_SCALE)
-    q, rho = sys.denominators[m]
+        sys.denominators[m] = q, rho_of(q, sys.base_set, N_SCALE), {}
+    q, rho, numerators = sys.denominators[m]
     if rho == math.inf:
         raise PolarhullError(f"rho_m overflows at m={m}: no float64 circle has |q_m| >= 1.25 rho_m")
-    degenerate = rho < RHO_FLOOR
-    rho_floor = max(rho, RHO_FLOOR)
 
     analytic, principal = f.split_at_infinity()
+    if principal not in numerators:
+        offer = getattr(principal, "numerator", None)
+        numerators[principal] = None if offer is None else offer(roots)
+    if numerators[principal] is not None:
+        coeffs, bound = np.zeros((big_n, m), dtype=complex), np.zeros((big_n, m))
+        coeffs[0], bound[0] = numerators[principal]
+        return RationalApproximant(q_m=q, coeffs=coeffs, noise=bound, floor=bound, contour=None,
+                                   analytic_part=analytic, nodes=0, converged=True, exact=True)
+
+    degenerate = rho < RHO_FLOOR
+    rho_floor = max(rho, RHO_FLOOR)
     contour = _sample_contour(sys.base_set.points, q, rho_floor)
 
     # node count -> (q^K on the nodes, K coefficient rows, K floor rows before eps), replaced whole
@@ -321,6 +338,7 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
         analytic_part=analytic,
         nodes=quad.nodes,
         converged=quad.converged,
+        exact=False,
     )
 
 
@@ -330,7 +348,7 @@ class ConvergenceReport:
 
     entries: tuple  # (degree, sup_error, normalized_error, at_noise_floor)
     target_distance: float
-    quadrature: tuple  # (nodes, converged, max floor) of each entry's approximant
+    quadrature: tuple  # (nodes, converged, max floor, exact) of each entry's approximant
 
     def to_dict(self) -> dict:
         return {
@@ -343,8 +361,10 @@ class ConvergenceReport:
                     "nodes": nodes,
                     "converged": conv,
                     "rounding_floor": floor,
+                    "exact": exact,
                 }
-                for (d, e, ne, fl), (nodes, conv, floor) in zip(self.entries, self.quadrature)
+                for (d, e, ne, fl), (nodes, conv, floor, exact) in zip(self.entries,
+                                                                      self.quadrature)
             ],
             "target_distance": self.target_distance,
         }
@@ -388,6 +408,7 @@ def convergence_scan(f, sys: FeketeSystem, schedule, target: CompactSample, *,
         else:
             norm = math.exp(math.log(err) / (m * n))
         entries.append((m * n, err, norm, floored))
-        quadrature.append((approx.nodes, approx.converged, float(np.max(approx.floor))))
+        quadrature.append((approx.nodes, approx.converged, float(np.max(approx.floor)),
+                           approx.exact))
     return ConvergenceReport(entries=tuple(entries), target_distance=float(dist),
                              quadrature=tuple(quadrature))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polarhull import CompactSample, PoleSeries, RationalModel
+from polarhull.core import ZERO_POLY
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +23,29 @@ def two_pole():
 @pytest.fixture(scope="session")
 def segment_sample():
     return CompactSample(np.linspace(-1.0, 1.0, 1001).astype(complex))
+
+
+class _QuadratureOnly:
+    """A pole series seen through its values alone: with no `numerator` hook, every
+    build of it runs the contour quadrature on the series' own values."""
+
+    def __init__(self, series):
+        self.series, self.label = series, series.label
+
+    def __call__(self, z):
+        return self.series(z)
+
+    def singular_sample(self):
+        return self.series.singular_sample()
+
+    def split_at_infinity(self):
+        return ZERO_POLY, self
+
+
+@pytest.fixture(scope="session")
+def quadrature_only():
+    """`_QuadratureOnly`: wraps a pole series so that its approximants take the quadrature."""
+    return _QuadratureOnly
 
 
 @pytest.fixture

@@ -67,8 +67,9 @@ def test_criterion_02_prescribed_pole_convergence():
                f"normalized errors non-increasing")
 
 
-def test_criterion_03_contour_independence(monkeypatch):
-    two = RationalModel([0.3, 0.5], [1.0, 2.0])
+def test_criterion_03_contour_independence(monkeypatch, quadrature_only):
+    # the subject is the quadrature, which the exact rows of a finite pole sum skip
+    two = quadrature_only(RationalModel([0.3, 0.5], [1.0, 2.0]))
     system = leja_points(two.singular_sample(), 2)
     ap = build_approximant(two, system, 2, 3)
     doubled = CircleContour(ap.contour.center, 2 * ap.contour.radius)

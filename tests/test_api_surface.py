@@ -65,8 +65,11 @@ CONSTANTS = {
     "core.QUAD_FLOOR_FACTOR": 16,
 }
 
-# non-blank lines under src/polarhull: a ceiling, lowered as the package shrinks
-SOURCE_LINES = 2341
+# non-blank lines under src/polarhull: a ceiling, lowered as the package shrinks.
+# Raised from 2341 by the exact rows of finite pole sums: `PoleSeries.numerator`
+# (its products by linear factors and the proof of its rounding bound) and the
+# build's exact path and `exact` flag
+SOURCE_LINES = 2410
 
 _COMMON = ("--config", "--out")
 CLI_OPTIONS = {

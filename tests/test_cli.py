@@ -493,3 +493,23 @@ def test_psh_artifact_lists_every_try(tmp_path):
             k: lev[k] for k in ("h_bound_graph", "h_bound_box", "h_bound_offgraph")}
         assert tried[-1]["converged"] is True
         start = lev["big_n"]
+
+
+@pytest.mark.parametrize("function", ["pole-series-gaussian", "pole-series-geometric"])
+def test_psh_certifies_the_pole_series_presets(tmp_path, function):
+    # both stopped at nu = 2 when their rows came from the quadrature
+    assert run(["psh", "--function", function, "--out", tmp_path]) == 0
+    levels = json.loads((tmp_path / "psh.json").read_text())["result"]["levels"]
+    assert [lev["nu"] for lev in levels] == [2, 3, 4]
+    assert all(lev["exact"] and all(t["converged"] for t in lev["tried"]) for lev in levels)
+
+
+@pytest.mark.parametrize("m, exact", [(None, True), (5, False)])
+def test_approx_entries_say_whether_they_are_exact(tmp_path, m, exact):
+    # m = 5 leaves 35 of the 40 poles off the roots of q_m: the quadrature runs
+    args = ["approx", "--function", "pole-series-gaussian", "--n-list", "1,2"]
+    assert run(args + (["--m", m] if m else []) + ["--out", tmp_path]) == 0
+    entries = json.loads((tmp_path / "approx.json").read_text())["result"]["entries"]
+    assert [e["exact"] for e in entries] == [exact, exact]
+    assert all((e["nodes"] == 0) == exact for e in entries)
+    assert all(e["converged"] for e in entries) or not exact

@@ -700,3 +700,42 @@ def test_exported_rows_equal_the_per_level_loop(label, certified_fields):
     z, w = rows[:, 0] + 1j * rows[:, 1], rows[:, 2] + 1j * rows[:, 3]
     with np.errstate(invalid="ignore"):
         assert _same_bits(rows[:, 4], _u_eval_per_level(field, z, w))
+
+
+@pytest.mark.parametrize("label", SHARED_FOLD_FIELDS)
+def test_u_eval_takes_h_once_per_approximant(label, certified_fields, rng, monkeypatch):
+    # a level that keeps the last one's approximant reuses its h, bitwise
+    field = certified_fields[label]
+    calls = []
+
+    def counted(cleared, n):
+        calls.append(n)
+        return _h_of_cleared(cleared, n)
+
+    monkeypatch.setattr(pshbuild, "_h_of_cleared", counted)
+    z = rng.uniform(-1.5, 1.5, 50) + 1j * rng.uniform(-1.5, 1.5, 50)
+    w = rng.uniform(-3.0, 3.0, 50) + 1j * rng.uniform(-3.0, 3.0, 50)
+    u = u_eval(field, z, w)
+    approximants = [lev.approximant for lev in field.levels]
+    distinct = 1 + sum(a is not b for a, b in zip(approximants, approximants[1:]))
+    assert len(calls) == distinct == len({id(a) for a in approximants})
+    assert _same_bits(u, _u_eval_per_level(field, z, w))
+
+
+def test_gaussian_40_certifies_every_level_on_exact_rows():
+    # the CLI's default model: its quadrature rows stopped unconverged at nu = 2
+    f = PoleSeries.gaussian(40)
+    field = certify_schedule(f, f.singular_sample(), pshbuild.MAX_NU)
+    assert [lev.nu for lev in field.levels] == list(range(2, pshbuild.MAX_NU + 1))
+    for lev in field.levels:
+        assert lev.approximant.exact and lev.approximant.nodes == 0
+        assert lev.approximant.big_n == 1 and lev.to_dict()["exact"] is True
+        assert lev.h_bound_graph <= -lev.nu
+        assert lev.h_bound_box <= math.log(lev.nu + 2)
+        assert lev.h_bound_offgraph >= -math.log(lev.nu + 1)
+
+
+def test_exp_and_recip_sin_pi_levels_are_not_exact(certified_fields):
+    for label in ("exp-reciprocal/nu8", "recip-sin-pi-8/nu8"):
+        assert not any(lev.approximant.exact for lev in certified_fields[label].levels)
+        assert all(lev.approximant.nodes > 0 for lev in certified_fields[label].levels)

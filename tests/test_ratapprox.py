@@ -3,6 +3,7 @@ import importlib.util
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,14 @@ from polarhull import core, ratapprox
 from polarhull.core import CircleContour, CompactSample, PolynomialC, _horner, poly_from_roots
 from polarhull.fekete import leja_points
 from polarhull.models import ExpReciprocal, PoleSeries, RationalModel, RecipSinPi
-from polarhull.pshbuild import QUAD_NOISE_SAFETY, _box_ceiling, _h_of_cleared, certify_schedule
+from polarhull.pshbuild import (
+    CERTIFY_QUAD_TOL,
+    QUAD_NOISE_SAFETY,
+    _box_ceiling,
+    _certification_grid,
+    _h_of_cleared,
+    certify_schedule,
+)
 from polarhull.ratapprox import SeriesDiverging, build_approximant, convergence_scan, rho_of
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -96,7 +104,8 @@ class TestBuild:
         z = z[np.min(np.abs(z[:, None] - poles[None, :]), axis=1) >= 0.1]
         assert np.max(np.abs(f(z) - ap.eval(z))) < 1e-9
 
-    def test_contour_independence(self, two_pole, monkeypatch):
+    def test_contour_independence(self, two_pole, monkeypatch, quadrature_only):
+        two_pole = quadrature_only(two_pole)  # the exact rows of two_pole have no contour
         system = leja_points(two_pole.singular_sample(), 2)
         ap = build_approximant(two_pole, system, 2, 3)
         doubled = CircleContour(ap.contour.center, 2 * ap.contour.radius)
@@ -250,7 +259,9 @@ def _load_bench_workloads():
 
 
 def test_contour_equals_the_probe_on_the_benchmark_builds(monkeypatch):
-    # every certify and scan operation of the field-certify benchmark
+    # every certify and scan operation of the field-certify benchmark, its pole
+    # series with no numerator hook, so that every build finds a contour
+    monkeypatch.delattr(PoleSeries, "numerator")
     calls, certified = [], ratapprox._sample_contour
 
     def recording(*args):
@@ -483,7 +494,8 @@ def test_coefficient_matrices_are_read_only(two_pole):
         ap.noise[0, 0] = 1.0
 
 
-def test_a_fold_resumes_only_on_the_same_leading_rows(two_pole):
+def test_a_fold_resumes_only_on_the_same_leading_rows(two_pole, quadrature_only):
+    two_pole = quadrature_only(two_pole)  # quadrature rows: no row is exactly 0
     system = leja_points(two_pole.singular_sample(), 2)
     short, full = (build_approximant(two_pole, system, 2, n) for n in (3, 5))
     z = 0.4 + 1.5 * np.exp(2j * np.pi * np.arange(64) / 64)
@@ -518,13 +530,15 @@ def test_a_fold_tells_the_signs_of_zero_apart(two_pole):
 
 
 @pytest.mark.parametrize("case", ["two-pole", "gaussian-10"])
-def test_builds_on_one_system_keep_their_own_rows(case, two_pole, gauss10):
+def test_builds_on_one_system_keep_their_own_rows(case, two_pole, gauss10, quadrature_only):
     # the saved rows are keyed by principal part, m and contour: another
     # function or another m on the same system must not read them (gaussian-10
-    # at m = 7 and 8 picks the same contour)
+    # at m = 7 and 8 picks the same contour); the series take the quadrature,
+    # whose rows these are, not their exact rows at m = len(k)
     f, m = {"two-pole": (two_pole, 2), "gaussian-10": (gauss10, 8)}[case]
     k = f.singular_sample()
-    other = RationalModel(k.points, np.arange(1.0, len(k) + 1))
+    f = quadrature_only(f)
+    other = quadrature_only(RationalModel(k.points, np.arange(1.0, len(k) + 1)))
     shared = leja_points(k, len(k))
     for g, mm, n in [(f, m, 2), (other, m, 1), (f, m - 1, 2), (other, m, 3), (f, m, 1),
                      (f, m - 1, 3), (f, m, 3)]:
@@ -569,3 +583,162 @@ def test_scan_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 70 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# ---------------------------------------------------------------- exact rows
+
+def _fraction_numerator(roots, residues):
+    """Oracle: sum_k c_k prod_{j != k} (z - r_j) in exact rationals, (re, im) per power."""
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    exact = [complex(v) for v in roots], [complex(v) for v in residues]
+    roots, residues = ([(Fraction(v.real), Fraction(v.imag)) for v in vs] for vs in exact)
+    zero = (Fraction(0), Fraction(0))
+    p = [zero] * len(roots)
+    for k, c in enumerate(residues):
+        term = [c]  # c_k times the factors (z - r_j), j != k, ascending powers
+        for j, r in enumerate(roots):
+            if j != k:
+                shifted, scaled = [zero] + term, [mul(t, r) for t in term] + [zero]
+                term = [(a[0] - b[0], a[1] - b[1]) for a, b in zip(shifted, scaled)]
+        p = [(a[0] + b[0], a[1] + b[1]) for a, b in zip(p, term)]
+    return p
+
+
+def _series_and_roots(rng, case):
+    """(series, roots) for the rounding-bound oracle: roots hold every live pole, shuffled."""
+    if case == "random":
+        poles = rng.uniform(-1, 1, 7) + 1j * rng.uniform(-1, 1, 7)
+        residues = 10.0 ** rng.uniform(-8, 2, 7) * np.exp(2j * np.pi * rng.uniform(size=7))
+    elif case == "clustered":  # 1e-7 apart, residues of alternating sign: heavy cancellation
+        poles = 0.5 + 1e-7 * np.arange(6) + 1e-7j * (np.arange(6) % 2)
+        residues = (-1.0) ** np.arange(6) * (1.0 + rng.uniform(size=6))
+    elif case == "zero residue":  # one dead pole among the roots, one off them
+        poles, residues = np.array([0.3, -0.2j, 0.7, 1.5]), np.array([1.0, 2.0 - 1j, 0.0, 0.0])
+    else:  # residues near and below the smallest normal float: the products underflow
+        poles, residues = np.array([0.25, 0.5, 1.0, 2e-3]), np.array([1e-310, 1.0, -3e-300, 1e-200])
+    series = PoleSeries(poles, residues)
+    live = series.poles[series.log_abs_c > -math.inf]
+    roots = np.concatenate([live, [0.9 - 0.1j]])  # a root with no pole carries c = 0
+    return series, roots[rng.permutation(len(roots))]
+
+
+@pytest.mark.parametrize("case", ["random", "clustered", "zero residue", "underflow"])
+def test_numerator_rounding_bound_holds_against_fractions(case, rng):
+    for _ in range(4):
+        series, roots = _series_and_roots(rng, case)
+        p, bound = series.numerator(roots)
+        assert p.shape == bound.shape == (len(roots),)
+        c = np.zeros(len(roots), dtype=complex)
+        for pole, res in zip(series.poles, series.residues):
+            if res != 0:
+                c[list(roots).index(pole)] = res
+        for got, (re, im), b in zip(p, _fraction_numerator(roots, c), bound):
+            err = (Fraction(got.real) - re) ** 2 + (Fraction(got.imag) - im) ** 2
+            assert err <= Fraction(float(b)) ** 2, (case, got, b)
+        # and it is a rounding bound, gamma_12m < 1e-13 times the twin, which is at
+        # most sum |c_k| prod (1 + |r_j|)
+        reach = float(np.sum(np.abs(c))) * math.prod(1 + abs(r) for r in roots)
+        assert np.max(bound) <= 1e-13 * reach
+
+
+@pytest.mark.parametrize("case", ["fewer roots than poles", "a pole off the sample",
+                                  "an underflowed residue off the sample"])
+def test_a_live_pole_off_the_roots_takes_the_quadrature(case, quadrature_only):
+    f, k, m = {
+        "fewer roots than poles": (PoleSeries.gaussian(10), None, 5),
+        "a pole off the sample": (PoleSeries([0.3, 0.5, 0.7], [1.0, 2.0, 0.5]),
+                                  CompactSample([0.3, 0.5, 0.9]), 3),
+        # c = 0 in float64, but its log says the pole is live
+        "an underflowed residue off the sample": (
+            PoleSeries([0.3, 0.7], [1.0, 0.0], log_abs_c=[0.0, -800.0]), CompactSample([0.3]), 1),
+    }[case]
+    k = k or f.singular_sample()
+    system = leja_points(k, m)
+    assert f.numerator(system.points[:m]) is None
+    for n in (1, 3):
+        got = build_approximant(f, system, m, n)
+        want = build_approximant(quadrature_only(f), leja_points(k, m), m, n)
+        assert not got.exact and got.nodes > 0 and got.contour is not None
+        for name in ("coeffs", "noise", "floor"):
+            assert _same_bits(getattr(got, name), getattr(want, name)), (case, n, name)
+        assert (got.nodes, got.converged, got.contour) == (want.nodes, want.converged, want.contour)
+
+
+def test_a_zero_residue_off_the_roots_is_no_pole():
+    f = PoleSeries([0.3, 0.5, 0.7], [1.0, 2.0, 0.0])
+    system = leja_points(CompactSample([0.3, 0.5]), 2)
+    ap = build_approximant(f, system, 2, 2)
+    assert ap.exact and (ap.nodes, ap.converged, ap.contour) == (0, True, None)
+    z = 0.4 + 1.5 * np.exp(2j * np.pi * np.arange(64) / 64)
+    assert np.max(np.abs(ap.eval(z) - f(z))) < 1e-14
+
+
+def test_exact_rows_are_p_and_zeros_at_every_order(two_pole):
+    system = leja_points(two_pole.singular_sample(), 2)
+    p, bound = two_pole.numerator(system.points)
+    for n in (1, 2, 5):
+        ap = build_approximant(two_pole, system, 2, n)
+        assert ap.exact and ap.converged and ap.nodes == 0 and ap.contour is None
+        assert _same_bits(ap.coeffs[0], p) and not ap.coeffs[1:].any()
+        assert _same_bits(ap.noise[0], bound) and not ap.noise[1:].any()
+        assert _same_bits(ap.floor, ap.noise) and not ap.coeffs.flags.writeable
+    # 1/(z - 0.3) + 2/(z - 0.5) = (3z - 1.1)/q, in the Leja order 0.5, 0.3
+    np.testing.assert_allclose(p, [-1.1, 3.0], rtol=1e-15)
+
+
+def test_one_numerator_per_system_m_and_principal(monkeypatch, gauss10):
+    calls = []
+    plain = PoleSeries.numerator
+    monkeypatch.setattr(PoleSeries, "numerator", lambda self, roots: calls.append(1) or
+                        plain(self, roots))
+    system = leja_points(gauss10.singular_sample(), 10)
+    for m, n in [(10, 1), (10, 2), (9, 1), (10, 4), (9, 3)]:
+        build_approximant(gauss10, system, m, n)
+    assert len(calls) == 2  # m = 10 and m = 9; m = 9 offers nothing and takes the quadrature
+    assert [system.denominators[m][2][gauss10] is None for m in (9, 10)] == [True, False]
+
+
+def test_argument_checks_run_before_the_exact_rows():
+    f = PoleSeries.gaussian(5)
+    system = leja_points(f.singular_sample(), 5)
+    for m, n, message in [(0, 1, "m and big_n must be >= 1"), (5, 0, "m and big_n must be >= 1"),
+                          (6, 1, "Leja system shorter than requested m")]:
+        with pytest.raises(ValueError, match=message):
+            build_approximant(f, system, m, n)
+    # every pole a root, but rho_m overflows: refused as for any other model
+    k = CompactSample(1e6 * np.exp(2j * np.pi * np.arange(64) / 64))
+    system = leja_points(k, 48)
+    wide = PoleSeries(system.points, np.ones(48))
+    assert wide.numerator(system.points) is not None
+    with pytest.raises(core.PolarhullError, match="m=48"):
+        build_approximant(wide, system, 48, 1)
+
+
+def _cross_check_orders():
+    return [(f, n) for f in (PoleSeries.gaussian(10), PoleSeries.gaussian(20),
+                             PoleSeries.geometric(10), RationalModel([0.3, 0.5], [1.0, 2.0]))
+            for n in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("f, n", _cross_check_orders(),
+                         ids=lambda v: getattr(v, "label", str(v)))
+def test_quadrature_rows_agree_with_the_exact_rows(f, n, quadrature_only):
+    # on the graph nodes of nu = 2..4, each quadrature row c_k differs from the
+    # exact one (p, then 0) by less than QUAD_NOISE_SAFETY times its recorded
+    # noise row plus p's bound, both evaluated at |z|: the error the level
+    # bounds allow for.  The noise row alone is not enough: taken entry by entry
+    # the rows differ by up to 14 times it, and by 2.9 times as polynomials
+    k = f.singular_sample()
+    system = leja_points(k, len(k))
+    exact = build_approximant(f, system, len(k), n, quad_tol=CERTIFY_QUAD_TOL)
+    quad = build_approximant(quadrature_only(f), system, len(k), n, quad_tol=CERTIFY_QUAD_TOL)
+    assert exact.exact and not quad.exact
+    z = np.concatenate([_certification_grid(k, nu).graph_nodes for nu in (2, 3, 4)])
+    az = np.abs(z)
+    for row in range(n):
+        gap = np.abs(_horner((quad.coeffs[row] - exact.coeffs[row])[::-1], z))
+        allowed = (QUAD_NOISE_SAFETY * _horner(quad.noise[row][::-1], az)
+                   + _horner(exact.noise[row][::-1], az))
+        assert np.all(gap <= allowed), (f.label, n, row, float(np.max(gap / allowed)))
