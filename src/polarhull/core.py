@@ -161,7 +161,9 @@ class CompactSample:
     """Finite point sample standing in for a compact set.
 
     The library never represents uncountable sets exactly; a point within
-    SAMPLE_TOL of a sample point counts as that point.  Every point is finite.
+    SAMPLE_TOL of a sample point counts as that point.  Every point is finite,
+    and no two lie within 1e-14: a sweep along the less crowded axis checks
+    that in O(n k), k the most points in one strip of width 2e-14 there.
     """
 
     points: np.ndarray
@@ -202,25 +204,22 @@ class CompactSample:
 
 
 def _check_no_duplicates(pts: np.ndarray) -> None:
-    """Reject two points within 1e-14 of each other, in O(n log n).
+    """Reject two points within 1e-14 of each other, by one sorted sweep.
 
-    A pair that close shares a cell of side 3e-14 in at least one of four
-    grids offset by half a cell along each axis.  A cell holds at most 25
-    points pairwise farther apart, so comparing each point with the next few
-    of its cell suffices.
+    Sorted along either axis, such a pair lies fewer than k places apart, k
+    the most points in one strip of width 2e-14 (twice the tolerance, against
+    rounding).  The sweep takes the axis of smaller k: O(n k), and O(n^2)
+    only when both axes crowd one strip, as a cross does.
     """
-    if len(pts) < 2:
-        return
-    cell = 3.0 * _DUPLICATE_TOL
-    for sx, sy in ((0, 0), (0, 0.5), (0.5, 0), (0.5, 0.5)):
-        keys = np.floor(pts.real / cell + sx) + 1j * np.floor(pts.imag / cell + sy)
-        order = np.argsort(keys)  # complex keys sort lexicographically: cells become runs
-        keys, near = keys[order], pts[order]
-        for s in range(1, len(pts)):
-            same = keys[s:] == keys[:-s]
-            if not same.any():
-                break
-            if np.any(np.abs(near[s:] - near[:-s])[same] <= _DUPLICATE_TOL):
+    with np.errstate(over="ignore"):  # huge points far apart are an infinite gap apart
+        sweeps = []
+        for along in (pts.real, pts.imag):
+            order = np.argsort(along)
+            ends = np.searchsorted(along[order], along[order] + 2 * _DUPLICATE_TOL, side="right")
+            sweeps.append((np.max(ends - np.arange(len(pts))), pts[order]))
+        reach, near = min(sweeps, key=lambda sweep: sweep[0])
+        for s in range(1, reach):
+            if np.any(np.abs(near[s:] - near[:-s]) <= _DUPLICATE_TOL):
                 raise ValueError("sample contains duplicate points (within 1e-14)")
 
 

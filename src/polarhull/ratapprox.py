@@ -281,7 +281,7 @@ def build_approximant(f, sys: FeketeSystem, m: int, big_n: int, *,
         q = poly_from_roots(roots)
         sys.denominators[m] = q, rho_of(q, sys.base_set, N_SCALE), {}
     q, rho, numerators = sys.denominators[m]
-    if rho == math.inf:
+    if not math.isfinite(CONTOUR_MARGIN * rho):
         raise PolarhullError(f"rho_m overflows at m={m}: no float64 circle has |q_m| >= 1.25 rho_m")
 
     analytic, principal = f.split_at_infinity()

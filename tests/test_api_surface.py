@@ -66,10 +66,9 @@ CONSTANTS = {
 }
 
 # non-blank lines under src/polarhull: a ceiling, lowered as the package shrinks.
-# Raised from 2341 by the exact rows of finite pole sums: `PoleSeries.numerator`
-# (its products by linear factors and the proof of its rounding bound) and the
-# build's exact path and `exact` flag
-SOURCE_LINES = 2410
+# Lowered from 2410 when one sorted sweep replaced the four offset cell grids
+# of the duplicate-point check
+SOURCE_LINES = 2409
 
 _COMMON = ("--config", "--out")
 CLI_OPTIONS = {

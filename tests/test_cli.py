@@ -337,6 +337,8 @@ def test_nonpositive_count_rejected(tmp_path, command, value):
     ["hmeasure", "--annulus", "1,0.1"],
     ["fekete", "--segment", "0,0,5"],
     ["approx", "--function", "exp-reciprocal", "--n-list", 1, "--target", "0,0:1e-300:8"],
+    # eight points 1 from i 1e300 all round to i 1e300
+    ["approx", "--function", "exp-reciprocal", "--n-list", 1, "--target", "0,1e300:1:8"],
     ["thin", "--function", "pole-series-gaussian:10", "--big-r", "0"],
     ["thin", "--function", "pole-series-gaussian:10", "--big-r", "nan"],
     ["thin", "--function", "pole-series-gaussian:10", "--big-r", "-1"],
@@ -506,10 +508,11 @@ def test_psh_certifies_the_pole_series_presets(tmp_path, function):
 
 @pytest.mark.parametrize("m, exact", [(None, True), (5, False)])
 def test_approx_entries_say_whether_they_are_exact(tmp_path, m, exact):
-    # m = 5 leaves 35 of the 40 poles off the roots of q_m: the quadrature runs
-    args = ["approx", "--function", "pole-series-gaussian", "--n-list", "1,2"]
+    # m = 5 leaves 35 of the 40 poles off the roots of q_m: the quadrature runs,
+    # on a contour past rho_5 = 0.65 > 0 and through the growth check at N = 4
+    args = ["approx", "--function", "pole-series-gaussian", "--n-list", "1,2,3,4"]
     assert run(args + (["--m", m] if m else []) + ["--out", tmp_path]) == 0
     entries = json.loads((tmp_path / "approx.json").read_text())["result"]["entries"]
-    assert [e["exact"] for e in entries] == [exact, exact]
+    assert [e["exact"] for e in entries] == [exact] * 4
     assert all((e["nodes"] == 0) == exact for e in entries)
-    assert all(e["converged"] for e in entries) or not exact
+    assert all(e["converged"] for e in entries)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -318,9 +319,18 @@ def test_start_above_the_cap_is_refused():
 
 
 def _dense_has_duplicates(pts):
-    d = np.abs(pts[:, None] - pts[None, :])
+    with np.errstate(over="ignore"):  # huge points far apart are an infinite distance apart
+        d = np.abs(pts[:, None] - pts[None, :])
     np.fill_diagonal(d, np.inf)
     return d.min() <= 1e-14
+
+
+def _refused(pts):
+    try:
+        CompactSample(pts)
+    except ValueError:
+        return True
+    return False
 
 
 def test_sample_rejects_near_pair_across_cell_edge():
@@ -340,14 +350,40 @@ def test_duplicate_check_matches_dense_oracle(seed):
     verdicts = set()
     for a, d in zip(base[:20], gaps):
         pts = np.append(base, a + d)
-        try:
-            CompactSample(pts)
-            rejected = False
-        except ValueError:
-            rejected = True
+        rejected = _refused(pts)
         assert rejected == _dense_has_duplicates(pts)
         verdicts.add(rejected)
     assert verdicts == {True, False}
+    # axis-aligned and huge inputs, each with no warning: equal pairs at 1e300
+    # on each axis; a pair 0.9e-14 apart with a point between them along the
+    # sorted axis; a spread whose differences overflow on both axes; a
+    # vertical line with and without a planted pair; that line with a point off
+    # to the side, so the wider real spread is the crowded axis; a cross, whose
+    # two axes are both crowded, with and without a planted pair; and a lattice
+    # whose 40 columns each share one real part
+    spread = 1.7e308 * (rng.uniform(-1, 1, 50) + 1j * rng.uniform(-1, 1, 50))
+    line = 1j * np.linspace(-1.0, 1.0, 2000)
+    i = rng.integers(1, 1999)
+    cross = np.concatenate([line[::2], line[1::2] / 1j])
+    lattice = (np.arange(40)[:, None] + 1j * np.arange(40)).ravel()
+    cases = [np.array([0.0, c, 1.0, c]) for c in (1e300j, 1e300, -1e300j)] + [
+        np.array([0.0, 0.5e-14 + 1j, 0.9e-14, 10.0]),
+        spread, np.append(spread, spread[7]), line, np.append(line[:-1], line[i] + gaps[0]),
+        np.append(line[:-1], 10.0), np.append(line[:-2], [10.0, line[i] + gaps[0] / 2]),
+        cross, np.append(cross[:-1], cross[i] + gaps[0] / 2),
+        lattice * 1e-14 * rng.uniform(0.999, 1.001)]
+    for pts in cases:
+        assert _refused(pts) == _dense_has_duplicates(pts)
+    verdicts = [_refused(pts) for pts in cases[:7] + cases[8:12]]
+    assert verdicts == [True, True, True, True, False, True, False, False, True, False, True]
+
+
+def test_a_crowded_axis_is_not_swept():
+    # all 20,000 points of the line share one real strip, and the real spread
+    # is the larger: swept along it this takes about a second, along y a few ms
+    start = time.perf_counter()
+    CompactSample(np.append(1j * np.linspace(0.0, 1.0, 20_000), 10.0))
+    assert time.perf_counter() - start < 0.25
 
 
 @pytest.mark.parametrize("n_z", [1, 7, 40, 41, 3000])

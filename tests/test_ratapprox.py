@@ -44,13 +44,23 @@ class TestRho:
         s = CompactSample([0.1, -0.1, 0.0])
         assert rho_of(q, s, 3) == pytest.approx(0.81)
 
-    def test_overflow_is_inf_and_refuses_the_build(self):
+    @pytest.mark.parametrize("f, m, rho_finite", [
         # 2^96 (2e6)^48 is past float64 for the 48 Leja points of a wide circle
-        k = CompactSample(1e6 * np.exp(2j * np.pi * np.arange(64) / 64))
-        system = leja_points(k, 48)
-        assert rho_of(poly_from_roots(system.points[:48]), k, 2) == math.inf
-        with pytest.raises(core.PolarhullError, match="m=48"):
-            build_approximant(RationalModel([0.0], [1.0]), system, 48, 1)
+        (RationalModel(1e6 * np.exp(2j * np.pi * np.arange(64) / 64), np.ones(64)), 48, False),
+        # rho_1 = 4 * 3.75e307 = 1.5e308 is finite, but 1.25 rho_1 is not
+        (RationalModel([0.0, 3.75e307], [1.0, 1.0]), 1, True),
+    ], ids=["rho-inf", "margin-inf"])
+    def test_overflow_is_inf_and_refuses_the_build(self, f, m, rho_finite):
+        k = f.singular_sample()
+        system = leja_points(k, m)
+        rho = rho_of(poly_from_roots(system.points[:m]), k, 2)
+        if rho_finite:
+            assert math.isfinite(rho)
+        else:
+            assert rho == math.inf
+        assert ratapprox.CONTOUR_MARGIN * rho == math.inf
+        with pytest.raises(core.PolarhullError, match=f"rho_m overflows at m={m}:"):
+            build_approximant(f, system, m, 1)
 
 
 class TestBuild:
